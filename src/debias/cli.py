@@ -172,6 +172,7 @@ def train_with_pairs(manifest, cfg, pinned=None) -> train.TrainArtifacts:
     arts = train.train_stage1(manifest, replace(cfg, method="standard"))
     feats, labels = data.load_arrays(manifest)
     preds = mdl.predict(arts.params, feats)
+    del feats  # stage 2 loads its own copy
     scored = []
     for b, c in pinned:
         try:
@@ -217,6 +218,7 @@ def run_benchmark_cell(fraction, seed, methods, work_dir, overrides=None) -> Ben
     arts1 = train.train_stage1(train_man, base_cfg)
     feats, labels = data.load_arrays(train_man)
     preds = mdl.predict(arts1.params, feats)
+    del feats  # stage 2 loads its own copy
     arts1.pairs = bias_mod.BiasPairSet(
         [
             bias_mod.BiasPair(b, c, bias_mod.bias_score(preds, labels, b, c))
@@ -254,10 +256,8 @@ def overlap_on_cooccur(params, manifest, pairs) -> float:
         if rows.size == 0:
             continue
         trace = mdl.forward_batch(params, feats[rows], manifest.h, manifest.w)
-        node = losses.cam_overlap_terms(
-            params, trace, b, c, np.arange(rows.size), normalized=True
-        )
-        parts.append(node.value.ravel())
+        maps = losses.cam_maps(trace, np.arange(rows.size), (b, c))
+        parts.append(losses.cam_overlap_terms(*maps).value.ravel())
     if not parts:
         raise ValueError("no co-occurring samples for any pair")
     return float(np.mean(np.concatenate(parts)))

@@ -56,18 +56,28 @@ class StoreWriter:
         self.close()
 
 
+def _open_store(path):
+    """Open a store for reading, after checking its magic."""
+    fh = open(path, "rb")
+    magic = fh.read(len(STORE_MAGIC))
+    if magic != STORE_MAGIC:
+        fh.close()
+        raise ValueError(f"{path}: bad store magic {magic!r}")
+    return fh
+
+
+def _read_into(fh, path, offset: int, buf: np.ndarray):
+    fh.seek(offset)
+    if fh.readinto(buf) != buf.nbytes:
+        raise ValueError(f"{path}: truncated read at offset {offset}")
+
+
 def read_tensor(path, offset: int, shape) -> np.ndarray:
     """Read one tensor, widened to float64."""
-    count = int(np.prod(shape))
-    with open(path, "rb") as fh:
-        magic = fh.read(len(STORE_MAGIC))
-        if magic != STORE_MAGIC:
-            raise ValueError(f"{path}: bad store magic {magic!r}")
-        fh.seek(offset)
-        raw = fh.read(count * F32.itemsize)
-    if len(raw) != count * F32.itemsize:
-        raise ValueError(f"{path}: truncated read at offset {offset}")
-    return np.frombuffer(raw, dtype=F32).astype(np.float64).reshape(shape)
+    buf = np.empty(shape, dtype=F32)
+    with _open_store(path) as fh:
+        _read_into(fh, path, offset, buf)
+    return buf.astype(np.float64)
 
 
 def write_store(path, arrays) -> list:
@@ -171,8 +181,11 @@ def load_arrays(manifest: DatasetManifest):
     path = manifest.store_path()
     p = manifest.h * manifest.w
     feats = np.empty((len(manifest.samples), p, manifest.d_in), dtype=np.float64)
-    for i, s in enumerate(manifest.samples):
-        feats[i] = read_tensor(path, s.offset, (p, manifest.d_in))
+    buf = np.empty((p, manifest.d_in), dtype=F32)
+    with _open_store(path) as fh:
+        for i, s in enumerate(manifest.samples):
+            _read_into(fh, path, s.offset, buf)
+            feats[i] = buf
     return feats, manifest.label_matrix()
 
 

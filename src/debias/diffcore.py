@@ -37,7 +37,7 @@ class DiffNode:
     some tracked leaf is reachable through differentiable edges.
     """
 
-    __slots__ = ("value", "parents", "vjp", "requires", "idx", "name", "grad")
+    __slots__ = ("value", "parents", "vjp", "requires", "idx", "name")
 
     def __init__(self, value, parents=(), vjp=None, requires=False, name=None):
         self.value = as_f64(value)
@@ -46,7 +46,6 @@ class DiffNode:
         self.requires = bool(requires)
         self.idx = next(_counter)
         self.name = name
-        self.grad = None
 
     @property
     def shape(self):
@@ -90,15 +89,20 @@ def matmul(a: DiffNode, b: DiffNode) -> DiffNode:
     if av.shape[-1] != (bv.shape[0] if bv.ndim >= 1 else None):
         raise ValueError(f"matmul: inner dims {av.shape} @ {bv.shape}")
     out = av @ bv
+    need_a, need_b = a.requires, b.requires
 
     def vjp(g):
+        # skip the product for a parent that needs no gradient, such as the
+        # constant pixel rows
         if av.ndim == 2 and bv.ndim == 2:
-            return g @ bv.T, av.T @ g
-        if av.ndim == 2 and bv.ndim == 1:
-            return np.outer(g, bv), av.T @ g
-        if av.ndim == 1 and bv.ndim == 2:
-            return bv @ g, np.outer(av, g)
-        return g * bv, g * av  # dot product
+            return (g @ bv.T if need_a else None), (av.T @ g if need_b else None)
+        if av.ndim == 2:
+            ga, gb = np.outer(g, bv), av.T @ g
+        elif bv.ndim == 2:
+            ga, gb = bv @ g, np.outer(av, g)
+        else:  # dot product
+            ga, gb = g * bv, g * av
+        return (ga if need_a else None), (gb if need_b else None)
 
     return _node(out, (a, b), vjp)
 
@@ -200,18 +204,6 @@ def mean_all(a: DiffNode) -> DiffNode:
     )
 
 
-def max_all(a: DiffNode) -> DiffNode:
-    """Scalar max over all elements; gradient split evenly across ties."""
-    av = a.value
-    m = np.max(av)
-
-    def vjp(g):
-        mask = av == m
-        return (g * mask / mask.sum(),)
-
-    return _node(m, (a,), vjp)
-
-
 def _check_blocked(a: DiffNode, block: int, opname: str):
     if a.value.ndim != 2:
         raise ValueError(f"{opname} expects a 2-d array")
@@ -272,15 +264,18 @@ def take(a: DiffNode, indices, axis: int = 0) -> DiffNode:
         raise ValueError("take: indices must be 1-d")
     if axis not in (0, 1) or axis >= a.value.ndim:
         raise ValueError(f"take: bad axis {axis} for shape {a.value.shape}")
+    if idx.size and not (0 <= idx.min() and idx.max() < a.value.shape[axis]):
+        raise ValueError(f"take: index out of range for axis {axis} of {a.value.shape}")
     av = a.value
     out = np.take(av, idx, axis=axis)
 
     def vjp(g):
         full = np.zeros_like(av)
-        if axis == 0:
-            np.add.at(full, idx, g)
+        target, gt = (full, g) if axis == 0 else (full.T, g.T)
+        if np.unique(idx).size == idx.size:
+            target[idx] = gt
         else:
-            np.add.at(full.T, idx, g.T)  # duplicate-safe column scatter
+            np.add.at(target, idx, gt)  # duplicates accumulate
         return (full,)
 
     return _node(out, (a,), vjp)
@@ -327,7 +322,7 @@ def eval_backward(root: DiffNode) -> dict:
 
     Returns {leaf DiffNode: gradient array} for every gradient-tracked leaf
     reachable from the root, including leaves cut off by stop_gradient (those
-    get zeros). Also fills `.grad` on every reachable tracked node.
+    get zeros). Gradients of interior nodes are dropped once propagated.
     """
     if root.value.ndim != 0:
         raise ValueError(f"backward root must be scalar, got shape {root.value.shape}")
@@ -348,13 +343,13 @@ def eval_backward(root: DiffNode) -> dict:
 
     grads: dict[int, np.ndarray] = {id(root): np.ones(())}
     for node in reachable:
-        g = grads.get(id(node))
-        if g is None or node.vjp is None or not node.parents:
+        # an op node requires grad iff some parent does; leaves keep theirs
+        if node.vjp is None or not node.requires:
             continue
-        if not any(p.requires for p in node.parents):
+        g = grads.pop(id(node), None)
+        if g is None:
             continue
-        parts = node.vjp(g)
-        for parent, pg in zip(node.parents, parts):
+        for parent, pg in zip(node.parents, node.vjp(g)):
             if pg is None or not parent.requires:
                 continue
             prev = grads.get(id(parent))
@@ -362,13 +357,9 @@ def eval_backward(root: DiffNode) -> dict:
 
     out = {}
     for node in reachable:
-        if not node.requires:
-            continue
-        node.grad = grads.get(id(node))
-        if node.grad is None:
-            node.grad = np.zeros_like(node.value)
-        if not node.parents:
-            out[node] = node.grad
+        if node.requires and not node.parents:
+            g = grads.get(id(node))
+            out[node] = np.zeros_like(node.value) if g is None else g
     return out
 
 

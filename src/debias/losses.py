@@ -146,8 +146,8 @@ def exclusive_mask(labels, pairs) -> np.ndarray:
 class CamSnapshot:
     """Normalized activation maps of the frozen stage-1 model.
 
-    Computed lazily per (sample key, category) and cached; the underlying
-    parameters are copied at construction so later training cannot leak in.
+    The parameters are copied at construction so later training cannot leak
+    in. `table` builds the maps one training stage reads.
     """
 
     def __init__(self, params: mdl.ModelParams, pairs):
@@ -158,115 +158,98 @@ class CamSnapshot:
             context_rows=params.context_rows.copy(),
         )
         self.pairs = [tuple(p) for p in pairs]
-        self._tracked = {k for p in self.pairs for k in p}
-        self._cache = {}
+        self.categories = sorted({k for p in self.pairs for k in p})
 
-    def rows(self, key, feat_rows: np.ndarray, category: int, normalized: bool = True) -> np.ndarray:
-        if category not in self._tracked:
+    def rows(self, feats: np.ndarray, category: int, normalized: bool = True) -> np.ndarray:
+        """(n, P) maps of `category` for (n, P, D_in) pixel rows."""
+        if category not in self.categories:
             raise ValueError(f"category {category} not covered by the snapshot")
-        hit = self._cache.get((key, category, normalized))
-        if hit is None:
-            # (P, 1) column shape matches the graph's matmul exactly, so a
-            # grounding loss against an unchanged model is zero to the bit
-            raw = (dc.as_f64(feat_rows) @ self.params.mixer) @ self.params.head[:, [category]]
-            hit = (mdl.normalize_cam(raw) if normalized else raw).ravel()
-            self._cache[(key, category, normalized)] = hit
-        return hit
+        feats = dc.as_f64(feats)
+        n, p, d_in = feats.shape
+        # the same (n*P, D_in) @ (D_in, D) @ (D, 1) products as the graph's
+        # cam_maps, so a grounding loss against an unchanged model is zero
+        # to the bit
+        raw = (feats.reshape(n * p, d_in) @ self.params.mixer) @ self.params.head[:, [category]]
+        raw = raw.reshape(n, p)
+        return mdl.normalize_cam(raw, axis=1) if normalized else raw
 
-    def normalized_rows(self, key, feat_rows: np.ndarray, category: int) -> np.ndarray:
-        return self.rows(key, feat_rows, category, normalized=True)
+    def table(self, feats: np.ndarray, batch_size: int, normalized: bool = True) -> dict:
+        """{category: (N, P) maps} for every tracked category.
 
-
-def _gather_sample_rows(trace: mdl.ForwardTrace, sample_idx) -> dc.DiffNode:
-    p = trace.pixels
-    idx = np.asarray(sample_idx, dtype=np.intp)
-    rows = (idx[:, None] * p + np.arange(p)).ravel()
-    return dc.take(trace.feature_rows, rows, axis=0)
-
-
-def _cam_node(trace: mdl.ForwardTrace, sub_rows, category, normalized=True) -> dc.DiffNode:
-    col = dc.take(trace.head_node, [int(category)], axis=1)
-    raw = dc.matmul(sub_rows, col)
-    return mdl.normalize_cam_rows(raw, trace.pixels) if normalized else raw
+        Built `batch_size` samples at a time, so the (N*P, D) mixed rows
+        never exist at once.
+        """
+        chunks = range(0, len(feats), batch_size)
+        return {
+            k: np.concatenate(
+                [self.rows(feats[s : s + batch_size], k, normalized) for s in chunks]
+            )
+            for k in self.categories
+        }
 
 
-def cam_overlap_terms(params, trace, b, c, sample_idx, normalized=True) -> dc.DiffNode:
-    """Pixelwise product of the two activation maps for a sample subset."""
-    sub = _gather_sample_rows(trace, sample_idx)
-    return dc.mul(
-        _cam_node(trace, sub, b, normalized), _cam_node(trace, sub, c, normalized)
-    )
+def cam_maps(trace: mdl.ForwardTrace, sample_idx, categories, normalized=True) -> list:
+    """(len(sample_idx)*P, 1) activation maps per category, in the graph.
 
-
-def cam_overlap_loss(params, trace, pairs_present, normalized=True) -> dc.DiffNode:
-    """Mean overlap over the given pairs and all pixels.
-
-    Callers must only list pairs whose two categories are both present in
-    every sample the trace covers.
+    Only the chosen samples' pixel rows meet the mixer; they enter as a
+    constant gathered in numpy.
     """
-    if not pairs_present:
-        raise ValueError("cam_overlap_loss needs at least one present pair")
-    parts = [
-        cam_overlap_terms(params, trace, b, c, np.arange(trace.n), normalized)
-        for b, c in pairs_present
-    ]
-    return dc.mean_all(dc.concat(parts, axis=0))
+    sub = trace.feats[np.asarray(sample_idx, dtype=np.intp)]
+    rows = dc.matmul(dc.constant(sub.reshape(-1, sub.shape[2])), trace.mixer_node)
+    maps = []
+    for k in categories:
+        raw = dc.matmul(rows, dc.take(trace.head_node, [int(k)], axis=1))
+        maps.append(mdl.normalize_cam_rows(raw, trace.pixels) if normalized else raw)
+    return maps
 
 
-def cam_ground_terms(params, trace, b, c, sample_idx, pre_b, pre_c, normalized=True) -> dc.DiffNode:
+def cam_overlap_terms(map_b: dc.DiffNode, map_c: dc.DiffNode) -> dc.DiffNode:
+    """Pixelwise product of two activation maps."""
+    return dc.mul(map_b, map_c)
+
+
+def cam_ground_terms(map_b, map_c, frozen_b, frozen_c) -> dc.DiffNode:
     """|frozen map - live map| summed over the two categories, per pixel."""
-    sub = _gather_sample_rows(trace, sample_idx)
-    live_b = _cam_node(trace, sub, b, normalized)
-    live_c = _cam_node(trace, sub, c, normalized)
-    ref_b = dc.constant(dc.as_f64(pre_b).reshape(-1, 1))
-    ref_c = dc.constant(dc.as_f64(pre_c).reshape(-1, 1))
+    ref_b = dc.constant(dc.as_f64(frozen_b).reshape(-1, 1))
+    ref_c = dc.constant(dc.as_f64(frozen_c).reshape(-1, 1))
     return dc.add(
-        dc.absval(dc.sub(ref_b, live_b)), dc.absval(dc.sub(ref_c, live_c))
+        dc.absval(dc.sub(ref_b, map_b)), dc.absval(dc.sub(ref_c, map_c))
     )
 
 
-def cam_ground_loss(params, trace, snapshot: CamSnapshot, pairs_present, sample_key, feat_rows, normalized=True) -> dc.DiffNode:
-    """Single-sample grounding loss against the stage-1 snapshot."""
-    if snapshot is None:
-        raise ValueError("grounding needs a stage-1 snapshot")
-    if trace.n != 1:
-        raise ValueError("single-sample form; use cam_ground_terms for batches")
-    if not pairs_present:
-        raise ValueError("cam_ground_loss needs at least one present pair")
-    parts = []
-    for b, c in pairs_present:
-        pre_b = snapshot.rows(sample_key, feat_rows, b, normalized)
-        pre_c = snapshot.rows(sample_key, feat_rows, c, normalized)
-        parts.append(cam_ground_terms(params, trace, b, c, [0], pre_b, pre_c, normalized))
-    return dc.mean_all(dc.concat(parts, axis=0))
+def cam_objective(trace, targets, pairs, frozen, lambda1, lambda2, normalized=True) -> dc.DiffNode:
+    """BCE + lambda1 * mean overlap + lambda2 * mean grounding, for a batch.
 
-
-def cam_total_loss(params, trace, snapshot, pairs_present, targets, lam1, lam2, sample_key=None, feat_rows=None, normalized=True) -> dc.DiffNode:
-    """lam1 * overlap + lam2 * grounding + BCE; plain BCE when no pair applies."""
-    if lam1 < 0 or lam2 < 0:
+    The CAM terms cover, per pair, the samples labeled with both categories;
+    each pair's live maps are built once and feed both terms. `frozen` maps
+    each tracked category to the snapshot's (n, P) maps of the batch (see
+    CamSnapshot.table); it may be None when lambda2 is 0. Plain BCE when no
+    sample co-occurs or both weights are 0.
+    """
+    if lambda1 < 0 or lambda2 < 0:
         raise ValueError("loss weights must be nonnegative")
-    total = bce(trace.logits, targets)
-    if not pairs_present:
-        return total
-    if lam1 > 0:
-        total = dc.add(total, dc.scale(cam_overlap_loss(params, trace, pairs_present, normalized), lam1))
-    if lam2 > 0:
-        total = dc.add(
-            total,
-            dc.scale(
-                cam_ground_loss(params, trace, snapshot, pairs_present, sample_key, feat_rows, normalized),
-                lam2,
-            ),
-        )
-    return total
-
-
-def overlap_values(params: mdl.ModelParams, feat_rows: np.ndarray, b: int, c: int) -> float:
-    """Plain-numpy normalized-CAM overlap for one sample (P, D_in)."""
-    mixed = dc.as_f64(feat_rows) @ params.mixer
-    nb = mdl.normalize_cam(mixed @ params.head[:, [b]])
-    nc = mdl.normalize_cam(mixed @ params.head[:, [c]])
-    return float(np.mean(nb * nc))
+    if lambda2 > 0 and frozen is None:
+        raise ValueError("grounding needs the frozen stage-1 maps")
+    t = dc.as_f64(targets)
+    root = bce(trace.logits, t)
+    if lambda1 == 0 and lambda2 == 0:
+        return root
+    overlap_parts, ground_parts = [], []
+    for b, c in pairs:
+        local = np.flatnonzero((t[:, b] == 1) & (t[:, c] == 1))
+        if local.size == 0:
+            continue
+        map_b, map_c = cam_maps(trace, local, (b, c), normalized)
+        if lambda1 > 0:
+            overlap_parts.append(cam_overlap_terms(map_b, map_c))
+        if lambda2 > 0:
+            ground_parts.append(
+                cam_ground_terms(map_b, map_c, frozen[b][local], frozen[c][local])
+            )
+    for parts, lam in ((overlap_parts, lambda1), (ground_parts, lambda2)):
+        if parts:
+            root = dc.add(root, dc.scale(dc.mean_all(dc.concat(parts, axis=0)), lam))
+    return root
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ every spatial position), global average pooling, and a bias-free linear head
 "context" half; the context half is the part selective suppression freezes
 during stage-2 training.
 
-Everything is batched through a flat row layout: a batch of n feature maps
-becomes an (n*P, D_in) matrix with P = H*W rows per sample, so pooling and
-per-sample map normalization are grouped-row ops in the graph.
+A batch of n feature maps is an (n, P, D_in) array with P = H*W pixel rows
+per sample. Pooling is linear, so the logits pool the pixel rows before the
+mixer; per-pixel rows are formed only where an activation map is needed, and
+there per-sample map normalization is a grouped-row op in the graph.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class ForwardTrace:
     n: int
     mixer_node: dc.DiffNode  # leaf
     head_node: dc.DiffNode  # leaf
-    feature_rows: dc.DiffNode  # (n*P, D)
+    feats: np.ndarray  # (n, P, D_in) pixel rows, constant
     pooled: dc.DiffNode  # (n, D)
     pooled_own: dc.DiffNode  # (n, D/2)
     pooled_ctx: dc.DiffNode  # (n, D/2)
@@ -93,26 +94,38 @@ class ForwardTrace:
         return self.h * self.w
 
 
-def forward_batch(params: ModelParams, feats: np.ndarray, h: int, w: int) -> ForwardTrace:
-    """Forward a batch given as (n, P, D_in) or (n*P, D_in) with P = h*w."""
-    p = h * w
+def _pixel_rows(feats, p: int, d_in: int) -> np.ndarray:
+    """(n, P, D_in) or (n*P, D_in) features as (n, P, D_in) float64."""
     feats = dc.as_f64(feats)
-    if feats.ndim == 3:
-        feats = feats.reshape(-1, feats.shape[2])
-    if feats.ndim != 2 or feats.shape[0] % p or feats.shape[1] != params.d_in:
-        raise ValueError(f"bad feature shape {feats.shape} for {h}x{w}x{params.d_in}")
-    n = feats.shape[0] // p
-    mixer_node = dc.leaf(params.mixer, name="mixer")
-    head_node = dc.leaf(params.head, name="head")
-    feature_rows = dc.matmul(dc.constant(feats), mixer_node)
-    pooled = dc.gap_rows(feature_rows, p)
+    if feats.ndim == 2 and feats.shape[0] % p == 0:
+        feats = feats.reshape(-1, p, feats.shape[1])
+    if feats.ndim != 3 or feats.shape[1] != p or feats.shape[2] != d_in:
+        raise ValueError(f"bad feature shape {feats.shape} for {p} pixels x {d_in}")
+    return feats
+
+
+def forward_batch(
+    params: ModelParams, feats: np.ndarray, h: int, w: int, mixer_node=None, head_node=None
+) -> ForwardTrace:
+    """Forward a batch given as (n, P, D_in) or (n*P, D_in) with P = h*w.
+
+    Pooling comes first: GAP(X W) = GAP(X) W, so only the pooled (n, D_in)
+    rows meet the mixer. `mixer_node`/`head_node` reuse existing leaves (for
+    gradient checks); by default fresh leaves are made from `params`.
+    """
+    feats = _pixel_rows(feats, h * w, params.d_in)
+    if mixer_node is None:
+        mixer_node = dc.leaf(params.mixer, name="mixer")
+    if head_node is None:
+        head_node = dc.leaf(params.head, name="head")
+    pooled = dc.matmul(dc.constant(feats.mean(axis=1)), mixer_node)
     return ForwardTrace(
         h=h,
         w=w,
-        n=n,
+        n=feats.shape[0],
         mixer_node=mixer_node,
         head_node=head_node,
-        feature_rows=feature_rows,
+        feats=feats,
         pooled=pooled,
         pooled_own=dc.take(pooled, params.own_rows, axis=1),
         pooled_ctx=dc.take(pooled, params.context_rows, axis=1),
@@ -128,18 +141,6 @@ def forward(params: ModelParams, feature_map: np.ndarray, h=None, w=None) -> For
     return forward_batch(params, fm.reshape(1, -1, fm.shape[2]), fm.shape[0], fm.shape[1])
 
 
-def cam(params: ModelParams, trace: ForwardTrace, category: int) -> dc.DiffNode:
-    """Raw class activation maps for one category, shape (n*P, 1).
-
-    Each row block of P values is one sample's map; reshape the value to
-    (n, H, W) for viewing. Differentiable in both mixer and head.
-    """
-    if not 0 <= category < params.m:
-        raise ValueError(f"category {category} out of range")
-    col = dc.take(trace.head_node, [category], axis=1)
-    return dc.matmul(trace.feature_rows, col)
-
-
 def cam_values(params: ModelParams, feats_one: np.ndarray, category: int) -> np.ndarray:
     """Plain-numpy CAM for one (H, W, D_in) map, no graph."""
     h_, w_, _ = feats_one.shape
@@ -148,10 +149,10 @@ def cam_values(params: ModelParams, feats_one: np.ndarray, category: int) -> np.
     return raw.reshape(h_, w_)
 
 
-def normalize_cam(raw: np.ndarray) -> np.ndarray:
-    """relu then scale by the max so values land in [0, 1]."""
+def normalize_cam(raw: np.ndarray, axis=None) -> np.ndarray:
+    """relu then scale by the max (over `axis`) so values land in [0, 1]."""
     r = np.maximum(dc.as_f64(raw), 0.0)
-    return r / (r.max() + 1e-8)
+    return r / (r.max(axis=axis, keepdims=True) + 1e-8)
 
 
 def normalize_cam_rows(raw: dc.DiffNode, block: int) -> dc.DiffNode:
@@ -166,12 +167,8 @@ def normalize_cam_rows(raw: dc.DiffNode, block: int) -> dc.DiffNode:
 
 
 def logit_values(params: ModelParams, feats: np.ndarray) -> np.ndarray:
-    """Plain-numpy logits for (n, P, D_in) features."""
-    feats = dc.as_f64(feats)
-    n, p, _ = feats.shape
-    rows = feats.reshape(n * p, -1) @ params.mixer
-    pooled = rows.reshape(n, p, -1).mean(axis=1)
-    return pooled @ params.head
+    """Plain-numpy logits for (n, P, D_in) features, pooled first."""
+    return (dc.as_f64(feats).mean(axis=1) @ params.mixer) @ params.head
 
 
 def predict(params: ModelParams, feats: np.ndarray) -> np.ndarray:

@@ -168,7 +168,6 @@ def train_stage1(manifest: data.DatasetManifest, cfg: TrainConfig) -> TrainArtif
     row_of = {s.id: i for i, s in enumerate(manifest.samples)}
     rows80 = np.array([row_of[s.id] for s in part80.samples])
     rows20 = np.array([row_of[s.id] for s in part20.samples])
-    f80, l80 = feats[rows80], labels[rows80]
 
     shuffle_rng = np.random.default_rng(seeds["shuffle1"])
     curve, step_log = [], []
@@ -177,9 +176,9 @@ def train_stage1(manifest: data.DatasetManifest, cfg: TrainConfig) -> TrainArtif
         order = shuffle_rng.permutation(len(rows80))
         batch_losses = []
         for start in range(0, len(order), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            trace = mdl.forward_batch(params, f80[idx], manifest.h, manifest.w)
-            root = losses.bce(trace.logits, l80[idx])
+            idx = rows80[order[start : start + cfg.batch_size]]
+            trace = mdl.forward_batch(params, feats[idx], manifest.h, manifest.w)
+            root = losses.bce(trace.logits, labels[idx])
             gmap = dc.eval_backward(root)
             params = _apply_step(params, trace, gmap, lr)
             batch_losses.append(float(root.value))
@@ -305,8 +304,7 @@ def train_stage2(
         )
 
     feats, labels = data.load_arrays(work)
-    ids = [s.id for s in work.samples]
-    n = len(ids)
+    n = len(work.samples)
     half = params.d // 2
 
     alpha_table = artifacts.alpha_table
@@ -314,7 +312,10 @@ def train_stage2(
     excl_all = None
     weights_all = None
     penalty_all = None
-    if cfg.method == "ours_feature_split":
+    frozen_all = None
+    if cfg.method == "ours_cam" and cfg.lambda2 > 0:
+        frozen_all = artifacts.snapshot.table(feats, cfg.batch_size, cfg.normalize_maps)
+    elif cfg.method == "ours_feature_split":
         if alpha_table is None:
             alpha_table = losses.build_alpha_table(labels, pair_tuples, cfg.alpha_min)
         buffer = losses.RunningMeanBuffer(width=half)
@@ -332,7 +333,6 @@ def train_stage2(
     shuffle_rng = np.random.default_rng(artifacts.seeds["shuffle2"])
     curve = list(artifacts.loss_curve)
     step_log = list(artifacts.step_log)
-    snapshot = artifacts.snapshot
 
     for epoch in range(cfg.stage2_epochs):
         lr = cfg.sgd_stage2.lr_at(epoch)
@@ -345,8 +345,12 @@ def train_stage2(
             entry = {"stage": 2, "epoch": epoch, "lr": lr, "method": cfg.method}
 
             if cfg.method == "ours_cam":
-                root = _cam_objective(
-                    params, trace, t, idx, feats, ids, pair_tuples, snapshot, cfg
+                frozen = None
+                if frozen_all is not None:
+                    frozen = {k: v[idx] for k, v in frozen_all.items()}
+                root = losses.cam_objective(
+                    trace, t, pair_tuples, frozen, cfg.lambda1, cfg.lambda2,
+                    cfg.normalize_maps,
                 )
             elif cfg.method == "ours_feature_split":
                 mask = excl_all[idx]
@@ -385,7 +389,7 @@ def train_stage2(
     return TrainArtifacts(
         params=params,
         pairs=artifacts.pairs,
-        snapshot=snapshot,
+        snapshot=artifacts.snapshot,
         alpha_table=alpha_table,
         buffer=buffer,
         loss_curve=curve,
@@ -393,49 +397,6 @@ def train_stage2(
         seeds=artifacts.seeds,
         category_map=category_map,
     )
-
-
-def _cam_objective(params, trace, t, idx, feats, ids, pair_tuples, snapshot, cfg):
-    root = losses.bce(trace.logits, t)
-    overlap_parts, ground_parts = [], []
-    for b, c in pair_tuples:
-        local = np.flatnonzero((t[:, b] == 1) & (t[:, c] == 1))
-        if local.size == 0:
-            continue
-        if cfg.lambda1 > 0:
-            overlap_parts.append(
-                losses.cam_overlap_terms(
-                    params, trace, b, c, local, normalized=cfg.normalize_maps
-                )
-            )
-        if cfg.lambda2 > 0:
-            pre_b = np.concatenate(
-                [
-                    snapshot.rows(ids[g], feats[g], b, normalized=cfg.normalize_maps)
-                    for g in idx[local]
-                ]
-            )
-            pre_c = np.concatenate(
-                [
-                    snapshot.rows(ids[g], feats[g], c, normalized=cfg.normalize_maps)
-                    for g in idx[local]
-                ]
-            )
-            ground_parts.append(
-                losses.cam_ground_terms(
-                    params, trace, b, c, local, pre_b, pre_c,
-                    normalized=cfg.normalize_maps,
-                )
-            )
-    if overlap_parts:
-        root = dc.add(
-            root, dc.scale(dc.mean_all(dc.concat(overlap_parts, axis=0)), cfg.lambda1)
-        )
-    if ground_parts:
-        root = dc.add(
-            root, dc.scale(dc.mean_all(dc.concat(ground_parts, axis=0)), cfg.lambda2)
-        )
-    return root
 
 
 def run_training(manifest: data.DatasetManifest, cfg: TrainConfig) -> TrainArtifacts:

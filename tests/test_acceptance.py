@@ -40,20 +40,10 @@ def verdict(name, ok, detail):
 # gradient correctness
 
 
-def _batch_trace(mixer_node, head_node, fm, h, w, own, ctx):
-    """forward_batch rebuilt from existing leaves, for finite-diff builders."""
-    p = h * w
-    feats = dc.constant(fm.reshape(-1, fm.shape[-1]))
-    rows = dc.matmul(feats, mixer_node)
-    pooled = dc.gap_rows(rows, p)
-    return mdl.ForwardTrace(
-        h=h, w=w, n=fm.shape[0],
-        mixer_node=mixer_node, head_node=head_node,
-        feature_rows=rows, pooled=pooled,
-        pooled_own=dc.take(pooled, own, axis=1),
-        pooled_ctx=dc.take(pooled, ctx, axis=1),
-        logits=dc.matmul(pooled, head_node),
-    )
+def _leaf_trace(mixer_node, head_node, fm, h, w, own, ctx):
+    """model.forward_batch on existing leaves, for finite-diff builders."""
+    params = mdl.ModelParams(mixer_node.value, head_node.value, own, ctx)
+    return mdl.forward_batch(params, fm, h, w, mixer_node, head_node)
 
 
 def test_gradients_match_finite_differences():
@@ -72,11 +62,8 @@ def test_gradients_match_finite_differences():
     weights = np.array([1.0, 2.5, 1.5])
     worst = {}
 
-    def params_of(lv):
-        return mdl.ModelParams(lv["mixer"].value, lv["head"].value, own, ctx)
-
     def plain_trace(lv):
-        return _batch_trace(lv["mixer"], lv["head"], fm, h, w, own, ctx)
+        return _leaf_trace(lv["mixer"], lv["head"], fm, h, w, own, ctx)
 
     worst["bce"] = dc.finite_diff_check(
         lambda lv: losses.bce(plain_trace(lv).logits, t), base, eps=1e-5
@@ -101,11 +88,11 @@ def test_gradients_match_finite_differences():
     }
 
     def pos_trace(lv):
-        return _batch_trace(lv["mixer"], lv["head"], fm_pos, h, w, own, ctx)
+        return _leaf_trace(lv["mixer"], lv["head"], fm_pos, h, w, own, ctx)
 
     worst["overlap"] = dc.finite_diff_check(
         lambda lv: dc.mean_all(
-            losses.cam_overlap_terms(params_of(lv), pos_trace(lv), 0, 1, [0, 1, 2])
+            losses.cam_overlap_terms(*losses.cam_maps(pos_trace(lv), [0, 1, 2], (0, 1)))
         ),
         pos, eps=1e-5,
     )
@@ -118,14 +105,15 @@ def test_gradients_match_finite_differences():
     worst["ground"] = dc.finite_diff_check(
         lambda lv: dc.mean_all(
             losses.cam_ground_terms(
-                params_of(lv), pos_trace(lv), 0, 1, [0, 1, 2], pre_b, pre_c
+                *losses.cam_maps(pos_trace(lv), [0, 1, 2], (0, 1)), pre_b, pre_c
             )
         ),
         pos, eps=1e-5,
     )
 
-    # combined objective on one sample, grounded against a frozen snapshot.
-    # The snapshot enters as a constant, so only |live - frozen| crossings
+    # combined objective, the one training calls, on one sample grounded
+    # against a frozen snapshot. The snapshot enters as a constant, so only
+    # |live - frozen| crossings
     # matter; both maps normalize to a 1.0 peak, so a snapshot peaking on
     # the live peak's pixel would put one |.| term exactly on its kink.
     # Signed snapshot weights move its peak; scan until clearly separated.
@@ -147,7 +135,7 @@ def test_gradients_match_finite_differences():
                 mdl.normalize_cam(
                     (rows_one @ pos["mixer"]) @ pos["head"][:, [cat]]
                 ).ravel()
-                - cand.rows("k", rows_one, cat)
+                - cand.rows(fm_one, cat).ravel()
             ).min()
             for cat in (0, 1)
         )
@@ -156,11 +144,11 @@ def test_gradients_match_finite_differences():
             break
     assert snap is not None, "no kink-free snapshot found"
 
+    frozen = snap.table(fm_one, 64)
+
     def build_total(lv):
-        trace = _batch_trace(lv["mixer"], lv["head"], fm_one, h, w, own, ctx)
-        return losses.cam_total_loss(
-            params_of(lv), trace, snap, [(0, 1)], t[:1], 0.7, 0.3, "k", rows_one
-        )
+        trace = _leaf_trace(lv["mixer"], lv["head"], fm_one, h, w, own, ctx)
+        return losses.cam_objective(trace, t[:1], [(0, 1)], frozen, 0.7, 0.3)
 
     worst["combined"] = dc.finite_diff_check(build_total, pos, eps=1e-5)
 
@@ -177,10 +165,8 @@ def test_gradients_match_finite_differences():
     def build_suppressed(mask):
         def build(lv):
             head_node = dc.concat([lv["head_own"], lv["head_ctx"]], axis=0)
-            params = mdl.ModelParams(
-                lv["mixer"].value, head_node.value, own, ctx
-            )
-            trace = _batch_trace(lv["mixer"], head_node, fm, h, w, own, ctx)
+            trace = _leaf_trace(lv["mixer"], head_node, fm, h, w, own, ctx)
+            params = mdl.ModelParams(lv["mixer"].value, head_node.value, own, ctx)
             buf = losses.RunningMeanBuffer(width=d // 2)
             losses.update_running_mean(buf, xbar)
             logits = losses.suppressed_logits(params, trace, mask, buf)

@@ -66,12 +66,6 @@ def test_relu_subgradient_zero_at_kink():
     assert np.array_equal(g, [0.0, 0.0, 1.0])
 
 
-def test_max_all_splits_ties_evenly():
-    x = dc.leaf(np.array([1.0, 3.0, 3.0]))
-    (g,) = grads_of(dc.max_all(x), x)
-    assert np.array_equal(g, [0.0, 0.5, 0.5])
-
-
 def test_gap_rows_forward_and_backward():
     a = dc.leaf(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]))
     pooled = dc.gap_rows(a, 2)
@@ -101,6 +95,35 @@ def test_take_accumulates_duplicate_rows():
     picked = dc.take(a, [0, 0, 1], axis=0)
     (g,) = grads_of(dc.sum_all(picked), a)
     assert np.array_equal(g, [[2.0, 2.0], [1.0, 1.0]])
+
+
+def test_take_unique_indices_match_add_at():
+    # unique indices take the assignment path; it must equal the scatter-add
+    rng = RNG(16)
+    base = rng.normal(size=(5, 4))
+    g_rows = rng.normal(size=(3, 4))
+    want = np.zeros_like(base)
+    np.add.at(want, [4, 0, 2], g_rows)
+    (got,) = dc.take(dc.leaf(base), [4, 0, 2], axis=0).vjp(g_rows)
+    assert np.array_equal(got, want)
+    g_cols = rng.normal(size=(5, 3))
+    want = np.zeros_like(base)
+    np.add.at(want.T, [3, 1, 0], g_cols.T)
+    (got,) = dc.take(dc.leaf(base), [3, 1, 0], axis=1).vjp(g_cols)
+    assert np.array_equal(got, want)
+
+
+def test_matmul_vjp_skips_constant_operand():
+    rng = RNG(17)
+    x = dc.constant(rng.normal(size=(6, 3)))
+    w = dc.leaf(rng.normal(size=(3, 2)))
+    g = rng.normal(size=(6, 2))
+    gx, gw = dc.matmul(x, w).vjp(g)
+    assert gx is None
+    assert np.array_equal(gw, x.value.T @ g)
+    gw2, gx2 = dc.matmul(dc.constant(w.value.T), dc.leaf(x.value.T)).vjp(g.T)
+    assert gw2 is None
+    assert np.array_equal(gx2, w.value @ g.T)
 
 
 def test_take_columns_scatter():
@@ -242,8 +265,8 @@ def test_finite_diff_normalize_shape():
 
     def build(lv):
         r = dc.relu(lv["x"])
-        denom = dc.add(dc.max_all(r), dc.constant(np.asarray(1e-8)))
-        return dc.mean_all(dc.div(r, denom))
+        denom = dc.add(dc.max_rows(r, 6), dc.constant(np.full((1, 1), 1e-8)))
+        return dc.mean_all(dc.div(r, dc.repeat_rows(denom, 6)))
 
     assert dc.finite_diff_check(build, {"x": x}, eps=1e-5) < 1e-6
 

@@ -174,9 +174,23 @@ def constant_map_setup(v=1.0):
     return params, model.forward(params, fm), fm
 
 
+def mean_overlap(trace, b=0, c=1):
+    maps = losses.cam_maps(trace, np.arange(trace.n), (b, c))
+    return dc.mean_all(losses.cam_overlap_terms(*maps))
+
+
+def leaf_trace(lv, fm, own, ctx):
+    """forward_batch on existing leaves, for finite-diff builders."""
+    params = model.ModelParams(lv["mixer"].value, lv["head"].value, own, ctx)
+    h, w, d_in = fm.shape
+    return model.forward_batch(
+        params, fm.reshape(1, h * w, d_in), h, w, lv["mixer"], lv["head"]
+    )
+
+
 def test_overlap_of_flat_maps_is_one():
-    params, trace, _ = constant_map_setup()
-    val = float(losses.cam_overlap_loss(params, trace, [(0, 1)]).value)
+    _, trace, _ = constant_map_setup()
+    val = float(mean_overlap(trace).value)
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
@@ -191,7 +205,7 @@ def test_overlap_of_disjoint_maps_is_zero():
     fm[0, :, 0] = 1.0  # category 0 lives in the top row
     fm[1, :, 1] = 1.0  # category 1 in the bottom row
     trace = model.forward(params, fm)
-    assert float(losses.cam_overlap_loss(params, trace, [(0, 1)]).value) == 0.0
+    assert float(mean_overlap(trace).value) == 0.0
 
 
 def test_overlap_loss_nonnegative_random():
@@ -200,7 +214,7 @@ def test_overlap_loss_nonnegative_random():
     for _ in range(10):
         fm = rng.normal(size=(3, 3, params.d_in))
         trace = model.forward(params, fm)
-        assert float(losses.cam_overlap_loss(params, trace, [(0, 1)]).value) >= 0.0
+        assert float(mean_overlap(trace).value) >= 0.0
 
 
 def test_overlap_gradient_checks_out():
@@ -210,9 +224,7 @@ def test_overlap_gradient_checks_out():
     ctx = np.array([2, 3])
 
     def build(lv):
-        params = model.ModelParams(lv["mixer"].value, lv["head"].value, own, ctx)
-        trace = trace_from_leaves(lv, fm)
-        return losses.cam_overlap_loss(params, trace, [(0, 1)])
+        return mean_overlap(leaf_trace(lv, fm, own, ctx))
 
     p = {
         "mixer": rng.uniform(-1.0, 1.0, size=(3, 4)),
@@ -221,50 +233,22 @@ def test_overlap_gradient_checks_out():
     assert dc.finite_diff_check(build, p, eps=1e-5) < 1e-6
 
 
-def trace_from_leaves(lv, fm):
-    """forward_batch wired to existing leaves, for finite-diff builders."""
-    h, w, d_in = fm.shape
-    p = h * w
-    feats = dc.constant(fm.reshape(-1, d_in))
-    rows = dc.matmul(feats, lv["mixer"])
-    pooled = dc.gap_rows(rows, p)
-    d = lv["mixer"].value.shape[1]
-    half = d // 2
-    return model.ForwardTrace(
-        h=h,
-        w=w,
-        n=1,
-        mixer_node=lv["mixer"],
-        head_node=lv["head"],
-        feature_rows=rows,
-        pooled=pooled,
-        pooled_own=dc.take(pooled, np.arange(half), axis=1),
-        pooled_ctx=dc.take(pooled, np.arange(half, d), axis=1),
-        logits=dc.matmul(pooled, lv["head"]),
-    )
-
-
 def test_ground_loss_zero_when_unchanged():
     params = make_params(seed=9)
     trace, fm = one_sample_trace(params, seed=10)
     snap = losses.CamSnapshot(params, [(0, 1)])
-    rows = fm.reshape(-1, params.d_in)
-    val = losses.cam_ground_loss(params, trace, snap, [(0, 1)], "k0", rows)
+    frozen = [snap.rows(trace.feats, k) for k in (0, 1)]
+    val = dc.mean_all(
+        losses.cam_ground_terms(*losses.cam_maps(trace, [0], (0, 1)), *frozen)
+    )
     assert float(val.value) == 0.0
 
 
 def test_ground_loss_hand_case_two():
     # live maps all zero, frozen maps all one, single pair on a 2x2 grid
-    params, trace, fm = constant_map_setup(v=0.0)
-
-    class FakeSnapshot(losses.CamSnapshot):
-        def rows(self, key, rows, category, normalized=True):
-            return np.ones(4)
-
-    snap = FakeSnapshot(params, [(0, 1)])
-    val = losses.cam_ground_loss(
-        params, trace, snap, [(0, 1)], "k", fm.reshape(-1, 2)
-    )
+    _, trace, _ = constant_map_setup(v=0.0)
+    maps = losses.cam_maps(trace, [0], (0, 1))
+    val = dc.mean_all(losses.cam_ground_terms(*maps, np.ones(4), np.ones(4)))
     assert float(val.value) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -277,11 +261,8 @@ def test_ground_gradient_checks_out_off_kinks():
     pre_c = np.full(4, -1.0)
 
     def build(lv):
-        params = model.ModelParams(lv["mixer"].value, lv["head"].value, own, ctx)
-        trace = trace_from_leaves(lv, fm)
-        return dc.mean_all(
-            losses.cam_ground_terms(params, trace, 0, 1, [0], pre_b, pre_c)
-        )
+        maps = losses.cam_maps(leaf_trace(lv, fm, own, ctx), [0], (0, 1))
+        return dc.mean_all(losses.cam_ground_terms(*maps, pre_b, pre_c))
 
     p = {
         "mixer": rng.uniform(0.5, 1.5, size=(3, 4)),
@@ -295,29 +276,28 @@ def test_total_loss_degenerates_to_bce():
     trace, fm = one_sample_trace(params, seed=13)
     t = np.array([[1.0, 0.0, 1.0, 0.0]])
     snap = losses.CamSnapshot(params, [(0, 1)])
-    total = losses.cam_total_loss(
-        params, trace, snap, [(0, 1)], t, 0.0, 0.0, "k", fm.reshape(-1, params.d_in)
-    )
+    frozen = snap.table(trace.feats, 64)
     plain = losses.bce(trace.logits, t)
-    assert float(total.value) == float(plain.value)
+    for lam1, lam2 in ((0.0, 0.0), (0.1, 0.01)):  # (0, 1) does not co-occur
+        total = losses.cam_objective(trace, t, [(0, 1)], frozen, lam1, lam2)
+        assert float(total.value) == float(plain.value)
 
 
 def test_total_loss_composes_components():
     params = make_params(seed=14)
     trace, fm = one_sample_trace(params, seed=15)
-    rows = fm.reshape(-1, params.d_in)
     t = np.array([[1.0, 1.0, 0.0, 0.0]])
     snap = losses.CamSnapshot(
         model.init_params(params.d_in, params.d, params.m, 99), [(0, 1)]
     )
-    lo = float(losses.cam_overlap_loss(params, trace, [(0, 1)]).value)
+    frozen = snap.table(trace.feats, 64)
+    maps = losses.cam_maps(trace, [0], (0, 1))
+    lo = float(dc.mean_all(losses.cam_overlap_terms(*maps)).value)
     lr = float(
-        losses.cam_ground_loss(params, trace, snap, [(0, 1)], "k", rows).value
+        dc.mean_all(losses.cam_ground_terms(*maps, frozen[0], frozen[1])).value
     )
     lb = float(losses.bce(trace.logits, t).value)
-    total = losses.cam_total_loss(
-        params, trace, snap, [(0, 1)], t, 0.1, 0.01, "k", rows
-    )
+    total = losses.cam_objective(trace, t, [(0, 1)], frozen, 0.1, 0.01)
     assert float(total.value) == pytest.approx(lb + 0.1 * lo + 0.01 * lr, abs=1e-14)
 
 
@@ -325,19 +305,96 @@ def test_total_loss_rejects_negative_weights():
     params = make_params()
     trace, _ = one_sample_trace(params)
     with pytest.raises(ValueError):
-        losses.cam_total_loss(params, trace, None, [], np.zeros((1, 4)), -0.1, 0.0)
+        losses.cam_objective(trace, np.zeros((1, 4)), [], None, -0.1, 0.0)
+    with pytest.raises(ValueError):  # grounding without frozen maps
+        losses.cam_objective(trace, np.zeros((1, 4)), [], None, 0.0, 0.1)
+
+
+def test_cam_objective_matches_numpy_recomputation():
+    rng = np.random.default_rng(30)
+    params = make_params(seed=31, d_in=5, d=6, m=4)
+    feats = rng.normal(size=(6, 9, 5))
+    t = np.array(
+        [[1, 1, 0, 0], [1, 1, 1, 1], [0, 1, 1, 1], [1, 0, 0, 0], [0, 0, 1, 1], [1, 1, 0, 1]],
+        dtype=float,
+    )
+    pairs = [(0, 1), (2, 3)]
+    snap = losses.CamSnapshot(model.init_params(5, 6, 4, 32), pairs)
+    frozen = snap.table(feats, 4)
+    lam1, lam2 = 0.7, 0.3
+    trace = model.forward_batch(params, feats, 3, 3)
+    got = float(losses.cam_objective(trace, t, pairs, frozen, lam1, lam2).value)
+
+    def live(i, k):
+        raw = (feats[i] @ params.mixer) @ params.head[:, k]
+        return model.normalize_cam(raw)
+
+    def frozen_np(i, k):
+        raw = (feats[i] @ snap.params.mixer) @ snap.params.head[:, k]
+        return model.normalize_cam(raw)
+
+    s = dc.sigmoid_values((feats.mean(axis=1) @ params.mixer) @ params.head)
+    want = -np.mean(t * np.log(s) + (1 - t) * np.log(1 - s))
+    overlap, ground = [], []
+    for b, c in pairs:
+        for i in np.flatnonzero((t[:, b] == 1) & (t[:, c] == 1)):
+            overlap.append(live(i, b) * live(i, c))
+            ground.append(
+                np.abs(frozen_np(i, b) - live(i, b)) + np.abs(frozen_np(i, c) - live(i, c))
+            )
+    want += lam1 * np.mean(overlap) + lam2 * np.mean(ground)
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_snapshot_is_frozen_and_cached():
     params = make_params(seed=16)
     snap = losses.CamSnapshot(params, [(0, 1)])
-    rows = np.random.default_rng(17).normal(size=(4, params.d_in))
-    before = snap.normalized_rows("s", rows, 0)
+    feats = np.random.default_rng(17).normal(size=(5, 4, params.d_in))
+    before = snap.rows(feats, 0)
+    table = snap.table(feats, 2)
     params.head[:] = 0.0  # later training must not leak into the snapshot
-    after = snap.normalized_rows("s", rows, 0)
-    assert np.array_equal(before, after)
+    assert np.array_equal(before, snap.rows(feats, 0))
+    assert np.array_equal(table[0], snap.table(feats, 2)[0])
+    assert sorted(table) == [0, 1]
     with pytest.raises(ValueError):
-        snap.normalized_rows("s", rows, 3)
+        snap.rows(feats, 3)
+
+
+def test_snapshot_table_equals_rows_bit_for_bit():
+    # the stage's frozen table is built in batch chunks; every sample's maps
+    # must equal its own single-sample rows exactly, or the grounding term
+    # is not exactly zero at the first stage-2 step
+    params = make_params(seed=18, d_in=32, d=64, m=8)
+    snap = losses.CamSnapshot(params, [(0, 1), (2, 3)])
+    feats = np.random.default_rng(19).normal(size=(150, 64, 32))
+    for normalized in (True, False):
+        table = snap.table(feats, 64, normalized)
+        for k in (0, 1, 2, 3):
+            assert table[k].shape == (150, 64)
+            for i in range(150):
+                single = snap.rows(feats[i : i + 1], k, normalized)[0]
+                assert table[k][i].tobytes() == single.tobytes()
+
+
+def test_grounding_is_exactly_zero_against_own_snapshot():
+    params = make_params(seed=20, d_in=32, d=64, m=8)
+    pairs = [(0, 1), (2, 3)]
+    snap = losses.CamSnapshot(params, pairs)
+    rng = np.random.default_rng(21)
+    feats = rng.normal(size=(200, 64, 32))
+    t = (rng.random((200, 8)) < 0.6).astype(float)
+    table = snap.table(feats, 64)
+    idx = rng.permutation(200)[:64]
+    trace = model.forward_batch(params, feats[idx], 8, 8)
+    frozen = {k: v[idx] for k, v in table.items()}
+    for b, c in pairs:
+        local = np.flatnonzero((t[idx, b] == 1) & (t[idx, c] == 1))
+        assert local.size > 0
+        maps = losses.cam_maps(trace, local, (b, c))
+        terms = losses.cam_ground_terms(*maps, frozen[b][local], frozen[c][local])
+        assert not terms.value.any()
+    total = losses.cam_objective(trace, t[idx], pairs, frozen, 0.0, 1.0)
+    assert float(total.value) == float(losses.bce(trace.logits, t[idx]).value)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +508,7 @@ def test_suppressed_path_gradient_checks_out():
 
     def build(lv):
         params = model.ModelParams(lv["mixer"].value, lv["head"].value, own, ctx)
-        trace = trace_from_leaves(lv, fm)
+        trace = leaf_trace(lv, fm, own, ctx)
         buf = losses.RunningMeanBuffer(width=2)
         losses.update_running_mean(buf, xbar)
         logits = losses.suppressed_logits(params, trace, np.ones(1, bool), buf)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from debias import diffcore as dc
-from debias import model
+from debias import losses, model
 
 
 def small_params(seed=0, d_in=6, d=8, m=4):
@@ -50,6 +50,10 @@ def test_split_reconstructs_pooled_vector():
     assert np.array_equal(rebuilt, trace.pooled.value[0])
 
 
+def raw_cams(trace, categories):
+    return losses.cam_maps(trace, np.arange(trace.n), categories, normalized=False)
+
+
 def test_cam_hand_case():
     # single active channel weighted 2, identity spatial pattern
     params = model.ModelParams(
@@ -61,7 +65,7 @@ def test_cam_hand_case():
     fm = np.zeros((2, 2, 2))
     fm[:, :, 0] = np.array([[1.0, 0.0], [0.0, 1.0]])
     trace = model.forward(params, fm)
-    raw = model.cam(params, trace, 0)
+    (raw,) = raw_cams(trace, [0])
     assert np.array_equal(raw.value.reshape(2, 2), [[2.0, 0.0], [0.0, 2.0]])
     assert np.array_equal(model.cam_values(params, fm, 0), [[2.0, 0.0], [0.0, 2.0]])
 
@@ -71,7 +75,7 @@ def test_cam_zero_weights_zero_map():
     params.head[:, 2] = 0.0
     fm = np.random.default_rng(4).normal(size=(3, 3, params.d_in))
     trace = model.forward(params, fm)
-    assert np.array_equal(model.cam(params, trace, 2).value, np.zeros((9, 1)))
+    assert np.array_equal(raw_cams(trace, [2])[0].value, np.zeros((9, 1)))
 
 
 def test_cam_rejects_bad_category():
@@ -79,30 +83,27 @@ def test_cam_rejects_bad_category():
     fm = np.zeros((2, 2, params.d_in))
     trace = model.forward(params, fm)
     with pytest.raises(ValueError):
-        model.cam(params, trace, params.m)
+        raw_cams(trace, [params.m])
 
 
 def test_cam_pools_back_to_logit():
     params = small_params(seed=6)
     fm = np.random.default_rng(5).normal(size=(4, 4, params.d_in))
     trace = model.forward(params, fm)
-    for r in range(params.m):
-        raw = model.cam(params, trace, r)
+    for r, raw in enumerate(raw_cams(trace, range(params.m))):
         assert abs(raw.value.mean() - trace.logits.value[0, r]) < 1e-12
 
 
 def test_cam_gradients_check_out():
     rng = np.random.default_rng(6)
-    fm = rng.uniform(-1.0, 1.0, size=(2, 2, 3))
+    fm = rng.uniform(-1.0, 1.0, size=(1, 4, 3))
     own = np.array([0, 1])
     ctx = np.array([2, 3])
 
     def build(lv):
         params = model.ModelParams(lv["mixer"].value, lv["head"].value, own, ctx)
-        feats = dc.constant(fm.reshape(-1, 3))
-        rows = dc.matmul(feats, lv["mixer"])
-        col = dc.take(lv["head"], [1], axis=1)
-        return dc.sum_all(dc.matmul(rows, col))
+        trace = model.forward_batch(params, fm, 2, 2, lv["mixer"], lv["head"])
+        return dc.sum_all(raw_cams(trace, [1])[0])
 
     params = {
         "mixer": rng.uniform(-1.0, 1.0, size=(3, 4)),
@@ -206,3 +207,20 @@ def test_predict_matches_logit_sigmoid():
     trace = model.forward_batch(params, feats, 3, 3)
     assert np.allclose(probs, dc.sigmoid_values(trace.logits.value), atol=1e-15)
     assert probs.shape == (5, params.m)
+
+
+def test_pool_first_matches_per_pixel_reference():
+    # GAP(X W) H = GAP(X) W H: the pooled-first logits and predictions equal
+    # the per-pixel computation up to rounding
+    params = small_params(seed=15, d_in=32, d=64, m=8)
+    feats = np.random.default_rng(11).normal(size=(300, 64, 32))
+    per_pixel = (feats.reshape(-1, 32) @ params.mixer).reshape(300, 64, 64).mean(axis=1)
+    ref_logits = per_pixel @ params.head
+    trace = model.forward_batch(params, feats, 8, 8)
+    assert np.abs(trace.pooled.value - per_pixel).max() < 1e-12
+    assert np.abs(trace.logits.value - ref_logits).max() < 1e-12
+    assert np.abs(model.logit_values(params, feats) - ref_logits).max() < 1e-12
+    probs = model.predict(params, feats)
+    assert np.abs(probs - dc.sigmoid_values(ref_logits)).max() < 1e-12
+    flat = model.forward_batch(params, feats.reshape(-1, 32), 8, 8)
+    assert np.array_equal(flat.logits.value, trace.logits.value)

@@ -104,6 +104,26 @@ def test_cam_objective_moves_weights(tmp_path):
     assert np.isfinite(cam.params.head).all()
 
 
+def test_cam_grounding_is_zero_at_first_stage2_step(tmp_path):
+    # stage 2 starts from the snapshot's own weights, so the frozen table
+    # and the live maps agree to the bit and the first step's loss is its BCE
+    manifest = tiny_benchmark(tmp_path)
+    arts = pin_pair(train.train_stage1(manifest, tiny_cfg()))
+    arts.build_snapshot()
+    ground_only = dict(stage2_epochs=1, lambda1=0.0, lambda2=1.0)
+
+    def first_loss(a):
+        return next(e for e in a.step_log if e["stage"] == 2)["loss"]
+
+    std = train.train_stage2(arts, manifest, tiny_cfg("standard", stage2_epochs=1))
+    cam = train.train_stage2(arts, manifest, tiny_cfg("ours_cam", **ground_only))
+    assert first_loss(cam) == first_loss(std)
+    # a snapshot that differs from the weights does show up in that loss
+    arts.snapshot.params.head[:, 0] *= 1.5
+    moved = train.train_stage2(arts, manifest, tiny_cfg("ours_cam", **ground_only))
+    assert first_loss(moved) > first_loss(std)
+
+
 def test_exclusive_batches_never_touch_context_rows(tmp_path):
     # batch size 1 makes every exclusive sample an all-exclusive batch
     manifest = tiny_benchmark(tmp_path)
