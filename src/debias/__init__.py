@@ -5,7 +5,7 @@ Submodules:
     data      synthetic biased dataset generation, stores, manifests
     bias      directional bias score and biased-pair selection
     model     channel mixer + GAP + linear head, CAMs, checkpoints
-    losses    BCE variants, CAM losses, suppressed forward rule
+    losses    BCE variants, CAM losses, selective-suppression logits
     train     two-stage training for all methods and baselines
     eval      exclusive/co-occur splits, AP, recall, cosine, heatmaps
     cli       command-line entry point

@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,39 +155,6 @@ def benchmark_recipe(method="standard", seed=0, **overrides) -> train.TrainConfi
     return train.TrainConfig.from_dict(cfg)
 
 
-def train_with_pairs(manifest, cfg, pinned=None) -> train.TrainArtifacts:
-    """run_training, optionally forcing the stage-2 pair set.
-
-    With `pinned`, stage 1 runs method-agnostically (its trajectory never
-    depends on the method anyway), the pinned pairs replace the selected
-    ones with their measured scores, and the method artifacts are rebuilt
-    from them before stage 2.
-    """
-    if pinned is None:
-        return train.run_training(manifest, cfg)
-    m = len(manifest.categories)
-    for b, c in pinned:
-        if not (0 <= b < m and 0 <= c < m):
-            raise ValueError(f"pinned pair ({b}, {c}) outside {m} categories")
-    arts = train.train_stage1(manifest, replace(cfg, method="standard"))
-    feats, labels = data.load_arrays(manifest)
-    preds = mdl.predict(arts.params, feats)
-    del feats  # stage 2 loads its own copy
-    scored = []
-    for b, c in pinned:
-        try:
-            score = bias_mod.bias_score(preds, labels, b, c)
-        except ValueError:  # a split is empty; keep the pair, skip the score
-            score = float("nan")
-        scored.append(bias_mod.BiasPair(b, c, score))
-    arts.pairs = bias_mod.BiasPairSet(scored, freq_threshold=cfg.freq_threshold)
-    if cfg.method == "ours_cam":
-        arts.build_snapshot()
-    elif cfg.method == "ours_feature_split":
-        arts.alpha_table = losses.build_alpha_table(labels, pinned, cfg.alpha_min)
-    return train.train_stage2(arts, manifest, cfg)
-
-
 @dataclass
 class BenchmarkCell:
     """One (fraction, seed) grid point: shared data, per-method results."""
@@ -216,18 +183,9 @@ def run_benchmark_cell(fraction, seed, methods, work_dir, overrides=None) -> Ben
 
     base_cfg = benchmark_recipe(seed=seed, **(overrides or {}))
     arts1 = train.train_stage1(train_man, base_cfg)
-    feats, labels = data.load_arrays(train_man)
-    preds = mdl.predict(arts1.params, feats)
-    del feats  # stage 2 loads its own copy
-    arts1.pairs = bias_mod.BiasPairSet(
-        [
-            bias_mod.BiasPair(b, c, bias_mod.bias_score(preds, labels, b, c))
-            for b, c in PLANTED_PAIRS
-        ],
-        freq_threshold=base_cfg.freq_threshold,
+    arts1.pairs = train.pin_pairs(
+        arts1.params, train_man, PLANTED_PAIRS, base_cfg.freq_threshold
     )
-    if any(canon_method(m) == "ours_cam" for m in methods):
-        arts1.build_snapshot()
 
     reports, artifacts = {}, {}
     for name in methods:
@@ -293,6 +251,10 @@ def cmd_audit(args):
         )
     if not np.isfinite(preds).all():
         raise ValueError("preds contain non-finite values")
+    if preds.min() < 0.0 or preds.max() > 1.0:
+        raise ValueError(
+            f"preds must lie in [0, 1], got values from {preds.min():g} to {preds.max():g}"
+        )
     pair_set = bias_mod.select_biased_pairs(
         preds, labels, k=args.k, freq_threshold=args.freq_threshold
     )
@@ -328,7 +290,7 @@ def cmd_train(args):
     cfg = _resolved_train_config(args)
     manifest = data.load_manifest(_find_manifest(args.data))
     pinned = parse_pairs(args.pairs) if args.pairs else None
-    arts = train_with_pairs(manifest, cfg, pinned)
+    arts = train.run_training(manifest, cfg, pinned)
 
     os.makedirs(args.out, exist_ok=True)
     pair_rows = (

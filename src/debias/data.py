@@ -15,7 +15,6 @@ widening of what is on disk.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass, replace
@@ -470,25 +469,7 @@ def benchmark_configs(exclusive_fraction, layout_seed, train_seed, test_seed):
 
 
 # ---------------------------------------------------------------------------
-# statistics and splits
-
-
-@dataclass
-class CooccurrenceTable:
-    counts: np.ndarray  # (M, M) symmetric, diagonal = marginals
-    marginals: np.ndarray
-
-    def exclusive(self, b, z) -> int:
-        """|samples with b but not z|"""
-        return int(self.marginals[b] - self.counts[b, z])
-
-
-def cooccurrence_table(manifest: DatasetManifest) -> CooccurrenceTable:
-    if not manifest.samples:
-        raise ValueError("empty manifest")
-    labels = manifest.label_matrix()
-    counts = labels.T @ labels
-    return CooccurrenceTable(counts=counts, marginals=counts.diagonal().copy())
+# splits
 
 
 def split_80_20(manifest: DatasetManifest, seed):
@@ -511,63 +492,3 @@ def split_80_20(manifest: DatasetManifest, seed):
 
     return subset(big_idx, "train"), subset(small_idx, "val")
 
-
-# ---------------------------------------------------------------------------
-# external annotation files
-
-
-def _read_csv_matrix(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if len(header) < 2 or header[0] != "id":
-            raise ValueError(f"{path}: header must be id,<cat1>,...")
-        cats = header[1:]
-        ids, rows = [], []
-        for ln, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: line {ln}: {len(row)} fields, expected {len(header)}")
-            ids.append(row[0])
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise ValueError(f"{path}: line {ln}: non-numeric value") from None
-    return cats, ids, np.array(rows, dtype=np.float64).reshape(-1, len(cats))
-
-
-def ingest_annotations(labels_path, predictions_path=None):
-    """Parse annotation (and optional prediction) CSVs.
-
-    Returns a manifest without feature maps plus the prediction matrix
-    aligned to the manifest's sample order (or None).
-    """
-    cats, ids, mat = _read_csv_matrix(labels_path)
-    binary = (mat == 0.0) | (mat == 1.0)
-    if not binary.all():
-        bad = np.argwhere(~binary)[0]
-        raise ValueError(f"{labels_path}: label row {ids[bad[0]]!r} is not 0/1")
-    samples = [
-        SampleRef(i, -1, [int(v) for v in row]) for i, row in zip(ids, mat)
-    ]
-    manifest = DatasetManifest(
-        categories=cats, h=0, w=0, d_in=0, samples=samples, split_tag="val"
-    )
-    _check_manifest(manifest)
-
-    preds = None
-    if predictions_path is not None:
-        pcats, pids, pmat = _read_csv_matrix(predictions_path)
-        if pcats != cats:
-            raise ValueError("prediction categories do not match annotation categories")
-        if np.any(pmat < 0.0) or np.any(pmat > 1.0):
-            raise ValueError("prediction values must lie in [0, 1]")
-        by_id = {i: k for k, i in enumerate(pids)}
-        try:
-            order = [by_id[s.id] for s in samples]
-        except KeyError as e:
-            raise ValueError(f"prediction file missing id {e.args[0]!r}") from None
-        preds = pmat[order]
-    return manifest, preds

@@ -37,33 +37,31 @@ class DiffNode:
     some tracked leaf is reachable through differentiable edges.
     """
 
-    __slots__ = ("value", "parents", "vjp", "requires", "idx", "name")
+    __slots__ = ("value", "parents", "vjp", "requires", "idx")
 
-    def __init__(self, value, parents=(), vjp=None, requires=False, name=None):
+    def __init__(self, value, parents=(), vjp=None, requires=False):
         self.value = as_f64(value)
         self.parents = tuple(parents)
         self.vjp = vjp
         self.requires = bool(requires)
         self.idx = next(_counter)
-        self.name = name
 
     @property
     def shape(self):
         return self.value.shape
 
     def __repr__(self):
-        tag = self.name or "node"
-        return f"DiffNode({tag}, shape={self.value.shape}, idx={self.idx})"
+        return f"DiffNode(shape={self.value.shape}, idx={self.idx})"
 
 
-def leaf(value, name=None) -> DiffNode:
+def leaf(value) -> DiffNode:
     """Gradient-tracked input."""
-    return DiffNode(value, requires=True, name=name)
+    return DiffNode(value, requires=True)
 
 
-def constant(value, name=None) -> DiffNode:
+def constant(value) -> DiffNode:
     """Input that never receives gradient."""
-    return DiffNode(value, requires=False, name=name)
+    return DiffNode(value, requires=False)
 
 
 def _node(value, parents, vjp) -> DiffNode:
@@ -191,11 +189,6 @@ def absval(a: DiffNode) -> DiffNode:
     return _node(np.abs(av), (a,), lambda g: (g * np.sign(av),))
 
 
-def sum_all(a: DiffNode) -> DiffNode:
-    av = a.value
-    return _node(np.sum(av), (a,), lambda g: (np.broadcast_to(g, av.shape).copy(),))
-
-
 def mean_all(a: DiffNode) -> DiffNode:
     av = a.value
     n = av.size
@@ -209,19 +202,6 @@ def _check_blocked(a: DiffNode, block: int, opname: str):
         raise ValueError(f"{opname} expects a 2-d array")
     if block <= 0 or a.value.shape[0] % block:
         raise ValueError(f"{opname}: {a.value.shape[0]} rows not divisible by {block}")
-
-
-def gap_rows(a: DiffNode, block: int) -> DiffNode:
-    """Mean over each consecutive group of `block` rows: (G*block, C) -> (G, C).
-
-    With per-sample feature maps flattened to rows this is global average
-    pooling over the spatial grid.
-    """
-    _check_blocked(a, block, "gap_rows")
-    av = a.value
-    groups = av.shape[0] // block
-    out = av.reshape(groups, block, av.shape[1]).mean(axis=1)
-    return _node(out, (a,), lambda g: (np.repeat(g, block, axis=0) / block,))
 
 
 def max_rows(a: DiffNode, block: int) -> DiffNode:
@@ -296,21 +276,13 @@ def concat(nodes, axis: int = 0) -> DiffNode:
     return _node(out, tuple(nodes), vjp)
 
 
-def reshape(a: DiffNode, shape) -> DiffNode:
-    av = a.value
-    out = av.reshape(shape)
-    return _node(out, (a,), lambda g: (g.reshape(av.shape),))
-
-
 def stop_gradient(a: DiffNode) -> DiffNode:
     """Identity on values, barrier for gradients.
 
     The parent link is kept so nodes behind the barrier still show up in the
     gradient map, with all-zero gradients.
     """
-    return DiffNode(
-        a.value, parents=(a,), vjp=lambda g: (None,), requires=False, name=a.name
-    )
+    return DiffNode(a.value, parents=(a,), vjp=lambda g: (None,), requires=False)
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +353,13 @@ def finite_diff_check(build, params: dict, eps: float = 1e-5, wrt=None) -> float
     base = {k: as_f64(v) for k, v in params.items()}
     names = sorted(base) if wrt is None else list(wrt)
 
-    leaves = {k: leaf(v, name=k) for k, v in base.items()}
+    leaves = {k: leaf(v) for k, v in base.items()}
     root = build(leaves)
     gmap = eval_backward(root)
     analytic = {k: gmap[leaves[k]] for k in names}
 
     def value_at(point) -> float:
-        r = build({k: leaf(v, name=k) for k, v in point.items()})
+        r = build({k: leaf(v) for k, v in point.items()})
         v = float(r.value)
         if not math.isfinite(v):
             raise ValueError("non-finite loss during finite-difference probe")

@@ -45,12 +45,6 @@ def bce(logits: dc.DiffNode, targets) -> dc.DiffNode:
     return dc.mean_all(bce_elements(logits, targets))
 
 
-def weighted_bce(logits: dc.DiffNode, targets, alpha: float) -> dc.DiffNode:
-    if alpha < 1.0:
-        raise ValueError("alpha must be at least 1")
-    return dc.scale(bce(logits, targets), float(alpha))
-
-
 def weighted_bce_batch(logits: dc.DiffNode, targets, sample_weights) -> dc.DiffNode:
     """Mean of per-element BCE scaled by a per-sample weight column."""
     w = dc.as_f64(sample_weights)
@@ -314,9 +308,3 @@ def suppressed_logits(params: mdl.ModelParams, trace: mdl.ForwardTrace, excl_mas
         return out
     return dc.take(out, np.argsort(order), axis=0)
 
-
-def suppressed_forward(params, trace, buffer, is_exclusive: bool) -> dc.DiffNode:
-    """Single-sample form of suppressed_logits."""
-    if trace.n != 1:
-        raise ValueError("single-sample form; use suppressed_logits for batches")
-    return suppressed_logits(params, trace, [bool(is_exclusive)], buffer)

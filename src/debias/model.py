@@ -115,9 +115,9 @@ def forward_batch(
     """
     feats = _pixel_rows(feats, h * w, params.d_in)
     if mixer_node is None:
-        mixer_node = dc.leaf(params.mixer, name="mixer")
+        mixer_node = dc.leaf(params.mixer)
     if head_node is None:
-        head_node = dc.leaf(params.head, name="head")
+        head_node = dc.leaf(params.head)
     pooled = dc.matmul(dc.constant(feats.mean(axis=1)), mixer_node)
     return ForwardTrace(
         h=h,
@@ -131,22 +131,6 @@ def forward_batch(
         pooled_ctx=dc.take(pooled, params.context_rows, axis=1),
         logits=dc.matmul(pooled, head_node),
     )
-
-
-def forward(params: ModelParams, feature_map: np.ndarray, h=None, w=None) -> ForwardTrace:
-    """Single-sample forward; accepts an (H, W, D_in) map."""
-    fm = dc.as_f64(feature_map)
-    if fm.ndim != 3:
-        raise ValueError("forward expects an H x W x D_in map")
-    return forward_batch(params, fm.reshape(1, -1, fm.shape[2]), fm.shape[0], fm.shape[1])
-
-
-def cam_values(params: ModelParams, feats_one: np.ndarray, category: int) -> np.ndarray:
-    """Plain-numpy CAM for one (H, W, D_in) map, no graph."""
-    h_, w_, _ = feats_one.shape
-    rows = dc.as_f64(feats_one).reshape(-1, params.d_in) @ params.mixer
-    raw = rows @ params.head[:, category]
-    return raw.reshape(h_, w_)
 
 
 def normalize_cam(raw: np.ndarray, axis=None) -> np.ndarray:

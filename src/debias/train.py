@@ -1,15 +1,17 @@
 """Two-stage training for the proposed methods and the designed baselines.
 
 Stage 1 trains a standard classifier with BCE on an 80% slice of the
-training data and picks the biased pairs on the held-out 20%. Stage 2
-continues from those weights with the method-specific objective, on the full
-(possibly transformed) training set. Every random draw comes from a seed tree
+training data and picks the biased pairs on the held-out 20% (or scores a
+pinned pair set, see `pin_pairs`). Stage 2 continues from those weights with
+the method-specific objective, on the full (possibly transformed) training
+set; it builds the method's state (the CAM snapshot, the alpha table) from
+the weights and pairs it starts from. Every random draw comes from a seed tree
 derived from the config seed, so a fixed config reproduces runs bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -64,34 +66,7 @@ class TrainConfig:
             raise ValueError("mixer_width must be even (the head rows get halved)")
 
     def to_dict(self) -> dict:
-        d = {
-            k: getattr(self, k)
-            for k in (
-                "method",
-                "stage1_epochs",
-                "stage2_epochs",
-                "batch_size",
-                "lambda1",
-                "lambda2",
-                "alpha_min",
-                "k",
-                "freq_threshold",
-                "seed",
-                "mixer_width",
-                "weighted_factor",
-                "negative_penalty_weight",
-                "remove_labels_globally",
-                "normalize_maps",
-            )
-        }
-        for name in ("sgd_stage1", "sgd_stage2"):
-            sgd = getattr(self, name)
-            d[name] = {
-                "initial_lr": sgd.initial_lr,
-                "decay_factor": sgd.decay_factor,
-                "decay_every": sgd.decay_every,
-            }
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -109,8 +84,6 @@ class TrainConfig:
 class TrainArtifacts:
     params: mdl.ModelParams
     pairs: bias_mod.BiasPairSet | None = None
-    snapshot: losses.CamSnapshot | None = None
-    alpha_table: losses.AlphaTable | None = None
     buffer: losses.RunningMeanBuffer | None = None
     loss_curve: list = field(default_factory=list)
     step_log: list = field(default_factory=list)
@@ -122,17 +95,6 @@ class TrainArtifacts:
         return mdl.ModelParams(
             p.mixer.copy(), p.head.copy(), p.own_rows.copy(), p.context_rows.copy()
         )
-
-    def build_snapshot(self):
-        """Freeze the current parameters as the grounding reference.
-
-        Call between the stages; the snapshot copies the weights, so later
-        updates cannot leak into it.
-        """
-        if self.pairs is None or not self.pairs.pairs:
-            raise ValueError("no biased pairs to snapshot")
-        self.snapshot = losses.CamSnapshot(self.params, self.pairs.as_tuples())
-        return self.snapshot
 
 
 def _derive_seeds(seed) -> dict:
@@ -189,20 +151,36 @@ def train_stage1(manifest: data.DatasetManifest, cfg: TrainConfig) -> TrainArtif
     pair_set = bias_mod.select_biased_pairs(
         preds20, labels[rows20], k=cfg.k, freq_threshold=cfg.freq_threshold
     )
-    artifacts = TrainArtifacts(
+    return TrainArtifacts(
         params=params,
         pairs=pair_set,
         loss_curve=curve,
         step_log=step_log,
         seeds=seeds,
     )
-    if cfg.method == "ours_cam" and pair_set.pairs:
-        artifacts.build_snapshot()
-    if cfg.method == "ours_feature_split" and pair_set.pairs:
-        artifacts.alpha_table = losses.build_alpha_table(
-            labels, pair_set.as_tuples(), cfg.alpha_min
-        )
-    return artifacts
+
+
+def pin_pairs(
+    params: mdl.ModelParams, manifest: data.DatasetManifest, pinned, freq_threshold: float
+) -> bias_mod.BiasPairSet:
+    """Fixed (biased, context) pairs, scored under `params` on all of `manifest`.
+
+    A pair whose co-occur or exclusive split is empty keeps a NaN score.
+    """
+    m = len(manifest.categories)
+    for b, c in pinned:
+        if not (0 <= b < m and 0 <= c < m):
+            raise ValueError(f"pinned pair ({b}, {c}) outside {m} categories")
+    feats, labels = data.load_arrays(manifest)
+    preds = mdl.predict(params, feats)
+    scored = []
+    for b, c in pinned:
+        try:
+            score = bias_mod.bias_score(preds, labels, b, c)
+        except ValueError:  # a split is empty; keep the pair, skip the score
+            score = float("nan")
+        scored.append(bias_mod.BiasPair(b, c, score))
+    return bias_mod.BiasPairSet(scored, freq_threshold=freq_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +258,6 @@ def train_stage2(
     pair_tuples = artifacts.pairs.as_tuples() if artifacts.pairs else []
     if cfg.method != "standard" and not pair_tuples:
         raise ValueError(f"{cfg.method} needs the stage-1 biased pairs")
-    if cfg.method == "ours_cam" and artifacts.snapshot is None:
-        raise ValueError("ours_cam needs the stage-1 snapshot; call build_snapshot first")
 
     params = artifacts.clone_params()
     work = manifest
@@ -307,17 +283,17 @@ def train_stage2(
     n = len(work.samples)
     half = params.d // 2
 
-    alpha_table = artifacts.alpha_table
     buffer = None
     excl_all = None
     weights_all = None
     penalty_all = None
     frozen_all = None
     if cfg.method == "ours_cam" and cfg.lambda2 > 0:
-        frozen_all = artifacts.snapshot.table(feats, cfg.batch_size, cfg.normalize_maps)
+        # grounding compares against the maps of the weights stage 2 starts from
+        snapshot = losses.CamSnapshot(artifacts.params, pair_tuples)
+        frozen_all = snapshot.table(feats, cfg.batch_size, cfg.normalize_maps)
     elif cfg.method == "ours_feature_split":
-        if alpha_table is None:
-            alpha_table = losses.build_alpha_table(labels, pair_tuples, cfg.alpha_min)
+        alpha_table = losses.build_alpha_table(labels, pair_tuples, cfg.alpha_min)
         buffer = losses.RunningMeanBuffer(width=half)
         excl_all = losses.exclusive_mask(labels, pair_tuples)
         weights_all = losses.alpha_vector(labels, alpha_table)
@@ -389,8 +365,6 @@ def train_stage2(
     return TrainArtifacts(
         params=params,
         pairs=artifacts.pairs,
-        snapshot=artifacts.snapshot,
-        alpha_table=alpha_table,
         buffer=buffer,
         loss_curve=curve,
         step_log=step_log,
@@ -399,9 +373,11 @@ def train_stage2(
     )
 
 
-def run_training(manifest: data.DatasetManifest, cfg: TrainConfig) -> TrainArtifacts:
-    """Both stages end to end, building whatever the method needs in between."""
+def run_training(
+    manifest: data.DatasetManifest, cfg: TrainConfig, pinned=None
+) -> TrainArtifacts:
+    """Both stages end to end; `pinned` pairs replace the selected ones."""
     artifacts = train_stage1(manifest, cfg)
-    if cfg.method == "ours_cam" and artifacts.snapshot is None and artifacts.pairs.pairs:
-        artifacts.build_snapshot()
+    if pinned is not None:
+        artifacts.pairs = pin_pairs(artifacts.params, manifest, pinned, cfg.freq_threshold)
     return train_stage2(artifacts, manifest, cfg)

@@ -516,7 +516,7 @@ def test_baselines_run_end_to_end(grid):
     results = {}
     for method in train.TRANSFORM_METHODS + ("weighted_loss", "negative_penalty"):
         cfg = cli.benchmark_recipe(method, seed=0, stage1_epochs=2, stage2_epochs=2)
-        arts = cli.train_with_pairs(man, cfg, pinned=PLANTED)
+        arts = train.run_training(man, cfg, pinned=PLANTED)
         rep = ev.evaluate(
             arts.params, cell.test_manifest, PLANTED,
             method=method, category_map=arts.category_map,

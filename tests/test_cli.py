@@ -123,6 +123,17 @@ def test_eval_rejects_out_of_range_pairs(ws, tmp_path):
     assert code == 2
 
 
+def test_train_rejects_out_of_range_pairs(ws, tmp_path, capsys):
+    code = cli.main([
+        "train", "--data", str(ws / "dtrain"), "--config", str(ws / "train.json"),
+        "--seed", "3", "--pairs", "0:9", "--out", str(tmp_path / "run"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: pinned pair (0, 9) outside 4 categories"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_report_refuses_missing_provenance(ws, tmp_path):
     run = tmp_path / "run"
     cli.main([
@@ -231,6 +242,22 @@ def test_audit_roundtrip(ws, tmp_path):
         "audit", "--labels", str(ws / "dtrain"), "--preds", str(tmp_path / "nope.csv"),
         "--out", str(tmp_path / "aud3"),
     ]) == 2  # missing file is a validation error, not a crash
+
+
+def test_audit_rejects_out_of_range_prediction(ws, tmp_path, capsys):
+    labels = data.load_manifest(str(ws / "dtrain" / "train.manifest.json")).label_matrix()
+    for bad in (1.25, -0.5):
+        preds = np.full(labels.shape, 0.5)
+        preds[3, 1] = bad
+        csv = tmp_path / "preds.csv"
+        np.savetxt(csv, preds, delimiter=",")
+        out = tmp_path / "aud"
+        assert cli.main([
+            "audit", "--labels", str(ws / "dtrain"), "--preds", str(csv), "--out", str(out),
+        ]) == 2, bad
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: preds must lie in [0, 1]")
+        assert not out.exists()
 
 
 def test_sweep_trend_and_run_provenance(tmp_path):

@@ -89,49 +89,6 @@ def test_manifest_roundtrip(tmp_path):
     assert loaded.root == str(tmp_path)
 
 
-def test_cooccurrence_matches_brute_force():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = int(rng.integers(2, 60))
-        m = int(rng.integers(2, 7))
-        labels = rng.integers(0, 2, size=(n, m))
-        labels[labels.sum(axis=1) == 0, 0] = 1
-        manifest = data.DatasetManifest(
-            categories=[f"c{k}" for k in range(m)],
-            h=1,
-            w=1,
-            d_in=1,
-            samples=[data.SampleRef(f"s{i}", -1, list(row)) for i, row in enumerate(labels)],
-        )
-        table = data.cooccurrence_table(manifest)
-        brute = np.zeros((m, m), dtype=np.int64)
-        for b in range(m):
-            for z in range(m):
-                brute[b, z] = sum(
-                    1 for row in labels if row[b] == 1 and row[z] == 1
-                )
-        assert np.array_equal(table.counts, brute)
-        assert np.array_equal(table.marginals, brute.diagonal())
-        assert np.array_equal(table.counts, table.counts.T)
-
-
-def test_cooccurrence_hand_case():
-    rows = [[1, 1], [1, 0], [0, 1]]
-    manifest = data.DatasetManifest(
-        categories=["b", "c"],
-        h=1,
-        w=1,
-        d_in=1,
-        samples=[data.SampleRef(f"s{i}", -1, r) for i, r in enumerate(rows)],
-    )
-    t = data.cooccurrence_table(manifest)
-    assert t.counts[0, 1] == 1
-    assert t.marginals[0] == 2 and t.marginals[1] == 2
-    assert t.exclusive(0, 1) == 1
-    # candidate rule: co-occurrence frequency 0.5 clears a 0.2 threshold
-    assert t.counts[0, 1] / t.marginals[0] >= 0.2
-
-
 def make_flat_manifest(n):
     return data.DatasetManifest(
         categories=["a"],
@@ -179,43 +136,6 @@ def test_generate_rejects_overlapping_pair_regions():
     cfg.regions[1] = tuple(cfg.regions[0])
     with pytest.raises(ValueError):
         data.generate_dataset(cfg, "/tmp/unused")
-
-
-def test_ingest_annotations(tmp_path):
-    labels = tmp_path / "labels.csv"
-    labels.write_text("id,a,b\nx1,1,0\nx2,1,1\n")
-    preds = tmp_path / "preds.csv"
-    preds.write_text("id,a,b\nx2,0.9,0.25\nx1,0.5,0.125\n")
-    manifest, pm = data.ingest_annotations(labels, preds)
-    assert manifest.categories == ["a", "b"]
-    assert [s.labels for s in manifest.samples] == [[1, 0], [1, 1]]
-    # predictions realigned to annotation order
-    assert np.array_equal(pm, [[0.5, 0.125], [0.9, 0.25]])
-
-
-def test_ingest_rejects_out_of_range_prediction(tmp_path):
-    labels = tmp_path / "labels.csv"
-    labels.write_text("id,a\nx1,1\n")
-    preds = tmp_path / "preds.csv"
-    preds.write_text("id,a\nx1,1.3\n")
-    with pytest.raises(ValueError):
-        data.ingest_annotations(labels, preds)
-
-
-def test_ingest_rejects_category_mismatch(tmp_path):
-    labels = tmp_path / "labels.csv"
-    labels.write_text("id,a\nx1,1\n")
-    preds = tmp_path / "preds.csv"
-    preds.write_text("id,zzz\nx1,0.5\n")
-    with pytest.raises(ValueError):
-        data.ingest_annotations(labels, preds)
-
-
-def test_ingest_rejects_nonbinary_labels(tmp_path):
-    labels = tmp_path / "labels.csv"
-    labels.write_text("id,a\nx1,0.7\n")
-    with pytest.raises(ValueError):
-        data.ingest_annotations(labels)
 
 
 def test_benchmark_configs_share_layout():

@@ -18,24 +18,26 @@ def test_sigmoid_gradient_at_zero():
 
 
 def test_linear_map_row_gradients():
-    # sum(W @ x): every row of W has gradient x, x gets column sums of W
+    # mean(W @ x) over 3 rows: every row of W has gradient x / 3, x gets
+    # the column means of W
     w = dc.leaf(RNG(0).normal(size=(3, 2)))
     x_val = RNG(1).normal(size=2)
     x = dc.leaf(x_val)
-    gw, gx = grads_of(dc.sum_all(dc.matmul(w, x)), w, x)
+    gw, gx = grads_of(dc.mean_all(dc.matmul(w, x)), w, x)
     for row in gw:
-        assert np.array_equal(row, x_val)
-    assert np.allclose(gx, w.value.sum(axis=0))
+        assert np.array_equal(row, gw[0])
+        assert np.allclose(row, x_val / 3, rtol=0, atol=1e-15)
+    assert np.allclose(gx, w.value.mean(axis=0))
 
 
 def test_stop_gradient_barrier():
     a_val = RNG(2).normal(size=(2, 2))
     a = dc.leaf(a_val)
     b = dc.leaf(RNG(3).normal(size=(2, 2)))
-    root = dc.sum_all(dc.mul(dc.stop_gradient(a), b))
+    root = dc.mean_all(dc.mul(dc.stop_gradient(a), b))
     ga, gb = grads_of(root, a, b)
     assert np.array_equal(ga, np.zeros((2, 2)))
-    assert np.array_equal(gb, a_val)
+    assert np.array_equal(gb, 0.25 * a_val)
 
 
 def test_stop_gradient_value_is_identical():
@@ -51,50 +53,42 @@ def test_mean_gradient():
 
 def test_guarded_log_value_and_gradient():
     v = dc.leaf(np.array([1e-20, 0.5]))
-    root = dc.sum_all(dc.log(v))
+    root = dc.mean_all(dc.log(v))
     assert v.value[0] < dc.LOG_GUARD
     node = dc.log(v)
     assert node.value[0] == np.log(1e-12)
     (g,) = grads_of(root, v)
     assert g[0] == 0.0  # flat below the guard
-    assert abs(g[1] - 2.0) < 1e-15
+    assert abs(g[1] - 1.0) < 1e-15  # (1/2) / 0.5
 
 
 def test_relu_subgradient_zero_at_kink():
     x = dc.leaf(np.array([-1.0, 0.0, 2.0]))
-    (g,) = grads_of(dc.sum_all(dc.relu(x)), x)
-    assert np.array_equal(g, [0.0, 0.0, 1.0])
-
-
-def test_gap_rows_forward_and_backward():
-    a = dc.leaf(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]))
-    pooled = dc.gap_rows(a, 2)
-    assert np.array_equal(pooled.value, [[2.0, 3.0], [6.0, 7.0]])
-    (g,) = grads_of(dc.sum_all(pooled), a)
-    assert np.array_equal(g, np.full((4, 2), 0.5))
+    (g,) = grads_of(dc.mean_all(dc.relu(x)), x)
+    assert np.array_equal(g, [0.0, 0.0, 1.0 / 3.0])
 
 
 def test_max_rows_tie_split():
     a = dc.leaf(np.array([[1.0], [3.0], [3.0], [2.0], [5.0], [0.0]]))
     m = dc.max_rows(a, 3)
     assert np.array_equal(m.value, [[3.0], [5.0]])
-    (g,) = grads_of(dc.sum_all(m), a)
-    assert np.array_equal(g, [[0.0], [0.5], [0.5], [0.0], [1.0], [0.0]])
+    (g,) = grads_of(dc.mean_all(m), a)
+    assert np.array_equal(g, [[0.0], [0.25], [0.25], [0.0], [0.5], [0.0]])
 
 
 def test_repeat_rows_roundtrip_gradient():
     a = dc.leaf(np.array([[1.0, 2.0], [3.0, 4.0]]))
     rep = dc.repeat_rows(a, 3)
     assert rep.value.shape == (6, 2)
-    (g,) = grads_of(dc.sum_all(rep), a)
-    assert np.array_equal(g, np.full((2, 2), 3.0))
+    (g,) = grads_of(dc.mean_all(rep), a)
+    assert np.allclose(g, np.full((2, 2), 3.0 / 12.0), rtol=0, atol=1e-15)
 
 
 def test_take_accumulates_duplicate_rows():
     a = dc.leaf(np.array([[1.0, 1.0], [2.0, 2.0]]))
     picked = dc.take(a, [0, 0, 1], axis=0)
-    (g,) = grads_of(dc.sum_all(picked), a)
-    assert np.array_equal(g, [[2.0, 2.0], [1.0, 1.0]])
+    (g,) = grads_of(dc.mean_all(picked), a)
+    assert np.array_equal(g, np.array([[2.0, 2.0], [1.0, 1.0]]) / 6.0)
 
 
 def test_take_unique_indices_match_add_at():
@@ -130,8 +124,8 @@ def test_take_columns_scatter():
     a = dc.leaf(np.arange(6.0).reshape(2, 3))
     picked = dc.take(a, [2, 2, 0], axis=1)
     assert np.array_equal(picked.value, [[2.0, 2.0, 0.0], [5.0, 5.0, 3.0]])
-    (g,) = grads_of(dc.sum_all(picked), a)
-    assert np.array_equal(g, [[1.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
+    (g,) = grads_of(dc.mean_all(picked), a)
+    assert np.array_equal(g, np.array([[1.0, 0.0, 2.0], [1.0, 0.0, 2.0]]) / 6.0)
 
 
 def test_concat_splits_gradient():
@@ -139,17 +133,12 @@ def test_concat_splits_gradient():
     b = dc.leaf(np.ones((3, 2)))
     cat = dc.concat([a, b], axis=0)
     assert cat.value.shape == (5, 2)
-    root = dc.sum_all(dc.mul(cat, dc.constant(np.arange(10.0).reshape(5, 2))))
+    root = dc.mean_all(dc.mul(cat, dc.constant(np.arange(10.0).reshape(5, 2))))
     ga, gb = grads_of(root, a, b)
-    assert np.array_equal(ga, [[0.0, 1.0], [2.0, 3.0]])
-    assert np.array_equal(gb, [[4.0, 5.0], [6.0, 7.0], [8.0, 9.0]])
-
-
-def test_reshape_gradient_shape():
-    a = dc.leaf(RNG(5).normal(size=(2, 3)))
-    (g,) = grads_of(dc.sum_all(dc.reshape(a, (6,))), a)
-    assert g.shape == (2, 3)
-    assert np.array_equal(g, np.ones((2, 3)))
+    assert np.allclose(ga, np.array([[0.0, 1.0], [2.0, 3.0]]) / 10, rtol=0, atol=1e-15)
+    assert np.allclose(
+        gb, np.array([[4.0, 5.0], [6.0, 7.0], [8.0, 9.0]]) / 10, rtol=0, atol=1e-15
+    )
 
 
 def test_scalar_broadcast_mul_and_div():
@@ -157,14 +146,14 @@ def test_scalar_broadcast_mul_and_div():
     s = dc.leaf(np.array(2.0))
     prod = dc.mul(a, s)
     assert np.array_equal(prod.value, [[2.0, 4.0], [6.0, 8.0]])
-    ga, gs = grads_of(dc.sum_all(prod), a, s)
-    assert np.array_equal(ga, np.full((2, 2), 2.0))
-    assert gs == 10.0
+    ga, gs = grads_of(dc.mean_all(prod), a, s)
+    assert np.array_equal(ga, np.full((2, 2), 0.5))
+    assert gs == 2.5
 
     quot = dc.div(a, s)
-    ga2, gs2 = grads_of(dc.sum_all(quot), a, s)
-    assert np.array_equal(ga2, np.full((2, 2), 0.5))
-    assert gs2 == -10.0 / 4.0
+    ga2, gs2 = grads_of(dc.mean_all(quot), a, s)
+    assert np.array_equal(ga2, np.full((2, 2), 0.125))
+    assert gs2 == -10.0 / 16.0
 
 
 def test_nonscalar_root_rejected():
@@ -185,7 +174,7 @@ def test_matmul_inner_dim_mismatch_rejected():
 
 def test_backward_is_deterministic():
     def build():
-        w = dc.leaf(RNG(7).normal(size=(4, 3)), name="w")
+        w = dc.leaf(RNG(7).normal(size=(4, 3)))
         x = dc.constant(RNG(8).normal(size=(5, 4)))
         h = dc.relu(dc.matmul(x, w))
         return w, dc.mean_all(dc.mul(h, h))
@@ -205,7 +194,7 @@ def test_quadratic_finite_diff_is_tight():
     w = RNG(9).uniform(0.5, 2.0, size=(4, 3))
 
     def build(lv):
-        return dc.scale(dc.sum_all(dc.mul(lv["w"], lv["w"])), 0.5)
+        return dc.scale(dc.mean_all(dc.mul(lv["w"], lv["w"])), 0.5)
 
     assert dc.finite_diff_check(build, {"w": w}, eps=1e-5) < 1e-9
 
@@ -233,11 +222,10 @@ def test_finite_diff_pooling_ops():
     base = rng.permutation(np.linspace(-2.0, 2.0, 24)).reshape(12, 2)
 
     def build(lv):
-        pooled = dc.gap_rows(lv["f"], 4)
         peaks = dc.max_rows(lv["f"], 4)
-        wide = dc.repeat_rows(pooled, 2)
+        wide = dc.repeat_rows(peaks, 2)
         return dc.mean_all(
-            dc.concat([dc.mul(pooled, peaks), dc.gap_rows(wide, 2)], axis=0)
+            dc.concat([dc.mul(peaks, peaks), dc.max_rows(wide, 2)], axis=0)
         )
 
     assert dc.finite_diff_check(build, {"f": base}, eps=1e-5) < 1e-6
@@ -250,8 +238,7 @@ def test_finite_diff_gather_ops():
     def build(lv):
         rows = dc.take(lv["m"], [0, 2, 2], axis=0)
         cols = dc.take(rows, [3, 1], axis=1)
-        flat = dc.reshape(cols, (6,))
-        return dc.sum_all(dc.mul(flat, dc.constant(np.arange(1.0, 7.0))))
+        return dc.mean_all(dc.mul(cols, dc.constant(np.arange(1.0, 7.0).reshape(3, 2))))
 
     assert dc.finite_diff_check(build, params, eps=1e-5) < 1e-6
 
@@ -279,8 +266,8 @@ def test_finite_diff_wrt_subset():
     }
 
     def build(lv):
-        active = dc.sum_all(dc.mul(lv["w"], lv["w"]))
-        blocked = dc.sum_all(dc.mul(dc.stop_gradient(lv["frozen"]), lv["frozen"]))
+        active = dc.mean_all(dc.mul(lv["w"], lv["w"]))
+        blocked = dc.mean_all(dc.mul(dc.stop_gradient(lv["frozen"]), lv["frozen"]))
         return dc.add(active, blocked)
 
     # full check would flag `frozen` (analytic zero vs numeric nonzero), the
@@ -291,7 +278,7 @@ def test_finite_diff_wrt_subset():
 
 def test_finite_diff_rejects_bad_eps():
     with pytest.raises(ValueError):
-        dc.finite_diff_check(lambda lv: dc.sum_all(lv["x"]), {"x": np.ones(2)}, eps=0.1)
+        dc.finite_diff_check(lambda lv: dc.mean_all(lv["x"]), {"x": np.ones(2)}, eps=0.1)
 
 
 def test_finite_diff_rejects_nonfinite_loss():

@@ -9,6 +9,10 @@ def small_params(seed=0, d_in=6, d=8, m=4):
     return model.init_params(d_in, d, m, seed)
 
 
+def forward_one(params, fm):  # one (H, W, D_in) map as a batch of one
+    return model.forward_batch(params, fm.reshape(1, -1, fm.shape[2]), *fm.shape[:2])
+
+
 def test_zero_head_gives_zero_logits():
     d = 6
     params = model.ModelParams(
@@ -18,7 +22,7 @@ def test_zero_head_gives_zero_logits():
         context_rows=np.arange(d // 2, d),
     )
     fm = np.random.default_rng(0).normal(size=(2, 2, d))
-    trace = model.forward(params, fm)
+    trace = forward_one(params, fm)
     assert np.array_equal(trace.logits.value, np.zeros((1, 3)))
 
 
@@ -26,7 +30,7 @@ def test_constant_map_pools_to_mixed_vector():
     params = small_params()
     v = np.random.default_rng(1).normal(size=params.d_in)
     fm = np.broadcast_to(v, (3, 3, params.d_in)).copy()
-    trace = model.forward(params, fm)
+    trace = forward_one(params, fm)
     assert np.allclose(trace.pooled.value[0], v @ params.mixer, atol=1e-14)
 
 
@@ -34,7 +38,7 @@ def test_split_regroup_matches_full_head():
     rng = np.random.default_rng(2)
     params = small_params(seed=3)
     fm = rng.normal(size=(4, 4, params.d_in))
-    trace = model.forward(params, fm)
+    trace = forward_one(params, fm)
     own = trace.pooled_own.value @ params.head[params.own_rows]
     ctx = trace.pooled_ctx.value @ params.head[params.context_rows]
     assert np.max(np.abs(own + ctx - trace.logits.value)) < 1e-12
@@ -43,7 +47,7 @@ def test_split_regroup_matches_full_head():
 def test_split_reconstructs_pooled_vector():
     params = small_params(seed=4)
     fm = np.random.default_rng(3).normal(size=(2, 2, params.d_in))
-    trace = model.forward(params, fm)
+    trace = forward_one(params, fm)
     rebuilt = np.empty(params.d)
     rebuilt[params.own_rows] = trace.pooled_own.value[0]
     rebuilt[params.context_rows] = trace.pooled_ctx.value[0]
@@ -64,24 +68,26 @@ def test_cam_hand_case():
     )
     fm = np.zeros((2, 2, 2))
     fm[:, :, 0] = np.array([[1.0, 0.0], [0.0, 1.0]])
-    trace = model.forward(params, fm)
+    trace = forward_one(params, fm)
     (raw,) = raw_cams(trace, [0])
     assert np.array_equal(raw.value.reshape(2, 2), [[2.0, 0.0], [0.0, 2.0]])
-    assert np.array_equal(model.cam_values(params, fm, 0), [[2.0, 0.0], [0.0, 2.0]])
+    snap = losses.CamSnapshot(params, [(0, 1)])  # the numpy path agrees
+    frozen = snap.rows(trace.feats, 0, normalized=False)
+    assert np.array_equal(frozen.reshape(2, 2), [[2.0, 0.0], [0.0, 2.0]])
 
 
 def test_cam_zero_weights_zero_map():
     params = small_params(seed=5)
     params.head[:, 2] = 0.0
     fm = np.random.default_rng(4).normal(size=(3, 3, params.d_in))
-    trace = model.forward(params, fm)
+    trace = forward_one(params, fm)
     assert np.array_equal(raw_cams(trace, [2])[0].value, np.zeros((9, 1)))
 
 
 def test_cam_rejects_bad_category():
     params = small_params()
     fm = np.zeros((2, 2, params.d_in))
-    trace = model.forward(params, fm)
+    trace = forward_one(params, fm)
     with pytest.raises(ValueError):
         raw_cams(trace, [params.m])
 
@@ -89,7 +95,7 @@ def test_cam_rejects_bad_category():
 def test_cam_pools_back_to_logit():
     params = small_params(seed=6)
     fm = np.random.default_rng(5).normal(size=(4, 4, params.d_in))
-    trace = model.forward(params, fm)
+    trace = forward_one(params, fm)
     for r, raw in enumerate(raw_cams(trace, range(params.m))):
         assert abs(raw.value.mean() - trace.logits.value[0, r]) < 1e-12
 
@@ -103,7 +109,7 @@ def test_cam_gradients_check_out():
     def build(lv):
         params = model.ModelParams(lv["mixer"].value, lv["head"].value, own, ctx)
         trace = model.forward_batch(params, fm, 2, 2, lv["mixer"], lv["head"])
-        return dc.sum_all(raw_cams(trace, [1])[0])
+        return dc.mean_all(raw_cams(trace, [1])[0])
 
     params = {
         "mixer": rng.uniform(-1.0, 1.0, size=(3, 4)),
