@@ -42,7 +42,10 @@ def bias_score(preds: np.ndarray, labels: np.ndarray, b: int, z: int) -> float:
         raise ValueError(
             f"bias({b},{z}) undefined: needs samples with and without {z}"
         )
-    return float(preds[both, b].mean() / preds[excl, b].mean())
+    without = preds[excl, b].mean()
+    if without == 0.0:
+        raise ValueError(f"bias({b},{z}) undefined: mean prediction of {b} without {z} is 0")
+    return float(preds[both, b].mean() / without)
 
 
 def select_biased_pairs(
@@ -58,13 +61,23 @@ def select_biased_pairs(
     defined at all); the best-scoring candidate survives, ties going to the
     lowest category index. The per-category winners are then ranked globally
     by score. Fewer than k valid winners sets the shortfall flag.
+    Predictions must match the labels' shape and lie in [0, 1].
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if not 0.0 < freq_threshold < 1.0:
         raise ValueError("freq_threshold must be in (0, 1)")
     labels = np.asarray(labels)
-    n, m = labels.shape
+    preds = np.asarray(preds, dtype=np.float64)
+    if preds.shape != labels.shape:
+        raise ValueError(f"preds shape {preds.shape} does not match labels {labels.shape}")
+    if not np.isfinite(preds).all():
+        raise ValueError("preds contain non-finite values")
+    if preds.size and (preds.min() < 0.0 or preds.max() > 1.0):
+        raise ValueError(
+            f"preds must lie in [0, 1], got values from {preds.min():g} to {preds.max():g}"
+        )
+    m = labels.shape[1]
     counts = labels.T @ labels
     winners = []
     for b in range(m):

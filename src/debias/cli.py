@@ -182,10 +182,7 @@ def run_benchmark_cell(fraction, seed, methods, work_dir, overrides=None) -> Ben
     test_man = data.generate_dataset(gen_test, os.path.join(work_dir, "test"), "test")
 
     base_cfg = benchmark_recipe(seed=seed, **(overrides or {}))
-    arts1 = train.train_stage1(train_man, base_cfg)
-    arts1.pairs = train.pin_pairs(
-        arts1.params, train_man, PLANTED_PAIRS, base_cfg.freq_threshold
-    )
+    arts1 = train.train_stage1(train_man, base_cfg, PLANTED_PAIRS)
 
     reports, artifacts = {}, {}
     for name in methods:
@@ -245,16 +242,6 @@ def cmd_audit(args):
     if not os.path.isfile(args.preds):
         raise ValueError(f"no predictions file at {args.preds}")
     preds = np.loadtxt(args.preds, delimiter=",", ndmin=2)
-    if preds.shape != labels.shape:
-        raise ValueError(
-            f"preds shape {preds.shape} does not match labels {labels.shape}"
-        )
-    if not np.isfinite(preds).all():
-        raise ValueError("preds contain non-finite values")
-    if preds.min() < 0.0 or preds.max() > 1.0:
-        raise ValueError(
-            f"preds must lie in [0, 1], got values from {preds.min():g} to {preds.max():g}"
-        )
     pair_set = bias_mod.select_biased_pairs(
         preds, labels, k=args.k, freq_threshold=args.freq_threshold
     )

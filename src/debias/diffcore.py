@@ -8,8 +8,7 @@ and the backward pass walks nodes in descending creation order. That fixes the
 reduction order and makes runs bit-reproducible.
 
 Shapes are checked eagerly and violations raise ValueError. Elementwise ops
-require identical shapes, except mul/div which accept a 0-d operand on either
-side (scalar broadcast, needed for map normalization).
+require identical shapes; matmul takes 2-d operands only.
 """
 
 from __future__ import annotations
@@ -82,27 +81,18 @@ def _same_shape(a: DiffNode, b: DiffNode, opname: str):
 
 def matmul(a: DiffNode, b: DiffNode) -> DiffNode:
     av, bv = a.value, b.value
-    if av.ndim not in (1, 2) or bv.ndim not in (1, 2):
-        raise ValueError("matmul supports 1-d and 2-d operands only")
-    if av.shape[-1] != (bv.shape[0] if bv.ndim >= 1 else None):
+    if av.ndim != 2 or bv.ndim != 2:
+        raise ValueError("matmul supports 2-d operands only")
+    if av.shape[1] != bv.shape[0]:
         raise ValueError(f"matmul: inner dims {av.shape} @ {bv.shape}")
-    out = av @ bv
     need_a, need_b = a.requires, b.requires
 
     def vjp(g):
         # skip the product for a parent that needs no gradient, such as the
         # constant pixel rows
-        if av.ndim == 2 and bv.ndim == 2:
-            return (g @ bv.T if need_a else None), (av.T @ g if need_b else None)
-        if av.ndim == 2:
-            ga, gb = np.outer(g, bv), av.T @ g
-        elif bv.ndim == 2:
-            ga, gb = bv @ g, np.outer(av, g)
-        else:  # dot product
-            ga, gb = g * bv, g * av
-        return (ga if need_a else None), (gb if need_b else None)
+        return (g @ bv.T if need_a else None), (av.T @ g if need_b else None)
 
-    return _node(out, (a, b), vjp)
+    return _node(av @ bv, (a, b), vjp)
 
 
 def add(a: DiffNode, b: DiffNode) -> DiffNode:
@@ -119,50 +109,10 @@ def sub(a: DiffNode, b: DiffNode) -> DiffNode:
     return add(a, scale(b, -1.0))
 
 
-def _bcast_pair(a: DiffNode, b: DiffNode, opname: str):
-    # identical shapes, or a 0-d scalar on either side
-    if a.value.shape == b.value.shape:
-        return
-    if a.value.ndim == 0 or b.value.ndim == 0:
-        return
-    raise ValueError(f"{opname}: shape mismatch {a.value.shape} vs {b.value.shape}")
-
-
-def _reduce_to(g, shape):
-    if g.shape == shape:
-        return g
-    return as_f64(np.sum(g))  # only 0-d targets are ever reduced
-
-
 def mul(a: DiffNode, b: DiffNode) -> DiffNode:
-    _bcast_pair(a, b, "mul")
+    _same_shape(a, b, "mul")
     av, bv = a.value, b.value
-    out = av * bv
-
-    def vjp(g):
-        return _reduce_to(g * bv, av.shape), _reduce_to(g * av, bv.shape)
-
-    return _node(out, (a, b), vjp)
-
-
-def div(a: DiffNode, b: DiffNode) -> DiffNode:
-    _bcast_pair(a, b, "div")
-    av, bv = a.value, b.value
-    out = av / bv
-
-    def vjp(g):
-        ga = _reduce_to(g / bv, av.shape)
-        gb = _reduce_to(-g * av / (bv * bv), bv.shape)
-        return ga, gb
-
-    return _node(out, (a, b), vjp)
-
-
-def relu(a: DiffNode) -> DiffNode:
-    av = a.value
-    out = np.maximum(av, 0.0)
-    # subgradient 0 at the kink
-    return _node(out, (a,), lambda g: (g * (av > 0.0),))
+    return _node(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
 def sigmoid_values(v: np.ndarray) -> np.ndarray:
@@ -197,42 +147,38 @@ def mean_all(a: DiffNode) -> DiffNode:
     )
 
 
-def _check_blocked(a: DiffNode, block: int, opname: str):
-    if a.value.ndim != 2:
-        raise ValueError(f"{opname} expects a 2-d array")
-    if block <= 0 or a.value.shape[0] % block:
-        raise ValueError(f"{opname}: {a.value.shape[0]} rows not divisible by {block}")
+def normalize_block_values(v: np.ndarray, block: int) -> np.ndarray:
+    """relu, then each block of `block` rows divided by its column max + 1e-8."""
+    v = as_f64(v)
+    if v.ndim != 2 or block <= 0 or v.shape[0] % block:
+        raise ValueError(f"normalize: shape {v.shape} is not blocks of {block} rows")
+    r = np.maximum(v, 0.0).reshape(-1, block, v.shape[1])
+    return (r / (r.max(axis=1, keepdims=True) + 1e-8)).reshape(v.shape)
 
 
-def max_rows(a: DiffNode, block: int) -> DiffNode:
-    """Max over each consecutive group of `block` rows; ties split evenly."""
-    _check_blocked(a, block, "max_rows")
+def normalize_blocks(a: DiffNode, block: int) -> DiffNode:
+    """normalize_block_values in the graph, so maps land in [0, 1] per block.
+
+    The VJP differentiates relu(x) / (block max of relu(x) + 1e-8) in
+    reverse-sweep order: the quotient's two cotangents, the block sum of the
+    denominator's, the max's share split evenly over ties, then the relu
+    mask (subgradient 0 at the kink). Changing that order changes the
+    gradients' rounding, and with it trained weights.
+    """
     av = a.value
-    groups = av.shape[0] // block
-    cols = av.shape[1]
-    m = av.reshape(groups, block, cols).max(axis=1)
+    out = normalize_block_values(av, block)
+    groups, cols = av.shape[0] // block, av.shape[1]
 
     def vjp(g):
-        rep = np.repeat(m, block, axis=0)
-        mask = av == rep
-        counts = mask.reshape(groups, block, cols).sum(axis=1)
-        return (mask * np.repeat(g / counts, block, axis=0),)
-
-    return _node(m, (a,), vjp)
-
-
-def repeat_rows(a: DiffNode, times: int) -> DiffNode:
-    """Repeat each row `times` times: (G, C) -> (G*times, C)."""
-    if a.value.ndim != 2:
-        raise ValueError("repeat_rows expects a 2-d array")
-    if times <= 0:
-        raise ValueError("repeat_rows: times must be positive")
-    av = a.value
-    groups, cols = av.shape
-    out = np.repeat(av, times, axis=0)
-
-    def vjp(g):
-        return (g.reshape(groups, times, cols).sum(axis=1),)
+        r = np.maximum(av, 0.0)
+        peaks = r.reshape(groups, block, cols).max(axis=1)
+        denom = np.repeat(peaks + 1e-8, block, axis=0)
+        g_r = g / denom
+        g_denom = (-g * r / (denom * denom)).reshape(groups, block, cols).sum(axis=1)
+        ties = r == np.repeat(peaks, block, axis=0)
+        counts = ties.reshape(groups, block, cols).sum(axis=1)
+        g_r = g_r + ties * np.repeat(g_denom / counts, block, axis=0)
+        return (g_r * (av > 0.0),)
 
     return _node(out, (a,), vjp)
 

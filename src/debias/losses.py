@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,16 +44,6 @@ def bce(logits: dc.DiffNode, targets) -> dc.DiffNode:
     return dc.mean_all(bce_elements(logits, targets))
 
 
-def weighted_bce_batch(logits: dc.DiffNode, targets, sample_weights) -> dc.DiffNode:
-    """Mean of per-element BCE scaled by a per-sample weight column."""
-    w = dc.as_f64(sample_weights)
-    n, m = logits.value.shape
-    if w.shape != (n,):
-        raise ValueError("need one weight per sample")
-    tile = np.broadcast_to(w[:, None], (n, m)).copy()
-    return dc.mean_all(dc.mul(dc.constant(tile), bce_elements(logits, targets)))
-
-
 def elementwise_weighted_bce(logits: dc.DiffNode, targets, weights) -> dc.DiffNode:
     """Mean of per-element BCE scaled by a full weight matrix."""
     w = dc.as_f64(weights)
@@ -67,56 +56,27 @@ def elementwise_weighted_bce(logits: dc.DiffNode, targets, weights) -> dc.DiffNo
 # loss weighting for skewed pairs
 
 
-@dataclass(frozen=True)
-class PairStats:
-    biased: int
-    context: int
-    cooccur_count: int
-    exclusive_count: int
-    alpha: float
+def alpha_weights(labels, pairs, alpha_min: float = 3.0) -> np.ndarray:
+    """Per-sample skew weights (N,) from training-set counts.
 
-
-@dataclass
-class AlphaTable:
-    stats: list  # PairStats per tracked pair
-    alpha_min: float
-
-
-def build_alpha_table(labels, pairs, alpha_min: float = 3.0) -> AlphaTable:
-    """Per-pair skew weights from training-set counts.
-
-    alpha = max(sqrt(cooccur / exclusive), alpha_min), applied to samples
-    where the biased category shows up without its context.
+    Each pair's alpha = max(sqrt(cooccur / exclusive), alpha_min) applies to
+    the samples where its biased category shows up without its context; a
+    sample exclusive for several pairs takes the largest alpha, every other
+    sample weighs 1.
     """
     if alpha_min <= 1.0:
         raise ValueError("alpha_min must exceed 1")
     labels = np.asarray(labels)
-    stats = []
+    out = np.ones(len(labels))
     for b, c in pairs:
         has_b = labels[:, b] == 1
         co = int(np.sum(has_b & (labels[:, c] == 1)))
         ex = int(has_b.sum()) - co
         if ex == 0 or co == 0:
             raise ValueError(f"pair ({b},{c}) has empty co-occur or exclusive set")
-        stats.append(
-            PairStats(b, c, co, ex, max(math.sqrt(co / ex), float(alpha_min)))
-        )
-    return AlphaTable(stats=stats, alpha_min=float(alpha_min))
-
-
-def alpha_for(labels_row, table: AlphaTable) -> float:
-    """Weight for one sample: max alpha over pairs it is exclusive for, else 1."""
-    row = np.asarray(labels_row)
-    out = 1.0
-    for st in table.stats:
-        if row[st.biased] == 1 and row[st.context] == 0:
-            out = max(out, st.alpha)
+        excl = has_b & (labels[:, c] == 0)
+        out[excl] = np.maximum(out[excl], max(math.sqrt(co / ex), float(alpha_min)))
     return out
-
-
-def alpha_vector(labels, table: AlphaTable) -> np.ndarray:
-    labels = np.asarray(labels)
-    return np.array([alpha_for(row, table) for row in labels])
 
 
 def exclusive_mask(labels, pairs) -> np.ndarray:
@@ -164,8 +124,7 @@ class CamSnapshot:
         # cam_maps, so a grounding loss against an unchanged model is zero
         # to the bit
         raw = (feats.reshape(n * p, d_in) @ self.params.mixer) @ self.params.head[:, [category]]
-        raw = raw.reshape(n, p)
-        return mdl.normalize_cam(raw, axis=1) if normalized else raw
+        return (dc.normalize_block_values(raw, p) if normalized else raw).reshape(n, p)
 
     def table(self, feats: np.ndarray, batch_size: int, normalized: bool = True) -> dict:
         """{category: (N, P) maps} for every tracked category.
@@ -193,7 +152,7 @@ def cam_maps(trace: mdl.ForwardTrace, sample_idx, categories, normalized=True) -
     maps = []
     for k in categories:
         raw = dc.matmul(rows, dc.take(trace.head_node, [int(k)], axis=1))
-        maps.append(mdl.normalize_cam_rows(raw, trace.pixels) if normalized else raw)
+        maps.append(dc.normalize_blocks(raw, trace.pixels) if normalized else raw)
     return maps
 
 

@@ -1,4 +1,4 @@
-"""The classifier and its activation maps.
+"""The classifier: parameters, the batched forward pass, and checkpoints.
 
 Architecture: a trainable 1x1 channel mixer (D_in -> D linear map applied at
 every spatial position), global average pooling, and a bias-free linear head
@@ -8,8 +8,7 @@ during stage-2 training.
 
 A batch of n feature maps is an (n, P, D_in) array with P = H*W pixel rows
 per sample. Pooling is linear, so the logits pool the pixel rows before the
-mixer; per-pixel rows are formed only where an activation map is needed, and
-there per-sample map normalization is a grouped-row op in the graph.
+mixer; per-pixel rows are formed only where an activation map is needed.
 """
 
 from __future__ import annotations
@@ -94,26 +93,18 @@ class ForwardTrace:
         return self.h * self.w
 
 
-def _pixel_rows(feats, p: int, d_in: int) -> np.ndarray:
-    """(n, P, D_in) or (n*P, D_in) features as (n, P, D_in) float64."""
-    feats = dc.as_f64(feats)
-    if feats.ndim == 2 and feats.shape[0] % p == 0:
-        feats = feats.reshape(-1, p, feats.shape[1])
-    if feats.ndim != 3 or feats.shape[1] != p or feats.shape[2] != d_in:
-        raise ValueError(f"bad feature shape {feats.shape} for {p} pixels x {d_in}")
-    return feats
-
-
 def forward_batch(
     params: ModelParams, feats: np.ndarray, h: int, w: int, mixer_node=None, head_node=None
 ) -> ForwardTrace:
-    """Forward a batch given as (n, P, D_in) or (n*P, D_in) with P = h*w.
+    """Forward a batch of (n, P, D_in) pixel rows, P = h*w.
 
     Pooling comes first: GAP(X W) = GAP(X) W, so only the pooled (n, D_in)
     rows meet the mixer. `mixer_node`/`head_node` reuse existing leaves (for
     gradient checks); by default fresh leaves are made from `params`.
     """
-    feats = _pixel_rows(feats, h * w, params.d_in)
+    feats = dc.as_f64(feats)
+    if feats.ndim != 3 or feats.shape[1:] != (h * w, params.d_in):
+        raise ValueError(f"bad feature shape {feats.shape} for {h * w} pixels x {params.d_in}")
     if mixer_node is None:
         mixer_node = dc.leaf(params.mixer)
     if head_node is None:
@@ -131,23 +122,6 @@ def forward_batch(
         pooled_ctx=dc.take(pooled, params.context_rows, axis=1),
         logits=dc.matmul(pooled, head_node),
     )
-
-
-def normalize_cam(raw: np.ndarray, axis=None) -> np.ndarray:
-    """relu then scale by the max (over `axis`) so values land in [0, 1]."""
-    r = np.maximum(dc.as_f64(raw), 0.0)
-    return r / (r.max(axis=axis, keepdims=True) + 1e-8)
-
-
-def normalize_cam_rows(raw: dc.DiffNode, block: int) -> dc.DiffNode:
-    """Graph version of normalize_cam over per-sample row blocks.
-
-    raw is (n*block, 1); each sample's block is scaled by its own max.
-    """
-    r = dc.relu(raw)
-    peaks = dc.max_rows(r, block)
-    denom = dc.add(peaks, dc.constant(np.full(peaks.value.shape, 1e-8)))
-    return dc.div(r, dc.repeat_rows(denom, block))
 
 
 def logit_values(params: ModelParams, feats: np.ndarray) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Stage 1 trains a standard classifier with BCE on an 80% slice of the
 training data and picks the biased pairs on the held-out 20% (or scores a
-pinned pair set, see `pin_pairs`). Stage 2 continues from those weights with
+pinned pair set on all of it). Stage 2 continues from those weights with
 the method-specific objective, on the full (possibly transformed) training
-set; it builds the method's state (the CAM snapshot, the alpha table) from
+set; it builds the method's state (the CAM snapshot, the loss weights) from
 the weights and pairs it starts from. Every random draw comes from a seed tree
 derived from the config seed, so a fixed config reproduces runs bit for bit.
 """
@@ -117,15 +117,25 @@ def _apply_step(params, trace, gmap, lr) -> mdl.ModelParams:
     )
 
 
-def train_stage1(manifest: data.DatasetManifest, cfg: TrainConfig) -> TrainArtifacts:
-    """BCE training on the 80% slice, then bias-pair selection on the 20%."""
+def train_stage1(
+    manifest: data.DatasetManifest, cfg: TrainConfig, pinned=None
+) -> TrainArtifacts:
+    """BCE training on the 80% slice, then the stage-2 pairs.
+
+    Without `pinned` the pairs are selected on the 20% slice. Fixed
+    (biased, context) pairs are range-checked before any training and scored
+    under the trained weights on all of `manifest`; a pair whose co-occur or
+    exclusive split is empty keeps a NaN score.
+    """
     if not manifest.samples:
         raise ValueError("empty dataset")
+    m = len(manifest.categories)
+    for b, c in pinned or ():
+        if not (0 <= b < m and 0 <= c < m):
+            raise ValueError(f"pinned pair ({b}, {c}) outside {m} categories")
     feats, labels = data.load_arrays(manifest)
     seeds = _derive_seeds(cfg.seed)
-    params = mdl.init_params(
-        manifest.d_in, cfg.mixer_width, len(manifest.categories), seeds["init"]
-    )
+    params = mdl.init_params(manifest.d_in, cfg.mixer_width, m, seeds["init"])
     part80, part20 = data.split_80_20(manifest, seeds["split"])
     row_of = {s.id: i for i, s in enumerate(manifest.samples)}
     rows80 = np.array([row_of[s.id] for s in part80.samples])
@@ -147,10 +157,21 @@ def train_stage1(manifest: data.DatasetManifest, cfg: TrainConfig) -> TrainArtif
         curve.append(float(np.mean(batch_losses)))
         step_log.append({"stage": 1, "epoch": epoch, "lr": lr, "loss": curve[-1]})
 
-    preds20 = mdl.predict(params, feats[rows20])
-    pair_set = bias_mod.select_biased_pairs(
-        preds20, labels[rows20], k=cfg.k, freq_threshold=cfg.freq_threshold
-    )
+    if pinned is None:
+        pair_set = bias_mod.select_biased_pairs(
+            mdl.predict(params, feats[rows20]), labels[rows20],
+            k=cfg.k, freq_threshold=cfg.freq_threshold,
+        )
+    else:
+        preds = mdl.predict(params, feats)
+        scored = []
+        for b, c in pinned:
+            try:
+                score = bias_mod.bias_score(preds, labels, b, c)
+            except ValueError:  # a split is empty; keep the pair, skip the score
+                score = float("nan")
+            scored.append(bias_mod.BiasPair(b, c, score))
+        pair_set = bias_mod.BiasPairSet(scored, freq_threshold=cfg.freq_threshold)
     return TrainArtifacts(
         params=params,
         pairs=pair_set,
@@ -158,29 +179,6 @@ def train_stage1(manifest: data.DatasetManifest, cfg: TrainConfig) -> TrainArtif
         step_log=step_log,
         seeds=seeds,
     )
-
-
-def pin_pairs(
-    params: mdl.ModelParams, manifest: data.DatasetManifest, pinned, freq_threshold: float
-) -> bias_mod.BiasPairSet:
-    """Fixed (biased, context) pairs, scored under `params` on all of `manifest`.
-
-    A pair whose co-occur or exclusive split is empty keeps a NaN score.
-    """
-    m = len(manifest.categories)
-    for b, c in pinned:
-        if not (0 <= b < m and 0 <= c < m):
-            raise ValueError(f"pinned pair ({b}, {c}) outside {m} categories")
-    feats, labels = data.load_arrays(manifest)
-    preds = mdl.predict(params, feats)
-    scored = []
-    for b, c in pinned:
-        try:
-            score = bias_mod.bias_score(preds, labels, b, c)
-        except ValueError:  # a split is empty; keep the pair, skip the score
-            score = float("nan")
-        scored.append(bias_mod.BiasPair(b, c, score))
-    return bias_mod.BiasPairSet(scored, freq_threshold=freq_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -280,31 +278,31 @@ def train_stage2(
         )
 
     feats, labels = data.load_arrays(work)
-    n = len(work.samples)
+    n, m = len(work.samples), len(work.categories)
     half = params.d // 2
 
+    # one (n, M) loss-weight matrix per weighted method; None trains plain BCE
     buffer = None
-    excl_all = None
     weights_all = None
-    penalty_all = None
     frozen_all = None
+    excl_all = losses.exclusive_mask(labels, pair_tuples)
     if cfg.method == "ours_cam" and cfg.lambda2 > 0:
         # grounding compares against the maps of the weights stage 2 starts from
         snapshot = losses.CamSnapshot(artifacts.params, pair_tuples)
         frozen_all = snapshot.table(feats, cfg.batch_size, cfg.normalize_maps)
     elif cfg.method == "ours_feature_split":
-        alpha_table = losses.build_alpha_table(labels, pair_tuples, cfg.alpha_min)
         buffer = losses.RunningMeanBuffer(width=half)
-        excl_all = losses.exclusive_mask(labels, pair_tuples)
-        weights_all = losses.alpha_vector(labels, alpha_table)
+        alpha = losses.alpha_weights(labels, pair_tuples, cfg.alpha_min)
+        weights_all = np.repeat(alpha[:, None], m, axis=1)
     elif cfg.method == "weighted_loss":
-        excl_all = losses.exclusive_mask(labels, pair_tuples)
-        weights_all = np.where(excl_all, float(cfg.weighted_factor), 1.0)
+        weights_all = np.repeat(
+            np.where(excl_all, float(cfg.weighted_factor), 1.0)[:, None], m, axis=1
+        )
     elif cfg.method == "negative_penalty":
-        penalty_all = np.ones((n, len(work.categories)))
+        weights_all = np.ones((n, m))
         for b, c in pair_tuples:
             rows = (labels[:, b] == 1) & (labels[:, c] == 0)
-            penalty_all[rows, c] = float(cfg.negative_penalty_weight)
+            weights_all[rows, c] = float(cfg.negative_penalty_weight)
 
     shuffle_rng = np.random.default_rng(artifacts.seeds["shuffle2"])
     curve = list(artifacts.loss_curve)
@@ -328,22 +326,17 @@ def train_stage2(
                     trace, t, pair_tuples, frozen, cfg.lambda1, cfg.lambda2,
                     cfg.normalize_maps,
                 )
-            elif cfg.method == "ours_feature_split":
-                mask = excl_all[idx]
-                logits = losses.suppressed_logits(params, trace, mask, buffer)
-                root = losses.weighted_bce_batch(logits, t, weights_all[idx])
-                entry["n_exclusive"] = int(mask.sum())
-                entry["all_exclusive"] = bool(mask.all())
-                entry["max_weight"] = float(weights_all[idx].max())
-            elif cfg.method == "weighted_loss":
-                root = losses.weighted_bce_batch(trace.logits, t, weights_all[idx])
-                entry["n_exclusive"] = int(excl_all[idx].sum())
-                entry["max_weight"] = float(weights_all[idx].max())
-            elif cfg.method == "negative_penalty":
-                root = losses.elementwise_weighted_bce(trace.logits, t, penalty_all[idx])
-                entry["max_weight"] = float(penalty_all[idx].max())
-            else:  # standard objective, possibly on a transformed dataset
+            elif weights_all is None:  # standard, possibly on a transformed dataset
                 root = losses.bce(trace.logits, t)
+            else:
+                mask = excl_all[idx]
+                entry["n_exclusive"] = int(mask.sum())
+                logits = trace.logits
+                if buffer is not None:  # feature split: suppress the context half
+                    logits = losses.suppressed_logits(params, trace, mask, buffer)
+                    entry["all_exclusive"] = bool(mask.all())
+                root = losses.elementwise_weighted_bce(logits, t, weights_all[idx])
+                entry["max_weight"] = float(weights_all[idx].max())
 
             gmap = dc.eval_backward(root)
             ctx_before = params.head[params.context_rows]
@@ -377,7 +370,4 @@ def run_training(
     manifest: data.DatasetManifest, cfg: TrainConfig, pinned=None
 ) -> TrainArtifacts:
     """Both stages end to end; `pinned` pairs replace the selected ones."""
-    artifacts = train_stage1(manifest, cfg)
-    if pinned is not None:
-        artifacts.pairs = pin_pairs(artifacts.params, manifest, pinned, cfg.freq_threshold)
-    return train_stage2(artifacts, manifest, cfg)
+    return train_stage2(train_stage1(manifest, cfg, pinned), manifest, cfg)

@@ -59,7 +59,7 @@ def test_gradients_match_finite_differences():
         "mixer": rng.uniform(-1.0, 1.0, size=(d_in, d)),
         "head": rng.uniform(-1.0, 1.0, size=(d, m)),
     }
-    weights = np.array([1.0, 2.5, 1.5])
+    weights = np.repeat(np.array([1.0, 2.5, 1.5])[:, None], m, axis=1)  # per sample
     worst = {}
 
     def plain_trace(lv):
@@ -69,7 +69,7 @@ def test_gradients_match_finite_differences():
         lambda lv: losses.bce(plain_trace(lv).logits, t), base, eps=1e-5
     )
     worst["weighted_bce"] = dc.finite_diff_check(
-        lambda lv: losses.weighted_bce_batch(plain_trace(lv).logits, t, weights),
+        lambda lv: losses.elementwise_weighted_bce(plain_trace(lv).logits, t, weights),
         base, eps=1e-5,
     )
     # The CAM losses normalize with a relu and a per-map max, which makes
@@ -132,8 +132,8 @@ def test_gradients_match_finite_differences():
         )
         gap = min(
             np.abs(
-                mdl.normalize_cam(
-                    (rows_one @ pos["mixer"]) @ pos["head"][:, [cat]]
+                dc.normalize_block_values(
+                    (rows_one @ pos["mixer"]) @ pos["head"][:, [cat]], h * w
                 ).ravel()
                 - cand.rows(fm_one, cat).ravel()
             ).min()
@@ -170,7 +170,7 @@ def test_gradients_match_finite_differences():
             buf = losses.RunningMeanBuffer(width=d // 2)
             losses.update_running_mean(buf, xbar)
             logits = losses.suppressed_logits(params, trace, mask, buf)
-            return losses.weighted_bce_batch(logits, t, weights)
+            return losses.elementwise_weighted_bce(logits, t, weights)
         return build
 
     mixed = np.array([True, False, True])

@@ -64,6 +64,36 @@ def brute_force(preds, labels, k, thr):
     return winners[:k], len(winners) < k
 
 
+def test_zero_exclusive_mean_is_undefined():
+    labels = np.array([[1, 1], [1, 0], [1, 0]])
+    preds = np.array([[0.6, 0.5], [0.0, 0.5], [0.0, 0.5]])
+    with pytest.raises(ValueError, match="is 0"):
+        bias.bias_score(preds, labels, 0, 1)
+
+
+def test_selection_rejects_mismatched_shape():
+    labels = np.array([[1, 1], [1, 0]])
+    with pytest.raises(ValueError, match="shape"):
+        bias.select_biased_pairs(np.full((2, 3), 0.5), labels, k=1)
+
+
+def test_selection_rejects_nonfinite_predictions():
+    labels = np.array([[1, 1], [1, 0], [1, 1], [1, 0]])
+    preds = np.full((4, 2), 0.5)
+    preds[0, 0] = np.nan  # would otherwise rank first
+    with pytest.raises(ValueError, match="non-finite"):
+        bias.select_biased_pairs(preds, labels, k=1)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25])
+def test_selection_rejects_out_of_range_predictions(bad):
+    labels = np.array([[1, 1], [1, 0], [1, 1], [1, 0]])
+    preds = np.full((4, 2), 0.5)
+    preds[2, 1] = bad
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        bias.select_biased_pairs(preds, labels, k=1)
+
+
 def test_selection_matches_brute_force():
     rng = np.random.default_rng(1)
     for trial in range(30):

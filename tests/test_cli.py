@@ -11,6 +11,7 @@ import pytest
 
 import debias
 from debias import cli, data
+from debias import diffcore as dc
 from debias import model as mdl
 
 
@@ -123,12 +124,16 @@ def test_eval_rejects_out_of_range_pairs(ws, tmp_path):
     assert code == 2
 
 
-def test_train_rejects_out_of_range_pairs(ws, tmp_path, capsys):
+def test_train_rejects_out_of_range_pairs(ws, tmp_path, capsys, monkeypatch):
+    steps = []
+    sgd_step = dc.sgd_step
+    monkeypatch.setattr(dc, "sgd_step", lambda *a: steps.append(1) or sgd_step(*a))
     code = cli.main([
         "train", "--data", str(ws / "dtrain"), "--config", str(ws / "train.json"),
         "--seed", "3", "--pairs", "0:9", "--out", str(tmp_path / "run"),
     ])
     assert code == 2
+    assert steps == []  # rejected before the first stage-1 step
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: pinned pair (0, 9) outside 4 categories"]
     assert not (tmp_path / "run").exists()
@@ -258,6 +263,22 @@ def test_audit_rejects_out_of_range_prediction(ws, tmp_path, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: preds must lie in [0, 1]")
         assert not out.exists()
+
+
+def test_audit_rejects_zero_exclusive_mean(ws, tmp_path, capsys):
+    # a zero mean prediction without the context has no finite bias score
+    labels = data.load_manifest(str(ws / "dtrain" / "train.manifest.json")).label_matrix()
+    preds = np.full(labels.shape, 0.5)
+    preds[(labels[:, 0] == 1) & (labels[:, 1] == 0), 0] = 0.0
+    csv = tmp_path / "preds.csv"
+    np.savetxt(csv, preds, delimiter=",")
+    out = tmp_path / "aud"
+    assert cli.main([
+        "audit", "--labels", str(ws / "dtrain"), "--preds", str(csv), "--out", str(out),
+    ]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: bias(0,1) undefined: mean prediction of 0 without 1 is 0"]
+    assert not out.exists()
 
 
 def test_sweep_trend_and_run_provenance(tmp_path):

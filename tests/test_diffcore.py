@@ -18,16 +18,23 @@ def test_sigmoid_gradient_at_zero():
 
 
 def test_linear_map_row_gradients():
-    # mean(W @ x) over 3 rows: every row of W has gradient x / 3, x gets
-    # the column means of W
+    # mean(W @ x) over 3 rows, x a (2, 1) column: every row of W has gradient
+    # x^T / 3, x gets the column means of W
     w = dc.leaf(RNG(0).normal(size=(3, 2)))
-    x_val = RNG(1).normal(size=2)
+    x_val = RNG(1).normal(size=(2, 1))
     x = dc.leaf(x_val)
     gw, gx = grads_of(dc.mean_all(dc.matmul(w, x)), w, x)
     for row in gw:
         assert np.array_equal(row, gw[0])
-        assert np.allclose(row, x_val / 3, rtol=0, atol=1e-15)
-    assert np.allclose(gx, w.value.mean(axis=0))
+        assert np.allclose(row, x_val[:, 0] / 3, rtol=0, atol=1e-15)
+    assert np.allclose(gx, w.value.mean(axis=0)[:, None])
+
+
+def test_matmul_rejects_1d_operands():
+    with pytest.raises(ValueError):
+        dc.matmul(dc.leaf(np.ones((3, 2))), dc.leaf(np.ones(2)))
+    with pytest.raises(ValueError):
+        dc.matmul(dc.leaf(np.ones(2)), dc.leaf(np.ones(2)))
 
 
 def test_stop_gradient_barrier():
@@ -63,25 +70,65 @@ def test_guarded_log_value_and_gradient():
 
 
 def test_relu_subgradient_zero_at_kink():
-    x = dc.leaf(np.array([-1.0, 0.0, 2.0]))
-    (g,) = grads_of(dc.mean_all(dc.relu(x)), x)
-    assert np.array_equal(g, [0.0, 0.0, 1.0 / 3.0])
+    # the relu inside map normalization passes nothing at or below zero
+    x = dc.leaf(np.array([[-1.0], [0.0], [2.0]]))
+    (g,) = grads_of(dc.mean_all(dc.normalize_blocks(x, 3)), x)
+    assert g[0, 0] == 0.0 and g[1, 0] == 0.0
+    assert g[2, 0] > 0.0
 
 
-def test_max_rows_tie_split():
+@pytest.mark.parametrize(
+    "raw,expect",
+    [
+        ([[-1.0], [3.0]], [[0.0], [3.0 / (3.0 + 1e-8)]]),
+        ([[0.0], [0.0]], [[0.0], [0.0]]),
+        ([[-2.0], [-0.5]], [[0.0], [0.0]]),
+    ],
+)
+def test_normalize_block_values_edges(raw, expect):
+    got = dc.normalize_block_values(np.array(raw), 2)
+    assert np.allclose(got, expect, rtol=0, atol=1e-12)
+
+
+def test_normalize_block_values_hand_case():
+    # two blocks of two rows, two columns: each column of a block by its own max
+    got = dc.normalize_block_values(np.array([[1.0, 8.0], [2.0, 4.0], [4.0, 1.0], [8.0, 2.0]]), 2)
+    assert np.max(np.abs(got - [[0.5, 1.0], [1.0, 0.5], [0.5, 0.5], [1.0, 1.0]])) < 1e-7
+
+
+def test_normalize_blocks_matches_per_block():
+    # the graph op's values are the numpy forward's, block by block, to the bit
+    rng = RNG(18)
+    block = 6
+    stacked = rng.normal(size=(3 * block, 1))
+    node = dc.normalize_blocks(dc.constant(stacked), block)
+    assert node.value.tobytes() == dc.normalize_block_values(stacked, block).tobytes()
+    for i in range(3):
+        seg = stacked[i * block : (i + 1) * block]
+        r = np.maximum(seg, 0.0)
+        assert np.array_equal(node.value[i * block : (i + 1) * block], r / (r.max() + 1e-8))
+
+
+def test_normalize_blocks_tie_split():
+    # a block max shared by two rows passes half of its cotangent to each
     a = dc.leaf(np.array([[1.0], [3.0], [3.0], [2.0], [5.0], [0.0]]))
-    m = dc.max_rows(a, 3)
-    assert np.array_equal(m.value, [[3.0], [5.0]])
-    (g,) = grads_of(dc.mean_all(m), a)
-    assert np.array_equal(g, [[0.0], [0.25], [0.25], [0.0], [0.5], [0.0]])
+    g = np.arange(1.0, 7.0).reshape(6, 1)
+    (got,) = dc.normalize_blocks(a, 3).vjp(g)
+    r, d = a.value, np.repeat([[3.0 + 1e-8], [5.0 + 1e-8]], 3, axis=0)
+    quotient = g / d
+    share = (-g * r / (d * d)).reshape(2, 3, 1).sum(axis=1)
+    want = quotient + np.array([[0.0], [0.5], [0.5], [0.0], [1.0], [0.0]]) * np.repeat(
+        share, 3, axis=0
+    )
+    want[5, 0] = 0.0  # relu kink at zero
+    assert np.array_equal(got, want)
 
 
-def test_repeat_rows_roundtrip_gradient():
-    a = dc.leaf(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    rep = dc.repeat_rows(a, 3)
-    assert rep.value.shape == (6, 2)
-    (g,) = grads_of(dc.mean_all(rep), a)
-    assert np.allclose(g, np.full((2, 2), 3.0 / 12.0), rtol=0, atol=1e-15)
+def test_normalize_blocks_rejects_partial_block():
+    with pytest.raises(ValueError):
+        dc.normalize_blocks(dc.leaf(np.ones((5, 1))), 2)
+    with pytest.raises(ValueError):
+        dc.normalize_block_values(np.ones(4), 2)
 
 
 def test_take_accumulates_duplicate_rows():
@@ -141,21 +188,6 @@ def test_concat_splits_gradient():
     )
 
 
-def test_scalar_broadcast_mul_and_div():
-    a = dc.leaf(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    s = dc.leaf(np.array(2.0))
-    prod = dc.mul(a, s)
-    assert np.array_equal(prod.value, [[2.0, 4.0], [6.0, 8.0]])
-    ga, gs = grads_of(dc.mean_all(prod), a, s)
-    assert np.array_equal(ga, np.full((2, 2), 0.5))
-    assert gs == 2.5
-
-    quot = dc.div(a, s)
-    ga2, gs2 = grads_of(dc.mean_all(quot), a, s)
-    assert np.array_equal(ga2, np.full((2, 2), 0.125))
-    assert gs2 == -10.0 / 16.0
-
-
 def test_nonscalar_root_rejected():
     a = dc.leaf(np.ones(3))
     with pytest.raises(ValueError):
@@ -167,6 +199,12 @@ def test_add_shape_mismatch_rejected():
         dc.add(dc.leaf(np.ones(2)), dc.leaf(np.ones(3)))
 
 
+def test_mul_shape_mismatch_rejected():
+    # no broadcasting, not even of a 0-d operand
+    with pytest.raises(ValueError):
+        dc.mul(dc.leaf(np.ones((2, 2))), dc.leaf(np.array(2.0)))
+
+
 def test_matmul_inner_dim_mismatch_rejected():
     with pytest.raises(ValueError):
         dc.matmul(dc.leaf(np.ones((2, 3))), dc.leaf(np.ones((2, 2))))
@@ -176,7 +214,7 @@ def test_backward_is_deterministic():
     def build():
         w = dc.leaf(RNG(7).normal(size=(4, 3)))
         x = dc.constant(RNG(8).normal(size=(5, 4)))
-        h = dc.relu(dc.matmul(x, w))
+        h = dc.normalize_blocks(dc.matmul(x, w), 5)
         return w, dc.mean_all(dc.mul(h, h))
 
     w1, r1 = build()
@@ -204,29 +242,29 @@ def test_finite_diff_dense_chain():
     params = {
         "a": rng.uniform(-2.0, 2.0, size=(3, 4)),
         "b": rng.uniform(-2.0, 2.0, size=(4, 2)),
-        "w": rng.uniform(-2.0, 2.0, size=2),
+        "w": rng.uniform(-2.0, 2.0, size=(2, 1)),
     }
 
     def build(lv):
         h = dc.sigmoid(dc.matmul(lv["a"], lv["b"]))
         y = dc.matmul(h, lv["w"])
-        z = dc.log(dc.add(dc.absval(y), dc.constant(np.full(3, 0.5))))
+        z = dc.log(dc.add(dc.absval(y), dc.constant(np.full((3, 1), 0.5))))
         return dc.mean_all(z)
 
     assert dc.finite_diff_check(build, params, eps=1e-5) < 1e-6
 
 
 def test_finite_diff_pooling_ops():
+    # block-max normalization over three blocks of four rows and two columns;
+    # distinct positive entries keep block maxima unique under perturbation
+    # (a block whose only positive entry is its max has a gradient near 1e-9,
+    # below the central-difference noise)
     rng = RNG(11)
-    # distinct entries keep block maxima unique, so no ties under perturbation
-    base = rng.permutation(np.linspace(-2.0, 2.0, 24)).reshape(12, 2)
+    base = rng.permutation(np.linspace(0.2, 2.0, 24)).reshape(12, 2)
+    weights = dc.constant(rng.uniform(0.5, 1.5, size=(12, 2)))
 
     def build(lv):
-        peaks = dc.max_rows(lv["f"], 4)
-        wide = dc.repeat_rows(peaks, 2)
-        return dc.mean_all(
-            dc.concat([dc.mul(peaks, peaks), dc.max_rows(wide, 2)], axis=0)
-        )
+        return dc.mean_all(dc.mul(dc.normalize_blocks(lv["f"], 4), weights))
 
     assert dc.finite_diff_check(build, {"f": base}, eps=1e-5) < 1e-6
 
@@ -244,16 +282,15 @@ def test_finite_diff_gather_ops():
 
 
 def test_finite_diff_normalize_shape():
-    # relu(x) / (max(relu(x)) + 1e-8), the map-normalization pattern
+    # relu(x) / (max(relu(x)) + 1e-8) per block, the map normalization
     rng = RNG(13)
-    x = rng.uniform(-2.0, 2.0, size=(6, 1))
+    x = rng.uniform(-2.0, 2.0, size=(12, 1))
     x[np.abs(x) < 0.1] = 0.5  # keep clear of the relu kink
-    x[3, 0] = 3.0  # unique max, stable under eps-perturbation
+    x[3, 0] = 3.0  # unique block maxima, stable under eps-perturbation
+    x[7, 0] = 4.0
 
     def build(lv):
-        r = dc.relu(lv["x"])
-        denom = dc.add(dc.max_rows(r, 6), dc.constant(np.full((1, 1), 1e-8)))
-        return dc.mean_all(dc.div(r, dc.repeat_rows(denom, 6)))
+        return dc.mean_all(dc.normalize_blocks(lv["x"], 6))
 
     assert dc.finite_diff_check(build, {"x": x}, eps=1e-5) < 1e-6
 

@@ -54,18 +54,22 @@ def test_bce_gradient_checks_out():
     assert dc.finite_diff_check(build, {"z": z}, eps=1e-5) < 1e-6
 
 
+def tiled(sample_weights, m):  # one weight per sample, repeated across categories
+    return np.repeat(np.asarray(sample_weights, dtype=float)[:, None], m, axis=1)
+
+
 def test_weighted_bce_identity_at_one():
     rng = np.random.default_rng(3)
     z = rng.normal(size=(2, 3))
     t = (rng.random((2, 3)) < 0.5).astype(float)
     plain = losses.bce(dc.constant(z), t)
-    weighted = losses.weighted_bce_batch(dc.constant(z), t, np.ones(2))
+    weighted = losses.elementwise_weighted_bce(dc.constant(z), t, np.ones((2, 3)))
     assert float(plain.value) == float(weighted.value)  # bit-for-bit
 
 
 def test_weighted_bce_doubles_ln2():
-    val = losses.weighted_bce_batch(
-        dc.constant(np.zeros((1, 1))), np.array([[1.0]]), np.array([2.0])
+    val = losses.elementwise_weighted_bce(
+        dc.constant(np.zeros((1, 1))), np.array([[1.0]]), tiled([2.0], 1)
     )
     assert float(val.value) == pytest.approx(2 * LN2, abs=1e-15)
 
@@ -77,21 +81,26 @@ def test_weighted_bce_gradient_is_scaled_plain_gradient():
     za = dc.leaf(z)
     zb = dc.leaf(z)
     ga = dc.eval_backward(losses.bce(za, t))[za]
-    gb = dc.eval_backward(losses.weighted_bce_batch(zb, t, np.full(2, 5.0)))[zb]
+    gb = dc.eval_backward(losses.elementwise_weighted_bce(zb, t, tiled([5.0, 5.0], 3)))[zb]
     assert np.allclose(gb, 5.0 * ga, atol=1e-15)
 
 
-def test_weighted_bce_batch_matches_per_sample():
+def test_weighted_bce_matches_per_sample():
     rng = np.random.default_rng(5)
     z = rng.normal(size=(3, 2))
     t = (rng.random((3, 2)) < 0.5).astype(float)
-    w = np.array([1.0, 4.0, 2.5])
-    batch = float(losses.weighted_bce_batch(dc.constant(z), t, w).value)
+    w = tiled([1.0, 4.0, 2.5], 2)
+    batch = float(losses.elementwise_weighted_bce(dc.constant(z), t, w).value)
     per = [
-        float(losses.weighted_bce_batch(dc.constant(z[[i]]), t[[i]], w[[i]]).value)
+        float(losses.elementwise_weighted_bce(dc.constant(z[[i]]), t[[i]], w[[i]]).value)
         for i in range(3)
     ]
     assert batch == pytest.approx(np.mean(per), abs=1e-14)
+
+
+def test_weighted_bce_rejects_mismatched_weights():
+    with pytest.raises(ValueError):
+        losses.elementwise_weighted_bce(dc.constant(np.zeros((2, 3))), np.zeros((2, 3)), np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +112,19 @@ def test_alpha_arithmetic_cases():
     labels[:100, 0] = 1
     labels[:100, 1] = 1
     labels[100:, 0] = 1  # 100 co-occur, 4 exclusive
-    table = losses.build_alpha_table(labels, [(0, 1)], alpha_min=3.0)
-    assert table.stats[0].alpha == pytest.approx(5.0)
+    weights = losses.alpha_weights(labels, [(0, 1)], alpha_min=3.0)
+    assert weights[100] == pytest.approx(5.0)
+    assert np.array_equal(weights[:100], np.ones(100))
 
     flipped = np.zeros((104, 2), dtype=int)
     flipped[:4, 0] = 1
     flipped[:4, 1] = 1
     flipped[4:, 0] = 1  # 4 co-occur, 100 exclusive: raw 0.2, clamped
-    table = losses.build_alpha_table(flipped, [(0, 1)], alpha_min=3.0)
-    assert table.stats[0].alpha == pytest.approx(3.0)
+    weights = losses.alpha_weights(flipped, [(0, 1)], alpha_min=3.0)
+    assert weights[4] == pytest.approx(3.0)
 
 
-def test_alpha_for_sample_routing():
+def test_alpha_weights_sample_routing():
     labels = np.zeros((20, 4), dtype=int)
     labels[:16, 0] = 1
     labels[:16, 1] = 1
@@ -122,27 +132,44 @@ def test_alpha_for_sample_routing():
     labels[:10, 2] = 1
     labels[:9, 3] = 1
     labels[9, 3] = 0  # sample 9 exclusive for (2,3)
-    table = losses.build_alpha_table(labels, [(0, 1), (2, 3)], alpha_min=2.0)
-    a01 = table.stats[0].alpha
-    a23 = table.stats[1].alpha
-    assert losses.alpha_for(labels[0], table) == 1.0  # co-occurs for both
-    assert losses.alpha_for(labels[16], table) == a01
-    assert losses.alpha_for(labels[9], table) == max(a23, 1.0)
     # a sample exclusive for several pairs takes the largest weight
-    row = np.array([1, 0, 1, 0])
-    assert losses.alpha_for(row, table) == max(a01, a23)
+    labels = np.vstack([labels, [1, 0, 1, 0]])
+    a01 = math.sqrt(16 / 5)  # both above the floor, and different
+    a23 = math.sqrt(9 / 2)
+    weights = losses.alpha_weights(labels, [(0, 1), (2, 3)], alpha_min=1.5)
+    assert weights[0] == 1.0  # co-occurs for both
+    assert weights[16] == a01
+    assert weights[9] == a23
+    assert weights[20] == max(a01, a23)
+
+
+def test_alpha_weights_match_per_row_loop():
+    # reference: per sample, the largest alpha over the pairs it is exclusive for
+    rng = np.random.default_rng(40)
+    labels = (rng.random((200, 5)) < 0.5).astype(int)
+    pairs = [(0, 1), (2, 3), (4, 1)]
+    alphas = []
+    for b, c in pairs:
+        co = int(np.sum((labels[:, b] == 1) & (labels[:, c] == 1)))
+        ex = int(np.sum((labels[:, b] == 1) & (labels[:, c] == 0)))
+        alphas.append(max(math.sqrt(co / ex), 1.2))
+    want = [
+        max([1.0] + [a for (b, c), a in zip(pairs, alphas) if row[b] == 1 and row[c] == 0])
+        for row in labels
+    ]
+    assert losses.alpha_weights(labels, pairs, alpha_min=1.2).tolist() == want
 
 
 def test_alpha_table_requires_populated_sets():
     labels = np.array([[1, 1], [1, 1]])
     with pytest.raises(ValueError):
-        losses.build_alpha_table(labels, [(0, 1)])
+        losses.alpha_weights(labels, [(0, 1)])
 
 
 def test_alpha_min_must_exceed_one():
     labels = np.array([[1, 1], [1, 0]])
     with pytest.raises(ValueError):
-        losses.build_alpha_table(labels, [(0, 1)], alpha_min=1.0)
+        losses.alpha_weights(labels, [(0, 1)], alpha_min=1.0)
 
 
 def test_exclusive_mask_or_semantics():
@@ -326,13 +353,15 @@ def test_cam_objective_matches_numpy_recomputation():
     trace = model.forward_batch(params, feats, 3, 3)
     got = float(losses.cam_objective(trace, t, pairs, frozen, lam1, lam2).value)
 
+    def normalized(raw):
+        r = np.maximum(raw, 0.0)
+        return r / (r.max() + 1e-8)
+
     def live(i, k):
-        raw = (feats[i] @ params.mixer) @ params.head[:, k]
-        return model.normalize_cam(raw)
+        return normalized((feats[i] @ params.mixer) @ params.head[:, k])
 
     def frozen_np(i, k):
-        raw = (feats[i] @ snap.params.mixer) @ snap.params.head[:, k]
-        return model.normalize_cam(raw)
+        return normalized((feats[i] @ snap.params.mixer) @ snap.params.head[:, k])
 
     s = dc.sigmoid_values((feats.mean(axis=1) @ params.mixer) @ params.head)
     want = -np.mean(t * np.log(s) + (1 - t) * np.log(1 - s))

@@ -176,9 +176,9 @@ def test_stage2_requires_pairs_and_snapshot(tmp_path):
 
 def test_pin_pairs_scores_and_keeps_empty_split_as_nan(tmp_path):
     manifest = tiny_benchmark(tmp_path)
-    arts = train.train_stage1(manifest, tiny_cfg())
     # filler never carries the biased category 0, so (0, 2) never co-occurs
-    pinned = train.pin_pairs(arts.params, manifest, [(0, 1), (0, 2)], 0.1)
+    arts = train.train_stage1(manifest, tiny_cfg(), pinned=[(0, 1), (0, 2)])
+    pinned = arts.pairs
     assert pinned.as_tuples() == [(0, 1), (0, 2)]
     assert pinned.freq_threshold == 0.1
     feats, labels = data.load_arrays(manifest)
