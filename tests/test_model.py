@@ -118,6 +118,19 @@ def test_cam_gradients_check_out():
     assert dc.finite_diff_check(build, params, eps=1e-5) < 1e-6
 
 
+def test_normalize_cam_rows_gradient():
+    # two stacked 4-pixel maps, normalized per map as the CAM losses do
+    rng = np.random.default_rng(8)
+    base = rng.uniform(0.2, 2.0, size=(8, 1))
+    base[3, 0] = 3.0
+    base[7, 0] = 4.0  # unique block maxima
+
+    def build(lv):
+        return dc.mean_all(dc.normalize_blocks(lv["x"], 4))
+
+    assert dc.finite_diff_check(build, {"x": base}, eps=1e-5) < 1e-6
+
+
 def test_split_weights_partition_properties():
     sizes_ok = True
     for seed in range(1000):
