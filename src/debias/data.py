@@ -9,15 +9,15 @@ binary label vector. Co-occurrence skew is planted explicitly: each
 countable after the fact.
 
 Store format: 4-byte magic ``DBL1`` then raw little-endian float32 values,
-row-major. Compute happens in float64; the in-memory values are the exact
-widening of what is on disk.
+row-major. Feature maps are held in float32 as stored and widened to float64
+a batch at a time; compute happens in float64.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -162,6 +162,14 @@ def load_manifest(path) -> DatasetManifest:
         d = json.load(fh)
     m = DatasetManifest.from_dict(d, root=os.path.dirname(os.path.abspath(path)))
     _check_manifest(m)
+    if m.store is not None:
+        want = len(STORE_MAGIC) + len(m.samples) * m.h * m.w * m.d_in * F32.itemsize
+        got = os.path.getsize(m.store_path())
+        if got != want:
+            raise ValueError(
+                f"{m.store_path()}: {got} bytes, expected {want} for "
+                f"{len(m.samples)} samples of {m.h}x{m.w}x{m.d_in}"
+            )
     return m
 
 
@@ -176,15 +184,17 @@ def _check_manifest(m: DatasetManifest):
 
 
 def load_arrays(manifest: DatasetManifest):
-    """All feature maps as (N, H*W, D_in) float64 plus the (N, M) label matrix."""
+    """All feature maps as (N, H*W, D_in) float32 plus the (N, M) label matrix.
+
+    The maps stay in the store's precision; compute widens them a batch at a
+    time.
+    """
     path = manifest.store_path()
     p = manifest.h * manifest.w
-    feats = np.empty((len(manifest.samples), p, manifest.d_in), dtype=np.float64)
-    buf = np.empty((p, manifest.d_in), dtype=F32)
+    feats = np.empty((len(manifest.samples), p, manifest.d_in), dtype=F32)
     with _open_store(path) as fh:
         for i, s in enumerate(manifest.samples):
-            _read_into(fh, path, s.offset, buf)
-            feats[i] = buf
+            _read_into(fh, path, s.offset, feats[i])
     return feats, manifest.label_matrix()
 
 
@@ -221,31 +231,12 @@ class GenConfig:
     filler_pool: list | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "h": self.h,
-            "w": self.w,
-            "d_in": self.d_in,
-            "planted_pairs": [
-                {
-                    "biased": p.biased,
-                    "context": p.context,
-                    "exclusive_fraction": p.exclusive_fraction,
-                    "cooccur_count": p.cooccur_count,
-                    "exclusive_count": p.exclusive_count,
-                }
-                for p in self.planted_pairs
-            ],
-            "regions": [list(map(int, r)) for r in self.regions],
-            "signatures": [[float(v) for v in s] for s in self.signatures],
-            "noise_std": self.noise_std,
-            "seed": self.seed,
-            "n_filler": self.n_filler,
-            "filler_max_labels": self.filler_max_labels,
-            "filler_pool": None
-            if self.filler_pool is None
-            else [int(k) for k in self.filler_pool],
-        }
+        d = asdict(self)
+        d["regions"] = [list(map(int, r)) for r in self.regions]
+        d["signatures"] = [[float(v) for v in s] for s in self.signatures]
+        if self.filler_pool is not None:
+            d["filler_pool"] = [int(k) for k in self.filler_pool]
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "GenConfig":

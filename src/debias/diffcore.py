@@ -121,17 +121,30 @@ def sigmoid_values(v: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(v, -40.0, 40.0)))
 
 
-def sigmoid(a: DiffNode) -> DiffNode:
-    s = sigmoid_values(a.value)
-    return _node(s, (a,), lambda g: (g * s * (1.0 - s),))
+def bce_terms(logits: DiffNode, targets) -> DiffNode:
+    """Per-element binary cross-entropy of sigmoid(logits) against 0/1 targets.
 
+    -(t log(max(s, LOG_GUARD)) + (1 - t) log(max(1 - s, LOG_GUARD))) with
+    s = sigmoid_values(logits), so each log is flat (zero gradient) below the
+    guard. The VJP does the arithmetic of the sigmoid -> log -> mul -> add
+    chain in the order eval_backward ran it: the negation, the two guarded
+    log branches (the 1 - s branch negated), their sum, then the sigmoid
+    derivative. Changing that order changes the gradients' rounding, and
+    with it trained weights.
+    """
+    t = as_f64(targets)
+    if t.shape != logits.value.shape:
+        raise ValueError(f"bce_terms: targets {t.shape} vs logits {logits.value.shape}")
+    s = sigmoid_values(logits.value)
+    q = 1.0 - s
+    out = -(t * np.log(np.maximum(s, LOG_GUARD)) + (1.0 - t) * np.log(np.maximum(q, LOG_GUARD)))
 
-def log(a: DiffNode) -> DiffNode:
-    """log(max(v, LOG_GUARD)); flat (zero gradient) below the guard."""
-    av = a.value
-    guarded = np.maximum(av, LOG_GUARD)
-    out = np.log(guarded)
-    return _node(out, (a,), lambda g: (g * (av > LOG_GUARD) / guarded,))
+    def vjp(g):
+        g_pos = -g * t * (s > LOG_GUARD) / np.maximum(s, LOG_GUARD)
+        g_neg = -(-g * (1.0 - t) * (q > LOG_GUARD) / np.maximum(q, LOG_GUARD))
+        return ((g_neg + g_pos) * s * (1.0 - s),)
+
+    return _node(out, (logits,), vjp)
 
 
 def absval(a: DiffNode) -> DiffNode:

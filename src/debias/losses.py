@@ -17,26 +17,16 @@ from . import diffcore as dc
 from . import model as mdl
 
 
-def _check_binary(t) -> np.ndarray:
-    t = dc.as_f64(t)
-    if not ((t == 0.0) | (t == 1.0)).all():
-        raise ValueError("targets must be binary")
-    return t
-
-
 # ---------------------------------------------------------------------------
 # cross-entropy family
 
 
 def bce_elements(logits: dc.DiffNode, targets) -> dc.DiffNode:
     """Per-element BCE terms (same shape as logits), guarded logs inside."""
-    t = _check_binary(targets)
-    if t.shape != logits.value.shape:
-        raise ValueError(f"targets {t.shape} vs logits {logits.value.shape}")
-    s = dc.sigmoid(logits)
-    pos = dc.mul(dc.constant(t), dc.log(s))
-    neg = dc.mul(dc.constant(1.0 - t), dc.log(dc.sub(dc.constant(np.ones_like(t)), s)))
-    return dc.scale(dc.add(pos, neg), -1.0)
+    t = dc.as_f64(targets)
+    if not ((t == 0.0) | (t == 1.0)).all():
+        raise ValueError("targets must be binary")
+    return dc.bce_terms(logits, t)
 
 
 def bce(logits: dc.DiffNode, targets) -> dc.DiffNode:
@@ -120,10 +110,11 @@ class CamSnapshot:
             raise ValueError(f"category {category} not covered by the snapshot")
         feats = dc.as_f64(feats)
         n, p, d_in = feats.shape
-        # the same (n*P, D_in) @ (D_in, D) @ (D, 1) products as the graph's
+        # the same (n*P, D_in) @ ((D_in, D) @ (D, 1)) products as the graph's
         # cam_maps, so a grounding loss against an unchanged model is zero
         # to the bit
-        raw = (feats.reshape(n * p, d_in) @ self.params.mixer) @ self.params.head[:, [category]]
+        column = self.params.mixer @ self.params.head[:, [category]]
+        raw = feats.reshape(n * p, d_in) @ column
         return (dc.normalize_block_values(raw, p) if normalized else raw).reshape(n, p)
 
     def table(self, feats: np.ndarray, batch_size: int, normalized: bool = True) -> dict:
@@ -144,14 +135,16 @@ class CamSnapshot:
 def cam_maps(trace: mdl.ForwardTrace, sample_idx, categories, normalized=True) -> list:
     """(len(sample_idx)*P, 1) activation maps per category, in the graph.
 
-    Only the chosen samples' pixel rows meet the mixer; they enter as a
-    constant gathered in numpy.
+    Only the chosen samples' pixel rows enter, as a constant gathered in
+    numpy. Each map is X (W h_k): the mixer meets one head column first, so
+    no product is wider than that column.
     """
     sub = trace.feats[np.asarray(sample_idx, dtype=np.intp)]
-    rows = dc.matmul(dc.constant(sub.reshape(-1, sub.shape[2])), trace.mixer_node)
+    rows = dc.constant(sub.reshape(-1, sub.shape[2]))
     maps = []
     for k in categories:
-        raw = dc.matmul(rows, dc.take(trace.head_node, [int(k)], axis=1))
+        column = dc.matmul(trace.mixer_node, dc.take(trace.head_node, [int(k)], axis=1))
+        raw = dc.matmul(rows, column)
         maps.append(dc.normalize_blocks(raw, trace.pixels) if normalized else raw)
     return maps
 
@@ -218,6 +211,13 @@ class RunningMeanBuffer:
         self.width = width
         self.entries = deque(maxlen=window)
 
+    def push(self, batch_mean):
+        """Append one batch's (width,) mean; the oldest entry drops out."""
+        v = dc.as_f64(batch_mean)
+        if v.shape != (self.width,):
+            raise ValueError(f"expected vector of length {self.width}, got {v.shape}")
+        self.entries.append(v.copy())
+
     def mean(self) -> np.ndarray:
         if not self.entries:
             return np.zeros(self.width)
@@ -225,14 +225,6 @@ class RunningMeanBuffer:
 
     def snapshot(self) -> list:
         return [e.copy() for e in self.entries]
-
-
-def update_running_mean(buffer: RunningMeanBuffer, batch_mean) -> RunningMeanBuffer:
-    v = dc.as_f64(batch_mean)
-    if v.shape != (buffer.width,):
-        raise ValueError(f"expected vector of length {buffer.width}, got {v.shape}")
-    buffer.entries.append(v.copy())
-    return buffer
 
 
 def suppressed_logits(params: mdl.ModelParams, trace: mdl.ForwardTrace, excl_mask, buffer: RunningMeanBuffer) -> dc.DiffNode:
@@ -246,17 +238,19 @@ def suppressed_logits(params: mdl.ModelParams, trace: mdl.ForwardTrace, excl_mas
     mask = np.asarray(excl_mask, dtype=bool)
     if mask.shape != (trace.n,):
         raise ValueError("mask length must match batch size")
+    own_feats = dc.take(trace.pooled, params.own_rows, axis=1)
+    ctx_feats = dc.take(trace.pooled, params.context_rows, axis=1)
     head_own = dc.take(trace.head_node, params.own_rows, axis=0)
     head_ctx = dc.take(trace.head_node, params.context_rows, axis=0)
     idx_plain = np.flatnonzero(~mask)
     idx_excl = np.flatnonzero(mask)
     parts = []
     if idx_plain.size:
-        own = dc.take(trace.pooled_own, idx_plain, axis=0)
-        ctx = dc.take(trace.pooled_ctx, idx_plain, axis=0)
+        own = dc.take(own_feats, idx_plain, axis=0)
+        ctx = dc.take(ctx_feats, idx_plain, axis=0)
         parts.append(dc.add(dc.matmul(own, head_own), dc.matmul(ctx, head_ctx)))
     if idx_excl.size:
-        own = dc.take(trace.pooled_own, idx_excl, axis=0)
+        own = dc.take(own_feats, idx_excl, axis=0)
         ctx_const = dc.constant(buffer.mean().reshape(1, -1))
         ctx_row = dc.matmul(ctx_const, dc.stop_gradient(head_ctx))  # (1, M)
         spread = dc.matmul(dc.constant(np.ones((idx_excl.size, 1))), ctx_row)

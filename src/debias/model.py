@@ -84,8 +84,6 @@ class ForwardTrace:
     head_node: dc.DiffNode  # leaf
     feats: np.ndarray  # (n, P, D_in) pixel rows, constant
     pooled: dc.DiffNode  # (n, D)
-    pooled_own: dc.DiffNode  # (n, D/2)
-    pooled_ctx: dc.DiffNode  # (n, D/2)
     logits: dc.DiffNode  # (n, M)
 
     @property
@@ -118,15 +116,13 @@ def forward_batch(
         head_node=head_node,
         feats=feats,
         pooled=pooled,
-        pooled_own=dc.take(pooled, params.own_rows, axis=1),
-        pooled_ctx=dc.take(pooled, params.context_rows, axis=1),
         logits=dc.matmul(pooled, head_node),
     )
 
 
 def logit_values(params: ModelParams, feats: np.ndarray) -> np.ndarray:
     """Plain-numpy logits for (n, P, D_in) features, pooled first."""
-    return (dc.as_f64(feats).mean(axis=1) @ params.mixer) @ params.head
+    return (np.mean(feats, axis=1, dtype=np.float64) @ params.mixer) @ params.head
 
 
 def predict(params: ModelParams, feats: np.ndarray) -> np.ndarray:

@@ -348,9 +348,10 @@ def train_stage2(
                 )
                 plain = ~excl_all[idx]
                 if plain.any():
-                    losses.update_running_mean(
-                        buffer, trace.pooled_ctx.value[plain].mean(axis=0)
-                    )
+                    # np.take, not fancy indexing: the mean's rounding follows
+                    # the gathered array's memory layout
+                    ctx = np.take(trace.pooled.value, params.context_rows, axis=1)
+                    buffer.push(ctx[plain].mean(axis=0))
             batch_losses.append(entry["loss"])
             step_log.append(entry)
         curve.append(float(np.mean(batch_losses)))

@@ -168,7 +168,7 @@ def test_gradients_match_finite_differences():
             trace = _leaf_trace(lv["mixer"], head_node, fm, h, w, own, ctx)
             params = mdl.ModelParams(lv["mixer"].value, head_node.value, own, ctx)
             buf = losses.RunningMeanBuffer(width=d // 2)
-            losses.update_running_mean(buf, xbar)
+            buf.push(xbar)
             logits = losses.suppressed_logits(params, trace, mask, buf)
             return losses.elementwise_weighted_bce(logits, t, weights)
         return build
@@ -236,7 +236,7 @@ def test_suppression_contract():
     assert mask.all()
 
     buf = losses.RunningMeanBuffer(width=4)
-    losses.update_running_mean(buf, rng.normal(size=4))
+    buf.push(rng.normal(size=4))
     trace = mdl.forward_batch(params, feats, 4, 4)
     logits = losses.suppressed_logits(params, trace, mask, buf)
     gmap = dc.eval_backward(losses.bce(logits, labels))

@@ -2,6 +2,7 @@ import filecmp
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -137,6 +138,27 @@ def test_train_rejects_out_of_range_pairs(ws, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: pinned pair (0, 9) outside 4 categories"]
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("edit", ["short", "long"])
+def test_train_rejects_store_of_wrong_length(ws, tmp_path, capsys, monkeypatch, edit):
+    steps = []
+    sgd_step = dc.sgd_step
+    monkeypatch.setattr(dc, "sgd_step", lambda *a: steps.append(1) or sgd_step(*a))
+    shutil.copytree(ws / "dtrain", tmp_path / "d")
+    store = tmp_path / "d" / "train.store"
+    raw = store.read_bytes()
+    size = len(raw)
+    store.write_bytes(raw[:-4] if edit == "short" else raw + raw[-4:])
+    code = cli.main([
+        "train", "--data", str(tmp_path / "d"), "--config", str(ws / "train.json"),
+        "--seed", "3", "--pairs", "0:1", "--out", str(tmp_path / "run"),
+    ])
+    assert code == 2
+    assert steps == []  # rejected before the first stage-1 step
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"expected {size}" in err[0]
 
 
 def test_report_refuses_missing_provenance(ws, tmp_path):

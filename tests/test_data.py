@@ -53,6 +53,7 @@ def test_zero_noise_single_category_is_mask_times_signature(tmp_path):
     cfg = tiny_config(noise=0.0, n_filler=0)
     m = data.generate_dataset(cfg, tmp_path)
     feats, labels = data.load_arrays(m)
+    assert feats.dtype == np.float32  # held as stored
     # exclusive sample: only category 0 present
     i = int(np.argwhere((labels[:, 0] == 1) & (labels[:, 1] == 0))[0][0])
     fmap = feats[i].reshape(4, 4, 8)

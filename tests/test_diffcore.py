@@ -11,10 +11,58 @@ def grads_of(root, *leaves):
     return [gmap[l] for l in leaves]
 
 
-def test_sigmoid_gradient_at_zero():
-    x = dc.leaf(np.zeros(()))
-    (g,) = grads_of(dc.sigmoid(x), x)
-    assert abs(g - 0.25) < 1e-15
+def test_bce_terms_gradient_at_zero():
+    # sigmoid(0) = 1/2: each term is ln 2 and its gradient is s - t
+    x = dc.leaf(np.zeros((1, 2)))
+    node = dc.bce_terms(x, np.array([[1.0, 0.0]]))
+    assert np.allclose(node.value, np.log(2.0), rtol=0, atol=1e-15)
+    (g,) = node.vjp(np.ones((1, 2)))
+    assert np.allclose(g, [[-0.5, 0.5]], rtol=0, atol=1e-15)
+
+
+def chain_reference(z, t, g):
+    """The sigmoid -> guarded log -> mul -> add chain the op fuses, in numpy.
+
+    Forward in graph order, backward in the order the reverse sweep visits
+    the chain's nodes; returns (value, cotangent of z).
+    """
+    s = 1.0 / (1.0 + np.exp(-np.clip(z, -40.0, 40.0)))
+    q = np.ones_like(t) + s * -1.0
+    log_s = np.log(np.maximum(s, dc.LOG_GUARD))
+    log_q = np.log(np.maximum(q, dc.LOG_GUARD))
+    value = (t * log_s + (1.0 - t) * log_q) * -1.0
+    g_sum = g * -1.0  # the outer scale, then add passes it to both branches
+    g_log_q = g_sum * (1.0 - t)
+    g_q = g_log_q * (q > dc.LOG_GUARD) / np.maximum(q, dc.LOG_GUARD)
+    g_s = g_q * -1.0  # the scale inside 1 - s, reached first
+    g_log_s = g_sum * t
+    g_s = g_s + g_log_s * (s > dc.LOG_GUARD) / np.maximum(s, dc.LOG_GUARD)
+    return value, g_s * s * (1.0 - s)
+
+
+def test_bce_terms_bit_equal_to_chain():
+    # both targets against logits past the +-40 clip and past the LOG_GUARD
+    # floor (sigmoid(-30) < 1e-12), in both directions
+    z = np.tile([-45.0, -30.0, -1.0, 0.0, 1.0, 30.0, 45.0], (2, 1))
+    t = np.repeat([[1.0], [0.0]], 7, axis=1)
+    g = RNG(19).normal(size=z.shape)
+    want_value, want_grad = chain_reference(z, t, g)
+    node = dc.bce_terms(dc.leaf(z), t)
+    (got_grad,) = node.vjp(g)
+    assert node.value.tobytes() == want_value.tobytes()
+    assert got_grad.tobytes() == want_grad.tobytes()
+    assert got_grad[0, 0] == 0.0 and got_grad[0, 1] == 0.0  # flat below the guard
+    assert got_grad[1, 5] == 0.0 and got_grad[1, 6] == 0.0
+    # through eval_backward, as training calls it
+    x = dc.leaf(z)
+    (g_mean,) = grads_of(dc.mean_all(dc.bce_terms(x, t)), x)
+    _, want_mean = chain_reference(z, t, np.full(z.shape, 1.0 / z.size))
+    assert g_mean.tobytes() == want_mean.tobytes()
+
+
+def test_bce_terms_rejects_mismatched_targets():
+    with pytest.raises(ValueError):
+        dc.bce_terms(dc.leaf(np.zeros((2, 3))), np.zeros((3, 2)))
 
 
 def test_linear_map_row_gradients():
@@ -59,14 +107,15 @@ def test_mean_gradient():
 
 
 def test_guarded_log_value_and_gradient():
-    v = dc.leaf(np.array([1e-20, 0.5]))
-    root = dc.mean_all(dc.log(v))
-    assert v.value[0] < dc.LOG_GUARD
-    node = dc.log(v)
-    assert node.value[0] == np.log(1e-12)
-    (g,) = grads_of(root, v)
-    assert g[0] == 0.0  # flat below the guard
-    assert abs(g[1] - 1.0) < 1e-15  # (1/2) / 0.5
+    # sigmoid(-40) < LOG_GUARD: a positive target reads -log(LOG_GUARD) and
+    # gets no gradient; at z = 0 the gradient is (1/2 - 1) / 2 = -1/4
+    v = dc.leaf(np.array([[-40.0, 0.0]]))
+    node = dc.bce_terms(v, np.ones((1, 2)))
+    assert dc.sigmoid_values(v.value)[0, 0] < dc.LOG_GUARD
+    assert node.value[0, 0] == -np.log(1e-12)
+    (g,) = grads_of(dc.mean_all(node), v)
+    assert g[0, 0] == 0.0  # flat below the guard
+    assert abs(g[0, 1] + 0.25) < 1e-15
 
 
 def test_relu_subgradient_zero_at_kink():
@@ -245,13 +294,34 @@ def test_finite_diff_dense_chain():
         "w": rng.uniform(-2.0, 2.0, size=(2, 1)),
     }
 
+    targets = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+
     def build(lv):
-        h = dc.sigmoid(dc.matmul(lv["a"], lv["b"]))
+        h = dc.bce_terms(dc.matmul(lv["a"], lv["b"]), targets)
         y = dc.matmul(h, lv["w"])
-        z = dc.log(dc.add(dc.absval(y), dc.constant(np.full((3, 1), 0.5))))
-        return dc.mean_all(z)
+        return dc.mean_all(dc.absval(y))
 
     assert dc.finite_diff_check(build, params, eps=1e-5) < 1e-6
+
+
+def test_finite_diff_bce_terms():
+    # one logit at a time, both targets. Past |z| = 10 the loss value keeps
+    # too few digits for central differences (1 - s cancels for large z, and
+    # a loss near 0 carries ~1e-16 of absolute error), so the gradient over
+    # the whole of |z| < 25 is checked against the closed form s - t instead
+    grid = np.linspace(-24.5, 24.5, 50)
+    for t in (0.0, 1.0):
+        for z in grid[np.abs(grid) <= 10.0]:
+
+            def build(lv):
+                return dc.mean_all(dc.bce_terms(lv["z"], np.full((1, 1), t)))
+
+            assert dc.finite_diff_check(build, {"z": np.full((1, 1), z)}, eps=1e-5) < 1e-6
+    z = np.tile(grid, (2, 1))
+    targets = np.repeat([[1.0], [0.0]], grid.size, axis=1)
+    (g,) = dc.bce_terms(dc.leaf(z), targets).vjp(np.ones_like(z))
+    closed = 1.0 / (1.0 + np.exp(-z)) - targets
+    assert np.max(np.abs(g - closed) / np.abs(closed)) < 1e-12
 
 
 def test_finite_diff_pooling_ops():

@@ -436,8 +436,8 @@ def test_grounding_is_exactly_zero_against_own_snapshot():
 def test_running_mean_window_arithmetic():
     buf = losses.RunningMeanBuffer(width=1, window=10)
     for v in range(1, 11):
-        losses.update_running_mean(buf, np.array([float(v)]))
-    losses.update_running_mean(buf, np.array([11.0]))
+        buf.push(np.array([float(v)]))
+    buf.push(np.array([11.0]))
     assert buf.mean()[0] == pytest.approx(6.5)  # mean of 2..11
 
 
@@ -445,14 +445,14 @@ def test_running_mean_single_and_empty():
     buf = losses.RunningMeanBuffer(width=3)
     assert np.array_equal(buf.mean(), np.zeros(3))
     v = np.array([1.0, 2.0, 3.0])
-    losses.update_running_mean(buf, v)
+    buf.push(v)
     assert np.array_equal(buf.mean(), v)
 
 
 def test_running_mean_rejects_bad_length():
     buf = losses.RunningMeanBuffer(width=2)
     with pytest.raises(ValueError):
-        losses.update_running_mean(buf, np.ones(3))
+        buf.push(np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +464,7 @@ def test_suppressed_zero_buffer_keeps_own_half_only():
     trace, _ = one_sample_trace(params, seed=19)
     buf = losses.RunningMeanBuffer(width=params.d // 2)
     logits = losses.suppressed_logits(params, trace, [True], buf)
-    own_only = trace.pooled_own.value @ params.head[params.own_rows]
+    own_only = trace.pooled.value[:, params.own_rows] @ params.head[params.own_rows]
     assert np.allclose(logits.value, own_only, atol=1e-15)
 
 
@@ -472,7 +472,7 @@ def test_suppressed_nonexclusive_matches_plain_forward():
     params = make_params(seed=20)
     trace, _ = one_sample_trace(params, seed=21)
     buf = losses.RunningMeanBuffer(width=params.d // 2)
-    losses.update_running_mean(buf, np.full(params.d // 2, 9.9))  # must be ignored
+    buf.push(np.full(params.d // 2, 9.9))  # must be ignored
     logits = losses.suppressed_logits(params, trace, [False], buf)
     assert np.max(np.abs(logits.value - trace.logits.value)) < 1e-12
 
@@ -483,7 +483,7 @@ def test_suppressed_gradients_vanish_for_context_half():
     feats = rng.normal(size=(3, 4, params.d_in))  # batch of 3, all exclusive
     trace = model.forward_batch(params, feats, 2, 2)
     buf = losses.RunningMeanBuffer(width=params.d // 2)
-    losses.update_running_mean(buf, rng.normal(size=params.d // 2))
+    buf.push(rng.normal(size=params.d // 2))
     t = (rng.random((3, params.m)) < 0.5).astype(float)
     logits = losses.suppressed_logits(params, trace, np.ones(3, bool), buf)
     gmap = dc.eval_backward(losses.bce(logits, t))
@@ -542,7 +542,7 @@ def test_suppressed_path_gradient_checks_out():
         params = model.ModelParams(lv["mixer"].value, lv["head"].value, own, ctx)
         trace = leaf_trace(lv, fm, own, ctx)
         buf = losses.RunningMeanBuffer(width=2)
-        losses.update_running_mean(buf, xbar)
+        buf.push(xbar)
         logits = losses.suppressed_logits(params, trace, np.ones(1, bool), buf)
         return losses.bce(logits, t)
 

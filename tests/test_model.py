@@ -39,8 +39,8 @@ def test_split_regroup_matches_full_head():
     params = small_params(seed=3)
     fm = rng.normal(size=(4, 4, params.d_in))
     trace = forward_one(params, fm)
-    own = trace.pooled_own.value @ params.head[params.own_rows]
-    ctx = trace.pooled_ctx.value @ params.head[params.context_rows]
+    own = trace.pooled.value[:, params.own_rows] @ params.head[params.own_rows]
+    ctx = trace.pooled.value[:, params.context_rows] @ params.head[params.context_rows]
     assert np.max(np.abs(own + ctx - trace.logits.value)) < 1e-12
 
 
@@ -49,8 +49,8 @@ def test_split_reconstructs_pooled_vector():
     fm = np.random.default_rng(3).normal(size=(2, 2, params.d_in))
     trace = forward_one(params, fm)
     rebuilt = np.empty(params.d)
-    rebuilt[params.own_rows] = trace.pooled_own.value[0]
-    rebuilt[params.context_rows] = trace.pooled_ctx.value[0]
+    rebuilt[params.own_rows] = trace.pooled.value[0, params.own_rows]
+    rebuilt[params.context_rows] = trace.pooled.value[0, params.context_rows]
     assert np.array_equal(rebuilt, trace.pooled.value[0])
 
 
@@ -186,6 +186,20 @@ def test_predict_matches_logit_sigmoid():
     trace = model.forward_batch(params, feats, 3, 3)
     assert np.allclose(probs, dc.sigmoid_values(trace.logits.value), atol=1e-15)
     assert probs.shape == (5, params.m)
+
+
+def test_float32_features_match_their_widening():
+    # features are held in float32 as stored; every consumer must compute
+    # exactly what it computes on the float64 widening
+    params = small_params(seed=16, d_in=32, d=64, m=8)
+    f32 = np.random.default_rng(12).normal(size=(300, 64, 32)).astype(np.float32)
+    f64 = f32.astype(np.float64)
+    assert model.logit_values(params, f32).tobytes() == model.logit_values(params, f64).tobytes()
+    assert model.predict(params, f32).tobytes() == model.predict(params, f64).tobytes()
+    t32, t64 = (model.forward_batch(params, f, 8, 8) for f in (f32, f64))
+    assert t32.logits.value.tobytes() == t64.logits.value.tobytes()
+    snap = losses.CamSnapshot(params, [(0, 1)])
+    assert snap.rows(f32[:5], 1).tobytes() == snap.rows(f64[:5], 1).tobytes()
 
 
 def test_pool_first_matches_per_pixel_reference():
