@@ -425,18 +425,7 @@ def cmd_report(args):
         rep_path = os.path.join(in_dir, "report.json")
         if not os.path.exists(rep_path):
             raise ValueError(f"{in_dir} has no report.json")
-        d = _load_json(rep_path)
-        rep = ev.EvalReport(
-            method=d["method"],
-            seed=d.get("seed"),
-            config_hash=d.get("config_hash", ""),
-            k=d.get("k", 0),
-            pair_rows=d["pairs"],
-            map_exclusive=d.get("map_exclusive"),
-            map_cooccur=d.get("map_cooccur"),
-            mean_cosine=d.get("mean_cosine"),
-            topk={int(j): v for j, v in d.get("topk_recall", {}).items()},
-        )
+        rep = ev.EvalReport.from_dict(_load_json(rep_path))
         if rep.method in reports:
             raise ValueError(f"two inputs report method {rep.method!r}")
         reports[rep.method] = rep

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -240,30 +240,34 @@ class GenConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GenConfig":
-        pairs = [
-            PlantedPair(
-                p["biased"],
-                p["context"],
-                p["exclusive_fraction"],
-                p["cooccur_count"],
-                p["exclusive_count"],
-            )
-            for p in d["planted_pairs"]
+        """Inverse of to_dict; unknown, missing or mistyped keys raise ValueError."""
+        kwargs = _checked_fields(cls, d, "gen config")
+        kwargs["planted_pairs"] = [
+            PlantedPair(**_checked_fields(PlantedPair, p, "planted pair"))
+            for p in kwargs["planted_pairs"]
         ]
-        return cls(
-            m=d["m"],
-            h=d["h"],
-            w=d["w"],
-            d_in=d["d_in"],
-            planted_pairs=pairs,
-            regions=[tuple(r) for r in d["regions"]],
-            signatures=d["signatures"],
-            noise_std=d["noise_std"],
-            seed=d["seed"],
-            n_filler=d.get("n_filler", 0),
-            filler_max_labels=d.get("filler_max_labels", 3),
-            filler_pool=d.get("filler_pool"),
-        )
+        kwargs["regions"] = [tuple(r) for r in kwargs["regions"]]
+        return cls(**kwargs)
+
+
+# JSON types accepted for each annotated config field type
+_JSON_TYPES = {"int": int, "float": (int, float), "list": list, "list | None": (list, type(None))}
+
+
+def _checked_fields(cls, d, what) -> dict:
+    """`d` as keyword arguments of dataclass `cls`, each key known, present and typed."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(d) - set(known))
+    missing = [k for k, f in known.items() if f.default is MISSING and k not in d]
+    for label, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise ValueError(f"{what}: {label} keys {keys}")
+    for k, v in d.items():
+        if isinstance(v, bool) or not isinstance(v, _JSON_TYPES[known[k].type]):
+            raise ValueError(f"{what}: {k} must be {known[k].type}, not {type(v).__name__}")
+    return dict(d)
 
 
 def _check_config(cfg: GenConfig):

@@ -196,30 +196,6 @@ def normalize_blocks(a: DiffNode, block: int) -> DiffNode:
     return _node(out, (a,), vjp)
 
 
-def take(a: DiffNode, indices, axis: int = 0) -> DiffNode:
-    """Gather rows (axis 0) or columns (axis 1); covers row slicing."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ValueError("take: indices must be 1-d")
-    if axis not in (0, 1) or axis >= a.value.ndim:
-        raise ValueError(f"take: bad axis {axis} for shape {a.value.shape}")
-    if idx.size and not (0 <= idx.min() and idx.max() < a.value.shape[axis]):
-        raise ValueError(f"take: index out of range for axis {axis} of {a.value.shape}")
-    av = a.value
-    out = np.take(av, idx, axis=axis)
-
-    def vjp(g):
-        full = np.zeros_like(av)
-        target, gt = (full, g) if axis == 0 else (full.T, g.T)
-        if np.unique(idx).size == idx.size:
-            target[idx] = gt
-        else:
-            np.add.at(target, idx, gt)  # duplicates accumulate
-        return (full,)
-
-    return _node(out, (a,), vjp)
-
-
 def concat(nodes, axis: int = 0) -> DiffNode:
     nodes = list(nodes)
     if not nodes:
@@ -235,15 +211,6 @@ def concat(nodes, axis: int = 0) -> DiffNode:
     return _node(out, tuple(nodes), vjp)
 
 
-def stop_gradient(a: DiffNode) -> DiffNode:
-    """Identity on values, barrier for gradients.
-
-    The parent link is kept so nodes behind the barrier still show up in the
-    gradient map, with all-zero gradients.
-    """
-    return DiffNode(a.value, parents=(a,), vjp=lambda g: (None,), requires=False)
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 
@@ -252,8 +219,8 @@ def eval_backward(root: DiffNode) -> dict:
     """Reverse-mode sweep from a scalar root.
 
     Returns {leaf DiffNode: gradient array} for every gradient-tracked leaf
-    reachable from the root, including leaves cut off by stop_gradient (those
-    get zeros). Gradients of interior nodes are dropped once propagated.
+    reachable from the root. Gradients of interior nodes are dropped once
+    propagated.
     """
     if root.value.ndim != 0:
         raise ValueError(f"backward root must be scalar, got shape {root.value.shape}")
@@ -272,26 +239,20 @@ def eval_backward(root: DiffNode) -> dict:
     # parents always precede children in creation order
     reachable.sort(key=lambda n: n.idx, reverse=True)
 
+    # an op node requires grad iff some parent does, so every node that
+    # requires it is reached through nodes that do and receives a gradient
     grads: dict[int, np.ndarray] = {id(root): np.ones(())}
     for node in reachable:
-        # an op node requires grad iff some parent does; leaves keep theirs
         if node.vjp is None or not node.requires:
             continue
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+        g = grads.pop(id(node))
         for parent, pg in zip(node.parents, node.vjp(g)):
-            if pg is None or not parent.requires:
+            if not parent.requires:  # matmul's VJP gives None for these
                 continue
             prev = grads.get(id(parent))
             grads[id(parent)] = pg if prev is None else prev + pg
 
-    out = {}
-    for node in reachable:
-        if node.requires and not node.parents:
-            g = grads.get(id(node))
-            out[node] = np.zeros_like(node.value) if g is None else g
-    return out
+    return {node: grads[id(node)] for node in reachable if node.requires and not node.parents}
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +264,9 @@ def finite_diff_check(build, params: dict, eps: float = 1e-5, wrt=None) -> float
 
     `build` maps {name: DiffNode} to a scalar DiffNode and must be
     deterministic. `params` holds the base point as float64 arrays. `wrt`
-    restricts the check to a subset of names (useful when some parameter is
-    deliberately behind a stop_gradient and its analytic gradient is zero by
-    design rather than by calculus).
+    restricts the check to a subset of names (useful when some parameter
+    also enters through a constant copy of its value, so part of its
+    gradient is dropped by design rather than by calculus).
     """
     if not 0.0 < eps <= 1e-3:
         raise ValueError("eps must be in (0, 1e-3]")

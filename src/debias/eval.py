@@ -144,6 +144,27 @@ class EvalReport:
             "topk_recall": {str(j): v for j, v in sorted(self.topk.items())},
         }
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "EvalReport":
+        """Inverse of to_dict; a report with other keys raises ValueError."""
+        try:
+            rep = cls(
+                method=d["method"],
+                seed=d["seed"],
+                config_hash=d["config_hash"],
+                k=d["k"],
+                pair_rows=d["pairs"],
+                map_exclusive=d["map_exclusive"],
+                map_cooccur=d["map_cooccur"],
+                mean_cosine=d["mean_cosine"],
+                topk={int(j): v for j, v in d["topk_recall"].items()},
+            )
+        except (KeyError, TypeError, AttributeError) as e:
+            raise ValueError(f"malformed report: {type(e).__name__} {e}") from None
+        if set(d) != set(rep.to_dict()):
+            raise ValueError(f"report keys {sorted(d)} are not those of a report")
+        return rep
+
 
 def adapted_scores(preds: np.ndarray, m: int, category_map=None) -> np.ndarray:
     """Scores over the original m categories.

@@ -137,13 +137,19 @@ def cam_maps(trace: mdl.ForwardTrace, sample_idx, categories, normalized=True) -
 
     Only the chosen samples' pixel rows enter, as a constant gathered in
     numpy. Each map is X (W h_k): the mixer meets one head column first, so
-    no product is wider than that column.
+    no product is wider than that column. The column is H e_k for a one-hot
+    e_k, which reads it out exactly.
     """
     sub = trace.feats[np.asarray(sample_idx, dtype=np.intp)]
     rows = dc.constant(sub.reshape(-1, sub.shape[2]))
+    m = trace.head_node.shape[1]
     maps = []
     for k in categories:
-        column = dc.matmul(trace.mixer_node, dc.take(trace.head_node, [int(k)], axis=1))
+        if not 0 <= k < m:
+            raise ValueError(f"category {k} out of range for {m} categories")
+        pick = np.zeros((m, 1))
+        pick[k] = 1.0
+        column = dc.matmul(trace.mixer_node, dc.matmul(trace.head_node, dc.constant(pick)))
         raw = dc.matmul(rows, column)
         maps.append(dc.normalize_blocks(raw, trace.pixels) if normalized else raw)
     return maps
@@ -228,36 +234,21 @@ class RunningMeanBuffer:
 
 
 def suppressed_logits(params: mdl.ModelParams, trace: mdl.ForwardTrace, excl_mask, buffer: RunningMeanBuffer) -> dc.DiffNode:
-    """Split-head forward for a batch.
+    """Split-head forward for a batch, as one masked product.
 
     Non-exclusive samples use both halves with gradients everywhere.
-    Exclusive samples keep the own half but get the running-mean context
-    vector through a gradient-stopped copy of the context head rows, so
-    nothing upstream of the context path learns from them.
+    Exclusive samples have their context features masked to zero; the
+    running-mean context vector takes their place through a constant copy
+    of the head, so nothing upstream of the context path learns from them.
     """
     mask = np.asarray(excl_mask, dtype=bool)
     if mask.shape != (trace.n,):
         raise ValueError("mask length must match batch size")
-    own_feats = dc.take(trace.pooled, params.own_rows, axis=1)
-    ctx_feats = dc.take(trace.pooled, params.context_rows, axis=1)
-    head_own = dc.take(trace.head_node, params.own_rows, axis=0)
-    head_ctx = dc.take(trace.head_node, params.context_rows, axis=0)
-    idx_plain = np.flatnonzero(~mask)
-    idx_excl = np.flatnonzero(mask)
-    parts = []
-    if idx_plain.size:
-        own = dc.take(own_feats, idx_plain, axis=0)
-        ctx = dc.take(ctx_feats, idx_plain, axis=0)
-        parts.append(dc.add(dc.matmul(own, head_own), dc.matmul(ctx, head_ctx)))
-    if idx_excl.size:
-        own = dc.take(own_feats, idx_excl, axis=0)
-        ctx_const = dc.constant(buffer.mean().reshape(1, -1))
-        ctx_row = dc.matmul(ctx_const, dc.stop_gradient(head_ctx))  # (1, M)
-        spread = dc.matmul(dc.constant(np.ones((idx_excl.size, 1))), ctx_row)
-        parts.append(dc.add(dc.matmul(own, head_own), spread))
-    out = parts[0] if len(parts) == 1 else dc.concat(parts, axis=0)
-    order = np.concatenate([idx_plain, idx_excl])
-    if np.array_equal(order, np.arange(trace.n)):
-        return out
-    return dc.take(out, np.argsort(order), axis=0)
-
+    cut = np.ix_(mask, params.context_rows)
+    keep = np.ones(trace.pooled.shape)
+    keep[cut] = 0.0
+    fill = np.zeros(trace.pooled.shape)
+    fill[cut] = buffer.mean()
+    live = dc.matmul(dc.mul(trace.pooled, dc.constant(keep)), trace.head_node)
+    frozen = dc.matmul(dc.constant(fill), dc.constant(trace.head_node.value))
+    return dc.add(live, frozen)

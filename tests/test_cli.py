@@ -66,6 +66,30 @@ def test_gen_seed_flag_overrides_config(ws, tmp_path):
     assert json.loads((out / "provenance.json").read_text())["seed"] == 11
 
 
+def _rename_pair_key(d):
+    pair = d["planted_pairs"][0]
+    pair["cooccur"] = pair.pop("cooccur_count")
+
+
+@pytest.mark.parametrize("edit, named", [
+    # a misspelled optional key must not fall back to the default silently
+    (lambda d: d.update(n_filer=d.pop("n_filler")), "n_filer"),
+    (lambda d: d.pop("noise_std"), "noise_std"),
+    (_rename_pair_key, "cooccur"),
+    (lambda d: d.update(m="4"), "m must be int"),
+], ids=["unknown", "missing", "pair_unknown", "mistyped"])
+def test_gen_rejects_bad_config_keys(tmp_path, capsys, edit, named):
+    doc = small_gen_dict()
+    edit(doc)
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps(doc))
+    code = cli.main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not (tmp_path / "d").exists()
+
+
 def test_train_eval_report_pipeline(ws, tmp_path):
     run = tmp_path / "run"
     assert cli.main([

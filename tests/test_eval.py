@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -245,7 +246,13 @@ def test_evaluate_report(tmp_path):
 
     out = tmp_path / "report.json"
     ev.save_report(rep, out)
-    assert out.exists()
+    back = ev.EvalReport.from_dict(json.loads(out.read_text()))
+    assert back == rep
+    assert back.to_dict() == rep.to_dict()
+    with pytest.raises(ValueError):
+        ev.EvalReport.from_dict({**rep.to_dict(), "extra": 1})
+    with pytest.raises(ValueError):
+        ev.EvalReport.from_dict({k: v for k, v in rep.to_dict().items() if k != "k"})
 
 
 def test_comparison_csv(tmp_path):

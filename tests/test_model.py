@@ -90,6 +90,8 @@ def test_cam_rejects_bad_category():
     trace = forward_one(params, fm)
     with pytest.raises(ValueError):
         raw_cams(trace, [params.m])
+    with pytest.raises(ValueError):  # a one-hot pick would wrap to the last
+        raw_cams(trace, [-1])
 
 
 def test_cam_pools_back_to_logit():
