@@ -210,8 +210,8 @@ def overlap_on_cooccur(params, manifest, pairs) -> float:
         rows = np.flatnonzero((labels[:, b] == 1) & (labels[:, c] == 1))
         if rows.size == 0:
             continue
-        trace = mdl.forward_batch(params, feats[rows], manifest.h, manifest.w)
-        maps = losses.cam_maps(trace, np.arange(rows.size), (b, c))
+        trace = mdl.forward_batch(params, mdl.pool_pixels(feats[rows]))
+        maps = losses.cam_maps(trace, feats[rows], (b, c))
         parts.append(losses.cam_overlap_terms(*maps).value.ravel())
     if not parts:
         raise ValueError("no co-occurring samples for any pair")
@@ -224,6 +224,8 @@ def overlap_on_cooccur(params, manifest, pairs) -> float:
 
 def cmd_gen(args):
     cfg_dict = _load_json(args.config)
+    if not isinstance(cfg_dict, dict):
+        raise ValueError(f"{args.config}: gen config must be a JSON object")
     seed = resolve_seed(args.seed, cfg_dict.get("seed"))
     if seed is None:
         raise ValueError("no seed: set one in the config, --seed, or DEBIAS_SEED")

@@ -9,8 +9,8 @@ binary label vector. Co-occurrence skew is planted explicitly: each
 countable after the fact.
 
 Store format: 4-byte magic ``DBL1`` then raw little-endian float32 values,
-row-major. Feature maps are held in float32 as stored and widened to float64
-a batch at a time; compute happens in float64.
+row-major. Feature maps are held in float32 as stored; compute pools or
+widens them to float64.
 """
 
 from __future__ import annotations
@@ -27,32 +27,6 @@ F32 = np.dtype("<f4")
 
 # ---------------------------------------------------------------------------
 # tensor store
-
-
-class StoreWriter:
-    """Appends float64 arrays to a store file as little-endian float32."""
-
-    def __init__(self, path):
-        self.path = path
-        self._fh = open(path, "wb")
-        self._fh.write(STORE_MAGIC)
-        self._pos = len(STORE_MAGIC)
-
-    def append(self, arr) -> int:
-        offset = self._pos
-        raw = np.ascontiguousarray(arr, dtype=F32).tobytes()
-        self._fh.write(raw)
-        self._pos += len(raw)
-        return offset
-
-    def close(self):
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 def _open_store(path):
@@ -80,8 +54,14 @@ def read_tensor(path, offset: int, shape) -> np.ndarray:
 
 
 def write_store(path, arrays) -> list:
-    with StoreWriter(path) as w:
-        return [w.append(a) for a in arrays]
+    """Write `arrays` as one store; returns each array's byte offset."""
+    offsets = []
+    with open(path, "wb") as fh:
+        fh.write(STORE_MAGIC)
+        for a in arrays:
+            offsets.append(fh.tell())
+            fh.write(np.ascontiguousarray(a, dtype=F32).tobytes())
+    return offsets
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +166,8 @@ def _check_manifest(m: DatasetManifest):
 def load_arrays(manifest: DatasetManifest):
     """All feature maps as (N, H*W, D_in) float32 plus the (N, M) label matrix.
 
-    The maps stay in the store's precision; compute widens them a batch at a
-    time.
+    The maps stay in the store's precision; training pools them once per
+    stage (model.pool_pixels).
     """
     path = manifest.store_path()
     p = manifest.h * manifest.w
@@ -246,6 +226,13 @@ class GenConfig:
             PlantedPair(**_checked_fields(PlantedPair, p, "planted pair"))
             for p in kwargs["planted_pairs"]
         ]
+        for k, (r, sig) in enumerate(zip(kwargs["regions"], kwargs["signatures"])):
+            if not (isinstance(r, list) and len(r) == 4 and all(type(v) is int for v in r)):
+                raise ValueError(f"gen config: region {k} must be a list of 4 integers")
+            if not (isinstance(sig, list) and all(type(v) in (int, float) for v in sig)):
+                raise ValueError(f"gen config: signature {k} must be a list of numbers")
+        if not all(type(k) is int for k in kwargs.get("filler_pool") or ()):
+            raise ValueError("gen config: filler_pool must list integers")
         kwargs["regions"] = [tuple(r) for r in kwargs["regions"]]
         return cls(**kwargs)
 
@@ -377,7 +364,8 @@ def generate_dataset(cfg: GenConfig, out_dir, split_tag="train") -> DatasetManif
     sigs = np.array(cfg.signatures, dtype=np.float64)
     store_name = f"{split_tag}.store"
     samples = []
-    with StoreWriter(os.path.join(out_dir, store_name)) as store:
+    with open(os.path.join(out_dir, store_name), "wb") as store:
+        store.write(STORE_MAGIC)
         for i, present in enumerate(label_sets):
             fmap = np.zeros((cfg.h, cfg.w, cfg.d_in), dtype=np.float64)
             for k in sorted(present):
@@ -385,9 +373,9 @@ def generate_dataset(cfg: GenConfig, out_dir, split_tag="train") -> DatasetManif
                 fmap[r0:r1, c0:c1, :] += sigs[k]
             if cfg.noise_std > 0:
                 fmap += rng.normal(0.0, cfg.noise_std, size=fmap.shape)
-            offset = store.append(fmap)
             labels = [1 if k in present else 0 for k in range(cfg.m)]
-            samples.append(SampleRef(f"s{i:06d}", offset, labels))
+            samples.append(SampleRef(f"s{i:06d}", store.tell(), labels))
+            store.write(fmap.astype(F32).tobytes())
 
     manifest = DatasetManifest(
         categories=[f"cat{k}" for k in range(cfg.m)],

@@ -132,15 +132,15 @@ class CamSnapshot:
         }
 
 
-def cam_maps(trace: mdl.ForwardTrace, sample_idx, categories, normalized=True) -> list:
-    """(len(sample_idx)*P, 1) activation maps per category, in the graph.
+def cam_maps(trace: mdl.ForwardTrace, pixel_rows, categories, normalized=True) -> list:
+    """(k*P, 1) activation maps per category of (k, P, D_in) pixel rows, in the graph.
 
-    Only the chosen samples' pixel rows enter, as a constant gathered in
-    numpy. Each map is X (W h_k): the mixer meets one head column first, so
-    no product is wider than that column. The column is H e_k for a one-hot
-    e_k, which reads it out exactly.
+    The caller gathers only the samples whose maps it needs; their rows enter
+    as a constant. Each map is X (W h_k): the mixer meets one head column
+    first, so no product is wider than that column. The column is H e_k for
+    a one-hot e_k, which reads it out exactly.
     """
-    sub = trace.feats[np.asarray(sample_idx, dtype=np.intp)]
+    sub = dc.as_f64(pixel_rows)
     rows = dc.constant(sub.reshape(-1, sub.shape[2]))
     m = trace.head_node.shape[1]
     maps = []
@@ -151,7 +151,7 @@ def cam_maps(trace: mdl.ForwardTrace, sample_idx, categories, normalized=True) -
         pick[k] = 1.0
         column = dc.matmul(trace.mixer_node, dc.matmul(trace.head_node, dc.constant(pick)))
         raw = dc.matmul(rows, column)
-        maps.append(dc.normalize_blocks(raw, trace.pixels) if normalized else raw)
+        maps.append(dc.normalize_blocks(raw, sub.shape[1]) if normalized else raw)
     return maps
 
 
@@ -169,14 +169,17 @@ def cam_ground_terms(map_b, map_c, frozen_b, frozen_c) -> dc.DiffNode:
     )
 
 
-def cam_objective(trace, targets, pairs, frozen, lambda1, lambda2, normalized=True) -> dc.DiffNode:
+def cam_objective(
+    trace, pixel_rows, targets, pairs, frozen, lambda1, lambda2, normalized=True
+) -> dc.DiffNode:
     """BCE + lambda1 * mean overlap + lambda2 * mean grounding, for a batch.
 
-    The CAM terms cover, per pair, the samples labeled with both categories;
-    each pair's live maps are built once and feed both terms. `frozen` maps
-    each tracked category to the snapshot's (n, P) maps of the batch (see
-    CamSnapshot.table); it may be None when lambda2 is 0. Plain BCE when no
-    sample co-occurs or both weights are 0.
+    `pixel_rows` are the batch's (n, P, D_in) maps. The CAM terms cover, per
+    pair, the samples labeled with both categories; each pair's live maps are
+    built once and feed both terms. `frozen` maps each tracked category to
+    the snapshot's (n, P) maps of the batch (see CamSnapshot.table); it may
+    be None when lambda2 is 0. Plain BCE when no sample co-occurs or both
+    weights are 0.
     """
     if lambda1 < 0 or lambda2 < 0:
         raise ValueError("loss weights must be nonnegative")
@@ -191,7 +194,7 @@ def cam_objective(trace, targets, pairs, frozen, lambda1, lambda2, normalized=Tr
         local = np.flatnonzero((t[:, b] == 1) & (t[:, c] == 1))
         if local.size == 0:
             continue
-        map_b, map_c = cam_maps(trace, local, (b, c), normalized)
+        map_b, map_c = cam_maps(trace, pixel_rows[local], (b, c), normalized)
         if lambda1 > 0:
             overlap_parts.append(cam_overlap_terms(map_b, map_c))
         if lambda2 > 0:

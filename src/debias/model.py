@@ -6,13 +6,14 @@ every spatial position), global average pooling, and a bias-free linear head
 "context" half; the context half is the part selective suppression freezes
 during stage-2 training.
 
-A batch of n feature maps is an (n, P, D_in) array with P = H*W pixel rows
-per sample. Pooling is linear, so the logits pool the pixel rows before the
-mixer; per-pixel rows are formed only where an activation map is needed.
+A feature map is a (P, D_in) block of pixel rows, P = H*W. Pooling is linear,
+so training pools each set once and forwards (n, D_in) pooled rows; pixel
+rows meet the weights only where an activation map is needed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -77,44 +78,39 @@ def init_params(d_in: int, d: int, m: int, seed) -> ModelParams:
 class ForwardTrace:
     """Graph handles for one batched forward pass."""
 
-    h: int
-    w: int
     n: int
     mixer_node: dc.DiffNode  # leaf
     head_node: dc.DiffNode  # leaf
-    feats: np.ndarray  # (n, P, D_in) pixel rows, constant
     pooled: dc.DiffNode  # (n, D)
     logits: dc.DiffNode  # (n, M)
 
-    @property
-    def pixels(self):
-        return self.h * self.w
+
+def pool_pixels(feats: np.ndarray) -> np.ndarray:
+    """(N, D_in) float64 mean of each sample's (P, D_in) pixel rows."""
+    return np.mean(feats, axis=1, dtype=np.float64)
 
 
 def forward_batch(
-    params: ModelParams, feats: np.ndarray, h: int, w: int, mixer_node=None, head_node=None
+    params: ModelParams, pooled_rows: np.ndarray, mixer_node=None, head_node=None
 ) -> ForwardTrace:
-    """Forward a batch of (n, P, D_in) pixel rows, P = h*w.
+    """Forward a batch of (n, D_in) pooled rows (see pool_pixels).
 
-    Pooling comes first: GAP(X W) = GAP(X) W, so only the pooled (n, D_in)
-    rows meet the mixer. `mixer_node`/`head_node` reuse existing leaves (for
-    gradient checks); by default fresh leaves are made from `params`.
+    GAP(X W) = GAP(X) W, so the pooled rows meet the mixer directly.
+    `mixer_node`/`head_node` reuse existing leaves (training steps, gradient
+    checks); by default fresh leaves are made from `params`.
     """
-    feats = dc.as_f64(feats)
-    if feats.ndim != 3 or feats.shape[1:] != (h * w, params.d_in):
-        raise ValueError(f"bad feature shape {feats.shape} for {h * w} pixels x {params.d_in}")
+    pooled_rows = dc.as_f64(pooled_rows)
+    if pooled_rows.ndim != 2 or pooled_rows.shape[1] != params.d_in:
+        raise ValueError(f"bad pooled shape {pooled_rows.shape} for {params.d_in} channels")
     if mixer_node is None:
         mixer_node = dc.leaf(params.mixer)
     if head_node is None:
         head_node = dc.leaf(params.head)
-    pooled = dc.matmul(dc.constant(feats.mean(axis=1)), mixer_node)
+    pooled = dc.matmul(dc.constant(pooled_rows), mixer_node)
     return ForwardTrace(
-        h=h,
-        w=w,
-        n=feats.shape[0],
+        n=pooled_rows.shape[0],
         mixer_node=mixer_node,
         head_node=head_node,
-        feats=feats,
         pooled=pooled,
         logits=dc.matmul(pooled, head_node),
     )
@@ -122,7 +118,7 @@ def forward_batch(
 
 def logit_values(params: ModelParams, feats: np.ndarray) -> np.ndarray:
     """Plain-numpy logits for (n, P, D_in) features, pooled first."""
-    return (np.mean(feats, axis=1, dtype=np.float64) @ params.mixer) @ params.head
+    return (pool_pixels(feats) @ params.mixer) @ params.head
 
 
 def predict(params: ModelParams, feats: np.ndarray) -> np.ndarray:
@@ -132,9 +128,11 @@ def predict(params: ModelParams, feats: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # checkpoints
 
+CHECKPOINT_FORMAT = 1
+
 
 def save_checkpoint(path: str, params: ModelParams, buffer_window=None, meta=None):
-    """JSON header next to a DBL1 tensor store.
+    """JSON header (format version, store length and sha256) next to a DBL1 store.
 
     `buffer_window` is the running-mean window (list of (D/2,) vectors) so a
     feature-split run can be resumed with its context estimate intact.
@@ -144,7 +142,12 @@ def save_checkpoint(path: str, params: ModelParams, buffer_window=None, meta=Non
     store_path = os.path.join(os.path.dirname(os.path.abspath(path)), store_name)
     tensors = [params.mixer, params.head] + buffer_window
     offsets = data.write_store(store_path, tensors)
+    with open(store_path, "rb") as fh:
+        raw = fh.read()
     header = {
+        "format": CHECKPOINT_FORMAT,
+        "store_bytes": len(raw),
+        "store_sha256": hashlib.sha256(raw).hexdigest(),
         "d_in": params.d_in,
         "d": params.d,
         "m": params.m,
@@ -159,10 +162,19 @@ def save_checkpoint(path: str, params: ModelParams, buffer_window=None, meta=Non
 
 
 def load_checkpoint(path: str):
-    """Returns (params, buffer_window, meta). Values are float32-widened."""
+    """(params, buffer_window, meta), float32-widened, from a store matching its header."""
     with open(path, "r", encoding="utf-8") as fh:
         header = json.load(fh)
+    fmt = header.get("format")
+    if fmt != CHECKPOINT_FORMAT:
+        raise ValueError(f"{path}: checkpoint format {fmt!r}, expected {CHECKPOINT_FORMAT}")
     store = os.path.join(os.path.dirname(os.path.abspath(path)), header["store"])
+    with open(store, "rb") as fh:
+        raw = fh.read()
+    if len(raw) != header["store_bytes"]:
+        raise ValueError(f"{store}: {len(raw)} bytes, header says {header['store_bytes']}")
+    if hashlib.sha256(raw).hexdigest() != header["store_sha256"]:
+        raise ValueError(f"{store}: sha256 does not match the checkpoint header")
     d_in, d, m = header["d_in"], header["d"], header["m"]
     offs = header["offsets"]
     mixer = data.read_tensor(store, offs[0], (d_in, d))

@@ -90,12 +90,6 @@ class TrainArtifacts:
     seeds: dict = field(default_factory=dict)
     category_map: list | None = None  # split_biased: (biased col, solo col) pairs
 
-    def clone_params(self) -> mdl.ModelParams:
-        p = self.params
-        return mdl.ModelParams(
-            p.mixer.copy(), p.head.copy(), p.own_rows.copy(), p.context_rows.copy()
-        )
-
 
 def _derive_seeds(seed) -> dict:
     rng = np.random.default_rng(seed)
@@ -106,15 +100,14 @@ def _derive_seeds(seed) -> dict:
     return out
 
 
-def _apply_step(params, trace, gmap, lr) -> mdl.ModelParams:
+def _apply_step(mixer, head, trace, gmap, lr) -> tuple:
+    """One SGD step on the (mixer, head) arrays the step loop carries."""
     stepped = dc.sgd_step(
-        {"mixer": params.mixer, "head": params.head},
+        {"mixer": mixer, "head": head},
         {"mixer": gmap[trace.mixer_node], "head": gmap[trace.head_node]},
         lr,
     )
-    return mdl.ModelParams(
-        stepped["mixer"], stepped["head"], params.own_rows, params.context_rows
-    )
+    return stepped["mixer"], stepped["head"]
 
 
 def train_stage1(
@@ -134,6 +127,7 @@ def train_stage1(
         if not (0 <= b < m and 0 <= c < m):
             raise ValueError(f"pinned pair ({b}, {c}) outside {m} categories")
     feats, labels = data.load_arrays(manifest)
+    pooled = mdl.pool_pixels(feats)
     seeds = _derive_seeds(cfg.seed)
     params = mdl.init_params(manifest.d_in, cfg.mixer_width, m, seeds["init"])
     part80, part20 = data.split_80_20(manifest, seeds["split"])
@@ -143,19 +137,21 @@ def train_stage1(
 
     shuffle_rng = np.random.default_rng(seeds["shuffle1"])
     curve, step_log = [], []
+    mixer, head = params.mixer, params.head
     for epoch in range(cfg.stage1_epochs):
         lr = cfg.sgd_stage1.lr_at(epoch)
         order = shuffle_rng.permutation(len(rows80))
         batch_losses = []
         for start in range(0, len(order), cfg.batch_size):
             idx = rows80[order[start : start + cfg.batch_size]]
-            trace = mdl.forward_batch(params, feats[idx], manifest.h, manifest.w)
+            trace = mdl.forward_batch(params, pooled[idx], dc.leaf(mixer), dc.leaf(head))
             root = losses.bce(trace.logits, labels[idx])
             gmap = dc.eval_backward(root)
-            params = _apply_step(params, trace, gmap, lr)
+            mixer, head = _apply_step(mixer, head, trace, gmap, lr)
             batch_losses.append(float(root.value))
         curve.append(float(np.mean(batch_losses)))
         step_log.append({"stage": 1, "epoch": epoch, "lr": lr, "loss": curve[-1]})
+    params = replace(params, mixer=mixer, head=head)
 
     if pinned is None:
         pair_set = bias_mod.select_biased_pairs(
@@ -257,7 +253,7 @@ def train_stage2(
     if cfg.method != "standard" and not pair_tuples:
         raise ValueError(f"{cfg.method} needs the stage-1 biased pairs")
 
-    params = artifacts.clone_params()
+    params = artifacts.params
     work = manifest
     category_map = None
     if cfg.method in TRANSFORM_METHODS:
@@ -270,16 +266,11 @@ def train_stage2(
         extra = extra_rng.uniform(
             -1.0, 1.0, size=(params.d, len(pair_tuples))
         ) / np.sqrt(params.d)
-        params = mdl.ModelParams(
-            params.mixer,
-            np.concatenate([params.head, extra], axis=1),
-            params.own_rows,
-            params.context_rows,
-        )
+        params = replace(params, head=np.concatenate([params.head, extra], axis=1))
 
     feats, labels = data.load_arrays(work)
+    pooled = mdl.pool_pixels(feats)
     n, m = len(work.samples), len(work.categories)
-    half = params.d // 2
 
     # one (n, M) loss-weight matrix per weighted method; None trains plain BCE
     buffer = None
@@ -291,7 +282,7 @@ def train_stage2(
         snapshot = losses.CamSnapshot(artifacts.params, pair_tuples)
         frozen_all = snapshot.table(feats, cfg.batch_size, cfg.normalize_maps)
     elif cfg.method == "ours_feature_split":
-        buffer = losses.RunningMeanBuffer(width=half)
+        buffer = losses.RunningMeanBuffer(width=params.d // 2)
         alpha = losses.alpha_weights(labels, pair_tuples, cfg.alpha_min)
         weights_all = np.repeat(alpha[:, None], m, axis=1)
     elif cfg.method == "weighted_loss":
@@ -308,6 +299,8 @@ def train_stage2(
     curve = list(artifacts.loss_curve)
     step_log = list(artifacts.step_log)
 
+    # the loop carries copies of the stage-1 weights; `params` keeps the row split
+    mixer, head = params.mixer.copy(), params.head.copy()
     for epoch in range(cfg.stage2_epochs):
         lr = cfg.sgd_stage2.lr_at(epoch)
         order = shuffle_rng.permutation(n)
@@ -315,7 +308,7 @@ def train_stage2(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             t = labels[idx]
-            trace = mdl.forward_batch(params, feats[idx], work.h, work.w)
+            trace = mdl.forward_batch(params, pooled[idx], dc.leaf(mixer), dc.leaf(head))
             entry = {"stage": 2, "epoch": epoch, "lr": lr, "method": cfg.method}
 
             if cfg.method == "ours_cam":
@@ -323,7 +316,7 @@ def train_stage2(
                 if frozen_all is not None:
                     frozen = {k: v[idx] for k, v in frozen_all.items()}
                 root = losses.cam_objective(
-                    trace, t, pair_tuples, frozen, cfg.lambda1, cfg.lambda2,
+                    trace, feats[idx], t, pair_tuples, frozen, cfg.lambda1, cfg.lambda2,
                     cfg.normalize_maps,
                 )
             elif weights_all is None:  # standard, possibly on a transformed dataset
@@ -339,12 +332,12 @@ def train_stage2(
                 entry["max_weight"] = float(weights_all[idx].max())
 
             gmap = dc.eval_backward(root)
-            ctx_before = params.head[params.context_rows]
-            params = _apply_step(params, trace, gmap, lr)
+            ctx_before = head[params.context_rows]
+            mixer, head = _apply_step(mixer, head, trace, gmap, lr)
             entry["loss"] = float(root.value)
             if cfg.method == "ours_feature_split":
                 entry["ctx_rows_delta"] = float(
-                    np.linalg.norm(params.head[params.context_rows] - ctx_before)
+                    np.linalg.norm(head[params.context_rows] - ctx_before)
                 )
                 plain = ~excl_all[idx]
                 if plain.any():
@@ -357,7 +350,7 @@ def train_stage2(
         curve.append(float(np.mean(batch_losses)))
 
     return TrainArtifacts(
-        params=params,
+        params=replace(params, mixer=mixer, head=head),
         pairs=artifacts.pairs,
         buffer=buffer,
         loss_curve=curve,

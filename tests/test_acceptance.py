@@ -40,10 +40,10 @@ def verdict(name, ok, detail):
 # gradient correctness
 
 
-def _leaf_trace(mixer_node, head_node, fm, h, w, own, ctx):
+def _leaf_trace(mixer_node, head_node, fm, own, ctx):
     """model.forward_batch on existing leaves, for finite-diff builders."""
     params = mdl.ModelParams(mixer_node.value, head_node.value, own, ctx)
-    return mdl.forward_batch(params, fm, h, w, mixer_node, head_node)
+    return mdl.forward_batch(params, mdl.pool_pixels(fm), mixer_node, head_node)
 
 
 def test_gradients_match_finite_differences():
@@ -63,7 +63,7 @@ def test_gradients_match_finite_differences():
     worst = {}
 
     def plain_trace(lv):
-        return _leaf_trace(lv["mixer"], lv["head"], fm, h, w, own, ctx)
+        return _leaf_trace(lv["mixer"], lv["head"], fm, own, ctx)
 
     worst["bce"] = dc.finite_diff_check(
         lambda lv: losses.bce(plain_trace(lv).logits, t), base, eps=1e-5
@@ -88,11 +88,11 @@ def test_gradients_match_finite_differences():
     }
 
     def pos_trace(lv):
-        return _leaf_trace(lv["mixer"], lv["head"], fm_pos, h, w, own, ctx)
+        return _leaf_trace(lv["mixer"], lv["head"], fm_pos, own, ctx)
 
     worst["overlap"] = dc.finite_diff_check(
         lambda lv: dc.mean_all(
-            losses.cam_overlap_terms(*losses.cam_maps(pos_trace(lv), [0, 1, 2], (0, 1)))
+            losses.cam_overlap_terms(*losses.cam_maps(pos_trace(lv), fm_pos, (0, 1)))
         ),
         pos, eps=1e-5,
     )
@@ -105,7 +105,7 @@ def test_gradients_match_finite_differences():
     worst["ground"] = dc.finite_diff_check(
         lambda lv: dc.mean_all(
             losses.cam_ground_terms(
-                *losses.cam_maps(pos_trace(lv), [0, 1, 2], (0, 1)), pre_b, pre_c
+                *losses.cam_maps(pos_trace(lv), fm_pos, (0, 1)), pre_b, pre_c
             )
         ),
         pos, eps=1e-5,
@@ -147,8 +147,8 @@ def test_gradients_match_finite_differences():
     frozen = snap.table(fm_one, 64)
 
     def build_total(lv):
-        trace = _leaf_trace(lv["mixer"], lv["head"], fm_one, h, w, own, ctx)
-        return losses.cam_objective(trace, t[:1], [(0, 1)], frozen, 0.7, 0.3)
+        trace = _leaf_trace(lv["mixer"], lv["head"], fm_one, own, ctx)
+        return losses.cam_objective(trace, fm_one, t[:1], [(0, 1)], frozen, 0.7, 0.3)
 
     worst["combined"] = dc.finite_diff_check(build_total, pos, eps=1e-5)
 
@@ -165,7 +165,7 @@ def test_gradients_match_finite_differences():
     def build_suppressed(mask):
         def build(lv):
             head_node = dc.concat([lv["head_own"], lv["head_ctx"]], axis=0)
-            trace = _leaf_trace(lv["mixer"], head_node, fm, h, w, own, ctx)
+            trace = _leaf_trace(lv["mixer"], head_node, fm, own, ctx)
             params = mdl.ModelParams(lv["mixer"].value, head_node.value, own, ctx)
             buf = losses.RunningMeanBuffer(width=d // 2)
             buf.push(xbar)
@@ -200,7 +200,7 @@ def test_split_head_identity():
     params = mdl.init_params(d_in, d, m, seed=201)
     n = 10_000
     feats = rng.uniform(-1.0, 1.0, size=(n, h * w, d_in))
-    trace = mdl.forward_batch(params, feats, h, w)
+    trace = mdl.forward_batch(params, mdl.pool_pixels(feats))
     pooled = trace.pooled.value
     split = (
         pooled[:, params.own_rows] @ params.head[params.own_rows]
@@ -237,7 +237,7 @@ def test_suppression_contract():
 
     buf = losses.RunningMeanBuffer(width=4)
     buf.push(rng.normal(size=4))
-    trace = mdl.forward_batch(params, feats, 4, 4)
+    trace = mdl.forward_batch(params, mdl.pool_pixels(feats))
     logits = losses.suppressed_logits(params, trace, mask, buf)
     gmap = dc.eval_backward(losses.bce(logits, labels))
     g_head = gmap[trace.head_node]
@@ -246,10 +246,10 @@ def test_suppression_contract():
     )
 
     before = params.head[params.context_rows].tobytes()
-    stepped = train._apply_step(params, trace, gmap, lr=0.7)
-    bits_kept = stepped.head[params.context_rows].tobytes() == before
+    _, stepped_head = train._apply_step(params.mixer, params.head, trace, gmap, lr=0.7)
+    bits_kept = stepped_head[params.context_rows].tobytes() == before
     own_moved = not np.array_equal(
-        stepped.head[params.own_rows], params.head[params.own_rows]
+        stepped_head[params.own_rows], params.head[params.own_rows]
     )
 
     # non-exclusive batch: suppressed and plain paths agree on value and grads
@@ -257,11 +257,11 @@ def test_suppression_contract():
     labels2[:, 1] = 1.0  # context alone is never exclusive
     mask2 = losses.exclusive_mask(labels2, pairs)
     assert not mask2.any()
-    trace_a = mdl.forward_batch(params, feats, 4, 4)
+    trace_a = mdl.forward_batch(params, mdl.pool_pixels(feats))
     ga = dc.eval_backward(
         losses.bce(losses.suppressed_logits(params, trace_a, mask2, buf), labels2)
     )
-    trace_b = mdl.forward_batch(params, feats, 4, 4)
+    trace_b = mdl.forward_batch(params, mdl.pool_pixels(feats))
     gb = dc.eval_backward(losses.bce(trace_b.logits, labels2))
     sup_val = losses.suppressed_logits(params, trace_a, mask2, buf).value
     agree = max(

@@ -81,6 +81,28 @@ def _rename_pair_key(d):
 def test_gen_rejects_bad_config_keys(tmp_path, capsys, edit, named):
     doc = small_gen_dict()
     edit(doc)
+    _assert_gen_rejects(tmp_path, capsys, doc, named)
+
+
+def _with_first(key, value):
+    def make(d):
+        d[key][0] = value
+        return d
+    return make
+
+
+@pytest.mark.parametrize("make, named", [
+    (_with_first("regions", "abcd"), "region 0 must be a list of 4 integers"),
+    (_with_first("regions", 3), "region 0 must be a list of 4 integers"),
+    (_with_first("signatures", 1.0), "signature 0 must be a list of numbers"),
+    (lambda d: {**d, "filler_pool": ["a"]}, "filler_pool must list integers"),
+    (lambda d: [d], "gen config must be a JSON object"),
+], ids=["region_str", "region_int", "signature_float", "filler_pool_str", "list_document"])
+def test_gen_rejects_malformed_nested_config(tmp_path, capsys, make, named):
+    _assert_gen_rejects(tmp_path, capsys, make(small_gen_dict()), named)
+
+
+def _assert_gen_rejects(tmp_path, capsys, doc, named):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps(doc))
     code = cli.main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")])
@@ -183,6 +205,48 @@ def test_train_rejects_store_of_wrong_length(ws, tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert f"expected {size}" in err[0]
+
+
+def _flip_store_byte(run):
+    store = run / "checkpoint.json.store"
+    raw = bytearray(store.read_bytes())
+    raw[len(raw) // 2] ^= 0x01
+    store.write_bytes(bytes(raw))
+
+
+def _bump_format(run):
+    ckpt = run / "checkpoint.json"
+    header = json.loads(ckpt.read_text())
+    header["format"] += 1
+    ckpt.write_text(json.dumps(header))
+
+
+def _cut_store(run):
+    store = run / "checkpoint.json.store"
+    store.write_bytes(store.read_bytes()[:-4])
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (_flip_store_byte, "sha256 does not match"),
+    (_bump_format, "checkpoint format 2, expected 1"),
+    (_cut_store, "header says"),
+], ids=["flipped_byte", "wrong_version", "short_store"])
+def test_eval_rejects_corrupt_checkpoint(ws, tmp_path, capsys, corrupt, named):
+    run = tmp_path / "run"
+    assert cli.main([
+        "train", "--data", str(ws / "dtrain"), "--config", str(ws / "train.json"),
+        "--seed", "3", "--pairs", "0:1", "--out", str(run),
+    ]) == 0
+    corrupt(run)
+    capsys.readouterr()
+    code = cli.main([
+        "eval", "--checkpoint", str(run), "--data", str(ws / "dtest"),
+        "--out", str(tmp_path / "ev"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not (tmp_path / "ev").exists()
 
 
 def test_report_refuses_missing_provenance(ws, tmp_path):

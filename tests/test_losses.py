@@ -14,8 +14,12 @@ def make_params(seed=0, d_in=4, d=6, m=4):
     return model.init_params(d_in, d, m, seed)
 
 
-def forward_one(params, fm):  # one (H, W, D_in) map as a batch of one
-    return model.forward_batch(params, fm.reshape(1, -1, fm.shape[2]), *fm.shape[:2])
+def pixel_rows(fm):  # one (H, W, D_in) map as a batch of one
+    return fm.reshape(1, -1, fm.shape[2])
+
+
+def forward_one(params, fm):
+    return model.forward_batch(params, model.pool_pixels(pixel_rows(fm)))
 
 
 def one_sample_trace(params, seed=1, h=2, w=2):
@@ -202,23 +206,22 @@ def constant_map_setup(v=1.0):
     return params, forward_one(params, fm), fm
 
 
-def mean_overlap(trace, b=0, c=1):
-    maps = losses.cam_maps(trace, np.arange(trace.n), (b, c))
+def mean_overlap(trace, fm, b=0, c=1):
+    maps = losses.cam_maps(trace, pixel_rows(fm), (b, c))
     return dc.mean_all(losses.cam_overlap_terms(*maps))
 
 
 def leaf_trace(lv, fm, own, ctx):
     """forward_batch on existing leaves, for finite-diff builders."""
     params = model.ModelParams(lv["mixer"].value, lv["head"].value, own, ctx)
-    h, w, d_in = fm.shape
     return model.forward_batch(
-        params, fm.reshape(1, h * w, d_in), h, w, lv["mixer"], lv["head"]
+        params, model.pool_pixels(pixel_rows(fm)), lv["mixer"], lv["head"]
     )
 
 
 def test_overlap_of_flat_maps_is_one():
-    _, trace, _ = constant_map_setup()
-    val = float(mean_overlap(trace).value)
+    _, trace, fm = constant_map_setup()
+    val = float(mean_overlap(trace, fm).value)
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
@@ -233,7 +236,7 @@ def test_overlap_of_disjoint_maps_is_zero():
     fm[0, :, 0] = 1.0  # category 0 lives in the top row
     fm[1, :, 1] = 1.0  # category 1 in the bottom row
     trace = forward_one(params, fm)
-    assert float(mean_overlap(trace).value) == 0.0
+    assert float(mean_overlap(trace, fm).value) == 0.0
 
 
 def test_overlap_loss_nonnegative_random():
@@ -242,7 +245,7 @@ def test_overlap_loss_nonnegative_random():
     for _ in range(10):
         fm = rng.normal(size=(3, 3, params.d_in))
         trace = forward_one(params, fm)
-        assert float(mean_overlap(trace).value) >= 0.0
+        assert float(mean_overlap(trace, fm).value) >= 0.0
 
 
 def test_overlap_gradient_checks_out():
@@ -252,7 +255,7 @@ def test_overlap_gradient_checks_out():
     ctx = np.array([2, 3])
 
     def build(lv):
-        return mean_overlap(leaf_trace(lv, fm, own, ctx))
+        return mean_overlap(leaf_trace(lv, fm, own, ctx), fm)
 
     p = {
         "mixer": rng.uniform(-1.0, 1.0, size=(3, 4)),
@@ -265,17 +268,17 @@ def test_ground_loss_zero_when_unchanged():
     params = make_params(seed=9)
     trace, fm = one_sample_trace(params, seed=10)
     snap = losses.CamSnapshot(params, [(0, 1)])
-    frozen = [snap.rows(trace.feats, k) for k in (0, 1)]
+    frozen = [snap.rows(pixel_rows(fm), k) for k in (0, 1)]
     val = dc.mean_all(
-        losses.cam_ground_terms(*losses.cam_maps(trace, [0], (0, 1)), *frozen)
+        losses.cam_ground_terms(*losses.cam_maps(trace, pixel_rows(fm), (0, 1)), *frozen)
     )
     assert float(val.value) == 0.0
 
 
 def test_ground_loss_hand_case_two():
     # live maps all zero, frozen maps all one, single pair on a 2x2 grid
-    _, trace, _ = constant_map_setup(v=0.0)
-    maps = losses.cam_maps(trace, [0], (0, 1))
+    _, trace, fm = constant_map_setup(v=0.0)
+    maps = losses.cam_maps(trace, pixel_rows(fm), (0, 1))
     val = dc.mean_all(losses.cam_ground_terms(*maps, np.ones(4), np.ones(4)))
     assert float(val.value) == pytest.approx(2.0, abs=1e-12)
 
@@ -289,7 +292,7 @@ def test_ground_gradient_checks_out_off_kinks():
     pre_c = np.full(4, -1.0)
 
     def build(lv):
-        maps = losses.cam_maps(leaf_trace(lv, fm, own, ctx), [0], (0, 1))
+        maps = losses.cam_maps(leaf_trace(lv, fm, own, ctx), pixel_rows(fm), (0, 1))
         return dc.mean_all(losses.cam_ground_terms(*maps, pre_b, pre_c))
 
     p = {
@@ -304,10 +307,10 @@ def test_total_loss_degenerates_to_bce():
     trace, fm = one_sample_trace(params, seed=13)
     t = np.array([[1.0, 0.0, 1.0, 0.0]])
     snap = losses.CamSnapshot(params, [(0, 1)])
-    frozen = snap.table(trace.feats, 64)
+    frozen = snap.table(pixel_rows(fm), 64)
     plain = losses.bce(trace.logits, t)
     for lam1, lam2 in ((0.0, 0.0), (0.1, 0.01)):  # (0, 1) does not co-occur
-        total = losses.cam_objective(trace, t, [(0, 1)], frozen, lam1, lam2)
+        total = losses.cam_objective(trace, pixel_rows(fm), t, [(0, 1)], frozen, lam1, lam2)
         assert float(total.value) == float(plain.value)
 
 
@@ -318,24 +321,26 @@ def test_total_loss_composes_components():
     snap = losses.CamSnapshot(
         model.init_params(params.d_in, params.d, params.m, 99), [(0, 1)]
     )
-    frozen = snap.table(trace.feats, 64)
-    maps = losses.cam_maps(trace, [0], (0, 1))
+    frozen = snap.table(pixel_rows(fm), 64)
+    maps = losses.cam_maps(trace, pixel_rows(fm), (0, 1))
     lo = float(dc.mean_all(losses.cam_overlap_terms(*maps)).value)
     lr = float(
         dc.mean_all(losses.cam_ground_terms(*maps, frozen[0], frozen[1])).value
     )
     lb = float(losses.bce(trace.logits, t).value)
-    total = losses.cam_objective(trace, t, [(0, 1)], frozen, 0.1, 0.01)
+    total = losses.cam_objective(trace, pixel_rows(fm), t, [(0, 1)], frozen, 0.1, 0.01)
     assert float(total.value) == pytest.approx(lb + 0.1 * lo + 0.01 * lr, abs=1e-14)
 
 
 def test_total_loss_rejects_negative_weights():
     params = make_params()
-    trace, _ = one_sample_trace(params)
+    trace, fm = one_sample_trace(params)
+    rows = pixel_rows(fm)
     with pytest.raises(ValueError):
-        losses.cam_objective(trace, np.zeros((1, 4)), [], None, -0.1, 0.0)
+        losses.cam_objective(trace, rows, np.zeros((1, 4)), [], None, -0.1, 0.0)
     with pytest.raises(ValueError):  # grounding without frozen maps
-        losses.cam_objective(trace, np.zeros((1, 4)), [], None, 0.0, 0.1)
+        losses.cam_objective(trace, rows, np.zeros((1, 4)), [], None, 0.0, 0.1)
+
 
 
 def test_cam_objective_matches_numpy_recomputation():
@@ -350,8 +355,8 @@ def test_cam_objective_matches_numpy_recomputation():
     snap = losses.CamSnapshot(model.init_params(5, 6, 4, 32), pairs)
     frozen = snap.table(feats, 4)
     lam1, lam2 = 0.7, 0.3
-    trace = model.forward_batch(params, feats, 3, 3)
-    got = float(losses.cam_objective(trace, t, pairs, frozen, lam1, lam2).value)
+    trace = model.forward_batch(params, model.pool_pixels(feats))
+    got = float(losses.cam_objective(trace, feats, t, pairs, frozen, lam1, lam2).value)
 
     def normalized(raw):
         r = np.maximum(raw, 0.0)
@@ -417,15 +422,15 @@ def test_grounding_is_exactly_zero_against_own_snapshot():
     t = (rng.random((200, 8)) < 0.6).astype(float)
     table = snap.table(feats, 64)
     idx = rng.permutation(200)[:64]
-    trace = model.forward_batch(params, feats[idx], 8, 8)
+    trace = model.forward_batch(params, model.pool_pixels(feats)[idx])
     frozen = {k: v[idx] for k, v in table.items()}
     for b, c in pairs:
         local = np.flatnonzero((t[idx, b] == 1) & (t[idx, c] == 1))
         assert local.size > 0
-        maps = losses.cam_maps(trace, local, (b, c))
+        maps = losses.cam_maps(trace, feats[idx][local], (b, c))
         terms = losses.cam_ground_terms(*maps, frozen[b][local], frozen[c][local])
         assert not terms.value.any()
-    total = losses.cam_objective(trace, t[idx], pairs, frozen, 0.0, 1.0)
+    total = losses.cam_objective(trace, feats[idx], t[idx], pairs, frozen, 0.0, 1.0)
     assert float(total.value) == float(losses.bce(trace.logits, t[idx]).value)
 
 
@@ -481,7 +486,7 @@ def test_suppressed_gradients_vanish_for_context_half():
     params = make_params(seed=22)
     rng = np.random.default_rng(23)
     feats = rng.normal(size=(3, 4, params.d_in))  # batch of 3, all exclusive
-    trace = model.forward_batch(params, feats, 2, 2)
+    trace = model.forward_batch(params, model.pool_pixels(feats))
     buf = losses.RunningMeanBuffer(width=params.d // 2)
     buf.push(rng.normal(size=params.d // 2))
     t = (rng.random((3, params.m)) < 0.5).astype(float)
@@ -500,12 +505,12 @@ def test_suppressed_mixed_batch_reassembles_order():
     params = make_params(seed=24)
     rng = np.random.default_rng(25)
     feats = rng.normal(size=(4, 4, params.d_in))
-    trace = model.forward_batch(params, feats, 2, 2)
+    trace = model.forward_batch(params, model.pool_pixels(feats))
     buf = losses.RunningMeanBuffer(width=params.d // 2)
     mask = np.array([False, True, False, True])
     logits = losses.suppressed_logits(params, trace, mask, buf)
     for i in range(4):
-        single = model.forward_batch(params, feats[i : i + 1], 2, 2)
+        single = model.forward_batch(params, model.pool_pixels(feats[i : i + 1]))
         want = losses.suppressed_logits(params, single, mask[i : i + 1], buf)
         assert np.allclose(logits.value[i], want.value[0], atol=1e-12)
 
@@ -517,11 +522,11 @@ def test_suppressed_nonexclusive_gradients_match_plain_path():
     t = (rng.random((2, params.m)) < 0.5).astype(float)
     buf = losses.RunningMeanBuffer(width=params.d // 2)
 
-    trace_a = model.forward_batch(params, feats, 2, 2)
+    trace_a = model.forward_batch(params, model.pool_pixels(feats))
     logits_a = losses.suppressed_logits(params, trace_a, np.zeros(2, bool), buf)
     ga = dc.eval_backward(losses.bce(logits_a, t))
 
-    trace_b = model.forward_batch(params, feats, 2, 2)
+    trace_b = model.forward_batch(params, model.pool_pixels(feats))
     gb = dc.eval_backward(losses.bce(trace_b.logits, t))
 
     assert np.max(np.abs(ga[trace_a.head_node] - gb[trace_b.head_node])) < 1e-12

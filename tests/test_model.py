@@ -9,8 +9,12 @@ def small_params(seed=0, d_in=6, d=8, m=4):
     return model.init_params(d_in, d, m, seed)
 
 
-def forward_one(params, fm):  # one (H, W, D_in) map as a batch of one
-    return model.forward_batch(params, fm.reshape(1, -1, fm.shape[2]), *fm.shape[:2])
+def pixel_rows(fm):  # one (H, W, D_in) map as a batch of one
+    return fm.reshape(1, -1, fm.shape[2])
+
+
+def forward_one(params, fm):
+    return model.forward_batch(params, model.pool_pixels(pixel_rows(fm)))
 
 
 def test_zero_head_gives_zero_logits():
@@ -54,8 +58,8 @@ def test_split_reconstructs_pooled_vector():
     assert np.array_equal(rebuilt, trace.pooled.value[0])
 
 
-def raw_cams(trace, categories):
-    return losses.cam_maps(trace, np.arange(trace.n), categories, normalized=False)
+def raw_cams(trace, fm, categories):
+    return losses.cam_maps(trace, pixel_rows(fm), categories, normalized=False)
 
 
 def test_cam_hand_case():
@@ -69,10 +73,10 @@ def test_cam_hand_case():
     fm = np.zeros((2, 2, 2))
     fm[:, :, 0] = np.array([[1.0, 0.0], [0.0, 1.0]])
     trace = forward_one(params, fm)
-    (raw,) = raw_cams(trace, [0])
+    (raw,) = raw_cams(trace, fm, [0])
     assert np.array_equal(raw.value.reshape(2, 2), [[2.0, 0.0], [0.0, 2.0]])
     snap = losses.CamSnapshot(params, [(0, 1)])  # the numpy path agrees
-    frozen = snap.rows(trace.feats, 0, normalized=False)
+    frozen = snap.rows(pixel_rows(fm), 0, normalized=False)
     assert np.array_equal(frozen.reshape(2, 2), [[2.0, 0.0], [0.0, 2.0]])
 
 
@@ -81,7 +85,7 @@ def test_cam_zero_weights_zero_map():
     params.head[:, 2] = 0.0
     fm = np.random.default_rng(4).normal(size=(3, 3, params.d_in))
     trace = forward_one(params, fm)
-    assert np.array_equal(raw_cams(trace, [2])[0].value, np.zeros((9, 1)))
+    assert np.array_equal(raw_cams(trace, fm, [2])[0].value, np.zeros((9, 1)))
 
 
 def test_cam_rejects_bad_category():
@@ -89,16 +93,16 @@ def test_cam_rejects_bad_category():
     fm = np.zeros((2, 2, params.d_in))
     trace = forward_one(params, fm)
     with pytest.raises(ValueError):
-        raw_cams(trace, [params.m])
+        raw_cams(trace, fm, [params.m])
     with pytest.raises(ValueError):  # a one-hot pick would wrap to the last
-        raw_cams(trace, [-1])
+        raw_cams(trace, fm, [-1])
 
 
 def test_cam_pools_back_to_logit():
     params = small_params(seed=6)
     fm = np.random.default_rng(5).normal(size=(4, 4, params.d_in))
     trace = forward_one(params, fm)
-    for r, raw in enumerate(raw_cams(trace, range(params.m))):
+    for r, raw in enumerate(raw_cams(trace, fm, range(params.m))):
         assert abs(raw.value.mean() - trace.logits.value[0, r]) < 1e-12
 
 
@@ -110,8 +114,8 @@ def test_cam_gradients_check_out():
 
     def build(lv):
         params = model.ModelParams(lv["mixer"].value, lv["head"].value, own, ctx)
-        trace = model.forward_batch(params, fm, 2, 2, lv["mixer"], lv["head"])
-        return dc.mean_all(raw_cams(trace, [1])[0])
+        trace = model.forward_batch(params, model.pool_pixels(fm), lv["mixer"], lv["head"])
+        return dc.mean_all(raw_cams(trace, fm, [1])[0])
 
     params = {
         "mixer": rng.uniform(-1.0, 1.0, size=(3, 4)),
@@ -185,7 +189,7 @@ def test_predict_matches_logit_sigmoid():
     params = small_params(seed=14)
     feats = np.random.default_rng(10).normal(size=(5, 9, params.d_in))
     probs = model.predict(params, feats)
-    trace = model.forward_batch(params, feats, 3, 3)
+    trace = model.forward_batch(params, model.pool_pixels(feats))
     assert np.allclose(probs, dc.sigmoid_values(trace.logits.value), atol=1e-15)
     assert probs.shape == (5, params.m)
 
@@ -198,7 +202,7 @@ def test_float32_features_match_their_widening():
     f64 = f32.astype(np.float64)
     assert model.logit_values(params, f32).tobytes() == model.logit_values(params, f64).tobytes()
     assert model.predict(params, f32).tobytes() == model.predict(params, f64).tobytes()
-    t32, t64 = (model.forward_batch(params, f, 8, 8) for f in (f32, f64))
+    t32, t64 = (model.forward_batch(params, model.pool_pixels(f)) for f in (f32, f64))
     assert t32.logits.value.tobytes() == t64.logits.value.tobytes()
     snap = losses.CamSnapshot(params, [(0, 1)])
     assert snap.rows(f32[:5], 1).tobytes() == snap.rows(f64[:5], 1).tobytes()
@@ -211,11 +215,24 @@ def test_pool_first_matches_per_pixel_reference():
     feats = np.random.default_rng(11).normal(size=(300, 64, 32))
     per_pixel = (feats.reshape(-1, 32) @ params.mixer).reshape(300, 64, 64).mean(axis=1)
     ref_logits = per_pixel @ params.head
-    trace = model.forward_batch(params, feats, 8, 8)
+    trace = model.forward_batch(params, model.pool_pixels(feats))
     assert np.abs(trace.pooled.value - per_pixel).max() < 1e-12
     assert np.abs(trace.logits.value - ref_logits).max() < 1e-12
     assert np.abs(model.logit_values(params, feats) - ref_logits).max() < 1e-12
     probs = model.predict(params, feats)
     assert np.abs(probs - dc.sigmoid_values(ref_logits)).max() < 1e-12
-    with pytest.raises(ValueError):  # only the (n, P, D_in) form is accepted
-        model.forward_batch(params, feats.reshape(-1, 32), 8, 8)
+    with pytest.raises(ValueError):  # only the pooled (n, D_in) form is accepted
+        model.forward_batch(params, feats)
+
+
+def test_pooling_once_matches_pooling_each_batch():
+    # training pools its set once and gathers rows; that must give the bytes
+    # that pooling each gathered batch gives
+    feats = np.random.default_rng(13).normal(size=(300, 64, 32)).astype(np.float32)
+    idx = np.random.default_rng(14).permutation(300)
+    pooled = model.pool_pixels(feats)
+    assert pooled.dtype == np.float64 and pooled.shape == (300, 32)
+    assert pooled[idx].tobytes() == model.pool_pixels(feats[idx]).tobytes()
+    for s in range(0, 300, 64):
+        batch = idx[s : s + 64]
+        assert pooled[batch].tobytes() == model.pool_pixels(feats[batch]).tobytes()

@@ -327,8 +327,9 @@ def test_cam_localizes_planted_region(tmp_path):
     probe = np.zeros((8, 8, 16))
     r0, c0, r1, c1 = regions[2]
     probe[r0:r1, c0:c1, :] = np.array(sigs[2])
-    trace = mdl.forward_batch(arts.params, probe.reshape(1, 64, 16), 8, 8)
-    (raw,) = losses.cam_maps(trace, [0], [2], normalized=False)
+    rows = probe.reshape(1, 64, 16)
+    trace = mdl.forward_batch(arts.params, mdl.pool_pixels(rows))
+    (raw,) = losses.cam_maps(trace, rows, [2], normalized=False)
     cam = raw.value.reshape(8, 8)
     top = cam >= np.quantile(cam, 0.75)
     planted = np.zeros((8, 8), dtype=bool)
