@@ -105,6 +105,13 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _load_object(path, what) -> dict:
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
 def _find_manifest(path):
     """Accept a manifest file or a directory holding exactly one."""
     if os.path.isdir(path):
@@ -223,9 +230,7 @@ def overlap_on_cooccur(params, manifest, pairs) -> float:
 
 
 def cmd_gen(args):
-    cfg_dict = _load_json(args.config)
-    if not isinstance(cfg_dict, dict):
-        raise ValueError(f"{args.config}: gen config must be a JSON object")
+    cfg_dict = _load_object(args.config, "gen config")
     seed = resolve_seed(args.seed, cfg_dict.get("seed"))
     if seed is None:
         raise ValueError("no seed: set one in the config, --seed, or DEBIAS_SEED")
@@ -267,7 +272,7 @@ def cmd_audit(args):
 
 
 def _resolved_train_config(args):
-    cfg_dict = _load_json(args.config) if args.config else {}
+    cfg_dict = _load_object(args.config, "train config") if args.config else {}
     cfg_dict.update(parse_overrides(args.set))
     if args.method:
         cfg_dict["method"] = canon_method(args.method)
@@ -373,11 +378,8 @@ def cmd_sweep(args):
     else:
         env = resolve_seed(None)
         seeds = [env] if env is not None else [0, 1, 2, 3, 4]
-    overrides = parse_overrides(args.set)
-    if args.config:
-        base = _load_json(args.config)
-        base.update(overrides)
-        overrides = base
+    overrides = _load_object(args.config, "train config") if args.config else {}
+    overrides.update(parse_overrides(args.set))
     overrides.pop("method", None)
     overrides.pop("seed", None)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -238,7 +238,9 @@ class GenConfig:
 
 
 # JSON types accepted for each annotated config field type
-_JSON_TYPES = {"int": int, "float": (int, float), "list": list, "list | None": (list, type(None))}
+# (a nested dc.SgdConfig arrives as an object and is checked on its own)
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "list": list,
+               "list | None": (list, type(None)), "dc.SgdConfig": dict}
 
 
 def _checked_fields(cls, d, what) -> dict:
@@ -252,7 +254,8 @@ def _checked_fields(cls, d, what) -> dict:
         if keys:
             raise ValueError(f"{what}: {label} keys {keys}")
     for k, v in d.items():
-        if isinstance(v, bool) or not isinstance(v, _JSON_TYPES[known[k].type]):
+        want = _JSON_TYPES[known[k].type]
+        if (isinstance(v, bool) and want is not bool) or not isinstance(v, want):
             raise ValueError(f"{what}: {k} must be {known[k].type}, not {type(v).__name__}")
     return dict(d)
 
@@ -455,23 +458,11 @@ def benchmark_configs(exclusive_fraction, layout_seed, train_seed, test_seed):
 # splits
 
 
-def split_80_20(manifest: DatasetManifest, seed):
-    """Disjoint 80/20 partition, uniform random, deterministic per seed."""
-    n = len(manifest.samples)
+def split_80_20(n: int, seed):
+    """Sorted row indices of a random 80/20 partition of range(n), fixed per seed."""
     if n < 5:
         raise ValueError("need at least 5 samples to split")
     perm = np.random.default_rng(seed).permutation(n)
     cut = int(0.8 * n)
-    big_idx = np.sort(perm[:cut])
-    small_idx = np.sort(perm[cut:])
-
-    def subset(idx, tag):
-        return replace(
-            manifest,
-            samples=[manifest.samples[i] for i in idx],
-            split_tag=tag,
-            generator_config=manifest.generator_config,
-        )
-
-    return subset(big_idx, "train"), subset(small_idx, "val")
+    return np.sort(perm[:cut]), np.sort(perm[cut:])
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bias as bias_mod
 from . import data
 from . import diffcore as dc
 from . import model as mdl
@@ -79,10 +80,9 @@ def topk_recall(scores, labels, k: int) -> dict:
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must have equal shape")
     n, m = scores.shape
+    top = np.argsort(-scores, axis=1, kind="stable")[:, : min(k, m)]
     in_top = np.zeros((n, m), dtype=bool)
-    for i in range(n):
-        top = np.argsort(-scores[i], kind="stable")[: min(k, m)]
-        in_top[i, top] = True
+    np.put_along_axis(in_top, top, True, axis=1)
     out = {}
     for j in range(m):
         pos = labels[:, j] == 1
@@ -215,7 +215,7 @@ def evaluate(
             row["ap_cooccur"] = average_precision(
                 s[co_idx], np.concatenate([np.ones(sp.cooccur_idx.size), np.zeros(sp.negative_idx.size)])
             )
-            row["bias"] = float(s[sp.cooccur_idx].mean() / s[sp.exclusive_idx].mean())
+            row["bias"] = bias_mod.bias_score(scores, labels[:, :m], sp.biased, sp.context)
             ap_ex.append(row["ap_exclusive"])
             ap_co.append(row["ap_cooccur"])
             cosines.append(row["cosine"])

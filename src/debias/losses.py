@@ -170,7 +170,7 @@ def cam_ground_terms(map_b, map_c, frozen_b, frozen_c) -> dc.DiffNode:
 
 
 def cam_objective(
-    trace, pixel_rows, targets, pairs, frozen, lambda1, lambda2, normalized=True
+    trace, pixel_rows, targets, pairs, frozen, lambda1, lambda2
 ) -> dc.DiffNode:
     """BCE + lambda1 * mean overlap + lambda2 * mean grounding, for a batch.
 
@@ -194,7 +194,7 @@ def cam_objective(
         local = np.flatnonzero((t[:, b] == 1) & (t[:, c] == 1))
         if local.size == 0:
             continue
-        map_b, map_c = cam_maps(trace, pixel_rows[local], (b, c), normalized)
+        map_b, map_c = cam_maps(trace, pixel_rows[local], (b, c))
         if lambda1 > 0:
             overlap_parts.append(cam_overlap_terms(map_b, map_c))
         if lambda2 > 0:

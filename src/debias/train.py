@@ -53,7 +53,6 @@ class TrainConfig:
     weighted_factor: float = 10.0
     negative_penalty_weight: float = 10.0
     remove_labels_globally: bool = False
-    normalize_maps: bool = True
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -70,13 +69,12 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        kwargs = dict(d)
+        """Inverse of to_dict; unknown or mistyped keys raise ValueError."""
+        kwargs = data._checked_fields(cls, d, "train config")
         for name in ("sgd_stage1", "sgd_stage2"):
-            if name in kwargs and isinstance(kwargs[name], dict):
-                kwargs[name] = dc.SgdConfig(**kwargs[name])
-        unknown = set(kwargs) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+            if name in kwargs:
+                sgd = data._checked_fields(dc.SgdConfig, kwargs[name], name)
+                kwargs[name] = dc.SgdConfig(**sgd)
         return cls(**kwargs)
 
 
@@ -110,6 +108,45 @@ def _apply_step(mixer, head, trace, gmap, lr) -> tuple:
     return stepped["mixer"], stepped["head"]
 
 
+def _sgd_loop(
+    params, pooled, rows, epochs, sgd, batch_size, seed, tags, objective, after_step=None
+) -> tuple:
+    """Minibatch SGD on (mixer, head) over `rows` of the pooled set.
+
+    Each step's log entry starts from `tags` (the stage, and stage 2's
+    method). `objective(trace, idx, entry)` gives the batch's scalar loss
+    node and may add fields to the entry, as may `after_step(entry,
+    head_before, head_after)` once the step is taken. Returns the trained
+    params, the per-epoch mean losses and one log entry per step.
+    """
+    shuffle_rng = np.random.default_rng(seed)
+    # copies, so the params passed in stay intact even after zero steps
+    mixer, head = params.mixer.copy(), params.head.copy()
+    curve, step_log = [], []
+    for epoch in range(epochs):
+        lr = sgd.lr_at(epoch)
+        order = shuffle_rng.permutation(len(rows))
+        batch_losses = []
+        for start in range(0, len(order), batch_size):
+            idx = rows[order[start : start + batch_size]]
+            trace = mdl.forward_batch(params, pooled[idx], dc.leaf(mixer), dc.leaf(head))
+            entry = {**tags, "epoch": epoch, "lr": lr}
+            root = objective(trace, idx, entry)
+            gmap = dc.eval_backward(root)
+            mixer, head = _apply_step(mixer, head, trace, gmap, lr)
+            entry["loss"] = float(root.value)
+            if after_step is not None:
+                after_step(entry, trace.head_node.value, head)
+            batch_losses.append(entry["loss"])
+            step_log.append(entry)
+        curve.append(float(np.mean(batch_losses)))
+    return replace(params, mixer=mixer, head=head), curve, step_log
+
+
+def _bce_objective(labels):
+    return lambda trace, idx, entry: losses.bce(trace.logits, labels[idx])
+
+
 def train_stage1(
     manifest: data.DatasetManifest, cfg: TrainConfig, pinned=None
 ) -> TrainArtifacts:
@@ -127,31 +164,13 @@ def train_stage1(
         if not (0 <= b < m and 0 <= c < m):
             raise ValueError(f"pinned pair ({b}, {c}) outside {m} categories")
     feats, labels = data.load_arrays(manifest)
-    pooled = mdl.pool_pixels(feats)
     seeds = _derive_seeds(cfg.seed)
-    params = mdl.init_params(manifest.d_in, cfg.mixer_width, m, seeds["init"])
-    part80, part20 = data.split_80_20(manifest, seeds["split"])
-    row_of = {s.id: i for i, s in enumerate(manifest.samples)}
-    rows80 = np.array([row_of[s.id] for s in part80.samples])
-    rows20 = np.array([row_of[s.id] for s in part20.samples])
-
-    shuffle_rng = np.random.default_rng(seeds["shuffle1"])
-    curve, step_log = [], []
-    mixer, head = params.mixer, params.head
-    for epoch in range(cfg.stage1_epochs):
-        lr = cfg.sgd_stage1.lr_at(epoch)
-        order = shuffle_rng.permutation(len(rows80))
-        batch_losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            idx = rows80[order[start : start + cfg.batch_size]]
-            trace = mdl.forward_batch(params, pooled[idx], dc.leaf(mixer), dc.leaf(head))
-            root = losses.bce(trace.logits, labels[idx])
-            gmap = dc.eval_backward(root)
-            mixer, head = _apply_step(mixer, head, trace, gmap, lr)
-            batch_losses.append(float(root.value))
-        curve.append(float(np.mean(batch_losses)))
-        step_log.append({"stage": 1, "epoch": epoch, "lr": lr, "loss": curve[-1]})
-    params = replace(params, mixer=mixer, head=head)
+    rows80, rows20 = data.split_80_20(len(manifest.samples), seeds["split"])
+    params, curve, step_log = _sgd_loop(
+        mdl.init_params(manifest.d_in, cfg.mixer_width, m, seeds["init"]),
+        mdl.pool_pixels(feats), rows80, cfg.stage1_epochs, cfg.sgd_stage1,
+        cfg.batch_size, seeds["shuffle1"], {"stage": 1}, _bce_objective(labels),
+    )
 
     if pinned is None:
         pair_set = bias_mod.select_biased_pairs(
@@ -269,92 +288,77 @@ def train_stage2(
         params = replace(params, head=np.concatenate([params.head, extra], axis=1))
 
     feats, labels = data.load_arrays(work)
-    pooled = mdl.pool_pixels(feats)
-    n, m = len(work.samples), len(work.categories)
+    m = len(work.categories)
 
-    # one (n, M) loss-weight matrix per weighted method; None trains plain BCE
-    buffer = None
-    weights_all = None
-    frozen_all = None
+    # the method's objective, chosen once; each weighted method fills one
+    # (n, M) loss-weight matrix
     excl_all = losses.exclusive_mask(labels, pair_tuples)
-    if cfg.method == "ours_cam" and cfg.lambda2 > 0:
-        # grounding compares against the maps of the weights stage 2 starts from
-        snapshot = losses.CamSnapshot(artifacts.params, pair_tuples)
-        frozen_all = snapshot.table(feats, cfg.batch_size, cfg.normalize_maps)
+    buffer = after_step = None
+
+    def weighted_bce(trace, idx, entry, logits=None):
+        entry["n_exclusive"] = int(excl_all[idx].sum())
+        entry["max_weight"] = float(weights_all[idx].max())
+        return losses.elementwise_weighted_bce(
+            trace.logits if logits is None else logits, labels[idx], weights_all[idx]
+        )
+
+    objective = _bce_objective(labels)  # standard, possibly on a transformed set
+    if cfg.method == "ours_cam":
+        frozen_all = None
+        if cfg.lambda2 > 0:
+            # grounding compares against the maps of the weights stage 2 starts from
+            snapshot = losses.CamSnapshot(artifacts.params, pair_tuples)
+            frozen_all = snapshot.table(feats, cfg.batch_size)
+
+        def objective(trace, idx, entry):
+            frozen = None if frozen_all is None else {k: v[idx] for k, v in frozen_all.items()}
+            return losses.cam_objective(
+                trace, feats[idx], labels[idx], pair_tuples, frozen, cfg.lambda1, cfg.lambda2
+            )
     elif cfg.method == "ours_feature_split":
         buffer = losses.RunningMeanBuffer(width=params.d // 2)
         alpha = losses.alpha_weights(labels, pair_tuples, cfg.alpha_min)
         weights_all = np.repeat(alpha[:, None], m, axis=1)
+
+        def objective(trace, idx, entry):
+            mask = excl_all[idx]
+            logits = losses.suppressed_logits(params, trace, mask, buffer)
+            entry["all_exclusive"] = bool(mask.all())
+            if not mask.all():
+                # np.take, not fancy indexing: the mean's rounding follows
+                # the gathered array's memory layout
+                ctx = np.take(trace.pooled.value, params.context_rows, axis=1)
+                buffer.push(ctx[~mask].mean(axis=0))
+            return weighted_bce(trace, idx, entry, logits)
+
+        def after_step(entry, head_before, head_after):
+            rows = params.context_rows
+            entry["ctx_rows_delta"] = float(
+                np.linalg.norm(head_after[rows] - head_before[rows])
+            )
     elif cfg.method == "weighted_loss":
         weights_all = np.repeat(
             np.where(excl_all, float(cfg.weighted_factor), 1.0)[:, None], m, axis=1
         )
+        objective = weighted_bce
     elif cfg.method == "negative_penalty":
-        weights_all = np.ones((n, m))
+        weights_all = np.ones((len(work.samples), m))
         for b, c in pair_tuples:
             rows = (labels[:, b] == 1) & (labels[:, c] == 0)
             weights_all[rows, c] = float(cfg.negative_penalty_weight)
+        objective = weighted_bce
 
-    shuffle_rng = np.random.default_rng(artifacts.seeds["shuffle2"])
-    curve = list(artifacts.loss_curve)
-    step_log = list(artifacts.step_log)
-
-    # the loop carries copies of the stage-1 weights; `params` keeps the row split
-    mixer, head = params.mixer.copy(), params.head.copy()
-    for epoch in range(cfg.stage2_epochs):
-        lr = cfg.sgd_stage2.lr_at(epoch)
-        order = shuffle_rng.permutation(n)
-        batch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            t = labels[idx]
-            trace = mdl.forward_batch(params, pooled[idx], dc.leaf(mixer), dc.leaf(head))
-            entry = {"stage": 2, "epoch": epoch, "lr": lr, "method": cfg.method}
-
-            if cfg.method == "ours_cam":
-                frozen = None
-                if frozen_all is not None:
-                    frozen = {k: v[idx] for k, v in frozen_all.items()}
-                root = losses.cam_objective(
-                    trace, feats[idx], t, pair_tuples, frozen, cfg.lambda1, cfg.lambda2,
-                    cfg.normalize_maps,
-                )
-            elif weights_all is None:  # standard, possibly on a transformed dataset
-                root = losses.bce(trace.logits, t)
-            else:
-                mask = excl_all[idx]
-                entry["n_exclusive"] = int(mask.sum())
-                logits = trace.logits
-                if buffer is not None:  # feature split: suppress the context half
-                    logits = losses.suppressed_logits(params, trace, mask, buffer)
-                    entry["all_exclusive"] = bool(mask.all())
-                root = losses.elementwise_weighted_bce(logits, t, weights_all[idx])
-                entry["max_weight"] = float(weights_all[idx].max())
-
-            gmap = dc.eval_backward(root)
-            ctx_before = head[params.context_rows]
-            mixer, head = _apply_step(mixer, head, trace, gmap, lr)
-            entry["loss"] = float(root.value)
-            if cfg.method == "ours_feature_split":
-                entry["ctx_rows_delta"] = float(
-                    np.linalg.norm(head[params.context_rows] - ctx_before)
-                )
-                plain = ~excl_all[idx]
-                if plain.any():
-                    # np.take, not fancy indexing: the mean's rounding follows
-                    # the gathered array's memory layout
-                    ctx = np.take(trace.pooled.value, params.context_rows, axis=1)
-                    buffer.push(ctx[plain].mean(axis=0))
-            batch_losses.append(entry["loss"])
-            step_log.append(entry)
-        curve.append(float(np.mean(batch_losses)))
-
+    params, curve, step_log = _sgd_loop(
+        params, mdl.pool_pixels(feats), np.arange(len(work.samples)), cfg.stage2_epochs,
+        cfg.sgd_stage2, cfg.batch_size, artifacts.seeds["shuffle2"],
+        {"stage": 2, "method": cfg.method}, objective, after_step,
+    )
     return TrainArtifacts(
-        params=replace(params, mixer=mixer, head=head),
+        params=params,
         pairs=artifacts.pairs,
         buffer=buffer,
-        loss_curve=curve,
-        step_log=step_log,
+        loss_curve=artifacts.loss_curve + curve,
+        step_log=artifacts.step_log + step_log,
         seeds=artifacts.seeds,
         category_map=category_map,
     )

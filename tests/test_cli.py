@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import debias
-from debias import cli, data
+from debias import cli, data, train
 from debias import diffcore as dc
 from debias import model as mdl
 
@@ -184,6 +184,58 @@ def test_train_rejects_out_of_range_pairs(ws, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: pinned pair (0, 9) outside 4 categories"]
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("doc, sets, named", [
+    ([{"k": 1}], [], "train config must be a JSON object"),
+    ({}, ["sgd_stage1=5"], "sgd_stage1 must be dc.SgdConfig, not int"),
+    ({}, ['batch_size="a"'], "batch_size must be int, not str"),
+    ({"sgd_stage2": {"initial_lr": 1.0, "decay_factor": 0.1}}, [],
+     "sgd_stage2: missing keys ['decay_every']"),
+    ({"normalize_maps": True}, [], "unknown keys ['normalize_maps']"),
+], ids=["list_document", "sgd_int", "batch_size_str", "sgd_missing", "normalize_maps"])
+def test_train_rejects_bad_config(ws, tmp_path, capsys, doc, sets, named):
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps(doc))
+    argv = ["train", "--data", str(ws / "dtrain"), "--config", str(cfg),
+            "--out", str(tmp_path / "run")]
+    code = cli.main(argv + [a for s in sets for a in ("--set", s)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not (tmp_path / "run").exists()
+
+
+def test_sweep_rejects_list_config(tmp_path, capsys):
+    cfg = tmp_path / "base.json"
+    cfg.write_text(json.dumps([{"stage1_epochs": 1}]))
+    code = cli.main([
+        "sweep", "--fractions", "0.05", "--methods", "standard", "--seeds", "0",
+        "--config", str(cfg), "--out", str(tmp_path / "sw"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "train config must be a JSON object" in err[0]
+    assert not (tmp_path / "sw").exists()
+
+
+def test_n_steps_counts_every_sgd_step(ws, tmp_path, monkeypatch):
+    # one entry per step of both stages, so n_steps is the number of updates
+    steps, runs = [], []
+    sgd_step, run_training = dc.sgd_step, train.run_training
+    monkeypatch.setattr(dc, "sgd_step", lambda *a: steps.append(1) or sgd_step(*a))
+    monkeypatch.setattr(
+        train, "run_training", lambda *a: runs.append(run_training(*a)) or runs[-1]
+    )
+    out = tmp_path / "run"
+    assert cli.main([
+        "train", "--data", str(ws / "dtrain"), "--config", str(ws / "train.json"),
+        "--method", "feature-split", "--set", "batch_size=16", "--out", str(out),
+    ]) == 0
+    n_steps = json.loads((out / "artifacts.json").read_text())["n_steps"]
+    assert n_steps == len(runs[0].step_log) == len(steps)
+    # several batches per epoch, so an entry per epoch would not pass
+    assert len(steps) > 2 * 3
 
 
 @pytest.mark.parametrize("edit", ["short", "long"])

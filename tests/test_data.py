@@ -90,32 +90,22 @@ def test_manifest_roundtrip(tmp_path):
     assert loaded.root == str(tmp_path)
 
 
-def make_flat_manifest(n):
-    return data.DatasetManifest(
-        categories=["a"],
-        h=1,
-        w=1,
-        d_in=1,
-        samples=[data.SampleRef(f"s{i}", -1, [1]) for i in range(n)],
-    )
-
-
 @pytest.mark.parametrize("n,big,small", [(100, 80, 20), (5, 4, 1), (11, 8, 3)])
 def test_split_sizes(n, big, small):
-    tr, val = data.split_80_20(make_flat_manifest(n), seed=5)
-    assert len(tr.samples) == big
-    assert len(val.samples) == small
-    ids = {s.id for s in tr.samples} | {s.id for s in val.samples}
-    assert len(ids) == n  # disjoint and exhaustive
+    tr, val = data.split_80_20(n, seed=5)
+    assert len(tr) == big
+    assert len(val) == small
+    # disjoint and exhaustive
+    assert np.array_equal(np.sort(np.concatenate([tr, val])), np.arange(n))
 
 
 def test_split_deterministic_and_rejects_tiny():
-    a1, b1 = data.split_80_20(make_flat_manifest(40), seed=9)
-    a2, b2 = data.split_80_20(make_flat_manifest(40), seed=9)
-    assert [s.id for s in a1.samples] == [s.id for s in a2.samples]
-    assert [s.id for s in b1.samples] == [s.id for s in b2.samples]
+    a1, b1 = data.split_80_20(40, seed=9)
+    a2, b2 = data.split_80_20(40, seed=9)
+    assert np.array_equal(a1, a2)
+    assert np.array_equal(b1, b2)
     with pytest.raises(ValueError):
-        data.split_80_20(make_flat_manifest(4), seed=0)
+        data.split_80_20(4, seed=0)
 
 
 def test_generate_rejects_bad_region():

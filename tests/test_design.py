@@ -46,3 +46,24 @@ def test_every_public_name_is_used_in_src():
             used |= refs
     unused = [d for d in defined if d not in used]
     assert sorted(unused) == sorted(UNREFERENCED_OK)
+
+
+def test_training_has_one_step_loop():
+    # both stages run one SGD loop: backward and the parameter step each have
+    # one call site, in a function that never looks at the method
+    tree = ast.parse((SRC / "train.py").read_text())
+    sites = {"eval_backward": [], "_apply_step": []}
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in sites:
+                    sites[name].append(fn)
+    assert [len(v) for v in sites.values()] == [1, 1]
+    (loop,) = set(sites["eval_backward"]) | set(sites["_apply_step"])
+    assert not any(
+        isinstance(node, ast.Attribute) and node.attr == "method"
+        for node in ast.walk(loop)
+    )
