@@ -1,11 +1,11 @@
 """Contextual-bias mitigation toolkit for multi-label classifiers.
 
 Submodules:
-    diffcore  reverse-mode autodiff, SGD, gradient checking
+    diffcore  fused BCE and map-normalization VJPs, SGD, gradient checking
     data      synthetic biased dataset generation, stores, manifests
     bias      directional bias score and biased-pair selection
-    model     channel mixer + GAP + linear head, CAMs, checkpoints
-    losses    BCE variants, CAM losses, selective-suppression logits
+    model     channel mixer + GAP + linear head, checkpoints
+    losses    training objectives with closed-form gradients, CAMs
     train     two-stage training for all methods and baselines
     eval      exclusive/co-occur splits, AP, recall, cosine, heatmaps
     cli       command-line entry point

@@ -217,9 +217,8 @@ def overlap_on_cooccur(params, manifest, pairs) -> float:
         rows = np.flatnonzero((labels[:, b] == 1) & (labels[:, c] == 1))
         if rows.size == 0:
             continue
-        trace = mdl.forward_batch(params, mdl.pool_pixels(feats[rows]))
-        maps = losses.cam_maps(trace, feats[rows], (b, c))
-        parts.append(losses.cam_overlap_terms(*maps).value.ravel())
+        maps = [losses.cam_maps(params, feats[rows], k) for k in (b, c)]
+        parts.append((maps[0] * maps[1]).ravel())
     if not parts:
         raise ValueError("no co-occurring samples for any pair")
     return float(np.mean(np.concatenate(parts)))

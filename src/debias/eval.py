@@ -55,6 +55,8 @@ def average_precision(scores, labels) -> float:
     labels = np.asarray(labels).ravel()
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must have equal length")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores contain non-finite values")
     if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be binary")
     n_pos = int(labels.sum())

@@ -1,15 +1,27 @@
-"""Training objectives and the selective-suppression forward rule.
+"""Training objectives, each with its gradient in closed form.
 
-Conventions: targets and per-sample weights enter the graph as constants;
-only mixer and head leaves carry gradient. Sums over contributing samples,
-pairs, and pixels are realized as means, so loss scale does not drift with
-batch size and the published weighting defaults stay meaningful.
+The model is linear up to its loss (see model): pooled rows P give logits
+z = (P W) H, and the activation map of category k over a sample's pixel rows
+X is X (W h_k), with h_k the head's column k. So every objective returns its
+loss with the mixer and head gradients written out in numpy. With gz the
+loss's logit cotangent, gH = (P W)^T gz and gW = P^T (gz H^T). A CAM term
+with map cotangent g_map adds (X^T g_map) h_k^T to gW and W^T (X^T g_map) to
+column k of gH. Selective suppression masks gz on its way back into the
+context features.
+
+Conventions: targets and per-sample weights are fixed inputs; only the mixer
+and head get gradients. Sums over contributing samples, pairs, and pixels are
+realized as means, so loss scale does not drift with batch size and the
+published weighting defaults stay meaningful. Where several terms reach one
+weight, their gradients are summed in one fixed order, so a fixed config
+reproduces trained weights bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,25 +33,39 @@ from . import model as mdl
 # cross-entropy family
 
 
-def bce_elements(logits: dc.DiffNode, targets) -> dc.DiffNode:
-    """Per-element BCE terms (same shape as logits), guarded logs inside."""
+def bce(logits, targets, weights=None) -> tuple:
+    """(mean BCE over all elements, its logit cotangent).
+
+    With `weights`, a full (n, M) matrix, each element's term is scaled
+    first; a weight per sample is tiled over the categories, since nothing
+    broadcasts.
+    """
     t = dc.as_f64(targets)
     if not ((t == 0.0) | (t == 1.0)).all():
         raise ValueError("targets must be binary")
-    return dc.bce_terms(logits, t)
+    terms = dc.bce_terms(logits, t)
+    g = np.full(terms.shape, 1.0 / terms.size)  # the mean's cotangent
+    if weights is not None:
+        w = dc.as_f64(weights)
+        if w.shape != terms.shape:
+            raise ValueError("weight matrix must match logits shape")
+        terms, g = w * terms, g * w
+    return float(np.mean(terms)), dc.bce_terms_vjp(logits, t, g)
 
 
-def bce(logits: dc.DiffNode, targets) -> dc.DiffNode:
-    """Mean BCE over all categories (and samples, when batched)."""
-    return dc.mean_all(bce_elements(logits, targets))
+def _linear_grads(params, pooled_rows, feats, g_logits, keep=None) -> tuple:
+    """(g_mixer, g_head) of logits = feats H with feats = (pooled_rows W) * keep."""
+    g_feats = g_logits @ params.head.T
+    if keep is not None:
+        g_feats = g_feats * keep
+    return dc.as_f64(pooled_rows).T @ g_feats, feats.T @ g_logits
 
 
-def elementwise_weighted_bce(logits: dc.DiffNode, targets, weights) -> dc.DiffNode:
-    """Mean of per-element BCE scaled by a full weight matrix."""
-    w = dc.as_f64(weights)
-    if w.shape != logits.value.shape:
-        raise ValueError("weight matrix must match logits shape")
-    return dc.mean_all(dc.mul(dc.constant(w), bce_elements(logits, targets)))
+def bce_objective(params: mdl.ModelParams, pooled_rows, targets, weights=None) -> tuple:
+    """(loss, g_mixer, g_head) of mean BCE, optionally weighted, on the plain forward."""
+    mixed, logits = mdl.forward_batch(params, pooled_rows)
+    loss, g = bce(logits, targets, weights)
+    return (loss, *_linear_grads(params, pooled_rows, mixed, g))
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +78,8 @@ def alpha_weights(labels, pairs, alpha_min: float = 3.0) -> np.ndarray:
     Each pair's alpha = max(sqrt(cooccur / exclusive), alpha_min) applies to
     the samples where its biased category shows up without its context; a
     sample exclusive for several pairs takes the largest alpha, every other
-    sample weighs 1.
+    sample weighs 1. TrainConfig checks that alpha_min exceeds 1.
     """
-    if alpha_min <= 1.0:
-        raise ValueError("alpha_min must exceed 1")
     labels = np.asarray(labels)
     out = np.ones(len(labels))
     for b, c in pairs:
@@ -87,6 +111,23 @@ def exclusive_mask(labels, pairs) -> np.ndarray:
 # CAM losses
 
 
+def cam_maps(params: mdl.ModelParams, pixel_rows, category: int, normalized=True) -> np.ndarray:
+    """(n, P) activation maps of `category` for (n, P, D_in) pixel rows.
+
+    Each map is X (W h_k): the mixer meets the head column first, so no
+    product is wider than that column. Normalized maps are relu'd and divided
+    by their own max + 1e-8 (diffcore.normalize_blocks). Training, the frozen
+    snapshot and the overlap metric all form their maps here, so a grounding
+    term against unchanged weights is zero to the bit.
+    """
+    if not 0 <= category < params.m:
+        raise ValueError(f"category {category} out of range for {params.m} categories")
+    feats = dc.as_f64(pixel_rows)
+    n, p, d_in = feats.shape
+    raw = feats.reshape(n * p, d_in) @ (params.mixer @ params.head[:, [category]])
+    return (dc.normalize_blocks(raw, p) if normalized else raw).reshape(n, p)
+
+
 class CamSnapshot:
     """Normalized activation maps of the frozen stage-1 model.
 
@@ -95,12 +136,7 @@ class CamSnapshot:
     """
 
     def __init__(self, params: mdl.ModelParams, pairs):
-        self.params = mdl.ModelParams(
-            mixer=params.mixer.copy(),
-            head=params.head.copy(),
-            own_rows=params.own_rows.copy(),
-            context_rows=params.context_rows.copy(),
-        )
+        self.params = replace(params, mixer=params.mixer.copy(), head=params.head.copy())
         self.pairs = [tuple(p) for p in pairs]
         self.categories = sorted({k for p in self.pairs for k in p})
 
@@ -108,14 +144,7 @@ class CamSnapshot:
         """(n, P) maps of `category` for (n, P, D_in) pixel rows."""
         if category not in self.categories:
             raise ValueError(f"category {category} not covered by the snapshot")
-        feats = dc.as_f64(feats)
-        n, p, d_in = feats.shape
-        # the same (n*P, D_in) @ ((D_in, D) @ (D, 1)) products as the graph's
-        # cam_maps, so a grounding loss against an unchanged model is zero
-        # to the bit
-        column = self.params.mixer @ self.params.head[:, [category]]
-        raw = feats.reshape(n * p, d_in) @ column
-        return (dc.normalize_block_values(raw, p) if normalized else raw).reshape(n, p)
+        return cam_maps(self.params, feats, category, normalized)
 
     def table(self, feats: np.ndarray, batch_size: int, normalized: bool = True) -> dict:
         """{category: (N, P) maps} for every tracked category.
@@ -132,79 +161,72 @@ class CamSnapshot:
         }
 
 
-def cam_maps(trace: mdl.ForwardTrace, pixel_rows, categories, normalized=True) -> list:
-    """(k*P, 1) activation maps per category of (k, P, D_in) pixel rows, in the graph.
+def cam_terms(params, pixel_rows, targets, pairs, frozen, lambda1, lambda2) -> tuple:
+    """(mean overlap, mean grounding, g_mixer, g_head) of a batch's CAM terms.
 
-    The caller gathers only the samples whose maps it needs; their rows enter
-    as a constant. Each map is X (W h_k): the mixer meets one head column
-    first, so no product is wider than that column. The column is H e_k for
-    a one-hot e_k, which reads it out exactly.
+    Per pair, the terms cover the samples labeled with both categories, and
+    each pair's two normalized maps feed both terms. Overlap is the pixelwise
+    product of the maps; grounding is |frozen map - live map| summed over the
+    two categories, against the snapshot's (n, P) maps of the batch in
+    `frozen` (see CamSnapshot.table; None when lambda2 is 0). A term with
+    weight 0, or without samples, reads 0. The gradients are those of
+    lambda1 * overlap + lambda2 * grounding.
     """
-    sub = dc.as_f64(pixel_rows)
-    rows = dc.constant(sub.reshape(-1, sub.shape[2]))
-    m = trace.head_node.shape[1]
-    maps = []
-    for k in categories:
-        if not 0 <= k < m:
-            raise ValueError(f"category {k} out of range for {m} categories")
-        pick = np.zeros((m, 1))
-        pick[k] = 1.0
-        column = dc.matmul(trace.mixer_node, dc.matmul(trace.head_node, dc.constant(pick)))
-        raw = dc.matmul(rows, column)
-        maps.append(dc.normalize_blocks(raw, sub.shape[1]) if normalized else raw)
-    return maps
-
-
-def cam_overlap_terms(map_b: dc.DiffNode, map_c: dc.DiffNode) -> dc.DiffNode:
-    """Pixelwise product of two activation maps."""
-    return dc.mul(map_b, map_c)
-
-
-def cam_ground_terms(map_b, map_c, frozen_b, frozen_c) -> dc.DiffNode:
-    """|frozen map - live map| summed over the two categories, per pixel."""
-    ref_b = dc.constant(dc.as_f64(frozen_b).reshape(-1, 1))
-    ref_c = dc.constant(dc.as_f64(frozen_c).reshape(-1, 1))
-    return dc.add(
-        dc.absval(dc.sub(ref_b, map_b)), dc.absval(dc.sub(ref_c, map_c))
-    )
-
-
-def cam_objective(
-    trace, pixel_rows, targets, pairs, frozen, lambda1, lambda2
-) -> dc.DiffNode:
-    """BCE + lambda1 * mean overlap + lambda2 * mean grounding, for a batch.
-
-    `pixel_rows` are the batch's (n, P, D_in) maps. The CAM terms cover, per
-    pair, the samples labeled with both categories; each pair's live maps are
-    built once and feed both terms. `frozen` maps each tracked category to
-    the snapshot's (n, P) maps of the batch (see CamSnapshot.table); it may
-    be None when lambda2 is 0. Plain BCE when no sample co-occurs or both
-    weights are 0.
-    """
-    if lambda1 < 0 or lambda2 < 0:
-        raise ValueError("loss weights must be nonnegative")
     if lambda2 > 0 and frozen is None:
         raise ValueError("grounding needs the frozen stage-1 maps")
     t = dc.as_f64(targets)
-    root = bce(trace.logits, t)
-    if lambda1 == 0 and lambda2 == 0:
-        return root
-    overlap_parts, ground_parts = [], []
+    maps, overlap, ground = [], [], []
     for b, c in pairs:
         local = np.flatnonzero((t[:, b] == 1) & (t[:, c] == 1))
-        if local.size == 0:
+        if local.size == 0 or lambda1 == lambda2 == 0:
             continue
-        map_b, map_c = cam_maps(trace, pixel_rows[local], (b, c))
-        if lambda1 > 0:
-            overlap_parts.append(cam_overlap_terms(map_b, map_c))
+        x = dc.as_f64(pixel_rows[local])
+        raw = {k: cam_maps(params, x, k, normalized=False).reshape(-1, 1) for k in (b, c)}
+        live = {k: dc.normalize_blocks(raw[k], x.shape[1]) for k in (b, c)}
+        diff = {}
         if lambda2 > 0:
-            ground_parts.append(
-                cam_ground_terms(map_b, map_c, frozen[b][local], frozen[c][local])
-            )
-    for parts, lam in ((overlap_parts, lambda1), (ground_parts, lambda2)):
-        if parts:
-            root = dc.add(root, dc.scale(dc.mean_all(dc.concat(parts, axis=0)), lam))
-    return root
+            diff = {k: frozen[k][local].reshape(-1, 1) - live[k] for k in (b, c)}
+        if lambda1 > 0:
+            overlap.append(live[b] * live[c])
+        if lambda2 > 0:
+            ground.append(np.abs(diff[b]) + np.abs(diff[c]))
+        maps.append((x, (b, c), raw, live, diff))
+
+    # each term is a mean, so every pixel's cotangent is its weight over the count
+    g_overlap = float(lambda1) / sum(o.size for o in overlap) if overlap else 0.0
+    g_ground = float(lambda2) / sum(o.size for o in ground) if ground else 0.0
+    g_mixer, g_head = np.zeros(params.mixer.shape), np.zeros(params.head.shape)
+    # Float sums depend on their order, and trained CAM weights depend on
+    # rounding, so the order is fixed: last pair first, each pair's context
+    # map before its biased map, at each map the grounding cotangent before
+    # the overlap one, and cam_objective adds the BCE gradient last.
+    for x, (b, c), raw, live, diff in reversed(maps):
+        rows = x.reshape(-1, x.shape[2])
+        for k, other in ((c, b), (b, c)):
+            g_map = g_ground * np.sign(diff[k]) * -1.0 if diff else 0.0
+            if overlap:
+                g_map = g_map + g_overlap * live[other]
+            g_column = rows.T @ dc.normalize_blocks_vjp(raw[k], x.shape[1], g_map)
+            g_mixer += g_column @ params.head[:, [k]].T
+            g_head[:, [k]] += params.mixer.T @ g_column
+    means = [float(np.mean(np.concatenate(p))) if p else 0.0 for p in (overlap, ground)]
+    return (*means, g_mixer, g_head)
+
+
+def cam_objective(
+    params, pooled_rows, pixel_rows, targets, pairs, frozen, lambda1, lambda2
+) -> tuple:
+    """(loss, g_mixer, g_head) of BCE + lambda1 * mean overlap + lambda2 * mean grounding.
+
+    `pooled_rows` and `pixel_rows` are the batch's (n, D_in) pooled rows and
+    (n, P, D_in) maps; see cam_terms for the CAM terms. Plain BCE when no
+    sample co-occurs or both weights are 0.
+    """
+    loss, g_mixer, g_head = bce_objective(params, pooled_rows, targets)
+    overlap, ground, cam_mixer, cam_head = cam_terms(
+        params, pixel_rows, targets, pairs, frozen, lambda1, lambda2
+    )
+    return (loss + overlap * lambda1) + ground * lambda2, cam_mixer + g_mixer, cam_head + g_head
 
 
 # ---------------------------------------------------------------------------
@@ -236,22 +258,42 @@ class RunningMeanBuffer:
         return [e.copy() for e in self.entries]
 
 
-def suppressed_logits(params: mdl.ModelParams, trace: mdl.ForwardTrace, excl_mask, buffer: RunningMeanBuffer) -> dc.DiffNode:
-    """Split-head forward for a batch, as one masked product.
+def suppressed_logits(
+    params: mdl.ModelParams, mixed, excl_mask, buffer: RunningMeanBuffer
+) -> tuple:
+    """(logits, keep) of the split-head forward for a batch, as one masked product.
 
-    Non-exclusive samples use both halves with gradients everywhere.
-    Exclusive samples have their context features masked to zero; the
-    running-mean context vector takes their place through a constant copy
-    of the head, so nothing upstream of the context path learns from them.
+    `mixed` is the batch's (n, D) features. Non-exclusive samples use both
+    halves. Exclusive samples have their context features masked to zero by
+    `keep`; the running-mean context vector takes their place as a constant,
+    so nothing upstream of the context path learns from them.
     """
     mask = np.asarray(excl_mask, dtype=bool)
-    if mask.shape != (trace.n,):
+    if mask.shape != (len(mixed),):
         raise ValueError("mask length must match batch size")
     cut = np.ix_(mask, params.context_rows)
-    keep = np.ones(trace.pooled.shape)
+    keep = np.ones(mixed.shape)
     keep[cut] = 0.0
-    fill = np.zeros(trace.pooled.shape)
+    fill = np.zeros(mixed.shape)
     fill[cut] = buffer.mean()
-    live = dc.matmul(dc.mul(trace.pooled, dc.constant(keep)), trace.head_node)
-    frozen = dc.matmul(dc.constant(fill), dc.constant(trace.head_node.value))
-    return dc.add(live, frozen)
+    return (mixed * keep) @ params.head + fill @ params.head, keep
+
+
+def feature_split_objective(params, pooled_rows, targets, weights, excl_mask, buffer) -> tuple:
+    """(loss, g_mixer, g_head) of weighted BCE through selective suppression.
+
+    The logit cotangent goes back through the kept features only, so the
+    context half learns from non-exclusive samples alone. Once the logits
+    have read the running mean, the batch's non-exclusive samples push their
+    mean context features into `buffer`.
+    """
+    mixed, _ = mdl.forward_batch(params, pooled_rows)
+    logits, keep = suppressed_logits(params, mixed, excl_mask, buffer)
+    loss, g = bce(logits, targets, weights)
+    mask = np.asarray(excl_mask, dtype=bool)
+    if not mask.all():
+        # np.take, not fancy indexing: the mean's rounding follows the
+        # gathered array's memory layout
+        ctx = np.take(mixed, params.context_rows, axis=1)
+        buffer.push(ctx[~mask].mean(axis=0))
+    return (loss, *_linear_grads(params, pooled_rows, mixed * keep, g, keep))

@@ -8,7 +8,9 @@ during stage-2 training.
 
 A feature map is a (P, D_in) block of pixel rows, P = H*W. Pooling is linear,
 so training pools each set once and forwards (n, D_in) pooled rows; pixel
-rows meet the weights only where an activation map is needed.
+rows meet the weights only where an activation map is needed. Everything
+here is plain numpy: the objectives in losses take the gradients of this
+forward pass in closed form.
 """
 
 from __future__ import annotations
@@ -74,55 +76,27 @@ def init_params(d_in: int, d: int, m: int, seed) -> ModelParams:
     return ModelParams(mixer=mixer, head=head, own_rows=own, context_rows=ctx)
 
 
-@dataclass
-class ForwardTrace:
-    """Graph handles for one batched forward pass."""
-
-    n: int
-    mixer_node: dc.DiffNode  # leaf
-    head_node: dc.DiffNode  # leaf
-    pooled: dc.DiffNode  # (n, D)
-    logits: dc.DiffNode  # (n, M)
-
-
 def pool_pixels(feats: np.ndarray) -> np.ndarray:
     """(N, D_in) float64 mean of each sample's (P, D_in) pixel rows."""
     return np.mean(feats, axis=1, dtype=np.float64)
 
 
-def forward_batch(
-    params: ModelParams, pooled_rows: np.ndarray, mixer_node=None, head_node=None
-) -> ForwardTrace:
-    """Forward a batch of (n, D_in) pooled rows (see pool_pixels).
+def forward_batch(params: ModelParams, pooled_rows: np.ndarray) -> tuple:
+    """(mixed, logits) of a batch of (n, D_in) pooled rows (see pool_pixels).
 
-    GAP(X W) = GAP(X) W, so the pooled rows meet the mixer directly.
-    `mixer_node`/`head_node` reuse existing leaves (training steps, gradient
-    checks); by default fresh leaves are made from `params`.
+    GAP(X W) = GAP(X) W, so the pooled rows meet the mixer directly:
+    mixed = rows W is (n, D) and logits = mixed H is (n, M).
     """
     pooled_rows = dc.as_f64(pooled_rows)
     if pooled_rows.ndim != 2 or pooled_rows.shape[1] != params.d_in:
         raise ValueError(f"bad pooled shape {pooled_rows.shape} for {params.d_in} channels")
-    if mixer_node is None:
-        mixer_node = dc.leaf(params.mixer)
-    if head_node is None:
-        head_node = dc.leaf(params.head)
-    pooled = dc.matmul(dc.constant(pooled_rows), mixer_node)
-    return ForwardTrace(
-        n=pooled_rows.shape[0],
-        mixer_node=mixer_node,
-        head_node=head_node,
-        pooled=pooled,
-        logits=dc.matmul(pooled, head_node),
-    )
-
-
-def logit_values(params: ModelParams, feats: np.ndarray) -> np.ndarray:
-    """Plain-numpy logits for (n, P, D_in) features, pooled first."""
-    return (pool_pixels(feats) @ params.mixer) @ params.head
+    mixed = pooled_rows @ params.mixer
+    return mixed, mixed @ params.head
 
 
 def predict(params: ModelParams, feats: np.ndarray) -> np.ndarray:
-    return dc.sigmoid_values(logit_values(params, feats))
+    """Sigmoid scores of (n, P, D_in) features, pooled first."""
+    return dc.sigmoid_values(forward_batch(params, pool_pixels(feats))[1])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ derived from the config seed, so a fixed config reproduces runs bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -63,6 +64,16 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if self.mixer_width % 2:
             raise ValueError("mixer_width must be even (the head rows get halved)")
+        # range checks for what only stage 2 or pair selection reads, so a
+        # bad value stops the run before stage 1 trains
+        if self.k < 1:
+            raise ValueError("k must be at least 1")
+        if not 0.0 < self.freq_threshold < 1.0:
+            raise ValueError("freq_threshold must be in (0, 1)")
+        if self.lambda1 < 0 or self.lambda2 < 0:
+            raise ValueError("loss weights lambda1 and lambda2 must be nonnegative")
+        if self.alpha_min <= 1.0:
+            raise ValueError("alpha_min must exceed 1")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -98,53 +109,57 @@ def _derive_seeds(seed) -> dict:
     return out
 
 
-def _apply_step(mixer, head, trace, gmap, lr) -> tuple:
-    """One SGD step on the (mixer, head) arrays the step loop carries."""
-    stepped = dc.sgd_step(
-        {"mixer": mixer, "head": head},
-        {"mixer": gmap[trace.mixer_node], "head": gmap[trace.head_node]},
-        lr,
-    )
-    return stepped["mixer"], stepped["head"]
-
-
 def _sgd_loop(
-    params, pooled, rows, epochs, sgd, batch_size, seed, tags, objective, after_step=None
+    params, rows, epochs, sgd, batch_size, seed, tags, objective, after_step=None
 ) -> tuple:
-    """Minibatch SGD on (mixer, head) over `rows` of the pooled set.
+    """Minibatch SGD on (mixer, head) over the sample indices `rows`.
 
     Each step's log entry starts from `tags` (the stage, and stage 2's
-    method). `objective(trace, idx, entry)` gives the batch's scalar loss
-    node and may add fields to the entry, as may `after_step(entry,
-    head_before, head_after)` once the step is taken. Returns the trained
-    params, the per-epoch mean losses and one log entry per step.
+    method). `objective(params, idx, entry)` gives the batch's loss and its
+    mixer and head gradients and may add fields to the entry, as may
+    `after_step(entry, head_before, head_after)` once the step is taken. A
+    non-finite loss stops the run with FloatingPointError. Returns the
+    trained params, the per-epoch mean losses and one log entry per step.
     """
     shuffle_rng = np.random.default_rng(seed)
-    # copies, so the params passed in stay intact even after zero steps
-    mixer, head = params.mixer.copy(), params.head.copy()
+    # a copy the loop steps, so the params passed in stay intact even after
+    # zero steps
+    params = replace(params, mixer=params.mixer.copy(), head=params.head.copy())
     curve, step_log = [], []
-    for epoch in range(epochs):
-        lr = sgd.lr_at(epoch)
-        order = shuffle_rng.permutation(len(rows))
-        batch_losses = []
-        for start in range(0, len(order), batch_size):
-            idx = rows[order[start : start + batch_size]]
-            trace = mdl.forward_batch(params, pooled[idx], dc.leaf(mixer), dc.leaf(head))
-            entry = {**tags, "epoch": epoch, "lr": lr}
-            root = objective(trace, idx, entry)
-            gmap = dc.eval_backward(root)
-            mixer, head = _apply_step(mixer, head, trace, gmap, lr)
-            entry["loss"] = float(root.value)
-            if after_step is not None:
-                after_step(entry, trace.head_node.value, head)
-            batch_losses.append(entry["loss"])
-            step_log.append(entry)
-        curve.append(float(np.mean(batch_losses)))
-    return replace(params, mixer=mixer, head=head), curve, step_log
+    # a diverging run overflows before its loss turns non-finite; the loss
+    # check below reports that in one line, so numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            lr = sgd.lr_at(epoch)
+            order = shuffle_rng.permutation(len(rows))
+            batch_losses = []
+            for start in range(0, len(order), batch_size):
+                idx = rows[order[start : start + batch_size]]
+                entry = {**tags, "epoch": epoch, "lr": lr}
+                loss, g_mixer, g_head = objective(params, idx, entry)
+                if not math.isfinite(loss):
+                    raise FloatingPointError(
+                        f"stage {tags['stage']} diverged: loss {loss} at step {len(step_log)} "
+                        f"(epoch {epoch}, lr {lr:g})"
+                    )
+                stepped = dc.sgd_step(
+                    {"mixer": params.mixer, "head": params.head},
+                    {"mixer": g_mixer, "head": g_head},
+                    lr,
+                )
+                head_before = params.head
+                params.mixer, params.head = stepped["mixer"], stepped["head"]
+                entry["loss"] = loss
+                if after_step is not None:
+                    after_step(entry, head_before, params.head)
+                batch_losses.append(loss)
+                step_log.append(entry)
+            curve.append(float(np.mean(batch_losses)))
+    return params, curve, step_log
 
 
-def _bce_objective(labels):
-    return lambda trace, idx, entry: losses.bce(trace.logits, labels[idx])
+def _bce_objective(pooled, labels):
+    return lambda params, idx, entry: losses.bce_objective(params, pooled[idx], labels[idx])
 
 
 def train_stage1(
@@ -168,8 +183,8 @@ def train_stage1(
     rows80, rows20 = data.split_80_20(len(manifest.samples), seeds["split"])
     params, curve, step_log = _sgd_loop(
         mdl.init_params(manifest.d_in, cfg.mixer_width, m, seeds["init"]),
-        mdl.pool_pixels(feats), rows80, cfg.stage1_epochs, cfg.sgd_stage1,
-        cfg.batch_size, seeds["shuffle1"], {"stage": 1}, _bce_objective(labels),
+        rows80, cfg.stage1_epochs, cfg.sgd_stage1, cfg.batch_size, seeds["shuffle1"],
+        {"stage": 1}, _bce_objective(mdl.pool_pixels(feats), labels),
     )
 
     if pinned is None:
@@ -288,6 +303,7 @@ def train_stage2(
         params = replace(params, head=np.concatenate([params.head, extra], axis=1))
 
     feats, labels = data.load_arrays(work)
+    pooled = mdl.pool_pixels(feats)
     m = len(work.categories)
 
     # the method's objective, chosen once; each weighted method fills one
@@ -295,14 +311,15 @@ def train_stage2(
     excl_all = losses.exclusive_mask(labels, pair_tuples)
     buffer = after_step = None
 
-    def weighted_bce(trace, idx, entry, logits=None):
+    def log_weights(idx, entry):
         entry["n_exclusive"] = int(excl_all[idx].sum())
         entry["max_weight"] = float(weights_all[idx].max())
-        return losses.elementwise_weighted_bce(
-            trace.logits if logits is None else logits, labels[idx], weights_all[idx]
-        )
 
-    objective = _bce_objective(labels)  # standard, possibly on a transformed set
+    def weighted_bce(params, idx, entry):
+        log_weights(idx, entry)
+        return losses.bce_objective(params, pooled[idx], labels[idx], weights_all[idx])
+
+    objective = _bce_objective(pooled, labels)  # standard, possibly on a transformed set
     if cfg.method == "ours_cam":
         frozen_all = None
         if cfg.lambda2 > 0:
@@ -310,26 +327,24 @@ def train_stage2(
             snapshot = losses.CamSnapshot(artifacts.params, pair_tuples)
             frozen_all = snapshot.table(feats, cfg.batch_size)
 
-        def objective(trace, idx, entry):
+        def objective(params, idx, entry):
             frozen = None if frozen_all is None else {k: v[idx] for k, v in frozen_all.items()}
             return losses.cam_objective(
-                trace, feats[idx], labels[idx], pair_tuples, frozen, cfg.lambda1, cfg.lambda2
+                params, pooled[idx], feats[idx], labels[idx], pair_tuples, frozen,
+                cfg.lambda1, cfg.lambda2,
             )
     elif cfg.method == "ours_feature_split":
         buffer = losses.RunningMeanBuffer(width=params.d // 2)
         alpha = losses.alpha_weights(labels, pair_tuples, cfg.alpha_min)
         weights_all = np.repeat(alpha[:, None], m, axis=1)
 
-        def objective(trace, idx, entry):
+        def objective(params, idx, entry):
             mask = excl_all[idx]
-            logits = losses.suppressed_logits(params, trace, mask, buffer)
             entry["all_exclusive"] = bool(mask.all())
-            if not mask.all():
-                # np.take, not fancy indexing: the mean's rounding follows
-                # the gathered array's memory layout
-                ctx = np.take(trace.pooled.value, params.context_rows, axis=1)
-                buffer.push(ctx[~mask].mean(axis=0))
-            return weighted_bce(trace, idx, entry, logits)
+            log_weights(idx, entry)
+            return losses.feature_split_objective(
+                params, pooled[idx], labels[idx], weights_all[idx], mask, buffer
+            )
 
         def after_step(entry, head_before, head_after):
             rows = params.context_rows
@@ -349,9 +364,9 @@ def train_stage2(
         objective = weighted_bce
 
     params, curve, step_log = _sgd_loop(
-        params, mdl.pool_pixels(feats), np.arange(len(work.samples)), cfg.stage2_epochs,
-        cfg.sgd_stage2, cfg.batch_size, artifacts.seeds["shuffle2"],
-        {"stage": 2, "method": cfg.method}, objective, after_step,
+        params, np.arange(len(work.samples)), cfg.stage2_epochs, cfg.sgd_stage2,
+        cfg.batch_size, artifacts.seeds["shuffle2"], {"stage": 2, "method": cfg.method},
+        objective, after_step,
     )
     return TrainArtifacts(
         params=params,

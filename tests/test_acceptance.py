@@ -40,10 +40,14 @@ def verdict(name, ok, detail):
 # gradient correctness
 
 
-def _leaf_trace(mixer_node, head_node, fm, own, ctx):
-    """model.forward_batch on existing leaves, for finite-diff builders."""
-    params = mdl.ModelParams(mixer_node.value, head_node.value, own, ctx)
-    return mdl.forward_batch(params, mdl.pool_pixels(fm), mixer_node, head_node)
+def _check(objective, point, keep=None):
+    """finite_diff_check of objective(point) -> (loss, grad dict) at `point`.
+
+    `keep` names the parameters to check; by default all of them.
+    """
+    _, grads = objective(point)
+    grads = {k: v for k, v in grads.items() if keep is None or k in keep}
+    return dc.finite_diff_check(lambda p: objective(p)[0], point, grads, eps=1e-5)
 
 
 def test_gradients_match_finite_differences():
@@ -62,15 +66,19 @@ def test_gradients_match_finite_differences():
     weights = np.repeat(np.array([1.0, 2.5, 1.5])[:, None], m, axis=1)  # per sample
     worst = {}
 
-    def plain_trace(lv):
-        return _leaf_trace(lv["mixer"], lv["head"], fm, own, ctx)
+    def params_at(p):
+        return mdl.ModelParams(p["mixer"], p["head"], own, ctx)
 
-    worst["bce"] = dc.finite_diff_check(
-        lambda lv: losses.bce(plain_trace(lv).logits, t), base, eps=1e-5
+    def named(out):  # (loss, g_mixer, g_head) -> (loss, grads by name)
+        return out[0], {"mixer": out[1], "head": out[2]}
+
+    # every check below runs a function the training step calls
+    pooled = mdl.pool_pixels(fm)
+    worst["bce"] = _check(
+        lambda p: named(losses.bce_objective(params_at(p), pooled, t)), base
     )
-    worst["weighted_bce"] = dc.finite_diff_check(
-        lambda lv: losses.elementwise_weighted_bce(plain_trace(lv).logits, t, weights),
-        base, eps=1e-5,
+    worst["weighted_bce"] = _check(
+        lambda p: named(losses.bce_objective(params_at(p), pooled, t, weights)), base
     )
     # The CAM losses normalize with a relu and a per-map max, which makes
     # three kink families: relu at raw zero, argmax ties, and |live - frozen|
@@ -86,30 +94,22 @@ def test_gradients_match_finite_differences():
         "mixer": rng.uniform(0.05, 0.15, size=(d_in, d)),
         "head": rng.uniform(0.1, 0.3, size=(d, m)),
     }
+    every = np.ones((n, m))  # every sample counts for the pair
 
-    def pos_trace(lv):
-        return _leaf_trace(lv["mixer"], lv["head"], fm_pos, own, ctx)
+    def cam_part(which, frozen, lam1, lam2):
+        def objective(p):
+            out = losses.cam_terms(params_at(p), fm_pos, every, [(0, 1)], frozen, lam1, lam2)
+            return out[which], {"mixer": out[2], "head": out[3]}
+        return objective
 
-    worst["overlap"] = dc.finite_diff_check(
-        lambda lv: dc.mean_all(
-            losses.cam_overlap_terms(*losses.cam_maps(pos_trace(lv), fm_pos, (0, 1)))
-        ),
-        pos, eps=1e-5,
-    )
+    worst["overlap"] = _check(cam_part(0, None, 1.0, 0.0), pos)
     # grounding maps far outside [0, 1] keep the |.| terms off their kinks.
     # Both references sit on the same side: normalized maps live in [0, 1],
     # so opposite-side references make the term linear with gradient equal
     # to the *difference* of two near-identical map gradients, and that
     # cancellation would drown the check in finite-difference noise.
-    pre_b, pre_c = np.full(n * h * w, 2.0), np.full(n * h * w, 2.0)
-    worst["ground"] = dc.finite_diff_check(
-        lambda lv: dc.mean_all(
-            losses.cam_ground_terms(
-                *losses.cam_maps(pos_trace(lv), fm_pos, (0, 1)), pre_b, pre_c
-            )
-        ),
-        pos, eps=1e-5,
-    )
+    pre = {0: np.full((n, h * w), 2.0), 1: np.full((n, h * w), 2.0)}
+    worst["ground"] = _check(cam_part(1, pre, 0.0, 1.0), pos)
 
     # combined objective, the one training calls, on one sample grounded
     # against a frozen snapshot. The snapshot enters as a constant, so only
@@ -118,7 +118,6 @@ def test_gradients_match_finite_differences():
     # the live peak's pixel would put one |.| term exactly on its kink.
     # Signed snapshot weights move its peak; scan until clearly separated.
     fm_one = fm_pos[:1]
-    rows_one = fm_one.reshape(-1, d_in)
     snap = None
     for probe in range(200):
         r2 = np.random.default_rng(1000 + probe)
@@ -132,9 +131,7 @@ def test_gradients_match_finite_differences():
         )
         gap = min(
             np.abs(
-                dc.normalize_block_values(
-                    (rows_one @ pos["mixer"]) @ pos["head"][:, [cat]], h * w
-                ).ravel()
+                losses.cam_maps(params_at(pos), fm_one, cat).ravel()
                 - cand.rows(fm_one, cat).ravel()
             ).min()
             for cat in (0, 1)
@@ -145,12 +142,12 @@ def test_gradients_match_finite_differences():
     assert snap is not None, "no kink-free snapshot found"
 
     frozen = snap.table(fm_one, 64)
-
-    def build_total(lv):
-        trace = _leaf_trace(lv["mixer"], lv["head"], fm_one, own, ctx)
-        return losses.cam_objective(trace, fm_one, t[:1], [(0, 1)], frozen, 0.7, 0.3)
-
-    worst["combined"] = dc.finite_diff_check(build_total, pos, eps=1e-5)
+    worst["combined"] = _check(
+        lambda p: named(losses.cam_objective(
+            params_at(p), mdl.pool_pixels(fm_one), fm_one, t[:1], [(0, 1)], frozen, 0.7, 0.3
+        )),
+        pos,
+    )
 
     # suppressed path: a mixed batch checks every parameter that is supposed
     # to follow calculus; the context head rows sit behind a stop-gradient
@@ -162,24 +159,24 @@ def test_gradients_match_finite_differences():
         "head_ctx": base["head"][d // 2:],
     }
 
-    def build_suppressed(mask):
-        def build(lv):
-            head_node = dc.concat([lv["head_own"], lv["head_ctx"]], axis=0)
-            trace = _leaf_trace(lv["mixer"], head_node, fm, own, ctx)
-            params = mdl.ModelParams(lv["mixer"].value, head_node.value, own, ctx)
+    def suppressed(mask):
+        def objective(p):
+            head = np.concatenate([p["head_own"], p["head_ctx"]], axis=0)
             buf = losses.RunningMeanBuffer(width=d // 2)
             buf.push(xbar)
-            logits = losses.suppressed_logits(params, trace, mask, buf)
-            return losses.elementwise_weighted_bce(logits, t, weights)
-        return build
+            loss, g_mixer, g_head = losses.feature_split_objective(
+                mdl.ModelParams(p["mixer"], head, own, ctx), pooled, t, weights, mask, buf
+            )
+            return loss, {
+                "mixer": g_mixer, "head_own": g_head[: d // 2], "head_ctx": g_head[d // 2:]
+            }
+        return objective
 
     mixed = np.array([True, False, True])
-    worst["suppressed_mixed"] = dc.finite_diff_check(
-        build_suppressed(mixed), split_base, eps=1e-5, wrt=["mixer", "head_own"]
+    worst["suppressed_mixed"] = _check(
+        suppressed(mixed), split_base, keep=("mixer", "head_own")
     )
-    worst["suppressed_plain"] = dc.finite_diff_check(
-        build_suppressed(np.zeros(n, bool)), split_base, eps=1e-5
-    )
+    worst["suppressed_plain"] = _check(suppressed(np.zeros(n, bool)), split_base)
 
     elapsed = time.time() - t0
     worst_err = max(worst.values())
@@ -200,19 +197,18 @@ def test_split_head_identity():
     params = mdl.init_params(d_in, d, m, seed=201)
     n = 10_000
     feats = rng.uniform(-1.0, 1.0, size=(n, h * w, d_in))
-    trace = mdl.forward_batch(params, mdl.pool_pixels(feats))
-    pooled = trace.pooled.value
+    pooled, logits = mdl.forward_batch(params, mdl.pool_pixels(feats))
     split = (
         pooled[:, params.own_rows] @ params.head[params.own_rows]
         + pooled[:, params.context_rows] @ params.head[params.context_rows]
     )
-    diff_np = np.abs(split - trace.logits.value).max()
+    diff_np = np.abs(split - logits).max()
 
     buf = losses.RunningMeanBuffer(width=d // 2)
-    sup = losses.suppressed_logits(params, trace, np.zeros(n, bool), buf)
-    diff_graph = np.abs(sup.value - trace.logits.value).max()
+    sup, _ = losses.suppressed_logits(params, pooled, np.zeros(n, bool), buf)
+    diff_masked = np.abs(sup - logits).max()
 
-    worst_err = max(diff_np, diff_graph)
+    worst_err = max(diff_np, diff_masked)
     verdict(
         "split-identity", worst_err < 1e-12,
         f"max per-logit deviation {worst_err:.2e} over {n} instances",
@@ -228,6 +224,7 @@ def test_suppression_contract():
     rng = np.random.default_rng(301)
     n = 5
     feats = rng.normal(size=(n, 16, 10))
+    pooled = mdl.pool_pixels(feats)
     pairs = [(0, 1), (2, 3)]
     labels = np.zeros((n, 6))
     labels[:, 0] = 1.0  # every sample exclusive for (0, 1)
@@ -237,19 +234,19 @@ def test_suppression_contract():
 
     buf = losses.RunningMeanBuffer(width=4)
     buf.push(rng.normal(size=4))
-    trace = mdl.forward_batch(params, mdl.pool_pixels(feats))
-    logits = losses.suppressed_logits(params, trace, mask, buf)
-    gmap = dc.eval_backward(losses.bce(logits, labels))
-    g_head = gmap[trace.head_node]
+    ones = np.ones(labels.shape)
+    _, g_mixer, g_head = losses.feature_split_objective(params, pooled, labels, ones, mask, buf)
     zeros_exact = np.array_equal(
         g_head[params.context_rows], np.zeros((4, 6))
     )
 
     before = params.head[params.context_rows].tobytes()
-    _, stepped_head = train._apply_step(params.mixer, params.head, trace, gmap, lr=0.7)
-    bits_kept = stepped_head[params.context_rows].tobytes() == before
+    stepped = dc.sgd_step(
+        {"mixer": params.mixer, "head": params.head}, {"mixer": g_mixer, "head": g_head}, lr=0.7
+    )
+    bits_kept = stepped["head"][params.context_rows].tobytes() == before
     own_moved = not np.array_equal(
-        stepped_head[params.own_rows], params.head[params.own_rows]
+        stepped["head"][params.own_rows], params.head[params.own_rows]
     )
 
     # non-exclusive batch: suppressed and plain paths agree on value and grads
@@ -257,17 +254,15 @@ def test_suppression_contract():
     labels2[:, 1] = 1.0  # context alone is never exclusive
     mask2 = losses.exclusive_mask(labels2, pairs)
     assert not mask2.any()
-    trace_a = mdl.forward_batch(params, mdl.pool_pixels(feats))
-    ga = dc.eval_backward(
-        losses.bce(losses.suppressed_logits(params, trace_a, mask2, buf), labels2)
-    )
-    trace_b = mdl.forward_batch(params, mdl.pool_pixels(feats))
-    gb = dc.eval_backward(losses.bce(trace_b.logits, labels2))
-    sup_val = losses.suppressed_logits(params, trace_a, mask2, buf).value
+    ga = losses.feature_split_objective(params, pooled, labels2, ones, mask2, buf)
+    gb = losses.bce_objective(params, pooled, labels2)
+    mixed, plain_logits = mdl.forward_batch(params, pooled)
+    sup_val, _ = losses.suppressed_logits(params, mixed, mask2, buf)
     agree = max(
-        np.abs(sup_val - trace_b.logits.value).max(),
-        np.abs(ga[trace_a.head_node] - gb[trace_b.head_node]).max(),
-        np.abs(ga[trace_a.mixer_node] - gb[trace_b.mixer_node]).max(),
+        np.abs(sup_val - plain_logits).max(),
+        abs(ga[0] - gb[0]),
+        np.abs(ga[2] - gb[2]).max(),
+        np.abs(ga[1] - gb[1]).max(),
     )
 
     ok = zeros_exact and bits_kept and own_moved and agree < 1e-12

@@ -206,6 +206,48 @@ def test_train_rejects_bad_config(ws, tmp_path, capsys, doc, sets, named):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("setting, named", [
+    ("k=0", "k must be at least 1"),
+    ("freq_threshold=1.0", "freq_threshold must be in (0, 1)"),
+    ("lambda2=-0.5", "lambda1 and lambda2 must be nonnegative"),
+    ("alpha_min=1.0", "alpha_min must exceed 1"),
+], ids=["k", "freq_threshold", "lambda", "alpha_min"])
+def test_train_checks_config_ranges_before_training(
+    ws, tmp_path, capsys, monkeypatch, setting, named
+):
+    # values only pair selection or stage 2 reads still stop the run before
+    # the first stage-1 step
+    steps = []
+    sgd_step = dc.sgd_step
+    monkeypatch.setattr(dc, "sgd_step", lambda *a: steps.append(1) or sgd_step(*a))
+    method = {"lambda2=-0.5": "cam", "alpha_min=1.0": "feature-split"}.get(setting, "standard")
+    code = cli.main([
+        "train", "--data", str(ws / "dtrain"), "--config", str(ws / "train.json"),
+        "--method", method, "--set", setting, "--out", str(tmp_path / "run"),
+    ])
+    assert code == 2
+    assert steps == []
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_diverging_run_exits_3(ws, tmp_path, capsys):
+    # a learning rate of 1e300 makes the second stage-2 step's loss NaN
+    out = tmp_path / "run"
+    code = cli.main([
+        "train", "--data", str(ws / "dtrain"), "--pairs", "0:1",
+        "--set", "stage1_epochs=3", "--set", "stage2_epochs=2",
+        "--set", 'sgd_stage2={"initial_lr": 1e300, "decay_factor": 0.5, "decay_every": 5}',
+        "--out", str(out),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: FloatingPointError: stage 2 diverged: loss nan")
+    assert not (out / "checkpoint.json").exists()
+
+
 def test_sweep_rejects_list_config(tmp_path, capsys):
     cfg = tmp_path / "base.json"
     cfg.write_text(json.dumps([{"stage1_epochs": 1}]))

@@ -49,10 +49,11 @@ def test_every_public_name_is_used_in_src():
 
 
 def test_training_has_one_step_loop():
-    # both stages run one SGD loop: backward and the parameter step each have
-    # one call site, in a function that never looks at the method
+    # both stages run one SGD loop: the objective that gives the step's
+    # gradients and the parameter step each have one call site, in a
+    # function that never looks at the method, and no graph is built
     tree = ast.parse((SRC / "train.py").read_text())
-    sites = {"eval_backward": [], "_apply_step": []}
+    sites = {"objective": [], "sgd_step": []}
     for fn in tree.body:
         if not isinstance(fn, ast.FunctionDef):
             continue
@@ -62,8 +63,18 @@ def test_training_has_one_step_loop():
                 if name in sites:
                     sites[name].append(fn)
     assert [len(v) for v in sites.values()] == [1, 1]
-    (loop,) = set(sites["eval_backward"]) | set(sites["_apply_step"])
+    (loop,) = set(sites["objective"]) | set(sites["sgd_step"])
+    assert loop.name == "_sgd_loop"
+    (step,) = [n for n in ast.walk(loop) if isinstance(n, ast.Call)
+               and getattr(n.func, "attr", None) == "sgd_step"]
+    assert isinstance(step.func.value, ast.Name) and step.func.value.id == "dc"
     assert not any(
         isinstance(node, ast.Attribute) and node.attr == "method"
         for node in ast.walk(loop)
     )
+    identifiers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            identifiers.add(getattr(node, "id", getattr(node, "attr", getattr(node, "name", None))))
+    graph = {"DiffNode", "leaf", "constant", "eval_backward", "ForwardTrace"}
+    assert not graph & identifiers

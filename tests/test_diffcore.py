@@ -2,29 +2,26 @@ import numpy as np
 import pytest
 
 from debias import diffcore as dc
+from debias import losses
+from debias import model as mdl
 
 RNG = np.random.default_rng
 
 
-def grads_of(root, *leaves):
-    gmap = dc.eval_backward(root)
-    return [gmap[l] for l in leaves]
-
-
 def test_bce_terms_gradient_at_zero():
     # sigmoid(0) = 1/2: each term is ln 2 and its gradient is s - t
-    x = dc.leaf(np.zeros((1, 2)))
-    node = dc.bce_terms(x, np.array([[1.0, 0.0]]))
-    assert np.allclose(node.value, np.log(2.0), rtol=0, atol=1e-15)
-    (g,) = node.vjp(np.ones((1, 2)))
+    x = np.zeros((1, 2))
+    t = np.array([[1.0, 0.0]])
+    assert np.allclose(dc.bce_terms(x, t), np.log(2.0), rtol=0, atol=1e-15)
+    g = dc.bce_terms_vjp(x, t, np.ones((1, 2)))
     assert np.allclose(g, [[-0.5, 0.5]], rtol=0, atol=1e-15)
 
 
 def chain_reference(z, t, g):
     """The sigmoid -> guarded log -> mul -> add chain the op fuses, in numpy.
 
-    Forward in graph order, backward in the order the reverse sweep visits
-    the chain's nodes; returns (value, cotangent of z).
+    Forward in chain order, backward in the order a reverse sweep visits
+    the chain's steps; returns (value, cotangent of z).
     """
     s = 1.0 / (1.0 + np.exp(-np.clip(z, -40.0, 40.0)))
     q = np.ones_like(t) + s * -1.0
@@ -47,66 +44,75 @@ def test_bce_terms_bit_equal_to_chain():
     t = np.repeat([[1.0], [0.0]], 7, axis=1)
     g = RNG(19).normal(size=z.shape)
     want_value, want_grad = chain_reference(z, t, g)
-    node = dc.bce_terms(dc.leaf(z), t)
-    (got_grad,) = node.vjp(g)
-    assert node.value.tobytes() == want_value.tobytes()
+    got_grad = dc.bce_terms_vjp(z, t, g)
+    assert dc.bce_terms(z, t).tobytes() == want_value.tobytes()
     assert got_grad.tobytes() == want_grad.tobytes()
     assert got_grad[0, 0] == 0.0 and got_grad[0, 1] == 0.0  # flat below the guard
     assert got_grad[1, 5] == 0.0 and got_grad[1, 6] == 0.0
-    # through eval_backward, as training calls it
-    x = dc.leaf(z)
-    (g_mean,) = grads_of(dc.mean_all(dc.bce_terms(x, t)), x)
+    # through the mean's cotangent, as training calls it
+    _, g_mean = losses.bce(z, t)
     _, want_mean = chain_reference(z, t, np.full(z.shape, 1.0 / z.size))
     assert g_mean.tobytes() == want_mean.tobytes()
 
 
 def test_bce_terms_rejects_mismatched_targets():
     with pytest.raises(ValueError):
-        dc.bce_terms(dc.leaf(np.zeros((2, 3))), np.zeros((3, 2)))
+        dc.bce_terms(np.zeros((2, 3)), np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        dc.bce_terms_vjp(np.zeros((2, 3)), np.zeros((3, 2)), np.ones((2, 3)))
+
+
+def linear_setup(seed, n=3, d_in=2, d=4, m=3):
+    params = mdl.init_params(d_in, d, m, seed)
+    rng = RNG(seed + 1)
+    pooled = rng.normal(size=(n, d_in))
+    t = (rng.random((n, m)) < 0.5).astype(float)
+    return params, pooled, t
 
 
 def test_linear_map_row_gradients():
-    # mean(W @ x) over 3 rows, x a (2, 1) column: every row of W has gradient
-    # x^T / 3, x gets the column means of W
-    w = dc.leaf(RNG(0).normal(size=(3, 2)))
-    x_val = RNG(1).normal(size=(2, 1))
-    x = dc.leaf(x_val)
-    gw, gx = grads_of(dc.mean_all(dc.matmul(w, x)), w, x)
-    for row in gw:
-        assert np.array_equal(row, gw[0])
-        assert np.allclose(row, x_val[:, 0] / 3, rtol=0, atol=1e-15)
-    assert np.allclose(gx, w.value.mean(axis=0)[:, None])
+    # one sample: gW = p^T (gz H^T) is an outer product, so row i of the mixer
+    # gradient is p_i times one shared vector, and gH = (p W)^T gz
+    params, pooled, t = linear_setup(0, n=1)
+    _, g_mixer, g_head = losses.bce_objective(params, pooled, t)
+    z = (pooled @ params.mixer) @ params.head
+    gz = (dc.sigmoid_values(z) - t) / t.size
+    shared = (gz @ params.head.T)[0]
+    for i, row in enumerate(g_mixer):
+        assert np.allclose(row, pooled[0, i] * shared, rtol=0, atol=1e-15)
+    assert np.allclose(g_head, (pooled @ params.mixer).T @ gz, rtol=0, atol=1e-15)
 
 
 def test_matmul_rejects_1d_operands():
+    # the forward pass takes (n, D_in) pooled rows only
+    params = mdl.init_params(2, 4, 3, 0)
     with pytest.raises(ValueError):
-        dc.matmul(dc.leaf(np.ones((3, 2))), dc.leaf(np.ones(2)))
-    with pytest.raises(ValueError):
-        dc.matmul(dc.leaf(np.ones(2)), dc.leaf(np.ones(2)))
+        mdl.forward_batch(params, np.ones(2))
 
 
 def test_mean_gradient():
-    a = dc.leaf(np.ones((2, 3)))
-    (g,) = grads_of(dc.mean_all(a), a)
-    assert np.array_equal(g, np.full((2, 3), 1.0 / 6.0))
+    # the mean spreads its cotangent evenly: at z = 0 each logit gets (1/2 - t) / n
+    t = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    _, g = losses.bce(np.zeros((2, 3)), t)
+    assert np.array_equal(g, (0.5 - t) / 6.0)
 
 
 def test_guarded_log_value_and_gradient():
     # sigmoid(-40) < LOG_GUARD: a positive target reads -log(LOG_GUARD) and
     # gets no gradient; at z = 0 the gradient is (1/2 - 1) / 2 = -1/4
-    v = dc.leaf(np.array([[-40.0, 0.0]]))
-    node = dc.bce_terms(v, np.ones((1, 2)))
-    assert dc.sigmoid_values(v.value)[0, 0] < dc.LOG_GUARD
-    assert node.value[0, 0] == -np.log(1e-12)
-    (g,) = grads_of(dc.mean_all(node), v)
+    v = np.array([[-40.0, 0.0]])
+    terms = dc.bce_terms(v, np.ones((1, 2)))
+    assert dc.sigmoid_values(v)[0, 0] < dc.LOG_GUARD
+    assert terms[0, 0] == -np.log(1e-12)
+    _, g = losses.bce(v, np.ones((1, 2)))
     assert g[0, 0] == 0.0  # flat below the guard
     assert abs(g[0, 1] + 0.25) < 1e-15
 
 
 def test_relu_subgradient_zero_at_kink():
     # the relu inside map normalization passes nothing at or below zero
-    x = dc.leaf(np.array([[-1.0], [0.0], [2.0]]))
-    (g,) = grads_of(dc.mean_all(dc.normalize_blocks(x, 3)), x)
+    x = np.array([[-1.0], [0.0], [2.0]])
+    g = dc.normalize_blocks_vjp(x, 3, np.full((3, 1), 1.0 / 3.0))
     assert g[0, 0] == 0.0 and g[1, 0] == 0.0
     assert g[2, 0] > 0.0
 
@@ -120,37 +126,37 @@ def test_relu_subgradient_zero_at_kink():
     ],
 )
 def test_normalize_block_values_edges(raw, expect):
-    got = dc.normalize_block_values(np.array(raw), 2)
+    got = dc.normalize_blocks(np.array(raw), 2)
     assert np.allclose(got, expect, rtol=0, atol=1e-12)
 
 
 def test_normalize_block_values_hand_case():
     # two blocks of two rows, two columns: each column of a block by its own max
-    got = dc.normalize_block_values(np.array([[1.0, 8.0], [2.0, 4.0], [4.0, 1.0], [8.0, 2.0]]), 2)
+    got = dc.normalize_blocks(np.array([[1.0, 8.0], [2.0, 4.0], [4.0, 1.0], [8.0, 2.0]]), 2)
     assert np.max(np.abs(got - [[0.5, 1.0], [1.0, 0.5], [0.5, 0.5], [1.0, 1.0]])) < 1e-7
 
 
 def test_normalize_blocks_matches_per_block():
-    # the graph op's values are the numpy forward's, block by block, to the bit
+    # stacked maps normalize exactly as each block does on its own
     rng = RNG(18)
     block = 6
     stacked = rng.normal(size=(3 * block, 1))
-    node = dc.normalize_blocks(dc.constant(stacked), block)
-    assert node.value.tobytes() == dc.normalize_block_values(stacked, block).tobytes()
+    out = dc.normalize_blocks(stacked, block)
     for i in range(3):
         seg = stacked[i * block : (i + 1) * block]
         r = np.maximum(seg, 0.0)
-        assert np.array_equal(node.value[i * block : (i + 1) * block], r / (r.max() + 1e-8))
+        assert np.array_equal(out[i * block : (i + 1) * block], r / (r.max() + 1e-8))
+        assert np.array_equal(out[i * block : (i + 1) * block], dc.normalize_blocks(seg, block))
 
 
 def test_normalize_blocks_tie_split():
     # a block max shared by two rows passes half of its cotangent to each
-    a = dc.leaf(np.array([[1.0], [3.0], [3.0], [2.0], [5.0], [0.0]]))
+    a = np.array([[1.0], [3.0], [3.0], [2.0], [5.0], [0.0]])
     g = np.arange(1.0, 7.0).reshape(6, 1)
-    (got,) = dc.normalize_blocks(a, 3).vjp(g)
-    r, d = a.value, np.repeat([[3.0 + 1e-8], [5.0 + 1e-8]], 3, axis=0)
+    got = dc.normalize_blocks_vjp(a, 3, g)
+    d = np.repeat([[3.0 + 1e-8], [5.0 + 1e-8]], 3, axis=0)
     quotient = g / d
-    share = (-g * r / (d * d)).reshape(2, 3, 1).sum(axis=1)
+    share = (-g * a / (d * d)).reshape(2, 3, 1).sum(axis=1)
     want = quotient + np.array([[0.0], [0.5], [0.5], [0.0], [1.0], [0.0]]) * np.repeat(
         share, 3, axis=0
     )
@@ -160,71 +166,69 @@ def test_normalize_blocks_tie_split():
 
 def test_normalize_blocks_rejects_partial_block():
     with pytest.raises(ValueError):
-        dc.normalize_blocks(dc.leaf(np.ones((5, 1))), 2)
+        dc.normalize_blocks_vjp(np.ones((5, 1)), 2, np.ones((5, 1)))
     with pytest.raises(ValueError):
-        dc.normalize_block_values(np.ones(4), 2)
+        dc.normalize_blocks(np.ones(4), 2)
+    with pytest.raises(ValueError):  # a cotangent of another shape
+        dc.normalize_blocks_vjp(np.ones((4, 1)), 2, np.ones((4, 2)))
 
 
-def test_matmul_vjp_skips_constant_operand():
-    rng = RNG(17)
-    x = dc.constant(rng.normal(size=(6, 3)))
-    w = dc.leaf(rng.normal(size=(3, 2)))
-    g = rng.normal(size=(6, 2))
-    gx, gw = dc.matmul(x, w).vjp(g)
-    assert gx is None
-    assert np.array_equal(gw, x.value.T @ g)
-    gw2, gx2 = dc.matmul(dc.constant(w.value.T), dc.leaf(x.value.T)).vjp(g.T)
-    assert gw2 is None
-    assert np.array_equal(gx2, w.value @ g.T)
+def cam_setup(seed, n=4, p=9, d_in=5, d=6, m=4):
+    rng = RNG(seed)
+    params = mdl.init_params(d_in, d, m, seed + 1)
+    feats = rng.uniform(0.2, 1.0, size=(n, p, d_in))
+    t = np.ones((n, m))  # every pair co-occurs in every sample
+    return params, feats, t
 
 
 def test_concat_splits_gradient():
-    a = dc.leaf(np.ones((2, 2)))
-    b = dc.leaf(np.ones((3, 2)))
-    cat = dc.concat([a, b], axis=0)
-    assert cat.value.shape == (5, 2)
-    root = dc.mean_all(dc.mul(cat, dc.constant(np.arange(10.0).reshape(5, 2))))
-    ga, gb = grads_of(root, a, b)
-    assert np.allclose(ga, np.array([[0.0, 1.0], [2.0, 3.0]]) / 10, rtol=0, atol=1e-15)
-    assert np.allclose(
-        gb, np.array([[4.0, 5.0], [6.0, 7.0], [8.0, 9.0]]) / 10, rtol=0, atol=1e-15
-    )
+    # both pairs' terms share one mean, so the two-pair gradient is the
+    # count-weighted mean of each pair's own gradient
+    params, feats, t = cam_setup(20)
+    t[:1, 3] = 0.0  # pair (2, 3) covers 3 samples, pair (0, 1) all 4
+    both = losses.cam_terms(params, feats, t, [(0, 1), (2, 3)], None, 1.0, 0.0)
+    first = losses.cam_terms(params, feats, t, [(0, 1)], None, 1.0, 0.0)
+    second = losses.cam_terms(params, feats, t, [(2, 3)], None, 1.0, 0.0)
+    assert both[0] == pytest.approx((4 * first[0] + 3 * second[0]) / 7, abs=1e-15)
+    for i in (2, 3):
+        want = (4 * first[i] + 3 * second[i]) / 7
+        assert np.allclose(both[i], want, rtol=0, atol=1e-15)
 
 
 def test_nonscalar_root_rejected():
-    a = dc.leaf(np.ones(3))
     with pytest.raises(ValueError):
-        dc.eval_backward(a)
+        dc.finite_diff_check(lambda p: p["x"] * 2.0, {"x": np.ones(3)}, {"x": np.full(3, 2.0)})
 
 
 def test_add_shape_mismatch_rejected():
+    # an analytic gradient must match its parameter's shape
     with pytest.raises(ValueError):
-        dc.add(dc.leaf(np.ones(2)), dc.leaf(np.ones(3)))
+        dc.finite_diff_check(lambda p: np.sum(p["x"]), {"x": np.ones(2)}, {"x": np.ones(3)})
 
 
 def test_mul_shape_mismatch_rejected():
-    # no broadcasting, not even of a 0-d operand
+    # no broadcasting, not even of a 0-d weight
     with pytest.raises(ValueError):
-        dc.mul(dc.leaf(np.ones((2, 2))), dc.leaf(np.array(2.0)))
+        losses.bce(np.zeros((2, 2)), np.zeros((2, 2)), np.array(2.0))
 
 
 def test_matmul_inner_dim_mismatch_rejected():
+    params = mdl.init_params(2, 4, 3, 0)
     with pytest.raises(ValueError):
-        dc.matmul(dc.leaf(np.ones((2, 3))), dc.leaf(np.ones((2, 2))))
+        mdl.forward_batch(params, np.ones((5, 3)))
 
 
 def test_backward_is_deterministic():
-    def build():
-        w = dc.leaf(RNG(7).normal(size=(4, 3)))
-        x = dc.constant(RNG(8).normal(size=(5, 4)))
-        h = dc.normalize_blocks(dc.matmul(x, w), 5)
-        return w, dc.mean_all(dc.mul(h, h))
-
-    w1, r1 = build()
-    w2, r2 = build()
-    g1 = dc.eval_backward(r1)[w1]
-    g2 = dc.eval_backward(r2)[w2]
-    assert np.array_equal(g1, g2)
+    params, feats, t = cam_setup(7)
+    pooled = mdl.pool_pixels(feats)
+    frozen = losses.CamSnapshot(mdl.init_params(5, 6, 4, 8), [(0, 1)]).table(feats, 2)
+    runs = [
+        losses.cam_objective(params, pooled, feats, t, [(0, 1)], frozen, 0.5, 0.5)
+        for _ in range(2)
+    ]
+    assert runs[0][0] == runs[1][0]
+    for a, b in zip(runs[0][1:], runs[1][1:]):
+        assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -234,28 +238,31 @@ def test_backward_is_deterministic():
 def test_quadratic_finite_diff_is_tight():
     w = RNG(9).uniform(0.5, 2.0, size=(4, 3))
 
-    def build(lv):
-        return dc.scale(dc.mean_all(dc.mul(lv["w"], lv["w"])), 0.5)
+    def value(p):
+        return 0.5 * np.mean(p["w"] * p["w"])
 
-    assert dc.finite_diff_check(build, {"w": w}, eps=1e-5) < 1e-9
+    assert dc.finite_diff_check(value, {"w": w}, {"w": w / w.size}, eps=1e-5) < 1e-9
 
 
 def test_finite_diff_dense_chain():
+    # mean |BCE terms of (A B) times a column|, with its gradient by hand
     rng = RNG(10)
     params = {
         "a": rng.uniform(-2.0, 2.0, size=(3, 4)),
         "b": rng.uniform(-2.0, 2.0, size=(4, 2)),
         "w": rng.uniform(-2.0, 2.0, size=(2, 1)),
     }
-
     targets = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
 
-    def build(lv):
-        h = dc.bce_terms(dc.matmul(lv["a"], lv["b"]), targets)
-        y = dc.matmul(h, lv["w"])
-        return dc.mean_all(dc.absval(y))
+    def value(p):
+        return np.mean(np.abs(dc.bce_terms(p["a"] @ p["b"], targets) @ p["w"]))
 
-    assert dc.finite_diff_check(build, params, eps=1e-5) < 1e-6
+    ab = params["a"] @ params["b"]
+    h = dc.bce_terms(ab, targets)
+    g_y = np.sign(h @ params["w"]) / 3.0
+    g_ab = dc.bce_terms_vjp(ab, targets, g_y @ params["w"].T)
+    grads = {"a": g_ab @ params["b"].T, "b": params["a"].T @ g_ab, "w": h.T @ g_y}
+    assert dc.finite_diff_check(value, params, grads, eps=1e-5) < 1e-6
 
 
 def test_finite_diff_bce_terms():
@@ -265,15 +272,18 @@ def test_finite_diff_bce_terms():
     # the whole of |z| < 25 is checked against the closed form s - t instead
     grid = np.linspace(-24.5, 24.5, 50)
     for t in (0.0, 1.0):
+        target = np.full((1, 1), t)
+
+        def value(p):
+            return dc.bce_terms(p["z"], target)[0, 0]
+
         for z in grid[np.abs(grid) <= 10.0]:
-
-            def build(lv):
-                return dc.mean_all(dc.bce_terms(lv["z"], np.full((1, 1), t)))
-
-            assert dc.finite_diff_check(build, {"z": np.full((1, 1), z)}, eps=1e-5) < 1e-6
+            point = {"z": np.full((1, 1), z)}
+            grads = {"z": dc.bce_terms_vjp(point["z"], target, np.ones((1, 1)))}
+            assert dc.finite_diff_check(value, point, grads, eps=1e-5) < 1e-6
     z = np.tile(grid, (2, 1))
     targets = np.repeat([[1.0], [0.0]], grid.size, axis=1)
-    (g,) = dc.bce_terms(dc.leaf(z), targets).vjp(np.ones_like(z))
+    g = dc.bce_terms_vjp(z, targets, np.ones_like(z))
     closed = 1.0 / (1.0 + np.exp(-z)) - targets
     assert np.max(np.abs(g - closed) / np.abs(closed)) < 1e-12
 
@@ -285,12 +295,13 @@ def test_finite_diff_pooling_ops():
     # below the central-difference noise)
     rng = RNG(11)
     base = rng.permutation(np.linspace(0.2, 2.0, 24)).reshape(12, 2)
-    weights = dc.constant(rng.uniform(0.5, 1.5, size=(12, 2)))
+    weights = rng.uniform(0.5, 1.5, size=(12, 2))
 
-    def build(lv):
-        return dc.mean_all(dc.mul(dc.normalize_blocks(lv["f"], 4), weights))
+    def value(p):
+        return np.mean(dc.normalize_blocks(p["f"], 4) * weights)
 
-    assert dc.finite_diff_check(build, {"f": base}, eps=1e-5) < 1e-6
+    grads = {"f": dc.normalize_blocks_vjp(base, 4, weights / weights.size)}
+    assert dc.finite_diff_check(value, {"f": base}, grads, eps=1e-5) < 1e-6
 
 
 def test_finite_diff_normalize_shape():
@@ -301,10 +312,11 @@ def test_finite_diff_normalize_shape():
     x[3, 0] = 3.0  # unique block maxima, stable under eps-perturbation
     x[7, 0] = 4.0
 
-    def build(lv):
-        return dc.mean_all(dc.normalize_blocks(lv["x"], 6))
+    def value(p):
+        return np.mean(dc.normalize_blocks(p["x"], 6))
 
-    assert dc.finite_diff_check(build, {"x": x}, eps=1e-5) < 1e-6
+    grads = {"x": dc.normalize_blocks_vjp(x, 6, np.full((12, 1), 1.0 / 12))}
+    assert dc.finite_diff_check(value, {"x": x}, grads, eps=1e-5) < 1e-6
 
 
 def test_finite_diff_wrt_subset():
@@ -314,28 +326,27 @@ def test_finite_diff_wrt_subset():
         "frozen": rng.uniform(0.5, 1.5, size=(3,)),
     }
 
-    def build(lv):
-        active = dc.mean_all(dc.mul(lv["w"], lv["w"]))
-        blocked = dc.mean_all(dc.mul(dc.constant(lv["frozen"].value), lv["frozen"]))
-        return dc.add(active, blocked)
+    def value(p):
+        return np.mean(p["w"] * p["w"]) + np.mean(p["frozen"] * p["frozen"])
 
-    # full check would flag `frozen` (the constant copy drops half of its
-    # gradient), the subset form is what callers use for suppressed paths
-    assert dc.finite_diff_check(build, params, eps=1e-5, wrt=["w"]) < 1e-9
-    assert dc.finite_diff_check(build, params, eps=1e-5) > 1e-2
+    # the analytic gradient of `frozen` treats one factor as a constant copy
+    # and drops its half by design; a full check flags it, the subset form
+    # that callers use for suppressed paths leaves it out
+    grads = {"w": 2.0 * params["w"] / 3.0, "frozen": params["frozen"] / 3.0}
+    assert dc.finite_diff_check(value, params, {"w": grads["w"]}, eps=1e-5) < 1e-9
+    assert dc.finite_diff_check(value, params, grads, eps=1e-5) > 1e-2
 
 
 def test_finite_diff_rejects_bad_eps():
     with pytest.raises(ValueError):
-        dc.finite_diff_check(lambda lv: dc.mean_all(lv["x"]), {"x": np.ones(2)}, eps=0.1)
+        dc.finite_diff_check(lambda p: np.mean(p["x"]), {"x": np.ones(2)}, {"x": np.ones(2)}, eps=0.1)
 
 
 def test_finite_diff_rejects_nonfinite_loss():
-    def build(lv):
-        return dc.scale(lv["x"], float("inf"))
-
     with pytest.raises(ValueError):
-        dc.finite_diff_check(build, {"x": np.array(2.0)}, eps=1e-5)
+        dc.finite_diff_check(
+            lambda p: np.sum(p["x"]) * float("inf"), {"x": np.array(2.0)}, {"x": np.array(1.0)}
+        )
 
 
 # ---------------------------------------------------------------------------

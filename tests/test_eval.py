@@ -57,6 +57,13 @@ def test_ap_errors():
         ev.average_precision([0.1], [1, 0])
 
 
+def test_ap_rejects_nonfinite_scores():
+    # a NaN score would otherwise rank like any other value
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            ev.average_precision([0.9, bad, 0.1], [1, 0, 1])
+
+
 def test_ap_matches_oracle_on_random_instances():
     rng = np.random.default_rng(42)
     for trial in range(200):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from debias import diffcore as dc
-from debias import losses
-from debias import model
+from debias import losses, model, train
 
 LN2 = math.log(2.0)
 
@@ -19,6 +18,7 @@ def pixel_rows(fm):  # one (H, W, D_in) map as a batch of one
 
 
 def forward_one(params, fm):
+    """(mixed, logits) of one (H, W, D_in) map."""
     return model.forward_batch(params, model.pool_pixels(pixel_rows(fm)))
 
 
@@ -27,35 +27,39 @@ def one_sample_trace(params, seed=1, h=2, w=2):
     return forward_one(params, fm), fm
 
 
+def at(point, own, ctx):
+    """ModelParams of a finite-difference probe point."""
+    return model.ModelParams(point["mixer"], point["head"], own, ctx)
+
+
 # ---------------------------------------------------------------------------
 # BCE family
 
 
 def test_bce_saturated_correct_prediction_vanishes():
-    logits = dc.constant(np.array([[40.0]]))
-    assert float(losses.bce(logits, np.array([[1.0]])).value) < 1e-12
+    assert losses.bce(np.array([[40.0]]), np.array([[1.0]]))[0] < 1e-12
 
 
 def test_bce_at_half_is_ln2():
-    logits = dc.constant(np.zeros((1, 3)))
-    val = float(losses.bce(logits, np.array([[1.0, 0.0, 1.0]])).value)
+    val, _ = losses.bce(np.zeros((1, 3)), np.array([[1.0, 0.0, 1.0]]))
     assert val == pytest.approx(LN2, abs=1e-15)
 
 
 def test_bce_rejects_nonbinary_targets():
     with pytest.raises(ValueError):
-        losses.bce(dc.constant(np.zeros((1, 2))), np.array([[0.5, 1.0]]))
+        losses.bce(np.zeros((1, 2)), np.array([[0.5, 1.0]]))
 
 
 def test_bce_gradient_checks_out():
     rng = np.random.default_rng(2)
     t = (rng.random((3, 4)) < 0.5).astype(float)
-
-    def build(lv):
-        return losses.bce(lv["z"], t)
-
     z = rng.uniform(-2.0, 2.0, size=(3, 4))
-    assert dc.finite_diff_check(build, {"z": z}, eps=1e-5) < 1e-6
+    _, g = losses.bce(z, t)
+
+    def value(p):
+        return losses.bce(p["z"], t)[0]
+
+    assert dc.finite_diff_check(value, {"z": z}, {"z": g}, eps=1e-5) < 1e-6
 
 
 def tiled(sample_weights, m):  # one weight per sample, repeated across categories
@@ -66,26 +70,23 @@ def test_weighted_bce_identity_at_one():
     rng = np.random.default_rng(3)
     z = rng.normal(size=(2, 3))
     t = (rng.random((2, 3)) < 0.5).astype(float)
-    plain = losses.bce(dc.constant(z), t)
-    weighted = losses.elementwise_weighted_bce(dc.constant(z), t, np.ones((2, 3)))
-    assert float(plain.value) == float(weighted.value)  # bit-for-bit
+    plain, g_plain = losses.bce(z, t)
+    weighted, g_weighted = losses.bce(z, t, np.ones((2, 3)))
+    assert plain == weighted  # bit-for-bit
+    assert g_plain.tobytes() == g_weighted.tobytes()
 
 
 def test_weighted_bce_doubles_ln2():
-    val = losses.elementwise_weighted_bce(
-        dc.constant(np.zeros((1, 1))), np.array([[1.0]]), tiled([2.0], 1)
-    )
-    assert float(val.value) == pytest.approx(2 * LN2, abs=1e-15)
+    val, _ = losses.bce(np.zeros((1, 1)), np.array([[1.0]]), tiled([2.0], 1))
+    assert val == pytest.approx(2 * LN2, abs=1e-15)
 
 
 def test_weighted_bce_gradient_is_scaled_plain_gradient():
     rng = np.random.default_rng(4)
     z = rng.normal(size=(2, 3))
     t = (rng.random((2, 3)) < 0.5).astype(float)
-    za = dc.leaf(z)
-    zb = dc.leaf(z)
-    ga = dc.eval_backward(losses.bce(za, t))[za]
-    gb = dc.eval_backward(losses.elementwise_weighted_bce(zb, t, tiled([5.0, 5.0], 3)))[zb]
+    _, ga = losses.bce(z, t)
+    _, gb = losses.bce(z, t, tiled([5.0, 5.0], 3))
     assert np.allclose(gb, 5.0 * ga, atol=1e-15)
 
 
@@ -94,17 +95,14 @@ def test_weighted_bce_matches_per_sample():
     z = rng.normal(size=(3, 2))
     t = (rng.random((3, 2)) < 0.5).astype(float)
     w = tiled([1.0, 4.0, 2.5], 2)
-    batch = float(losses.elementwise_weighted_bce(dc.constant(z), t, w).value)
-    per = [
-        float(losses.elementwise_weighted_bce(dc.constant(z[[i]]), t[[i]], w[[i]]).value)
-        for i in range(3)
-    ]
+    batch, _ = losses.bce(z, t, w)
+    per = [losses.bce(z[[i]], t[[i]], w[[i]])[0] for i in range(3)]
     assert batch == pytest.approx(np.mean(per), abs=1e-14)
 
 
 def test_weighted_bce_rejects_mismatched_weights():
     with pytest.raises(ValueError):
-        losses.elementwise_weighted_bce(dc.constant(np.zeros((2, 3))), np.zeros((2, 3)), np.ones(2))
+        losses.bce(np.zeros((2, 3)), np.zeros((2, 3)), np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +169,10 @@ def test_alpha_table_requires_populated_sets():
 
 
 def test_alpha_min_must_exceed_one():
-    labels = np.array([[1, 1], [1, 0]])
-    with pytest.raises(ValueError):
-        losses.alpha_weights(labels, [(0, 1)], alpha_min=1.0)
+    # checked with the rest of the config, before any training
+    with pytest.raises(ValueError, match="alpha_min"):
+        train.TrainConfig(alpha_min=1.0)
+    assert train.TrainConfig(alpha_min=1.01).alpha_min == 1.01
 
 
 def test_exclusive_mask_or_semantics():
@@ -203,26 +202,33 @@ def constant_map_setup(v=1.0):
     )
     fm = np.zeros((2, 2, 2))
     fm[:, :, 0] = 1.0
-    return params, forward_one(params, fm), fm
+    return params, fm
 
 
-def mean_overlap(trace, fm, b=0, c=1):
-    maps = losses.cam_maps(trace, pixel_rows(fm), (b, c))
-    return dc.mean_all(losses.cam_overlap_terms(*maps))
+def both_labeled(n, m):  # every sample carries every category
+    return np.ones((n, m))
 
 
-def leaf_trace(lv, fm, own, ctx):
-    """forward_batch on existing leaves, for finite-diff builders."""
-    params = model.ModelParams(lv["mixer"].value, lv["head"].value, own, ctx)
-    return model.forward_batch(
-        params, model.pool_pixels(pixel_rows(fm)), lv["mixer"], lv["head"]
+def overlap_terms(params, fm, b=0, c=1):
+    """(mean overlap, g_mixer, g_head) of one map, the overlap weighted 1."""
+    out = losses.cam_terms(
+        params, pixel_rows(fm), both_labeled(1, params.m), [(b, c)], None, 1.0, 0.0
     )
+    return out[0], out[2], out[3]
+
+
+def ground_terms(params, fm, frozen_b, frozen_c):
+    """(mean grounding, g_mixer, g_head) of one map, the grounding weighted 1."""
+    frozen = {0: np.reshape(frozen_b, (1, -1)), 1: np.reshape(frozen_c, (1, -1))}
+    out = losses.cam_terms(
+        params, pixel_rows(fm), both_labeled(1, params.m), [(0, 1)], frozen, 0.0, 1.0
+    )
+    return out[1], out[2], out[3]
 
 
 def test_overlap_of_flat_maps_is_one():
-    _, trace, fm = constant_map_setup()
-    val = float(mean_overlap(trace, fm).value)
-    assert val == pytest.approx(1.0, abs=1e-6)
+    params, fm = constant_map_setup()
+    assert overlap_terms(params, fm)[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_overlap_of_disjoint_maps_is_zero():
@@ -235,8 +241,7 @@ def test_overlap_of_disjoint_maps_is_zero():
     fm = np.zeros((2, 2, 2))
     fm[0, :, 0] = 1.0  # category 0 lives in the top row
     fm[1, :, 1] = 1.0  # category 1 in the bottom row
-    trace = forward_one(params, fm)
-    assert float(mean_overlap(trace, fm).value) == 0.0
+    assert overlap_terms(params, fm)[0] == 0.0
 
 
 def test_overlap_loss_nonnegative_random():
@@ -244,8 +249,7 @@ def test_overlap_loss_nonnegative_random():
     params = make_params(seed=7)
     for _ in range(10):
         fm = rng.normal(size=(3, 3, params.d_in))
-        trace = forward_one(params, fm)
-        assert float(mean_overlap(trace, fm).value) >= 0.0
+        assert overlap_terms(params, fm)[0] >= 0.0
 
 
 def test_overlap_gradient_checks_out():
@@ -253,34 +257,32 @@ def test_overlap_gradient_checks_out():
     fm = rng.uniform(-1.0, 1.0, size=(2, 2, 3))
     own = np.array([0, 1])
     ctx = np.array([2, 3])
-
-    def build(lv):
-        return mean_overlap(leaf_trace(lv, fm, own, ctx), fm)
-
     p = {
         "mixer": rng.uniform(-1.0, 1.0, size=(3, 4)),
         "head": rng.uniform(-1.0, 1.0, size=(4, 3)),
     }
-    assert dc.finite_diff_check(build, p, eps=1e-5) < 1e-6
+    _, g_mixer, g_head = overlap_terms(at(p, own, ctx), fm)
+
+    def value(q):
+        return overlap_terms(at(q, own, ctx), fm)[0]
+
+    assert dc.finite_diff_check(value, p, {"mixer": g_mixer, "head": g_head}, eps=1e-5) < 1e-6
 
 
 def test_ground_loss_zero_when_unchanged():
     params = make_params(seed=9)
-    trace, fm = one_sample_trace(params, seed=10)
+    _, fm = one_sample_trace(params, seed=10)
     snap = losses.CamSnapshot(params, [(0, 1)])
     frozen = [snap.rows(pixel_rows(fm), k) for k in (0, 1)]
-    val = dc.mean_all(
-        losses.cam_ground_terms(*losses.cam_maps(trace, pixel_rows(fm), (0, 1)), *frozen)
-    )
-    assert float(val.value) == 0.0
+    val, g_mixer, g_head = ground_terms(params, fm, *frozen)
+    assert val == 0.0
+    assert not g_mixer.any() and not g_head.any()  # sign(0) = 0 at every pixel
 
 
 def test_ground_loss_hand_case_two():
     # live maps all zero, frozen maps all one, single pair on a 2x2 grid
-    _, trace, fm = constant_map_setup(v=0.0)
-    maps = losses.cam_maps(trace, pixel_rows(fm), (0, 1))
-    val = dc.mean_all(losses.cam_ground_terms(*maps, np.ones(4), np.ones(4)))
-    assert float(val.value) == pytest.approx(2.0, abs=1e-12)
+    params, fm = constant_map_setup(v=0.0)
+    assert ground_terms(params, fm, np.ones(4), np.ones(4))[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_ground_gradient_checks_out_off_kinks():
@@ -290,57 +292,66 @@ def test_ground_gradient_checks_out_off_kinks():
     ctx = np.array([2, 3])
     pre_b = np.full(4, 2.0)  # far from any live value, so |.| has no kink
     pre_c = np.full(4, -1.0)
-
-    def build(lv):
-        maps = losses.cam_maps(leaf_trace(lv, fm, own, ctx), pixel_rows(fm), (0, 1))
-        return dc.mean_all(losses.cam_ground_terms(*maps, pre_b, pre_c))
-
     p = {
         "mixer": rng.uniform(0.5, 1.5, size=(3, 4)),
         "head": rng.uniform(0.5, 1.5, size=(4, 3)),
     }
-    assert dc.finite_diff_check(build, p, eps=1e-5) < 1e-6
+    _, g_mixer, g_head = ground_terms(at(p, own, ctx), fm, pre_b, pre_c)
+
+    def value(q):
+        return ground_terms(at(q, own, ctx), fm, pre_b, pre_c)[0]
+
+    assert dc.finite_diff_check(value, p, {"mixer": g_mixer, "head": g_head}, eps=1e-5) < 1e-6
 
 
 def test_total_loss_degenerates_to_bce():
     params = make_params(seed=12)
-    trace, fm = one_sample_trace(params, seed=13)
+    _, fm = one_sample_trace(params, seed=13)
+    rows = pixel_rows(fm)
+    pooled = model.pool_pixels(rows)
     t = np.array([[1.0, 0.0, 1.0, 0.0]])
     snap = losses.CamSnapshot(params, [(0, 1)])
-    frozen = snap.table(pixel_rows(fm), 64)
-    plain = losses.bce(trace.logits, t)
+    frozen = snap.table(rows, 64)
+    plain = losses.bce_objective(params, pooled, t)
     for lam1, lam2 in ((0.0, 0.0), (0.1, 0.01)):  # (0, 1) does not co-occur
-        total = losses.cam_objective(trace, pixel_rows(fm), t, [(0, 1)], frozen, lam1, lam2)
-        assert float(total.value) == float(plain.value)
+        total = losses.cam_objective(params, pooled, rows, t, [(0, 1)], frozen, lam1, lam2)
+        assert total[0] == plain[0]
+        assert total[1].tobytes() == plain[1].tobytes()
+        assert total[2].tobytes() == plain[2].tobytes()
 
 
 def test_total_loss_composes_components():
     params = make_params(seed=14)
-    trace, fm = one_sample_trace(params, seed=15)
+    _, fm = one_sample_trace(params, seed=15)
+    rows = pixel_rows(fm)
+    pooled = model.pool_pixels(rows)
     t = np.array([[1.0, 1.0, 0.0, 0.0]])
     snap = losses.CamSnapshot(
         model.init_params(params.d_in, params.d, params.m, 99), [(0, 1)]
     )
-    frozen = snap.table(pixel_rows(fm), 64)
-    maps = losses.cam_maps(trace, pixel_rows(fm), (0, 1))
-    lo = float(dc.mean_all(losses.cam_overlap_terms(*maps)).value)
-    lr = float(
-        dc.mean_all(losses.cam_ground_terms(*maps, frozen[0], frozen[1])).value
-    )
-    lb = float(losses.bce(trace.logits, t).value)
-    total = losses.cam_objective(trace, pixel_rows(fm), t, [(0, 1)], frozen, 0.1, 0.01)
-    assert float(total.value) == pytest.approx(lb + 0.1 * lo + 0.01 * lr, abs=1e-14)
+    frozen = snap.table(rows, 64)
+    lo = overlap_terms(params, fm)[0]
+    lr = ground_terms(params, fm, frozen[0], frozen[1])[0]
+    lb, gb_mixer, gb_head = losses.bce_objective(params, pooled, t)
+    total = losses.cam_objective(params, pooled, rows, t, [(0, 1)], frozen, 0.1, 0.01)
+    assert total[0] == pytest.approx(lb + 0.1 * lo + 0.01 * lr, abs=1e-14)
+    # and the gradients are the sum of the parts'
+    cam = losses.cam_terms(params, rows, t, [(0, 1)], frozen, 0.1, 0.01)
+    assert np.array_equal(total[1], cam[2] + gb_mixer)
+    assert np.array_equal(total[2], cam[3] + gb_head)
 
 
 def test_total_loss_rejects_negative_weights():
-    params = make_params()
-    trace, fm = one_sample_trace(params)
-    rows = pixel_rows(fm)
+    # the loss weights are range-checked with the config, before any training
     with pytest.raises(ValueError):
-        losses.cam_objective(trace, rows, np.zeros((1, 4)), [], None, -0.1, 0.0)
+        train.TrainConfig(lambda1=-0.1)
+    with pytest.raises(ValueError):
+        train.TrainConfig(lambda2=-0.1)
+    params = make_params()
+    _, fm = one_sample_trace(params)
+    rows = pixel_rows(fm)
     with pytest.raises(ValueError):  # grounding without frozen maps
-        losses.cam_objective(trace, rows, np.zeros((1, 4)), [], None, 0.0, 0.1)
-
+        losses.cam_terms(params, rows, np.zeros((1, 4)), [], None, 0.0, 0.1)
 
 
 def test_cam_objective_matches_numpy_recomputation():
@@ -355,8 +366,9 @@ def test_cam_objective_matches_numpy_recomputation():
     snap = losses.CamSnapshot(model.init_params(5, 6, 4, 32), pairs)
     frozen = snap.table(feats, 4)
     lam1, lam2 = 0.7, 0.3
-    trace = model.forward_batch(params, model.pool_pixels(feats))
-    got = float(losses.cam_objective(trace, feats, t, pairs, frozen, lam1, lam2).value)
+    got, _, _ = losses.cam_objective(
+        params, model.pool_pixels(feats), feats, t, pairs, frozen, lam1, lam2
+    )
 
     def normalized(raw):
         r = np.maximum(raw, 0.0)
@@ -422,16 +434,18 @@ def test_grounding_is_exactly_zero_against_own_snapshot():
     t = (rng.random((200, 8)) < 0.6).astype(float)
     table = snap.table(feats, 64)
     idx = rng.permutation(200)[:64]
-    trace = model.forward_batch(params, model.pool_pixels(feats)[idx])
     frozen = {k: v[idx] for k, v in table.items()}
     for b, c in pairs:
         local = np.flatnonzero((t[idx, b] == 1) & (t[idx, c] == 1))
         assert local.size > 0
-        maps = losses.cam_maps(trace, feats[idx][local], (b, c))
-        terms = losses.cam_ground_terms(*maps, frozen[b][local], frozen[c][local])
-        assert not terms.value.any()
-    total = losses.cam_objective(trace, feats[idx], t[idx], pairs, frozen, 0.0, 1.0)
-    assert float(total.value) == float(losses.bce(trace.logits, t[idx]).value)
+        for k in (b, c):
+            live = losses.cam_maps(params, feats[idx][local], k)
+            assert not (frozen[k][local] - live).any()
+    ground, _, g_mixer, g_head = losses.cam_terms(params, feats[idx], t[idx], pairs, frozen, 0.0, 1.0)
+    assert ground == 0.0 and not g_mixer.any() and not g_head.any()
+    pooled = model.pool_pixels(feats)[idx]
+    total = losses.cam_objective(params, pooled, feats[idx], t[idx], pairs, frozen, 0.0, 1.0)
+    assert total[0] == losses.bce_objective(params, pooled, t[idx])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -466,53 +480,51 @@ def test_running_mean_rejects_bad_length():
 
 def test_suppressed_zero_buffer_keeps_own_half_only():
     params = make_params(seed=18)
-    trace, _ = one_sample_trace(params, seed=19)
+    (mixed, _), _ = one_sample_trace(params, seed=19)
     buf = losses.RunningMeanBuffer(width=params.d // 2)
-    logits = losses.suppressed_logits(params, trace, [True], buf)
-    own_only = trace.pooled.value[:, params.own_rows] @ params.head[params.own_rows]
-    assert np.allclose(logits.value, own_only, atol=1e-15)
+    logits, _ = losses.suppressed_logits(params, mixed, [True], buf)
+    own_only = mixed[:, params.own_rows] @ params.head[params.own_rows]
+    assert np.allclose(logits, own_only, atol=1e-15)
 
 
 def test_suppressed_nonexclusive_matches_plain_forward():
     params = make_params(seed=20)
-    trace, _ = one_sample_trace(params, seed=21)
+    (mixed, plain), _ = one_sample_trace(params, seed=21)
     buf = losses.RunningMeanBuffer(width=params.d // 2)
     buf.push(np.full(params.d // 2, 9.9))  # must be ignored
-    logits = losses.suppressed_logits(params, trace, [False], buf)
-    assert np.max(np.abs(logits.value - trace.logits.value)) < 1e-12
+    logits, _ = losses.suppressed_logits(params, mixed, [False], buf)
+    assert np.max(np.abs(logits - plain)) < 1e-12
 
 
 def test_suppressed_gradients_vanish_for_context_half():
     params = make_params(seed=22)
     rng = np.random.default_rng(23)
     feats = rng.normal(size=(3, 4, params.d_in))  # batch of 3, all exclusive
-    trace = model.forward_batch(params, model.pool_pixels(feats))
     buf = losses.RunningMeanBuffer(width=params.d // 2)
     buf.push(rng.normal(size=params.d // 2))
     t = (rng.random((3, params.m)) < 0.5).astype(float)
-    logits = losses.suppressed_logits(params, trace, np.ones(3, bool), buf)
-    gmap = dc.eval_backward(losses.bce(logits, t))
-    g_head = gmap[trace.head_node]
-    g_mixer = gmap[trace.mixer_node]
+    _, g_mixer, g_head = losses.feature_split_objective(
+        params, model.pool_pixels(feats), t, np.ones(t.shape), np.ones(3, bool), buf
+    )
     assert np.array_equal(g_head[params.context_rows], np.zeros((params.d // 2, params.m)))
     assert np.abs(g_head[params.own_rows]).max() > 0.0
     # mixer columns feeding the context half receive nothing either
     assert np.array_equal(g_mixer[:, params.context_rows], np.zeros((params.d_in, params.d // 2)))
     assert np.abs(g_mixer[:, params.own_rows]).max() > 0.0
+    assert len(buf.entries) == 1  # an all-exclusive batch pushes nothing
 
 
 def test_suppressed_mixed_batch_reassembles_order():
     params = make_params(seed=24)
     rng = np.random.default_rng(25)
     feats = rng.normal(size=(4, 4, params.d_in))
-    trace = model.forward_batch(params, model.pool_pixels(feats))
+    mixed, _ = model.forward_batch(params, model.pool_pixels(feats))
     buf = losses.RunningMeanBuffer(width=params.d // 2)
     mask = np.array([False, True, False, True])
-    logits = losses.suppressed_logits(params, trace, mask, buf)
+    logits, _ = losses.suppressed_logits(params, mixed, mask, buf)
     for i in range(4):
-        single = model.forward_batch(params, model.pool_pixels(feats[i : i + 1]))
-        want = losses.suppressed_logits(params, single, mask[i : i + 1], buf)
-        assert np.allclose(logits.value[i], want.value[0], atol=1e-12)
+        want, _ = losses.suppressed_logits(params, mixed[i : i + 1], mask[i : i + 1], buf)
+        assert np.allclose(logits[i], want[0], atol=1e-12)
 
 
 def test_suppressed_nonexclusive_gradients_match_plain_path():
@@ -520,39 +532,43 @@ def test_suppressed_nonexclusive_gradients_match_plain_path():
     rng = np.random.default_rng(27)
     feats = rng.normal(size=(2, 4, params.d_in))
     t = (rng.random((2, params.m)) < 0.5).astype(float)
+    pooled = model.pool_pixels(feats)
+    w = np.ones(t.shape)
     buf = losses.RunningMeanBuffer(width=params.d // 2)
-
-    trace_a = model.forward_batch(params, model.pool_pixels(feats))
-    logits_a = losses.suppressed_logits(params, trace_a, np.zeros(2, bool), buf)
-    ga = dc.eval_backward(losses.bce(logits_a, t))
-
-    trace_b = model.forward_batch(params, model.pool_pixels(feats))
-    gb = dc.eval_backward(losses.bce(trace_b.logits, t))
-
-    assert np.max(np.abs(ga[trace_a.head_node] - gb[trace_b.head_node])) < 1e-12
-    assert np.max(np.abs(ga[trace_a.mixer_node] - gb[trace_b.mixer_node])) < 1e-12
+    ga = losses.feature_split_objective(params, pooled, t, w, np.zeros(2, bool), buf)
+    gb = losses.bce_objective(params, pooled, t, w)
+    assert abs(ga[0] - gb[0]) < 1e-12
+    assert np.max(np.abs(ga[1] - gb[1])) < 1e-12
+    assert np.max(np.abs(ga[2] - gb[2])) < 1e-12
+    # the batch's context mean went into the buffer
+    assert np.array_equal(buf.mean(), np.mean(pooled @ params.mixer, axis=0)[params.context_rows])
 
 
 def test_suppressed_path_gradient_checks_out():
-    # finite differences over the own-half parameters; the context head rows
-    # are analytically zeroed by design, so they are excluded
+    # finite differences over the mixer; the context head rows are
+    # analytically zeroed by design, so the head is held fixed
     rng = np.random.default_rng(28)
     fm = rng.uniform(-1.0, 1.0, size=(2, 2, 3))
     own = np.array([0, 1])
     ctx = np.array([2, 3])
     t = np.array([[1.0, 0.0, 1.0]])
     xbar = rng.uniform(-1.0, 1.0, size=2)
+    pooled = model.pool_pixels(pixel_rows(fm))
 
-    def build(lv):
-        params = model.ModelParams(lv["mixer"].value, lv["head"].value, own, ctx)
-        trace = leaf_trace(lv, fm, own, ctx)
+    def objective(point):
         buf = losses.RunningMeanBuffer(width=2)
         buf.push(xbar)
-        logits = losses.suppressed_logits(params, trace, np.ones(1, bool), buf)
-        return losses.bce(logits, t)
+        return losses.feature_split_objective(
+            at(point, own, ctx), pooled, t, np.ones(t.shape), np.ones(1, bool), buf
+        )
 
     p = {
         "mixer": rng.uniform(-1.0, 1.0, size=(3, 4)),
         "head": rng.uniform(-1.0, 1.0, size=(4, 3)),
     }
-    assert dc.finite_diff_check(build, p, eps=1e-5, wrt=["mixer"]) < 1e-6
+    _, g_mixer, _ = objective(p)
+
+    def value(q):
+        return objective(q)[0]
+
+    assert dc.finite_diff_check(value, p, {"mixer": g_mixer}, eps=1e-5) < 1e-6

@@ -14,6 +14,7 @@ def pixel_rows(fm):  # one (H, W, D_in) map as a batch of one
 
 
 def forward_one(params, fm):
+    """(mixed, logits) of one (H, W, D_in) map."""
     return model.forward_batch(params, model.pool_pixels(pixel_rows(fm)))
 
 
@@ -26,40 +27,40 @@ def test_zero_head_gives_zero_logits():
         context_rows=np.arange(d // 2, d),
     )
     fm = np.random.default_rng(0).normal(size=(2, 2, d))
-    trace = forward_one(params, fm)
-    assert np.array_equal(trace.logits.value, np.zeros((1, 3)))
+    _, logits = forward_one(params, fm)
+    assert np.array_equal(logits, np.zeros((1, 3)))
 
 
 def test_constant_map_pools_to_mixed_vector():
     params = small_params()
     v = np.random.default_rng(1).normal(size=params.d_in)
     fm = np.broadcast_to(v, (3, 3, params.d_in)).copy()
-    trace = forward_one(params, fm)
-    assert np.allclose(trace.pooled.value[0], v @ params.mixer, atol=1e-14)
+    mixed, _ = forward_one(params, fm)
+    assert np.allclose(mixed[0], v @ params.mixer, atol=1e-14)
 
 
 def test_split_regroup_matches_full_head():
     rng = np.random.default_rng(2)
     params = small_params(seed=3)
     fm = rng.normal(size=(4, 4, params.d_in))
-    trace = forward_one(params, fm)
-    own = trace.pooled.value[:, params.own_rows] @ params.head[params.own_rows]
-    ctx = trace.pooled.value[:, params.context_rows] @ params.head[params.context_rows]
-    assert np.max(np.abs(own + ctx - trace.logits.value)) < 1e-12
+    mixed, logits = forward_one(params, fm)
+    own = mixed[:, params.own_rows] @ params.head[params.own_rows]
+    ctx = mixed[:, params.context_rows] @ params.head[params.context_rows]
+    assert np.max(np.abs(own + ctx - logits)) < 1e-12
 
 
 def test_split_reconstructs_pooled_vector():
     params = small_params(seed=4)
     fm = np.random.default_rng(3).normal(size=(2, 2, params.d_in))
-    trace = forward_one(params, fm)
+    mixed, _ = forward_one(params, fm)
     rebuilt = np.empty(params.d)
-    rebuilt[params.own_rows] = trace.pooled.value[0, params.own_rows]
-    rebuilt[params.context_rows] = trace.pooled.value[0, params.context_rows]
-    assert np.array_equal(rebuilt, trace.pooled.value[0])
+    rebuilt[params.own_rows] = mixed[0, params.own_rows]
+    rebuilt[params.context_rows] = mixed[0, params.context_rows]
+    assert np.array_equal(rebuilt, mixed[0])
 
 
-def raw_cams(trace, fm, categories):
-    return losses.cam_maps(trace, pixel_rows(fm), categories, normalized=False)
+def raw_cams(params, fm, categories):
+    return [losses.cam_maps(params, pixel_rows(fm), k, normalized=False) for k in categories]
 
 
 def test_cam_hand_case():
@@ -72,10 +73,9 @@ def test_cam_hand_case():
     )
     fm = np.zeros((2, 2, 2))
     fm[:, :, 0] = np.array([[1.0, 0.0], [0.0, 1.0]])
-    trace = forward_one(params, fm)
-    (raw,) = raw_cams(trace, fm, [0])
-    assert np.array_equal(raw.value.reshape(2, 2), [[2.0, 0.0], [0.0, 2.0]])
-    snap = losses.CamSnapshot(params, [(0, 1)])  # the numpy path agrees
+    (raw,) = raw_cams(params, fm, [0])
+    assert np.array_equal(raw.reshape(2, 2), [[2.0, 0.0], [0.0, 2.0]])
+    snap = losses.CamSnapshot(params, [(0, 1)])  # the snapshot forms the same maps
     frozen = snap.rows(pixel_rows(fm), 0, normalized=False)
     assert np.array_equal(frozen.reshape(2, 2), [[2.0, 0.0], [0.0, 2.0]])
 
@@ -84,44 +84,52 @@ def test_cam_zero_weights_zero_map():
     params = small_params(seed=5)
     params.head[:, 2] = 0.0
     fm = np.random.default_rng(4).normal(size=(3, 3, params.d_in))
-    trace = forward_one(params, fm)
-    assert np.array_equal(raw_cams(trace, fm, [2])[0].value, np.zeros((9, 1)))
+    assert np.array_equal(raw_cams(params, fm, [2])[0], np.zeros((1, 9)))
 
 
 def test_cam_rejects_bad_category():
     params = small_params()
     fm = np.zeros((2, 2, params.d_in))
-    trace = forward_one(params, fm)
     with pytest.raises(ValueError):
-        raw_cams(trace, fm, [params.m])
-    with pytest.raises(ValueError):  # a one-hot pick would wrap to the last
-        raw_cams(trace, fm, [-1])
+        raw_cams(params, fm, [params.m])
+    with pytest.raises(ValueError):  # a column index would wrap to the last
+        raw_cams(params, fm, [-1])
 
 
 def test_cam_pools_back_to_logit():
     params = small_params(seed=6)
     fm = np.random.default_rng(5).normal(size=(4, 4, params.d_in))
-    trace = forward_one(params, fm)
-    for r, raw in enumerate(raw_cams(trace, fm, range(params.m))):
-        assert abs(raw.value.mean() - trace.logits.value[0, r]) < 1e-12
+    _, logits = forward_one(params, fm)
+    for r, raw in enumerate(raw_cams(params, fm, range(params.m))):
+        assert abs(raw.mean() - logits[0, r]) < 1e-12
 
 
 def test_cam_gradients_check_out():
+    # the whole CAM objective on one sample of four pixels: BCE, overlap and
+    # grounding against another model's maps, off the |.| kinks
     rng = np.random.default_rng(6)
-    fm = rng.uniform(-1.0, 1.0, size=(1, 4, 3))
+    fm = rng.uniform(0.5, 1.5, size=(1, 4, 3))
+    pooled = model.pool_pixels(fm)
     own = np.array([0, 1])
     ctx = np.array([2, 3])
+    t = np.array([[1.0, 1.0, 0.0]])
+    frozen = {0: np.full((1, 4), 2.0), 1: np.full((1, 4), 2.0)}
 
-    def build(lv):
-        params = model.ModelParams(lv["mixer"].value, lv["head"].value, own, ctx)
-        trace = model.forward_batch(params, model.pool_pixels(fm), lv["mixer"], lv["head"])
-        return dc.mean_all(raw_cams(trace, fm, [1])[0])
+    def objective(point):
+        params = model.ModelParams(point["mixer"], point["head"], own, ctx)
+        return losses.cam_objective(params, pooled, fm, t, [(0, 1)], frozen, 0.5, 0.3)
 
-    params = {
-        "mixer": rng.uniform(-1.0, 1.0, size=(3, 4)),
-        "head": rng.uniform(-1.0, 1.0, size=(4, 3)),
+    point = {
+        "mixer": rng.uniform(0.05, 0.15, size=(3, 4)),
+        "head": rng.uniform(0.1, 0.3, size=(4, 3)),
     }
-    assert dc.finite_diff_check(build, params, eps=1e-5) < 1e-6
+    _, g_mixer, g_head = objective(point)
+
+    def value(p):
+        return objective(p)[0]
+
+    grads = {"mixer": g_mixer, "head": g_head}
+    assert dc.finite_diff_check(value, point, grads, eps=1e-5) < 1e-6
 
 
 def test_normalize_cam_rows_gradient():
@@ -131,10 +139,11 @@ def test_normalize_cam_rows_gradient():
     base[3, 0] = 3.0
     base[7, 0] = 4.0  # unique block maxima
 
-    def build(lv):
-        return dc.mean_all(dc.normalize_blocks(lv["x"], 4))
+    def value(p):
+        return np.mean(dc.normalize_blocks(p["x"], 4))
 
-    assert dc.finite_diff_check(build, {"x": base}, eps=1e-5) < 1e-6
+    grads = {"x": dc.normalize_blocks_vjp(base, 4, np.full((8, 1), 1.0 / 8))}
+    assert dc.finite_diff_check(value, {"x": base}, grads, eps=1e-5) < 1e-6
 
 
 def test_split_weights_partition_properties():
@@ -189,8 +198,8 @@ def test_predict_matches_logit_sigmoid():
     params = small_params(seed=14)
     feats = np.random.default_rng(10).normal(size=(5, 9, params.d_in))
     probs = model.predict(params, feats)
-    trace = model.forward_batch(params, model.pool_pixels(feats))
-    assert np.allclose(probs, dc.sigmoid_values(trace.logits.value), atol=1e-15)
+    _, logits = model.forward_batch(params, model.pool_pixels(feats))
+    assert np.allclose(probs, dc.sigmoid_values(logits), atol=1e-15)
     assert probs.shape == (5, params.m)
 
 
@@ -200,10 +209,9 @@ def test_float32_features_match_their_widening():
     params = small_params(seed=16, d_in=32, d=64, m=8)
     f32 = np.random.default_rng(12).normal(size=(300, 64, 32)).astype(np.float32)
     f64 = f32.astype(np.float64)
-    assert model.logit_values(params, f32).tobytes() == model.logit_values(params, f64).tobytes()
     assert model.predict(params, f32).tobytes() == model.predict(params, f64).tobytes()
     t32, t64 = (model.forward_batch(params, model.pool_pixels(f)) for f in (f32, f64))
-    assert t32.logits.value.tobytes() == t64.logits.value.tobytes()
+    assert t32[1].tobytes() == t64[1].tobytes()
     snap = losses.CamSnapshot(params, [(0, 1)])
     assert snap.rows(f32[:5], 1).tobytes() == snap.rows(f64[:5], 1).tobytes()
 
@@ -215,10 +223,9 @@ def test_pool_first_matches_per_pixel_reference():
     feats = np.random.default_rng(11).normal(size=(300, 64, 32))
     per_pixel = (feats.reshape(-1, 32) @ params.mixer).reshape(300, 64, 64).mean(axis=1)
     ref_logits = per_pixel @ params.head
-    trace = model.forward_batch(params, model.pool_pixels(feats))
-    assert np.abs(trace.pooled.value - per_pixel).max() < 1e-12
-    assert np.abs(trace.logits.value - ref_logits).max() < 1e-12
-    assert np.abs(model.logit_values(params, feats) - ref_logits).max() < 1e-12
+    mixed, logits = model.forward_batch(params, model.pool_pixels(feats))
+    assert np.abs(mixed - per_pixel).max() < 1e-12
+    assert np.abs(logits - ref_logits).max() < 1e-12
     probs = model.predict(params, feats)
     assert np.abs(probs - dc.sigmoid_values(ref_logits)).max() < 1e-12
     with pytest.raises(ValueError):  # only the pooled (n, D_in) form is accepted

@@ -106,7 +106,7 @@ def cooccurs(row, b, c):
 
 
 def bce_step(feats, labels, weights, mixer, head, suppress=None):
-    """Gradients of mean_{i,j} weights[i,j] * BCE(z_ij, t_ij), and that loss.
+    """(g_mixer, g_head) of mean_{i,j} weights[i,j] * BCE(z_ij, t_ij).
 
     z_i = mean_p(x_ip W) H. `suppress` is (context rows, context fill,
     exclusive flags): an exclusive sample's context features are replaced by
@@ -115,7 +115,6 @@ def bce_step(feats, labels, weights, mixer, head, suppress=None):
     """
     n, m = labels.shape
     g_mixer, g_head = np.zeros_like(mixer), np.zeros_like(head)
-    loss = 0.0
     for i in range(n):
         pix = pixel_features(feats[i], mixer)
         f = pix.mean(axis=0)
@@ -131,17 +130,14 @@ def bce_step(feats, labels, weights, mixer, head, suppress=None):
         z = used @ head
         g_z = np.zeros(m)
         for j in range(m):
-            s = sigmoid(z[j])
-            t = labels[i, j]
-            loss += weights[i, j] * -(t * math.log(s) + (1 - t) * math.log(1 - s))
-            g_z[j] = weights[i, j] * (s - t) / (n * m)
+            g_z[j] = weights[i, j] * (sigmoid(z[j]) - labels[i, j]) / (n * m)
         for d in range(head.shape[0]):
             if live[d]:
                 g_head[d] += f[d] * g_z
         g_f = (head @ g_z) * live  # cotangent of the pooled features
         for p in range(P):  # GAP: each pixel row carries 1/P of it
             g_mixer += np.outer(feats[i, p], g_f / P)
-    return loss / (n * m), g_mixer, g_head
+    return g_mixer, g_head
 
 
 def cam_map(x, mixer, head, k):
@@ -226,29 +222,29 @@ def oracle_gradients(method, cfg, feats, labels, mixer, head, stage1, suppress):
     n = len(labels)
     ones = np.ones((n, head.shape[1]))
     if method == "standard":
-        return bce_step(feats, labels, ones, mixer, head)[1:]
+        return bce_step(feats, labels, ones, mixer, head)
     if method in ("remove_cooccur_labels", "remove_cooccur_images", "split_biased"):
         f2, y2 = surgery(method, feats, labels)
-        return bce_step(f2, y2, np.ones(y2.shape), mixer, head)[1:]
+        return bce_step(f2, y2, np.ones(y2.shape), mixer, head)
     if method == "weighted_loss":
         w = np.array([[cfg.weighted_factor if exclusive_for(row, PAIRS) else 1.0] * M
                       for row in labels])
-        return bce_step(feats, labels, w, mixer, head)[1:]
+        return bce_step(feats, labels, w, mixer, head)
     if method == "negative_penalty":
         w = ones.copy()
         for i, row in enumerate(labels):
             for b, c in PAIRS:
                 if row[b] == 1 and row[c] == 0:
                     w[i, c] = cfg.negative_penalty_weight
-        return bce_step(feats, labels, w, mixer, head)[1:]
+        return bce_step(feats, labels, w, mixer, head)
     if method == "ours_feature_split":
         alpha = alpha_per_row(labels, PAIRS, cfg.alpha_min)
         w = np.repeat(alpha[:, None], M, axis=1)
         ctx, fill = suppress
         excl = [bool(exclusive_for(row, PAIRS)) for row in labels]
-        return bce_step(feats, labels, w, mixer, head, (ctx, fill, excl))[1:]
+        return bce_step(feats, labels, w, mixer, head, (ctx, fill, excl))
     if method == "ours_cam":
-        _, gw, gh = bce_step(feats, labels, ones, mixer, head)
+        gw, gh = bce_step(feats, labels, ones, mixer, head)
         cw, ch = cam_step(feats, labels, mixer, head, stage1, cfg.lambda1, cfg.lambda2)
         return gw + cw, gh + ch
     raise AssertionError(method)

@@ -94,7 +94,7 @@ def test_bitwise_determinism(tmp_path):
 
 
 def test_cam_with_zero_weights_matches_standard(tmp_path):
-    # the ours_cam graph must collapse to plain BCE when both weights are off
+    # the ours_cam objective must collapse to plain BCE when both weights are off
     manifest = tiny_benchmark(tmp_path)
     std = train.run_training(manifest, tiny_cfg("standard"))
     cam = train.run_training(manifest, tiny_cfg("ours_cam", lambda1=0.0, lambda2=0.0))
@@ -327,10 +327,8 @@ def test_cam_localizes_planted_region(tmp_path):
     probe = np.zeros((8, 8, 16))
     r0, c0, r1, c1 = regions[2]
     probe[r0:r1, c0:c1, :] = np.array(sigs[2])
-    rows = probe.reshape(1, 64, 16)
-    trace = mdl.forward_batch(arts.params, mdl.pool_pixels(rows))
-    (raw,) = losses.cam_maps(trace, rows, [2], normalized=False)
-    cam = raw.value.reshape(8, 8)
+    cam = losses.cam_maps(arts.params, probe.reshape(1, 64, 16), 2, normalized=False)
+    cam = cam.reshape(8, 8)
     top = cam >= np.quantile(cam, 0.75)
     planted = np.zeros((8, 8), dtype=bool)
     planted[r0:r1, c0:c1] = True
