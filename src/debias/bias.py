@@ -31,13 +31,17 @@ class BiasPairSet:
         return [(p.biased, p.context) for p in self.pairs]
 
 
+def pair_masks(labels, b: int, c: int) -> tuple:
+    """(co-occurring, exclusive) row masks of pair (b, c): b with c, and b without c."""
+    labels = np.asarray(labels)
+    has_b, has_c = labels[:, b] == 1, labels[:, c] == 1
+    return has_b & has_c, has_b & ~has_c
+
+
 def bias_score(preds: np.ndarray, labels: np.ndarray, b: int, z: int) -> float:
     """Ratio of mean predicted probability for b with z present vs absent."""
     preds = np.asarray(preds, dtype=np.float64)
-    labels = np.asarray(labels)
-    has_b = labels[:, b] == 1
-    both = has_b & (labels[:, z] == 1)
-    excl = has_b & (labels[:, z] == 0)
+    both, excl = pair_masks(labels, b, z)
     if not both.any() or not excl.any():
         raise ValueError(
             f"bias({b},{z}) undefined: needs samples with and without {z}"
@@ -109,18 +113,16 @@ def select_biased_pairs(
 
 def audit_report(pair_set: BiasPairSet, labels: np.ndarray) -> list:
     """Rows for the audit JSON: score plus the raw counts behind it."""
-    labels = np.asarray(labels)
     rows = []
     for p in pair_set.pairs:
-        has_b = labels[:, p.biased] == 1
-        both = int(np.sum(has_b & (labels[:, p.context] == 1)))
+        both, excl = pair_masks(labels, p.biased, p.context)
         rows.append(
             {
                 "b": p.biased,
                 "c": p.context,
                 "score": p.score,
-                "cooccur_count": both,
-                "exclusive_count": int(has_b.sum()) - both,
+                "cooccur_count": int(both.sum()),
+                "exclusive_count": int(excl.sum()),
             }
         )
     return rows

@@ -214,10 +214,10 @@ def overlap_on_cooccur(params, manifest, pairs) -> float:
     feats, labels = data.load_arrays(manifest)
     parts = []
     for b, c in pairs:
-        rows = np.flatnonzero((labels[:, b] == 1) & (labels[:, c] == 1))
+        rows = np.flatnonzero(bias_mod.pair_masks(labels, b, c)[0])
         if rows.size == 0:
             continue
-        maps = [losses.cam_maps(params, feats[rows], k) for k in (b, c)]
+        maps = [losses.peak_normalize(losses.cam_maps(params, feats[rows], k))[0] for k in (b, c)]
         parts.append((maps[0] * maps[1]).ravel())
     if not parts:
         raise ValueError("no co-occurring samples for any pair")

@@ -161,6 +161,12 @@ def _check_manifest(m: DatasetManifest):
     for s in m.samples:
         if len(s.labels) != n_cat:
             raise ValueError(f"sample {s.id}: {len(s.labels)} labels, expected {n_cat}")
+    # pair splits read any label but 1 as absent (one pass: a set per sample is slower)
+    flat = [v for s in m.samples for v in s.labels]
+    if not set(map(type, flat)) <= {int, np.int64} or not set(flat) <= {0, 1}:
+        i = next(i for i, v in enumerate(flat) if type(v) not in (int, np.int64) or v not in (0, 1))
+        s = m.samples[i // n_cat]
+        raise ValueError(f"sample {s.id}: labels must be the integers 0 or 1, got {s.labels}")
 
 
 def load_arrays(manifest: DatasetManifest):

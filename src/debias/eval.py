@@ -35,11 +35,8 @@ def build_test_splits(manifest: data.DatasetManifest, pairs) -> list:
     labels = manifest.label_matrix()
     out = []
     for b, c in pairs:
-        has_b = labels[:, b] == 1
-        has_c = labels[:, c] == 1
-        excl = np.flatnonzero(has_b & ~has_c)
-        co = np.flatnonzero(has_b & has_c)
-        neg = np.flatnonzero(~has_b)
+        co, excl = (np.flatnonzero(mask) for mask in bias_mod.pair_masks(labels, b, c))
+        neg = np.flatnonzero(labels[:, b] != 1)
         valid = excl.size > 0 and co.size > 0
         if not valid:
             warnings.warn(

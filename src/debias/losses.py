@@ -1,13 +1,14 @@
-"""Training objectives, each with its gradient in closed form.
+"""Training objectives, each with its loss and gradient in closed form.
 
 The model is linear up to its loss (see model): pooled rows P give logits
 z = (P W) H, and the activation map of category k over a sample's pixel rows
 X is X (W h_k), with h_k the head's column k. So every objective returns its
-loss with the mixer and head gradients written out in numpy. With gz the
-loss's logit cotangent, gH = (P W)^T gz and gW = P^T (gz H^T). A CAM term
-with map cotangent g_map adds (X^T g_map) h_k^T to gW and W^T (X^T g_map) to
-column k of gH. Selective suppression masks gz on its way back into the
-context features.
+loss with the mixer and head gradients written out in numpy, and only two
+pieces are nonlinear: `bce`, whose logit cotangent gz reuses its one sigmoid,
+and `peak_normalize`, whose backward reuses its relu and row peaks. Then
+gH = (P W)^T gz and gW = P^T (gz H^T). A CAM term with map cotangent g_map
+adds (X^T g_map) h_k^T to gW and W^T (X^T g_map) to column k of gH.
+Selective suppression masks gz on its way back into the context features.
 
 Conventions: targets and per-sample weights are fixed inputs; only the mixer
 and head get gradients. Sums over contributing samples, pairs, and pixels are
@@ -25,8 +26,11 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import bias as bias_mod
 from . import diffcore as dc
 from . import model as mdl
+
+LOG_GUARD = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -34,23 +38,36 @@ from . import model as mdl
 
 
 def bce(logits, targets, weights=None) -> tuple:
-    """(mean BCE over all elements, its logit cotangent).
+    """(mean BCE over all elements, its logit cotangent), from one sigmoid.
 
-    With `weights`, a full (n, M) matrix, each element's term is scaled
-    first; a weight per sample is tiled over the categories, since nothing
-    broadcasts.
+    Each element's term is -(t log(max(s, LOG_GUARD)) + (1 - t) log(max(1 - s,
+    LOG_GUARD))) with s = sigmoid(logit), so each log is flat (zero gradient)
+    below the guard. With `weights`, a full (n, M) matrix, each element's
+    term is scaled first; a weight per sample is tiled over the categories,
+    since nothing broadcasts.
+
+    The cotangent runs the sigmoid -> log -> mul -> add chain in reverse: the
+    negation, the two guarded log branches (the 1 - s branch negated), their
+    sum, then the sigmoid derivative. Changing that order changes the
+    gradients' rounding, and with it trained weights.
     """
-    t = dc.as_f64(targets)
+    z, t = dc.as_f64(logits), dc.as_f64(targets)
+    if t.shape != z.shape:
+        raise ValueError(f"bce: targets {t.shape} vs logits {z.shape}")
     if not ((t == 0.0) | (t == 1.0)).all():
         raise ValueError("targets must be binary")
-    terms = dc.bce_terms(logits, t)
+    s = dc.sigmoid_values(z)
+    q = 1.0 - s
+    terms = -(t * np.log(np.maximum(s, LOG_GUARD)) + (1.0 - t) * np.log(np.maximum(q, LOG_GUARD)))
     g = np.full(terms.shape, 1.0 / terms.size)  # the mean's cotangent
     if weights is not None:
         w = dc.as_f64(weights)
         if w.shape != terms.shape:
             raise ValueError("weight matrix must match logits shape")
         terms, g = w * terms, g * w
-    return float(np.mean(terms)), dc.bce_terms_vjp(logits, t, g)
+    g_pos = -g * t * (s > LOG_GUARD) / np.maximum(s, LOG_GUARD)
+    g_neg = -(-g * (1.0 - t) * (q > LOG_GUARD) / np.maximum(q, LOG_GUARD))
+    return float(np.mean(terms)), (g_neg + g_pos) * s * q
 
 
 def _linear_grads(params, pooled_rows, feats, g_logits, keep=None) -> tuple:
@@ -80,16 +97,12 @@ def alpha_weights(labels, pairs, alpha_min: float = 3.0) -> np.ndarray:
     sample exclusive for several pairs takes the largest alpha, every other
     sample weighs 1. TrainConfig checks that alpha_min exceeds 1.
     """
-    labels = np.asarray(labels)
     out = np.ones(len(labels))
     for b, c in pairs:
-        has_b = labels[:, b] == 1
-        co = int(np.sum(has_b & (labels[:, c] == 1)))
-        ex = int(has_b.sum()) - co
-        if ex == 0 or co == 0:
+        both, excl = bias_mod.pair_masks(labels, b, c)
+        if not (both.any() and excl.any()):
             raise ValueError(f"pair ({b},{c}) has empty co-occur or exclusive set")
-        excl = has_b & (labels[:, c] == 0)
-        out[excl] = np.maximum(out[excl], max(math.sqrt(co / ex), float(alpha_min)))
+        out[excl] = np.maximum(out[excl], max(math.sqrt(both.sum() / excl.sum()), float(alpha_min)))
     return out
 
 
@@ -100,10 +113,9 @@ def exclusive_mask(labels, pairs) -> np.ndarray:
     co-occurs for another pair: the context half must never train on context
     evidence for any biased category.
     """
-    labels = np.asarray(labels)
     mask = np.zeros(len(labels), dtype=bool)
     for b, c in pairs:
-        mask |= (labels[:, b] == 1) & (labels[:, c] == 0)
+        mask |= bias_mod.pair_masks(labels, b, c)[1]
     return mask
 
 
@@ -111,21 +123,46 @@ def exclusive_mask(labels, pairs) -> np.ndarray:
 # CAM losses
 
 
-def cam_maps(params: mdl.ModelParams, pixel_rows, category: int, normalized=True) -> np.ndarray:
-    """(n, P) activation maps of `category` for (n, P, D_in) pixel rows.
+def cam_maps(params: mdl.ModelParams, pixel_rows, category: int) -> np.ndarray:
+    """(n, P) raw activation maps of `category` for (n, P, D_in) pixel rows.
 
     Each map is X (W h_k): the mixer meets the head column first, so no
-    product is wider than that column. Normalized maps are relu'd and divided
-    by their own max + 1e-8 (diffcore.normalize_blocks). Training, the frozen
-    snapshot and the overlap metric all form their maps here, so a grounding
-    term against unchanged weights is zero to the bit.
+    product is wider than that column. Training, the frozen snapshot and the
+    overlap metric all form their maps here and normalize them with
+    peak_normalize, so a grounding term against unchanged weights is zero to
+    the bit.
     """
     if not 0 <= category < params.m:
         raise ValueError(f"category {category} out of range for {params.m} categories")
     feats = dc.as_f64(pixel_rows)
     n, p, d_in = feats.shape
-    raw = feats.reshape(n * p, d_in) @ (params.mixer @ params.head[:, [category]])
-    return (dc.normalize_blocks(raw, p) if normalized else raw).reshape(n, p)
+    return (feats.reshape(n * p, d_in) @ (params.mixer @ params.head[:, [category]])).reshape(n, p)
+
+
+def peak_normalize(raw) -> tuple:
+    """(maps, backward) of (n, P) raw maps, each row relu'd and divided by its max + 1e-8.
+
+    Every map lands in [0, 1] on its own. `backward` maps the cotangent of
+    the maps to that of `raw`, reusing the forward's relu and row peaks. It
+    differentiates in reverse-sweep order: the quotient's two cotangents, the
+    row sum of the denominator's, the max's share split evenly over ties,
+    then the relu mask (subgradient 0 at the kink). Changing that order
+    changes the gradients' rounding, and with it trained weights.
+    """
+    raw = dc.as_f64(raw)
+    r = np.maximum(raw, 0.0)
+    peaks = r.max(axis=1, keepdims=True)
+    denom = peaks + 1e-8
+
+    def backward(g: np.ndarray) -> np.ndarray:
+        if g.shape != raw.shape:
+            raise ValueError(f"peak_normalize: cotangent {g.shape} vs maps {raw.shape}")
+        g_denom = (-g * r / (denom * denom)).sum(axis=1, keepdims=True)
+        ties = r == peaks
+        g_r = g / denom + ties * (g_denom / ties.sum(axis=1, keepdims=True))
+        return g_r * (raw > 0.0)
+
+    return r / denom, backward
 
 
 class CamSnapshot:
@@ -140,13 +177,13 @@ class CamSnapshot:
         self.pairs = [tuple(p) for p in pairs]
         self.categories = sorted({k for p in self.pairs for k in p})
 
-    def rows(self, feats: np.ndarray, category: int, normalized: bool = True) -> np.ndarray:
-        """(n, P) maps of `category` for (n, P, D_in) pixel rows."""
+    def rows(self, feats: np.ndarray, category: int) -> np.ndarray:
+        """(n, P) normalized maps of `category` for (n, P, D_in) pixel rows."""
         if category not in self.categories:
             raise ValueError(f"category {category} not covered by the snapshot")
-        return cam_maps(self.params, feats, category, normalized)
+        return peak_normalize(cam_maps(self.params, feats, category))[0]
 
-    def table(self, feats: np.ndarray, batch_size: int, normalized: bool = True) -> dict:
+    def table(self, feats: np.ndarray, batch_size: int) -> dict:
         """{category: (N, P) maps} for every tracked category.
 
         Built `batch_size` samples at a time, so the (N*P, D) mixed rows
@@ -154,9 +191,7 @@ class CamSnapshot:
         """
         chunks = range(0, len(feats), batch_size)
         return {
-            k: np.concatenate(
-                [self.rows(feats[s : s + batch_size], k, normalized) for s in chunks]
-            )
+            k: np.concatenate([self.rows(feats[s : s + batch_size], k) for s in chunks])
             for k in self.categories
         }
 
@@ -174,23 +209,21 @@ def cam_terms(params, pixel_rows, targets, pairs, frozen, lambda1, lambda2) -> t
     """
     if lambda2 > 0 and frozen is None:
         raise ValueError("grounding needs the frozen stage-1 maps")
-    t = dc.as_f64(targets)
     maps, overlap, ground = [], [], []
     for b, c in pairs:
-        local = np.flatnonzero((t[:, b] == 1) & (t[:, c] == 1))
+        local = np.flatnonzero(bias_mod.pair_masks(targets, b, c)[0])
         if local.size == 0 or lambda1 == lambda2 == 0:
             continue
         x = dc.as_f64(pixel_rows[local])
-        raw = {k: cam_maps(params, x, k, normalized=False).reshape(-1, 1) for k in (b, c)}
-        live = {k: dc.normalize_blocks(raw[k], x.shape[1]) for k in (b, c)}
-        diff = {}
-        if lambda2 > 0:
-            diff = {k: frozen[k][local].reshape(-1, 1) - live[k] for k in (b, c)}
+        live, backward = {}, {}
+        for k in (b, c):
+            live[k], backward[k] = peak_normalize(cam_maps(params, x, k))
+        diff = {k: frozen[k][local] - live[k] for k in (b, c)} if lambda2 > 0 else {}
         if lambda1 > 0:
             overlap.append(live[b] * live[c])
-        if lambda2 > 0:
+        if diff:
             ground.append(np.abs(diff[b]) + np.abs(diff[c]))
-        maps.append((x, (b, c), raw, live, diff))
+        maps.append((x, (b, c), live, backward, diff))
 
     # each term is a mean, so every pixel's cotangent is its weight over the count
     g_overlap = float(lambda1) / sum(o.size for o in overlap) if overlap else 0.0
@@ -200,13 +233,13 @@ def cam_terms(params, pixel_rows, targets, pairs, frozen, lambda1, lambda2) -> t
     # rounding, so the order is fixed: last pair first, each pair's context
     # map before its biased map, at each map the grounding cotangent before
     # the overlap one, and cam_objective adds the BCE gradient last.
-    for x, (b, c), raw, live, diff in reversed(maps):
+    for x, (b, c), live, backward, diff in reversed(maps):
         rows = x.reshape(-1, x.shape[2])
         for k, other in ((c, b), (b, c)):
             g_map = g_ground * np.sign(diff[k]) * -1.0 if diff else 0.0
             if overlap:
                 g_map = g_map + g_overlap * live[other]
-            g_column = rows.T @ dc.normalize_blocks_vjp(raw[k], x.shape[1], g_map)
+            g_column = rows.T @ backward[k](g_map).reshape(-1, 1)
             g_mixer += g_column @ params.head[:, [k]].T
             g_head[:, [k]] += params.mixer.T @ g_column
     means = [float(np.mean(np.concatenate(p))) if p else 0.0 for p in (overlap, ground)]

@@ -359,8 +359,8 @@ def train_stage2(
     elif cfg.method == "negative_penalty":
         weights_all = np.ones((len(work.samples), m))
         for b, c in pair_tuples:
-            rows = (labels[:, b] == 1) & (labels[:, c] == 0)
-            weights_all[rows, c] = float(cfg.negative_penalty_weight)
+            excl = bias_mod.pair_masks(labels, b, c)[1]
+            weights_all[excl, c] = float(cfg.negative_penalty_weight)
         objective = weighted_bce
 
     params, curve, step_log = _sgd_loop(

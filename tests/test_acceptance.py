@@ -131,7 +131,7 @@ def test_gradients_match_finite_differences():
         )
         gap = min(
             np.abs(
-                losses.cam_maps(params_at(pos), fm_one, cat).ravel()
+                losses.peak_normalize(losses.cam_maps(params_at(pos), fm_one, cat))[0].ravel()
                 - cand.rows(fm_one, cat).ravel()
             ).min()
             for cat in (0, 1)

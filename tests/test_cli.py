@@ -171,6 +171,36 @@ def test_eval_rejects_out_of_range_pairs(ws, tmp_path):
     assert code == 2
 
 
+def test_non_binary_label_exits_2(ws, tmp_path, capsys):
+    # a context label of 2 on a co-occurring test sample used to move that
+    # sample into the exclusive split of eval and the exclusive count of audit
+    run = tmp_path / "run"
+    assert cli.main([
+        "train", "--data", str(ws / "dtrain"), "--config", str(ws / "train.json"),
+        "--seed", "3", "--pairs", "0:1", "--out", str(run),
+    ]) == 0
+    shutil.copytree(ws / "dtest", tmp_path / "d")
+    path = tmp_path / "d" / "test.manifest.json"
+    doc = json.loads(path.read_text())
+    both = next(s for s in doc["samples"] if s["labels"][0] == s["labels"][1] == 1)
+    both["labels"][1] = 2
+    path.write_text(json.dumps(doc))
+    csv = tmp_path / "preds.csv"
+    np.savetxt(csv, np.full((len(doc["samples"]), 4), 0.5), delimiter=",")
+    capsys.readouterr()
+    for argv in (
+        ["eval", "--checkpoint", str(run), "--data", str(tmp_path / "d")],
+        ["audit", "--labels", str(tmp_path / "d"), "--preds", str(csv)],
+        ["train", "--data", str(tmp_path / "d"), "--config", str(ws / "train.json"),
+         "--seed", "3"],
+    ):
+        out = tmp_path / f"out_{argv[0]}"
+        assert cli.main(argv + ["--out", str(out)]) == 2, argv[0]
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "labels must be the integers 0 or 1" in err[0], err
+        assert not out.exists()
+
+
 def test_train_rejects_out_of_range_pairs(ws, tmp_path, capsys, monkeypatch):
     steps = []
     sgd_step = dc.sgd_step

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -88,6 +89,19 @@ def test_manifest_roundtrip(tmp_path):
     loaded = data.load_manifest(tmp_path / "train.manifest.json")
     assert loaded.to_dict() == m.to_dict()
     assert loaded.root == str(tmp_path)
+
+
+@pytest.mark.parametrize("bad", [2, -1, 1.0, True, "1", None])
+def test_load_manifest_rejects_non_binary_labels(tmp_path, bad):
+    # every pair split reads a label other than 1 as absent, so anything but
+    # the integers 0 and 1 is refused where a manifest enters the program
+    data.generate_dataset(tiny_config(), tmp_path)
+    path = tmp_path / "train.manifest.json"
+    doc = json.loads(path.read_text())
+    doc["samples"][3]["labels"][1] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="labels must be the integers 0 or 1"):
+        data.load_manifest(path)
 
 
 @pytest.mark.parametrize("n,big,small", [(100, 80, 20), (5, 4, 1), (11, 8, 3)])

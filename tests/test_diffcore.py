@@ -9,31 +9,31 @@ RNG = np.random.default_rng
 
 
 def test_bce_terms_gradient_at_zero():
-    # sigmoid(0) = 1/2: each term is ln 2 and its gradient is s - t
+    # sigmoid(0) = 1/2: each term is ln 2 and its gradient is (s - t) / n
     x = np.zeros((1, 2))
     t = np.array([[1.0, 0.0]])
-    assert np.allclose(dc.bce_terms(x, t), np.log(2.0), rtol=0, atol=1e-15)
-    g = dc.bce_terms_vjp(x, t, np.ones((1, 2)))
-    assert np.allclose(g, [[-0.5, 0.5]], rtol=0, atol=1e-15)
+    loss, g = losses.bce(x, t)
+    assert abs(loss - np.log(2.0)) < 1e-15
+    assert np.allclose(g, [[-0.25, 0.25]], rtol=0, atol=1e-15)
 
 
 def chain_reference(z, t, g):
-    """The sigmoid -> guarded log -> mul -> add chain the op fuses, in numpy.
+    """The sigmoid -> guarded log -> mul -> add chain losses.bce fuses, in numpy.
 
     Forward in chain order, backward in the order a reverse sweep visits
     the chain's steps; returns (value, cotangent of z).
     """
     s = 1.0 / (1.0 + np.exp(-np.clip(z, -40.0, 40.0)))
     q = np.ones_like(t) + s * -1.0
-    log_s = np.log(np.maximum(s, dc.LOG_GUARD))
-    log_q = np.log(np.maximum(q, dc.LOG_GUARD))
+    log_s = np.log(np.maximum(s, losses.LOG_GUARD))
+    log_q = np.log(np.maximum(q, losses.LOG_GUARD))
     value = (t * log_s + (1.0 - t) * log_q) * -1.0
     g_sum = g * -1.0  # the outer scale, then add passes it to both branches
     g_log_q = g_sum * (1.0 - t)
-    g_q = g_log_q * (q > dc.LOG_GUARD) / np.maximum(q, dc.LOG_GUARD)
+    g_q = g_log_q * (q > losses.LOG_GUARD) / np.maximum(q, losses.LOG_GUARD)
     g_s = g_q * -1.0  # the scale inside 1 - s, reached first
     g_log_s = g_sum * t
-    g_s = g_s + g_log_s * (s > dc.LOG_GUARD) / np.maximum(s, dc.LOG_GUARD)
+    g_s = g_s + g_log_s * (s > losses.LOG_GUARD) / np.maximum(s, losses.LOG_GUARD)
     return value, g_s * s * (1.0 - s)
 
 
@@ -42,24 +42,25 @@ def test_bce_terms_bit_equal_to_chain():
     # floor (sigmoid(-30) < 1e-12), in both directions
     z = np.tile([-45.0, -30.0, -1.0, 0.0, 1.0, 30.0, 45.0], (2, 1))
     t = np.repeat([[1.0], [0.0]], 7, axis=1)
-    g = RNG(19).normal(size=z.shape)
-    want_value, want_grad = chain_reference(z, t, g)
-    got_grad = dc.bce_terms_vjp(z, t, g)
-    assert dc.bce_terms(z, t).tobytes() == want_value.tobytes()
+    w = RNG(19).uniform(0.5, 3.0, size=z.shape)
+    want_value, want_grad = chain_reference(z, t, np.full(z.shape, 1.0 / z.size) * w)
+    got_value, got_grad = losses.bce(z, t, w)
+    assert got_value == float(np.mean(w * want_value))
     assert got_grad.tobytes() == want_grad.tobytes()
     assert got_grad[0, 0] == 0.0 and got_grad[0, 1] == 0.0  # flat below the guard
     assert got_grad[1, 5] == 0.0 and got_grad[1, 6] == 0.0
-    # through the mean's cotangent, as training calls it
-    _, g_mean = losses.bce(z, t)
-    _, want_mean = chain_reference(z, t, np.full(z.shape, 1.0 / z.size))
+    # unweighted, as most objectives call it
+    got_value, g_mean = losses.bce(z, t)
+    want_value, want_mean = chain_reference(z, t, np.full(z.shape, 1.0 / z.size))
+    assert got_value == float(np.mean(want_value))
     assert g_mean.tobytes() == want_mean.tobytes()
 
 
 def test_bce_terms_rejects_mismatched_targets():
     with pytest.raises(ValueError):
-        dc.bce_terms(np.zeros((2, 3)), np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        dc.bce_terms_vjp(np.zeros((2, 3)), np.zeros((3, 2)), np.ones((2, 3)))
+        losses.bce(np.zeros((2, 3)), np.zeros((3, 2)))
+    with pytest.raises(ValueError):  # same size, other shape
+        losses.bce(np.zeros((2, 3)), np.zeros(6))
 
 
 def linear_setup(seed, n=3, d_in=2, d=4, m=3):
@@ -101,9 +102,8 @@ def test_guarded_log_value_and_gradient():
     # sigmoid(-40) < LOG_GUARD: a positive target reads -log(LOG_GUARD) and
     # gets no gradient; at z = 0 the gradient is (1/2 - 1) / 2 = -1/4
     v = np.array([[-40.0, 0.0]])
-    terms = dc.bce_terms(v, np.ones((1, 2)))
-    assert dc.sigmoid_values(v)[0, 0] < dc.LOG_GUARD
-    assert terms[0, 0] == -np.log(1e-12)
+    assert dc.sigmoid_values(v)[0, 0] < losses.LOG_GUARD
+    assert losses.bce(v[:, :1], np.ones((1, 1)))[0] == -np.log(1e-12)
     _, g = losses.bce(v, np.ones((1, 2)))
     assert g[0, 0] == 0.0  # flat below the guard
     assert abs(g[0, 1] + 0.25) < 1e-15
@@ -111,10 +111,10 @@ def test_guarded_log_value_and_gradient():
 
 def test_relu_subgradient_zero_at_kink():
     # the relu inside map normalization passes nothing at or below zero
-    x = np.array([[-1.0], [0.0], [2.0]])
-    g = dc.normalize_blocks_vjp(x, 3, np.full((3, 1), 1.0 / 3.0))
-    assert g[0, 0] == 0.0 and g[1, 0] == 0.0
-    assert g[2, 0] > 0.0
+    x = np.array([[-1.0, 0.0, 2.0]])
+    g = losses.peak_normalize(x)[1](np.full((1, 3), 1.0 / 3.0))
+    assert g[0, 0] == 0.0 and g[0, 1] == 0.0
+    assert g[0, 2] > 0.0
 
 
 @pytest.mark.parametrize(
@@ -126,51 +126,49 @@ def test_relu_subgradient_zero_at_kink():
     ],
 )
 def test_normalize_block_values_edges(raw, expect):
-    got = dc.normalize_blocks(np.array(raw), 2)
-    assert np.allclose(got, expect, rtol=0, atol=1e-12)
+    # one two-pixel map per case
+    got, _ = losses.peak_normalize(np.array(raw).T)
+    assert np.allclose(got, np.array(expect).T, rtol=0, atol=1e-12)
 
 
 def test_normalize_block_values_hand_case():
-    # two blocks of two rows, two columns: each column of a block by its own max
-    got = dc.normalize_blocks(np.array([[1.0, 8.0], [2.0, 4.0], [4.0, 1.0], [8.0, 2.0]]), 2)
-    assert np.max(np.abs(got - [[0.5, 1.0], [1.0, 0.5], [0.5, 0.5], [1.0, 1.0]])) < 1e-7
+    # four maps of two pixels: each map by its own max
+    got, _ = losses.peak_normalize(np.array([[1.0, 2.0], [8.0, 4.0], [4.0, 8.0], [1.0, 2.0]]))
+    assert np.max(np.abs(got - [[0.5, 1.0], [1.0, 0.5], [0.5, 1.0], [0.5, 1.0]])) < 1e-7
 
 
 def test_normalize_blocks_matches_per_block():
-    # stacked maps normalize exactly as each block does on its own
+    # stacked maps normalize exactly as each map does on its own
     rng = RNG(18)
-    block = 6
-    stacked = rng.normal(size=(3 * block, 1))
-    out = dc.normalize_blocks(stacked, block)
+    stacked = rng.normal(size=(3, 6))
+    out, _ = losses.peak_normalize(stacked)
     for i in range(3):
-        seg = stacked[i * block : (i + 1) * block]
-        r = np.maximum(seg, 0.0)
-        assert np.array_equal(out[i * block : (i + 1) * block], r / (r.max() + 1e-8))
-        assert np.array_equal(out[i * block : (i + 1) * block], dc.normalize_blocks(seg, block))
+        r = np.maximum(stacked[i], 0.0)
+        assert np.array_equal(out[i], r / (r.max() + 1e-8))
+        assert np.array_equal(out[i : i + 1], losses.peak_normalize(stacked[i : i + 1])[0])
 
 
 def test_normalize_blocks_tie_split():
-    # a block max shared by two rows passes half of its cotangent to each
-    a = np.array([[1.0], [3.0], [3.0], [2.0], [5.0], [0.0]])
-    g = np.arange(1.0, 7.0).reshape(6, 1)
-    got = dc.normalize_blocks_vjp(a, 3, g)
-    d = np.repeat([[3.0 + 1e-8], [5.0 + 1e-8]], 3, axis=0)
+    # a map max shared by two pixels passes half of its cotangent to each
+    a = np.array([[1.0, 3.0, 3.0], [2.0, 5.0, 0.0]])
+    g = np.arange(1.0, 7.0).reshape(2, 3)
+    got = losses.peak_normalize(a)[1](g)
+    d = np.array([[3.0 + 1e-8], [5.0 + 1e-8]])
     quotient = g / d
-    share = (-g * a / (d * d)).reshape(2, 3, 1).sum(axis=1)
-    want = quotient + np.array([[0.0], [0.5], [0.5], [0.0], [1.0], [0.0]]) * np.repeat(
-        share, 3, axis=0
-    )
-    want[5, 0] = 0.0  # relu kink at zero
+    share = (-g * a / (d * d)).sum(axis=1, keepdims=True)
+    want = quotient + np.array([[0.0, 0.5, 0.5], [0.0, 1.0, 0.0]]) * share
+    want[1, 2] = 0.0  # relu kink at zero
     assert np.array_equal(got, want)
 
 
-def test_normalize_blocks_rejects_partial_block():
-    with pytest.raises(ValueError):
-        dc.normalize_blocks_vjp(np.ones((5, 1)), 2, np.ones((5, 1)))
-    with pytest.raises(ValueError):
-        dc.normalize_blocks(np.ones(4), 2)
+def test_peak_normalize_rejects_bad_shapes():
+    with pytest.raises(ValueError):  # maps come as (n, P) rows
+        losses.peak_normalize(np.ones(4))
+    _, backward = losses.peak_normalize(np.ones((2, 2)))
     with pytest.raises(ValueError):  # a cotangent of another shape
-        dc.normalize_blocks_vjp(np.ones((4, 1)), 2, np.ones((4, 2)))
+        backward(np.ones((2, 3)))
+    with pytest.raises(ValueError):  # not even a broadcastable one
+        backward(np.ones((2, 1)))
 
 
 def cam_setup(seed, n=4, p=9, d_in=5, d=6, m=4):
@@ -245,23 +243,23 @@ def test_quadratic_finite_diff_is_tight():
 
 
 def test_finite_diff_dense_chain():
-    # mean |BCE terms of (A B) times a column|, with its gradient by hand
+    # weighted BCE of (A B) W, with the chain's gradient by hand
     rng = RNG(10)
     params = {
         "a": rng.uniform(-2.0, 2.0, size=(3, 4)),
         "b": rng.uniform(-2.0, 2.0, size=(4, 2)),
-        "w": rng.uniform(-2.0, 2.0, size=(2, 1)),
+        "w": rng.uniform(-2.0, 2.0, size=(2, 2)),
     }
     targets = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    weights = rng.uniform(0.5, 2.0, size=(3, 2))
 
     def value(p):
-        return np.mean(np.abs(dc.bce_terms(p["a"] @ p["b"], targets) @ p["w"]))
+        return losses.bce((p["a"] @ p["b"]) @ p["w"], targets, weights)[0]
 
     ab = params["a"] @ params["b"]
-    h = dc.bce_terms(ab, targets)
-    g_y = np.sign(h @ params["w"]) / 3.0
-    g_ab = dc.bce_terms_vjp(ab, targets, g_y @ params["w"].T)
-    grads = {"a": g_ab @ params["b"].T, "b": params["a"].T @ g_ab, "w": h.T @ g_y}
+    g_z = losses.bce(ab @ params["w"], targets, weights)[1]
+    g_ab = g_z @ params["w"].T
+    grads = {"a": g_ab @ params["b"].T, "b": params["a"].T @ g_ab, "w": ab.T @ g_z}
     assert dc.finite_diff_check(value, params, grads, eps=1e-5) < 1e-6
 
 
@@ -275,47 +273,47 @@ def test_finite_diff_bce_terms():
         target = np.full((1, 1), t)
 
         def value(p):
-            return dc.bce_terms(p["z"], target)[0, 0]
+            return losses.bce(p["z"], target)[0]
 
         for z in grid[np.abs(grid) <= 10.0]:
             point = {"z": np.full((1, 1), z)}
-            grads = {"z": dc.bce_terms_vjp(point["z"], target, np.ones((1, 1)))}
+            grads = {"z": losses.bce(point["z"], target)[1]}
             assert dc.finite_diff_check(value, point, grads, eps=1e-5) < 1e-6
     z = np.tile(grid, (2, 1))
     targets = np.repeat([[1.0], [0.0]], grid.size, axis=1)
-    g = dc.bce_terms_vjp(z, targets, np.ones_like(z))
+    g = losses.bce(z, targets)[1] * z.size
     closed = 1.0 / (1.0 + np.exp(-z)) - targets
     assert np.max(np.abs(g - closed) / np.abs(closed)) < 1e-12
 
 
 def test_finite_diff_pooling_ops():
-    # block-max normalization over three blocks of four rows and two columns;
-    # distinct positive entries keep block maxima unique under perturbation
-    # (a block whose only positive entry is its max has a gradient near 1e-9,
-    # below the central-difference noise)
+    # peak normalization of six four-pixel maps; distinct positive entries
+    # keep map maxima unique under perturbation (a map whose only positive
+    # entry is its max has a gradient near 1e-9, below the central-difference
+    # noise)
     rng = RNG(11)
-    base = rng.permutation(np.linspace(0.2, 2.0, 24)).reshape(12, 2)
-    weights = rng.uniform(0.5, 1.5, size=(12, 2))
+    base = rng.permutation(np.linspace(0.2, 2.0, 24)).reshape(6, 4)
+    weights = rng.uniform(0.5, 1.5, size=(6, 4))
 
     def value(p):
-        return np.mean(dc.normalize_blocks(p["f"], 4) * weights)
+        return np.mean(losses.peak_normalize(p["f"])[0] * weights)
 
-    grads = {"f": dc.normalize_blocks_vjp(base, 4, weights / weights.size)}
+    grads = {"f": losses.peak_normalize(base)[1](weights / weights.size)}
     assert dc.finite_diff_check(value, {"f": base}, grads, eps=1e-5) < 1e-6
 
 
 def test_finite_diff_normalize_shape():
-    # relu(x) / (max(relu(x)) + 1e-8) per block, the map normalization
+    # relu(x) / (max(relu(x)) + 1e-8) per map, the map normalization
     rng = RNG(13)
-    x = rng.uniform(-2.0, 2.0, size=(12, 1))
+    x = rng.uniform(-2.0, 2.0, size=(2, 6))
     x[np.abs(x) < 0.1] = 0.5  # keep clear of the relu kink
-    x[3, 0] = 3.0  # unique block maxima, stable under eps-perturbation
-    x[7, 0] = 4.0
+    x[0, 3] = 3.0  # unique map maxima, stable under eps-perturbation
+    x[1, 1] = 4.0
 
     def value(p):
-        return np.mean(dc.normalize_blocks(p["x"], 6))
+        return np.mean(losses.peak_normalize(p["x"])[0])
 
-    grads = {"x": dc.normalize_blocks_vjp(x, 6, np.full((12, 1), 1.0 / 12))}
+    grads = {"x": losses.peak_normalize(x)[1](np.full((2, 6), 1.0 / 12))}
     assert dc.finite_diff_check(value, {"x": x}, grads, eps=1e-5) < 1e-6
 
 

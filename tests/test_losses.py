@@ -416,13 +416,17 @@ def test_snapshot_table_equals_rows_bit_for_bit():
     params = make_params(seed=18, d_in=32, d=64, m=8)
     snap = losses.CamSnapshot(params, [(0, 1), (2, 3)])
     feats = np.random.default_rng(19).normal(size=(150, 64, 32))
-    for normalized in (True, False):
-        table = snap.table(feats, 64, normalized)
-        for k in (0, 1, 2, 3):
-            assert table[k].shape == (150, 64)
-            for i in range(150):
-                single = snap.rows(feats[i : i + 1], k, normalized)[0]
-                assert table[k][i].tobytes() == single.tobytes()
+    table = snap.table(feats, 64)
+    for k in (0, 1, 2, 3):
+        raw = np.concatenate(
+            [losses.cam_maps(snap.params, feats[s : s + 64], k) for s in (0, 64, 128)]
+        )
+        assert table[k].shape == raw.shape == (150, 64)
+        for i in range(150):
+            single = snap.rows(feats[i : i + 1], k)[0]
+            assert table[k][i].tobytes() == single.tobytes()
+            single_raw = losses.cam_maps(snap.params, feats[i : i + 1], k)[0]
+            assert raw[i].tobytes() == single_raw.tobytes()
 
 
 def test_grounding_is_exactly_zero_against_own_snapshot():
@@ -439,7 +443,7 @@ def test_grounding_is_exactly_zero_against_own_snapshot():
         local = np.flatnonzero((t[idx, b] == 1) & (t[idx, c] == 1))
         assert local.size > 0
         for k in (b, c):
-            live = losses.cam_maps(params, feats[idx][local], k)
+            live, _ = losses.peak_normalize(losses.cam_maps(params, feats[idx][local], k))
             assert not (frozen[k][local] - live).any()
     ground, _, g_mixer, g_head = losses.cam_terms(params, feats[idx], t[idx], pairs, frozen, 0.0, 1.0)
     assert ground == 0.0 and not g_mixer.any() and not g_head.any()

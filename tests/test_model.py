@@ -60,7 +60,7 @@ def test_split_reconstructs_pooled_vector():
 
 
 def raw_cams(params, fm, categories):
-    return [losses.cam_maps(params, pixel_rows(fm), k, normalized=False) for k in categories]
+    return [losses.cam_maps(params, pixel_rows(fm), k) for k in categories]
 
 
 def test_cam_hand_case():
@@ -76,8 +76,9 @@ def test_cam_hand_case():
     (raw,) = raw_cams(params, fm, [0])
     assert np.array_equal(raw.reshape(2, 2), [[2.0, 0.0], [0.0, 2.0]])
     snap = losses.CamSnapshot(params, [(0, 1)])  # the snapshot forms the same maps
-    frozen = snap.rows(pixel_rows(fm), 0, normalized=False)
-    assert np.array_equal(frozen.reshape(2, 2), [[2.0, 0.0], [0.0, 2.0]])
+    frozen = snap.rows(pixel_rows(fm), 0)
+    assert np.array_equal(frozen, losses.peak_normalize(raw)[0])
+    assert np.allclose(frozen.reshape(2, 2), [[1.0, 0.0], [0.0, 1.0]], rtol=0, atol=1e-8)
 
 
 def test_cam_zero_weights_zero_map():
@@ -133,16 +134,16 @@ def test_cam_gradients_check_out():
 
 
 def test_normalize_cam_rows_gradient():
-    # two stacked 4-pixel maps, normalized per map as the CAM losses do
+    # two 4-pixel maps, normalized per map as the CAM losses do
     rng = np.random.default_rng(8)
-    base = rng.uniform(0.2, 2.0, size=(8, 1))
-    base[3, 0] = 3.0
-    base[7, 0] = 4.0  # unique block maxima
+    base = rng.uniform(0.2, 2.0, size=(2, 4))
+    base[0, 3] = 3.0
+    base[1, 3] = 4.0  # unique map maxima
 
     def value(p):
-        return np.mean(dc.normalize_blocks(p["x"], 4))
+        return np.mean(losses.peak_normalize(p["x"])[0])
 
-    grads = {"x": dc.normalize_blocks_vjp(base, 4, np.full((8, 1), 1.0 / 8))}
+    grads = {"x": losses.peak_normalize(base)[1](np.full((2, 4), 1.0 / 8))}
     assert dc.finite_diff_check(value, {"x": base}, grads, eps=1e-5) < 1e-6
 
 

@@ -327,7 +327,7 @@ def test_cam_localizes_planted_region(tmp_path):
     probe = np.zeros((8, 8, 16))
     r0, c0, r1, c1 = regions[2]
     probe[r0:r1, c0:c1, :] = np.array(sigs[2])
-    cam = losses.cam_maps(arts.params, probe.reshape(1, 64, 16), 2, normalized=False)
+    cam = losses.cam_maps(arts.params, probe.reshape(1, 64, 16), 2)
     cam = cam.reshape(8, 8)
     top = cam >= np.quantile(cam, 0.75)
     planted = np.zeros((8, 8), dtype=bool)
