@@ -1,14 +1,17 @@
-"""Print one SHA-256 digest per benchmark-cell training run of this checkout.
+"""Print two SHA-256 digests per benchmark-cell training run of this checkout.
 
 Usage: python3 tools/weights_digest.py > digests.txt
 
 Runs `cli.run_benchmark_cell` on a fixed grid: fraction 0.05 with seeds 0-4
 (standard, feature split, CAM) and fraction 0.25 with seeds 0-2 (standard and
 the five baselines), 33 runs in all. Each line reads
-`fraction seed method sha256`, where the digest covers the trained mixer and
-head, the loss curve, the stage-2 step log, the feature-split buffer window
-and the evaluation report. Two checkouts that train byte-identical weights
-print identical files, so `diff` of the two outputs is the check.
+`fraction seed method training report`. The training digest covers the
+trained mixer and head, the loss curve, the stage-2 step log and the
+feature-split buffer window; the report digest covers the evaluation report.
+Two checkouts that train byte-identical weights print identical training
+columns, so `diff` of the two outputs is the check. A change that only moves
+the report's `config_hash` (a renamed or removed config field) shows in the
+report column alone.
 
 BLAS is pinned to one thread before numpy loads, because a threaded BLAS may
 split a product differently from run to run and so change its rounding. The
@@ -47,8 +50,8 @@ GRID = [
 ]
 
 
-def run_digest(arts, report) -> str:
-    """SHA-256 over everything one method's stage 2 produced."""
+def training_digest(arts) -> str:
+    """SHA-256 over what one method's training produced."""
     h = hashlib.sha256()
     h.update(arts.params.mixer.tobytes())
     h.update(arts.params.head.tobytes())
@@ -57,8 +60,11 @@ def run_digest(arts, report) -> str:
     h.update(json.dumps(stage2, sort_keys=True).encode())
     for entry in arts.buffer.snapshot() if arts.buffer is not None else []:
         h.update(entry.tobytes())
-    h.update(json.dumps(report.to_dict(), sort_keys=True).encode())
     return h.hexdigest()
+
+
+def report_digest(report) -> str:
+    return hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
 
 
 def main():
@@ -67,8 +73,11 @@ def main():
             with tempfile.TemporaryDirectory() as work:
                 cell = cli.run_benchmark_cell(fraction, seed, methods, work)
             for method in methods:
-                digest = run_digest(cell.artifacts[method], cell.reports[method])
-                print(f"{fraction:g} {seed} {method} {digest}", flush=True)
+                print(
+                    f"{fraction:g} {seed} {method} {training_digest(cell.artifacts[method])} "
+                    f"{report_digest(cell.reports[method])}",
+                    flush=True,
+                )
 
 
 if __name__ == "__main__":
