@@ -53,7 +53,6 @@ class TrainConfig:
     mixer_width: int = 64
     weighted_factor: float = 10.0
     negative_penalty_weight: float = 10.0
-    remove_labels_globally: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -221,16 +220,12 @@ def split_biased_map(pairs, m: int) -> list:
 
 
 def transform_dataset(
-    manifest: data.DatasetManifest,
-    method: str,
-    pairs,
-    remove_labels_globally: bool = False,
+    manifest: data.DatasetManifest, method: str, pairs
 ) -> data.DatasetManifest:
     """Label/image surgery behind the removal and split baselines.
 
     remove_cooccur_labels clears the context label on samples containing the
-    biased category (everywhere, if the global flag is set, dropping samples
-    left without any positive). remove_cooccur_images drops co-occurring
+    biased category. remove_cooccur_images drops co-occurring
     samples outright. split_biased appends one solo category per pair and
     moves exclusive samples' biased label there, turning the original column
     into "biased with its context".
@@ -241,10 +236,8 @@ def transform_dataset(
         for s in manifest.samples:
             row = list(s.labels)
             for b, c in pairs:
-                if row[c] == 1 and (remove_labels_globally or row[b] == 1):
+                if row[c] == 1 and row[b] == 1:
                     row[c] = 0
-            if sum(row) == 0:
-                continue  # only reachable under the global flag
             new_samples.append(data.SampleRef(s.id, s.offset, row))
         return replace(manifest, samples=new_samples)
 
@@ -291,9 +284,7 @@ def train_stage2(
     work = manifest
     category_map = None
     if cfg.method in TRANSFORM_METHODS:
-        work = transform_dataset(
-            manifest, cfg.method, pair_tuples, cfg.remove_labels_globally
-        )
+        work = transform_dataset(manifest, cfg.method, pair_tuples)
     if cfg.method == "split_biased":
         category_map = split_biased_map(pair_tuples, len(manifest.categories))
         extra_rng = np.random.default_rng(artifacts.seeds["extra"])

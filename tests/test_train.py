@@ -243,16 +243,6 @@ def test_remove_cooccur_labels_clears_context_only_on_biased():
     assert np.array_equal(matrix[solo_c, 1], before[solo_c, 1])
 
 
-def test_remove_cooccur_labels_global_drops_emptied_samples():
-    rows = [[1, 1, 0], [0, 1, 0], [0, 1, 1]]
-    manifest = labels_manifest(rows, m=3)
-    out = train.transform_dataset(
-        manifest, "remove_cooccur_labels", [(0, 1)], remove_labels_globally=True
-    )
-    # context cleared everywhere; the context-only sample vanishes
-    assert [s.labels for s in out.samples] == [[1, 0, 0], [0, 0, 1]]
-
-
 def test_split_biased_appends_solo_categories():
     rows = transform_rows()
     manifest = labels_manifest(rows)
