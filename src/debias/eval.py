@@ -30,9 +30,8 @@ class PairSplit:
     valid: bool
 
 
-def build_test_splits(manifest: data.DatasetManifest, pairs) -> list:
-    """Row-index splits per pair; invalid (empty-side) pairs are flagged."""
-    labels = manifest.label_matrix()
+def build_test_splits(labels: np.ndarray, pairs) -> list:
+    """Row-index splits of an (N, M) label matrix per pair; invalid (empty-side) pairs are flagged."""
     out = []
     for b, c in pairs:
         co, excl = (np.flatnonzero(mask) for mask in bias_mod.pair_masks(labels, b, c))
@@ -197,7 +196,7 @@ def evaluate(
     m = len(manifest.categories)
     preds = mdl.predict(params, feats)
     scores = adapted_scores(preds, m, category_map)
-    splits = build_test_splits(manifest, pairs)
+    splits = build_test_splits(labels, pairs)
 
     rows, ap_ex, ap_co, cosines = [], [], [], []
     for sp in splits:

@@ -224,48 +224,37 @@ def transform_dataset(
 ) -> data.DatasetManifest:
     """Label/image surgery behind the removal and split baselines.
 
-    remove_cooccur_labels clears the context label on samples containing the
-    biased category. remove_cooccur_images drops co-occurring
-    samples outright. split_biased appends one solo category per pair and
-    moves exclusive samples' biased label there, turning the original column
-    into "biased with its context".
+    Pairs apply in order, each to the labels the earlier ones left, and each
+    splits its rows with bias.pair_masks. remove_cooccur_labels clears the
+    context label on the co-occurring rows. remove_cooccur_images drops them.
+    split_biased appends one solo category per pair and moves the exclusive
+    rows' biased label there, turning the original column into "biased with
+    its context".
     """
+    if method not in TRANSFORM_METHODS:
+        raise ValueError(f"no dataset transform for method {method!r}")
     pairs = [tuple(p) for p in pairs]
-    if method == "remove_cooccur_labels":
-        new_samples = []
-        for s in manifest.samples:
-            row = list(s.labels)
-            for b, c in pairs:
-                if row[c] == 1 and row[b] == 1:
-                    row[c] = 0
-            new_samples.append(data.SampleRef(s.id, s.offset, row))
-        return replace(manifest, samples=new_samples)
-
-    if method == "remove_cooccur_images":
-        keep = [
-            s
-            for s in manifest.samples
-            if not any(s.labels[b] == 1 and s.labels[c] == 1 for b, c in pairs)
-        ]
-        return replace(manifest, samples=keep)
-
+    labels = manifest.label_matrix()
+    keep = np.ones(len(labels), dtype=bool)
+    cats = list(manifest.categories)
+    solo_of = split_biased_map(pairs, len(cats))
     if method == "split_biased":
-        m = len(manifest.categories)
-        col_of = dict(split_biased_map(pairs, m))
-        cats = list(manifest.categories) + [
-            f"{manifest.categories[b]}_solo" for b, _ in pairs
-        ]
-        new_samples = []
-        for s in manifest.samples:
-            row = list(s.labels) + [0] * len(pairs)
-            for b, c in pairs:
-                if row[b] == 1 and row[c] == 0:
-                    row[b] = 0
-                    row[col_of[b]] = 1
-            new_samples.append(data.SampleRef(s.id, s.offset, row))
-        return replace(manifest, categories=cats, samples=new_samples)
-
-    raise ValueError(f"no dataset transform for method {method!r}")
+        labels = np.pad(labels, ((0, 0), (0, len(pairs))))
+        cats += [f"{cats[b]}_solo" for b, _ in pairs]
+    for (b, c), (_, solo) in zip(pairs, solo_of):
+        co, excl = bias_mod.pair_masks(labels, b, c)
+        if method == "remove_cooccur_labels":
+            labels[co, c] = 0
+        elif method == "remove_cooccur_images":
+            keep &= ~co
+        else:
+            labels[excl, b], labels[excl, solo] = 0, 1
+    samples = [
+        data.SampleRef(s.id, s.offset, row)
+        for s, row, kept in zip(manifest.samples, labels.tolist(), keep)
+        if kept
+    ]
+    return replace(manifest, categories=cats, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +284,7 @@ def train_stage2(
 
     feats, labels = data.load_arrays(work)
     pooled = mdl.pool_pixels(feats)
-    m = len(work.categories)
+    n, m = labels.shape
 
     # the method's objective, chosen once; each weighted method fills one
     # (n, M) loss-weight matrix
@@ -348,14 +337,14 @@ def train_stage2(
         )
         objective = weighted_bce
     elif cfg.method == "negative_penalty":
-        weights_all = np.ones((len(work.samples), m))
+        weights_all = np.ones((n, m))
         for b, c in pair_tuples:
             excl = bias_mod.pair_masks(labels, b, c)[1]
             weights_all[excl, c] = float(cfg.negative_penalty_weight)
         objective = weighted_bce
 
     params, curve, step_log = _sgd_loop(
-        params, np.arange(len(work.samples)), cfg.stage2_epochs, cfg.sgd_stage2,
+        params, np.arange(n), cfg.stage2_epochs, cfg.sgd_stage2,
         cfg.batch_size, artifacts.seeds["shuffle2"], {"stage": 2, "method": cfg.method},
         objective, after_step,
     )

@@ -183,21 +183,6 @@ def test_export_heatmap_bytes(tmp_path):
 # splits and full report
 
 
-def split_manifest(rows, m=4):
-    samples = [data.SampleRef(f"s{i}", -1, list(r)) for i, r in enumerate(rows)]
-    return data.DatasetManifest(
-        categories=[f"cat{k}" for k in range(m)],
-        h=2,
-        w=2,
-        d_in=2,
-        samples=samples,
-        generator_config={},
-        split_tag="test",
-        store=None,
-        root=None,
-    )
-
-
 def test_build_test_splits_membership():
     rows = [
         [1, 0, 0, 0],  # exclusive
@@ -205,7 +190,7 @@ def test_build_test_splits_membership():
         [0, 1, 0, 0],  # negative (no b)
         [0, 0, 1, 0],  # negative
     ]
-    (sp,) = ev.build_test_splits(split_manifest(rows), [(0, 1)])
+    (sp,) = ev.build_test_splits(np.array(rows), [(0, 1)])
     assert sp.valid
     assert sp.exclusive_idx.tolist() == [0]
     assert sp.cooccur_idx.tolist() == [1]
@@ -215,7 +200,7 @@ def test_build_test_splits_membership():
 def test_build_test_splits_flags_empty():
     rows = [[1, 1, 0, 0], [0, 0, 1, 0]]
     with pytest.warns(UserWarning, match="empty split"):
-        (sp,) = ev.build_test_splits(split_manifest(rows), [(0, 1)])
+        (sp,) = ev.build_test_splits(np.array(rows), [(0, 1)])
     assert not sp.valid
 
 

@@ -264,6 +264,46 @@ def test_split_biased_appends_solo_categories():
         train.transform_dataset(manifest, "standard", pairs)
 
 
+def per_sample_transform(rows, method, pairs, m):
+    """(id, labels) kept by each baseline, written sample by sample from its docstring."""
+    out = []
+    for i, r in enumerate(rows):
+        row = list(r) + [0] * (len(pairs) if method == "split_biased" else 0)
+        kept = True
+        for j, (b, c) in enumerate(pairs):  # in order, on the labels left so far
+            if row[b] == 1 and row[c] == 1:  # co-occurring
+                if method == "remove_cooccur_labels":
+                    row[c] = 0
+                elif method == "remove_cooccur_images":
+                    kept = False
+            elif row[b] == 1 and method == "split_biased":  # exclusive
+                row[b], row[m + j] = 0, 1
+        if kept:
+            out.append((f"s{i:04d}", row))
+    return out
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0, 1), (1, 2)], [(1, 2), (0, 1)], [(0, 2), (1, 2)], [(3, 0), (0, 1), (1, 2)],
+], ids=["chain", "chain_reversed", "shared_context", "chain_of_three"])
+@pytest.mark.parametrize("method", train.TRANSFORM_METHODS)
+def test_transforms_match_per_sample_definition(method, pairs):
+    # every label combination of 4 categories, so each way the pairs can
+    # interact on one row shows up
+    rows = [[(i >> k) & 1 for k in range(4)] for i in range(16)]
+    manifest = labels_manifest(rows, m=4)
+    for i, s in enumerate(manifest.samples):
+        s.offset = 4 + 16 * i
+    out = train.transform_dataset(manifest, method, pairs)
+    want = per_sample_transform(rows, method, pairs, 4)
+    assert [(s.id, s.labels) for s in out.samples] == want
+    assert all(type(v) is int for s in out.samples for v in s.labels)
+    assert [s.offset for s in out.samples] == [4 + 16 * int(i[1:]) for i, _ in want]
+    solo = [f"cat{b}_solo" for b, _ in pairs] if method == "split_biased" else []
+    assert out.categories == [f"cat{k}" for k in range(4)] + solo
+    assert manifest.label_matrix().tolist() == rows  # the input is left as it was
+
+
 def test_split_biased_training_widens_head(tmp_path):
     manifest = tiny_benchmark(tmp_path)
     arts = pin_pair(train.train_stage1(manifest, tiny_cfg()))
