@@ -45,14 +45,6 @@ def _read_into(fh, path, offset: int, buf: np.ndarray):
         raise ValueError(f"{path}: truncated read at offset {offset}")
 
 
-def read_tensor(path, offset: int, shape) -> np.ndarray:
-    """Read one tensor, widened to float64."""
-    buf = np.empty(shape, dtype=F32)
-    with _open_store(path) as fh:
-        _read_into(fh, path, offset, buf)
-    return buf.astype(np.float64)
-
-
 def write_store(path, arrays) -> list:
     """Write `arrays` as one store; returns each array's byte offset."""
     offsets = []
@@ -112,18 +104,20 @@ class DatasetManifest:
 
     @classmethod
     def from_dict(cls, d: dict, root=None) -> "DatasetManifest":
-        samples = [SampleRef(s["id"], s["offset"], s["labels"]) for s in d["samples"]]
-        return cls(
-            categories=d["categories"],
-            h=d["h"],
-            w=d["w"],
-            d_in=d["d_in"],
-            samples=samples,
-            generator_config=d.get("generator_config"),
-            split_tag=d.get("split_tag", "train"),
-            store=d.get("store"),
-            root=root,
-        )
+        try:
+            return cls(
+                categories=d["categories"],
+                h=d["h"],
+                w=d["w"],
+                d_in=d["d_in"],
+                samples=[SampleRef(s["id"], s["offset"], s["labels"]) for s in d["samples"]],
+                generator_config=d.get("generator_config"),
+                split_tag=d.get("split_tag", "train"),
+                store=d.get("store"),
+                root=root,
+            )
+        except (KeyError, TypeError, AttributeError) as e:
+            raise ValueError(f"malformed manifest: {type(e).__name__} {e}") from None
 
 
 def dump_json(obj, path):
@@ -138,22 +132,33 @@ def save_manifest(manifest: DatasetManifest, path):
 
 
 def load_manifest(path) -> DatasetManifest:
+    """A checked manifest whose store holds sample i's maps in slot i, as written."""
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
     m = DatasetManifest.from_dict(d, root=os.path.dirname(os.path.abspath(path)))
     _check_manifest(m)
     if m.store is not None:
-        want = len(STORE_MAGIC) + len(m.samples) * m.h * m.w * m.d_in * F32.itemsize
+        slot = m.h * m.w * m.d_in * F32.itemsize
+        want = len(STORE_MAGIC) + len(m.samples) * slot
         got = os.path.getsize(m.store_path())
         if got != want:
             raise ValueError(
                 f"{m.store_path()}: {got} bytes, expected {want} for "
                 f"{len(m.samples)} samples of {m.h}x{m.w}x{m.d_in}"
             )
+        offsets = [s.offset for s in m.samples]
+        slots = len(STORE_MAGIC) + slot * np.arange(len(offsets))
+        if not set(map(type, offsets)) <= {int} or not np.array_equal(offsets, slots):
+            i = next(i for i, o in enumerate(offsets) if type(o) is not int or o != slots[i])
+            raise ValueError(
+                f"sample {m.samples[i].id}: offset {offsets[i]!r}, expected {slots[i]} (slot {i})"
+            )
     return m
 
 
 def _check_manifest(m: DatasetManifest):
+    if not all(type(v) is int and v > 0 for v in (m.h, m.w, m.d_in)):
+        raise ValueError(f"h, w, d_in must be positive integers, got {m.h!r}, {m.w!r}, {m.d_in!r}")
     ids = [s.id for s in m.samples]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate sample ids in manifest")

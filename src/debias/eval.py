@@ -31,7 +31,7 @@ class PairSplit:
 
 
 def build_test_splits(labels: np.ndarray, pairs) -> list:
-    """Row-index splits of an (N, M) label matrix per pair; invalid (empty-side) pairs are flagged."""
+    """Row-index splits of the (N, M) labels per pair; invalid (empty-side) pairs are flagged."""
     out = []
     for b, c in pairs:
         co, excl = (np.flatnonzero(mask) for mask in bias_mod.pair_masks(labels, b, c))

@@ -40,16 +40,16 @@ LOG_GUARD = 1e-12
 def bce(logits, targets, weights=None) -> tuple:
     """(mean BCE over all elements, its logit cotangent), from one sigmoid.
 
-    Each element's term is -(t log(max(s, LOG_GUARD)) + (1 - t) log(max(1 - s,
-    LOG_GUARD))) with s = sigmoid(logit), so each log is flat (zero gradient)
-    below the guard. With `weights`, a full (n, M) matrix, each element's
-    term is scaled first; a weight per sample is tiled over the categories,
-    since nothing broadcasts.
+    Each element's term is -log(p), p = max(s, LOG_GUARD) for target 1 and
+    max(1 - s, LOG_GUARD) for target 0, with s = sigmoid(logit), so the log
+    is flat (zero gradient) below the guard. With `weights`, a full (n, M)
+    matrix, each element's term is scaled first; a weight per sample is tiled
+    over the categories, since nothing broadcasts.
 
-    The cotangent runs the sigmoid -> log -> mul -> add chain in reverse: the
-    negation, the two guarded log branches (the 1 - s branch negated), their
-    sum, then the sigmoid derivative. Changing that order changes the
-    gradients' rounding, and with it trained weights.
+    The cotangent, -+g / p times the sigmoid derivative s (1 - s), repeats
+    the sigmoid -> log -> mul -> add chain's reverse arithmetic to the bit
+    (`0.0 - g_p` keeps its +0.0 where the guard clips); changing the order
+    changes the gradients' rounding, and with it trained weights.
     """
     z, t = dc.as_f64(logits), dc.as_f64(targets)
     if t.shape != z.shape:
@@ -58,16 +58,17 @@ def bce(logits, targets, weights=None) -> tuple:
         raise ValueError("targets must be binary")
     s = dc.sigmoid_values(z)
     q = 1.0 - s
-    terms = -(t * np.log(np.maximum(s, LOG_GUARD)) + (1.0 - t) * np.log(np.maximum(q, LOG_GUARD)))
+    pos = t == 1.0
+    p = np.maximum(np.where(pos, s, q), LOG_GUARD)
+    terms = -np.log(p)
     g = np.full(terms.shape, 1.0 / terms.size)  # the mean's cotangent
     if weights is not None:
         w = dc.as_f64(weights)
         if w.shape != terms.shape:
             raise ValueError("weight matrix must match logits shape")
         terms, g = w * terms, g * w
-    g_pos = -g * t * (s > LOG_GUARD) / np.maximum(s, LOG_GUARD)
-    g_neg = -(-g * (1.0 - t) * (q > LOG_GUARD) / np.maximum(q, LOG_GUARD))
-    return float(np.mean(terms)), (g_neg + g_pos) * s * q
+    g_p = g * (p > LOG_GUARD) / p
+    return float(np.mean(terms)), np.where(pos, 0.0 - g_p, g_p) * s * q
 
 
 def _linear_grads(params, pooled_rows, feats, g_logits, keep=None) -> tuple:

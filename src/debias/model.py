@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -149,13 +150,18 @@ def load_checkpoint(path: str):
         raise ValueError(f"{store}: {len(raw)} bytes, header says {header['store_bytes']}")
     if hashlib.sha256(raw).hexdigest() != header["store_sha256"]:
         raise ValueError(f"{store}: sha256 does not match the checkpoint header")
+    if raw[: len(data.STORE_MAGIC)] != data.STORE_MAGIC:
+        raise ValueError(f"{store}: bad store magic {raw[: len(data.STORE_MAGIC)]!r}")
+
+    def tensor(offset, shape):  # float32 from the verified bytes, widened
+        flat = np.frombuffer(raw, dtype=data.F32, count=math.prod(shape), offset=offset)
+        return flat.reshape(shape).astype(np.float64)
+
     d_in, d, m = header["d_in"], header["d"], header["m"]
     offs = header["offsets"]
-    mixer = data.read_tensor(store, offs[0], (d_in, d))
-    head = data.read_tensor(store, offs[1], (d, m))
-    window = [
-        data.read_tensor(store, o, (d // 2,)) for o in offs[2 : 2 + header["buffer_len"]]
-    ]
+    mixer = tensor(offs[0], (d_in, d))
+    head = tensor(offs[1], (d, m))
+    window = [tensor(o, (d // 2,)) for o in offs[2 : 2 + header["buffer_len"]]]
     params = ModelParams(
         mixer=mixer,
         head=head,

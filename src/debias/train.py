@@ -167,9 +167,10 @@ def train_stage1(
     """BCE training on the 80% slice, then the stage-2 pairs.
 
     Without `pinned` the pairs are selected on the 20% slice. Fixed
-    (biased, context) pairs are range-checked before any training and scored
-    under the trained weights on all of `manifest`; a pair whose co-occur or
-    exclusive split is empty keeps a NaN score.
+    (biased, context) pairs are checked before any training (in range, and
+    for split_biased one per biased category), then scored under the trained
+    weights on all of `manifest`; a pair whose co-occur or exclusive split is
+    empty keeps a NaN score.
     """
     if not manifest.samples:
         raise ValueError("empty dataset")
@@ -177,6 +178,10 @@ def train_stage1(
     for b, c in pinned or ():
         if not (0 <= b < m and 0 <= c < m):
             raise ValueError(f"pinned pair ({b}, {c}) outside {m} categories")
+    biased = [b for b, _ in pinned or ()]
+    if cfg.method == "split_biased" and len(set(biased)) < len(biased):
+        # each pair gets its own solo column, named after its biased category
+        raise ValueError(f"split_biased needs one pinned pair per biased category, got {pinned}")
     feats, labels = data.load_arrays(manifest)
     seeds = _derive_seeds(cfg.seed)
     rows80, rows20 = data.split_80_20(len(manifest.samples), seeds["split"])
@@ -269,9 +274,7 @@ def train_stage2(
     if cfg.method != "standard" and not pair_tuples:
         raise ValueError(f"{cfg.method} needs the stage-1 biased pairs")
 
-    params = artifacts.params
-    work = manifest
-    category_map = None
+    params, category_map, work = artifacts.params, None, manifest
     if cfg.method in TRANSFORM_METHODS:
         work = transform_dataset(manifest, cfg.method, pair_tuples)
     if cfg.method == "split_biased":

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import importlib
 import json
 import os
@@ -331,6 +332,71 @@ def test_train_rejects_store_of_wrong_length(ws, tmp_path, capsys, monkeypatch, 
     assert f"expected {size}" in err[0]
 
 
+def _repeat_offset(doc):
+    doc["samples"][1]["offset"] = doc["samples"][0]["offset"]
+
+
+def _shift_offset(doc):
+    doc["samples"][1]["offset"] += 2
+
+
+def _drop_h(doc):
+    del doc["h"]
+
+
+def _float_d_in(doc):
+    doc["d_in"] = float(doc["d_in"])
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_repeat_offset, "sample s000001: offset 4, expected 516 (slot 1)"),
+    (_shift_offset, "sample s000001: offset 518, expected 516 (slot 1)"),
+    (_drop_h, "malformed manifest: KeyError 'h'"),
+    (_float_d_in, "h, w, d_in must be positive integers, got 4, 4, 8.0"),
+], ids=["repeated_offset", "shifted_offset", "missing_h", "float_d_in"])
+def test_train_rejects_malformed_manifest(ws, tmp_path, capsys, monkeypatch, edit, named):
+    # a repeated offset used to train on duplicated maps, a shifted one on
+    # misaligned floats; both exited 0
+    steps = []
+    sgd_step = dc.sgd_step
+    monkeypatch.setattr(dc, "sgd_step", lambda *a: steps.append(1) or sgd_step(*a))
+    shutil.copytree(ws / "dtrain", tmp_path / "d")
+    path = tmp_path / "d" / "train.manifest.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    code = cli.main([
+        "train", "--data", str(tmp_path / "d"), "--config", str(ws / "train.json"),
+        "--seed", "3", "--pairs", "0:1", "--out", str(tmp_path / "run"),
+    ])
+    assert code == 2
+    assert steps == []
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
+    assert not (tmp_path / "run").exists()
+
+
+def test_split_biased_rejects_pinned_pairs_sharing_a_biased_category(
+    ws, tmp_path, capsys, monkeypatch
+):
+    # both pairs used to get a column named cat0_solo, and the first one,
+    # which category_map assigns to pair (0, 1), never got a positive label
+    steps = []
+    sgd_step = dc.sgd_step
+    monkeypatch.setattr(dc, "sgd_step", lambda *a: steps.append(1) or sgd_step(*a))
+    code = cli.main([
+        "train", "--data", str(ws / "dtrain"), "--config", str(ws / "train.json"),
+        "--method", "split", "--pairs", "0:1,0:2", "--out", str(tmp_path / "run"),
+    ])
+    assert code == 2
+    assert steps == []
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [
+        "error: split_biased needs one pinned pair per biased category, got [(0, 1), (0, 2)]"
+    ]
+    assert not (tmp_path / "run").exists()
+
+
 def _flip_store_byte(run):
     store = run / "checkpoint.json.store"
     raw = bytearray(store.read_bytes())
@@ -350,11 +416,22 @@ def _cut_store(run):
     store.write_bytes(store.read_bytes()[:-4])
 
 
+def _bad_magic(run):
+    # a store whose header matches it in length and hash, but not a DBL1 store
+    store, ckpt = run / "checkpoint.json.store", run / "checkpoint.json"
+    raw = b"XXXX" + store.read_bytes()[4:]
+    store.write_bytes(raw)
+    header = json.loads(ckpt.read_text())
+    header["store_sha256"] = hashlib.sha256(raw).hexdigest()
+    ckpt.write_text(json.dumps(header))
+
+
 @pytest.mark.parametrize("corrupt, named", [
     (_flip_store_byte, "sha256 does not match"),
     (_bump_format, "checkpoint format 2, expected 1"),
     (_cut_store, "header says"),
-], ids=["flipped_byte", "wrong_version", "short_store"])
+    (_bad_magic, "bad store magic b'XXXX'"),
+], ids=["flipped_byte", "wrong_version", "short_store", "bad_magic"])
 def test_eval_rejects_corrupt_checkpoint(ws, tmp_path, capsys, corrupt, named):
     run = tmp_path / "run"
     assert cli.main([
