@@ -274,7 +274,9 @@ def train_stage2(
     if cfg.method != "standard" and not pair_tuples:
         raise ValueError(f"{cfg.method} needs the stage-1 biased pairs")
 
-    params, category_map, work = artifacts.params, None, manifest
+    params = artifacts.params
+    work = manifest
+    category_map = None
     if cfg.method in TRANSFORM_METHODS:
         work = transform_dataset(manifest, cfg.method, pair_tuples)
     if cfg.method == "split_biased":
