@@ -24,7 +24,6 @@ class BiasPair:
 @dataclass
 class BiasPairSet:
     pairs: list  # BiasPair, sorted by descending score
-    freq_threshold: float
     shortfall: bool = False  # true when fewer valid pairs exist than requested
 
     def as_tuples(self):
@@ -104,11 +103,7 @@ def select_biased_pairs(
         if best is not None:
             winners.append(BiasPair(biased=b, context=best[1], score=best[0]))
     winners.sort(key=lambda p: (-p.score, p.biased))
-    return BiasPairSet(
-        pairs=winners[:k],
-        freq_threshold=freq_threshold,
-        shortfall=len(winners) < k,
-    )
+    return BiasPairSet(pairs=winners[:k], shortfall=len(winners) < k)
 
 
 def audit_report(pair_set: BiasPairSet, labels: np.ndarray) -> list:

@@ -296,10 +296,7 @@ def cmd_train(args):
         "pairs": pair_rows,
         "category_map": arts.category_map,
     }
-    window = arts.buffer.snapshot() if arts.buffer is not None else None
-    mdl.save_checkpoint(
-        os.path.join(args.out, "checkpoint.json"), arts.params, window, meta
-    )
+    mdl.save_checkpoint(os.path.join(args.out, "checkpoint.json"), arts.params, meta)
     data.dump_json(
         {
             "loss_curve": arts.loss_curve,
@@ -325,7 +322,7 @@ def cmd_eval(args):
         ckpt_path = os.path.join(ckpt_path, "checkpoint.json")
     if not os.path.exists(ckpt_path):
         raise ValueError(f"no checkpoint at {ckpt_path}")
-    params, _, meta = mdl.load_checkpoint(ckpt_path)
+    params, meta = mdl.load_checkpoint(ckpt_path)
     manifest = data.load_manifest(_find_manifest(args.data))
     m = len(manifest.categories)
 

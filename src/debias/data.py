@@ -104,20 +104,15 @@ class DatasetManifest:
 
     @classmethod
     def from_dict(cls, d: dict, root=None) -> "DatasetManifest":
-        try:
-            return cls(
-                categories=d["categories"],
-                h=d["h"],
-                w=d["w"],
-                d_in=d["d_in"],
-                samples=[SampleRef(s["id"], s["offset"], s["labels"]) for s in d["samples"]],
-                generator_config=d.get("generator_config"),
-                split_tag=d.get("split_tag", "train"),
-                store=d.get("store"),
-                root=root,
-            )
-        except (KeyError, TypeError, AttributeError) as e:
-            raise ValueError(f"malformed manifest: {type(e).__name__} {e}") from None
+        """Inverse of to_dict; unknown, missing or mistyped keys raise ValueError."""
+        kwargs = _checked_fields(cls, d, "manifest")
+        if "root" in kwargs:  # where the manifest sits, never read from it
+            raise ValueError("manifest: unknown keys ['root']")
+        try:  # positional: keyword construction costs 50% more on 8,000 samples
+            kwargs["samples"] = [SampleRef(s["id"], s["offset"], s["labels"]) for s in d["samples"]]
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"manifest: malformed sample: {type(e).__name__} {e}") from None
+        return cls(**kwargs, root=root)
 
 
 def dump_json(obj, path):
@@ -248,10 +243,13 @@ class GenConfig:
         return cls(**kwargs)
 
 
-# JSON types accepted for each annotated config field type
+# JSON types accepted for each annotated field type of a parsed document
 # (a nested dc.SgdConfig arrives as an object and is checked on its own)
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "list": list,
-               "list | None": (list, type(None)), "dc.SgdConfig": dict}
+               "dict": dict, "dc.SgdConfig": dict,
+               "int | None": (int, type(None)), "float | None": (int, float, type(None)),
+               "str | None": (str, type(None)), "list | None": (list, type(None)),
+               "dict | None": (dict, type(None))}
 
 
 def _checked_fields(cls, d, what) -> dict:

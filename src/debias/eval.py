@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -118,49 +118,39 @@ def export_heatmap(heat, path):
 
 
 @dataclass
+class _PairRow:
+    """The keys of one report row; an invalid split has no AP or bias keys."""
+
+    b: int
+    c: int
+    valid: bool
+    cosine: float | None = None
+    ap_exclusive: float | None = None
+    ap_cooccur: float | None = None
+    bias: float | None = None
+
+
+@dataclass
 class EvalReport:
     method: str
     seed: int | None
     config_hash: str
     k: int
-    pair_rows: list  # one dict per pair, in input order
+    pairs: list  # one _PairRow dict per pair, in input order
     map_exclusive: float | None
     map_cooccur: float | None
     mean_cosine: float | None
-    topk: dict  # class index -> recall
+    topk_recall: dict  # str(class index) -> recall
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "k": self.k,
-            "pairs": self.pair_rows,
-            "map_exclusive": self.map_exclusive,
-            "map_cooccur": self.map_cooccur,
-            "mean_cosine": self.mean_cosine,
-            "topk_recall": {str(j): v for j, v in sorted(self.topk.items())},
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        """Inverse of to_dict; a report with other keys raises ValueError."""
-        try:
-            rep = cls(
-                method=d["method"],
-                seed=d["seed"],
-                config_hash=d["config_hash"],
-                k=d["k"],
-                pair_rows=d["pairs"],
-                map_exclusive=d["map_exclusive"],
-                map_cooccur=d["map_cooccur"],
-                mean_cosine=d["mean_cosine"],
-                topk={int(j): v for j, v in d["topk_recall"].items()},
-            )
-        except (KeyError, TypeError, AttributeError) as e:
-            raise ValueError(f"malformed report: {type(e).__name__} {e}") from None
-        if set(d) != set(rep.to_dict()):
-            raise ValueError(f"report keys {sorted(d)} are not those of a report")
+        """Inverse of to_dict; unknown, missing or mistyped keys raise ValueError."""
+        rep = cls(**data._checked_fields(cls, d, "report"))
+        for i, row in enumerate(rep.pairs):
+            data._checked_fields(_PairRow, row, f"report pair {i}")
         return rep
 
 
@@ -225,11 +215,11 @@ def evaluate(
         seed=seed,
         config_hash=config_hash,
         k=k,
-        pair_rows=rows,
+        pairs=rows,
         map_exclusive=float(np.mean(ap_ex)) if ap_ex else None,
         map_cooccur=float(np.mean(ap_co)) if ap_co else None,
         mean_cosine=float(np.mean(cosines)) if cosines else None,
-        topk=topk,
+        topk_recall={str(j): v for j, v in topk.items()},
     )
 
 
@@ -251,10 +241,10 @@ def write_comparison_csv(reports: dict, path):
     for name in methods:
         header += [f"{name}_exclusive", f"{name}_cooccur"]
     lines = [",".join(header)]
-    for i, row in enumerate(anchor.pair_rows):
+    for i, row in enumerate(anchor.pairs):
         cells = [str(row["b"]), str(row["c"]), _fmt(row.get("bias"))]
         for name in methods:
-            other = reports[name].pair_rows[i]
+            other = reports[name].pairs[i]
             if (other["b"], other["c"]) != (row["b"], row["c"]):
                 raise ValueError("reports disagree on pair order")
             cells += [_fmt(other.get("ap_exclusive")), _fmt(other.get("ap_cooccur"))]

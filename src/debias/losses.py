@@ -288,9 +288,6 @@ class RunningMeanBuffer:
             return np.zeros(self.width)
         return np.mean(np.stack(self.entries), axis=0)
 
-    def snapshot(self) -> list:
-        return [e.copy() for e in self.entries]
-
 
 def suppressed_logits(
     params: mdl.ModelParams, mixed, excl_mask, buffer: RunningMeanBuffer

@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -103,69 +103,88 @@ def predict(params: ModelParams, feats: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
-def save_checkpoint(path: str, params: ModelParams, buffer_window=None, meta=None):
-    """JSON header (format version, store length and sha256) next to a DBL1 store.
+@dataclass
+class _Header:
+    """A checkpoint's JSON header; the store holds the mixer, then the head."""
 
-    `buffer_window` is the running-mean window (list of (D/2,) vectors) so a
-    feature-split run can be resumed with its context estimate intact.
-    """
-    buffer_window = [] if buffer_window is None else list(buffer_window)
+    format: int
+    store: str  # store filename, next to the header
+    store_bytes: int
+    store_sha256: str
+    offsets: list  # byte offsets of the mixer and the head
+    d_in: int
+    d: int
+    m: int
+    own_rows: list
+    context_rows: list
+    meta: dict
+
+
+def save_checkpoint(path: str, params: ModelParams, meta=None):
+    """JSON header (format version, store length and sha256) next to a DBL1 store."""
     store_name = os.path.basename(path) + ".store"
     store_path = os.path.join(os.path.dirname(os.path.abspath(path)), store_name)
-    tensors = [params.mixer, params.head] + buffer_window
-    offsets = data.write_store(store_path, tensors)
+    offsets = data.write_store(store_path, [params.mixer, params.head])
     with open(store_path, "rb") as fh:
         raw = fh.read()
-    header = {
-        "format": CHECKPOINT_FORMAT,
-        "store_bytes": len(raw),
-        "store_sha256": hashlib.sha256(raw).hexdigest(),
-        "d_in": params.d_in,
-        "d": params.d,
-        "m": params.m,
-        "own_rows": params.own_rows.tolist(),
-        "context_rows": params.context_rows.tolist(),
-        "store": store_name,
-        "offsets": offsets,
-        "buffer_len": len(buffer_window),
-        "meta": meta or {},
-    }
-    data.dump_json(header, path)
+    header = _Header(
+        format=CHECKPOINT_FORMAT,
+        store=store_name,
+        store_bytes=len(raw),
+        store_sha256=hashlib.sha256(raw).hexdigest(),
+        offsets=offsets,
+        d_in=params.d_in,
+        d=params.d,
+        m=params.m,
+        own_rows=params.own_rows.tolist(),
+        context_rows=params.context_rows.tolist(),
+        meta=meta or {},
+    )
+    data.dump_json(asdict(header), path)
 
 
 def load_checkpoint(path: str):
-    """(params, buffer_window, meta), float32-widened, from a store matching its header."""
+    """(params, meta), float32-widened, from a store matching its header."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = json.load(fh)
-    fmt = header.get("format")
+        doc = json.load(fh)
+    fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: checkpoint format {fmt!r}, expected {CHECKPOINT_FORMAT}")
-    store = os.path.join(os.path.dirname(os.path.abspath(path)), header["store"])
+    h = _Header(**data._checked_fields(_Header, doc, f"{path}: checkpoint header"))
+    for name in ("offsets", "own_rows", "context_rows"):
+        if not all(type(v) is int for v in getattr(h, name)):
+            raise ValueError(f"{path}: {name} must be a list of integers")
+    # the hash covers the store, not how the header slices it, so the slices
+    # must be the ones write_store gives a (d_in, d) mixer and a (d, m) head
+    n_magic = len(data.STORE_MAGIC)
+    n_mixer, n_head = 4 * h.d_in * h.d, 4 * h.d * h.m  # float32 bytes
+    want = ([n_magic, n_magic + n_mixer], n_magic + n_mixer + n_head)
+    if min(h.d_in, h.d, h.m) < 1 or (h.offsets, h.store_bytes) != want:
+        raise ValueError(
+            f"{path}: offsets {h.offsets} and store_bytes {h.store_bytes} are not the layout "
+            f"of a {h.d_in}x{h.d} mixer and a {h.d}x{h.m} head"
+        )
+    store = os.path.join(os.path.dirname(os.path.abspath(path)), h.store)
     with open(store, "rb") as fh:
         raw = fh.read()
-    if len(raw) != header["store_bytes"]:
-        raise ValueError(f"{store}: {len(raw)} bytes, header says {header['store_bytes']}")
-    if hashlib.sha256(raw).hexdigest() != header["store_sha256"]:
+    if len(raw) != h.store_bytes:
+        raise ValueError(f"{store}: {len(raw)} bytes, header says {h.store_bytes}")
+    if hashlib.sha256(raw).hexdigest() != h.store_sha256:
         raise ValueError(f"{store}: sha256 does not match the checkpoint header")
-    if raw[: len(data.STORE_MAGIC)] != data.STORE_MAGIC:
-        raise ValueError(f"{store}: bad store magic {raw[: len(data.STORE_MAGIC)]!r}")
+    if raw[:n_magic] != data.STORE_MAGIC:
+        raise ValueError(f"{store}: bad store magic {raw[:n_magic]!r}")
 
     def tensor(offset, shape):  # float32 from the verified bytes, widened
         flat = np.frombuffer(raw, dtype=data.F32, count=math.prod(shape), offset=offset)
         return flat.reshape(shape).astype(np.float64)
 
-    d_in, d, m = header["d_in"], header["d"], header["m"]
-    offs = header["offsets"]
-    mixer = tensor(offs[0], (d_in, d))
-    head = tensor(offs[1], (d, m))
-    window = [tensor(o, (d // 2,)) for o in offs[2 : 2 + header["buffer_len"]]]
     params = ModelParams(
-        mixer=mixer,
-        head=head,
-        own_rows=header["own_rows"],
-        context_rows=header["context_rows"],
+        mixer=tensor(h.offsets[0], (h.d_in, h.d)),
+        head=tensor(h.offsets[1], (h.d, h.m)),
+        own_rows=h.own_rows,
+        context_rows=h.context_rows,
     )
-    return params, window, header.get("meta", {})
+    return params, h.meta

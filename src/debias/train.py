@@ -205,7 +205,7 @@ def train_stage1(
             except ValueError:  # a split is empty; keep the pair, skip the score
                 score = float("nan")
             scored.append(bias_mod.BiasPair(b, c, score))
-        pair_set = bias_mod.BiasPairSet(scored, freq_threshold=cfg.freq_threshold)
+        pair_set = bias_mod.BiasPairSet(scored)
     return TrainArtifacts(
         params=params,
         pairs=pair_set,

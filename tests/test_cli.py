@@ -153,10 +153,12 @@ def test_method_alias_and_buffer_checkpoint(ws, tmp_path):
     prov = json.loads((run / "provenance.json").read_text())
     assert prov["config"]["method"] == "ours_feature_split"
     assert prov["config"]["alpha_min"] == 1.5
-    params, window, meta = mdl.load_checkpoint(str(run / "checkpoint.json"))
+    params, meta = mdl.load_checkpoint(str(run / "checkpoint.json"))
     assert meta["method"] == "ours_feature_split"
-    assert window, "running-mean window should be saved"
-    assert window[0].shape == (params.d // 2,)
+    # nothing reads the running-mean window back, so the checkpoint holds the
+    # mixer and the head only
+    header = json.loads((run / "checkpoint.json").read_text())
+    assert "buffer_len" not in header and len(header["offsets"]) == 2
 
 
 def test_eval_rejects_out_of_range_pairs(ws, tmp_path):
@@ -351,8 +353,8 @@ def _float_d_in(doc):
 @pytest.mark.parametrize("edit, named", [
     (_repeat_offset, "sample s000001: offset 4, expected 516 (slot 1)"),
     (_shift_offset, "sample s000001: offset 518, expected 516 (slot 1)"),
-    (_drop_h, "malformed manifest: KeyError 'h'"),
-    (_float_d_in, "h, w, d_in must be positive integers, got 4, 4, 8.0"),
+    (_drop_h, "manifest: missing keys ['h']"),
+    (_float_d_in, "manifest: d_in must be int, not float"),
 ], ids=["repeated_offset", "shifted_offset", "missing_h", "float_d_in"])
 def test_train_rejects_malformed_manifest(ws, tmp_path, capsys, monkeypatch, edit, named):
     # a repeated offset used to train on duplicated maps, a shifted one on
@@ -411,6 +413,20 @@ def _bump_format(run):
     ckpt.write_text(json.dumps(header))
 
 
+def _edit_header(edit):
+    def corrupt(run):
+        ckpt = run / "checkpoint.json"
+        header = json.loads(ckpt.read_text())
+        edit(header)
+        ckpt.write_text(json.dumps(header))
+    return corrupt
+
+
+def _format_1(header):
+    # the layout before the running-mean window was dropped
+    header.update(format=1, buffer_len=0)
+
+
 def _cut_store(run):
     store = run / "checkpoint.json.store"
     store.write_bytes(store.read_bytes()[:-4])
@@ -428,10 +444,21 @@ def _bad_magic(run):
 
 @pytest.mark.parametrize("corrupt, named", [
     (_flip_store_byte, "sha256 does not match"),
-    (_bump_format, "checkpoint format 2, expected 1"),
+    (_bump_format, "checkpoint format 3, expected 2"),
     (_cut_store, "header says"),
     (_bad_magic, "bad store magic b'XXXX'"),
-], ids=["flipped_byte", "wrong_version", "short_store", "bad_magic"])
+    (_edit_header(_format_1), "checkpoint format 1, expected 2"),
+    (_edit_header(lambda h: h["offsets"].__setitem__(1, 4.5)),
+     "offsets must be a list of integers"),
+    (_edit_header(lambda h: h.pop("own_rows")), "missing keys ['own_rows']"),
+    (_edit_header(lambda h: h.update(d_in=str(h["d_in"]))), "d_in must be int, not str"),
+    (_edit_header(lambda h: h.update(meta=[])), "meta must be dict, not list"),
+    # the store hash does not cover the offsets: a head read from byte 8
+    # used to evaluate with exit 0
+    (_edit_header(lambda h: h["offsets"].__setitem__(1, 8)),
+     "offsets [4, 8] and store_bytes"),
+], ids=["flipped_byte", "wrong_version", "short_store", "bad_magic", "format_1",
+        "float_offset", "missing_own_rows", "str_d_in", "list_meta", "head_offset_8"])
 def test_eval_rejects_corrupt_checkpoint(ws, tmp_path, capsys, corrupt, named):
     run = tmp_path / "run"
     assert cli.main([
@@ -465,6 +492,38 @@ def test_report_refuses_missing_provenance(ws, tmp_path):
     bare.mkdir()
     (bare / "report.json").write_text((ev_dir / "report.json").read_text())
     assert cli.main(["report", "--inputs", str(bare), "--out", str(tmp_path / "r")]) == 2
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda r: r["pairs"][0].pop("b"), "report pair 0: missing keys ['b']"),
+    (lambda r: r["pairs"][0].update(c=1.0), "report pair 0: c must be int, not float"),
+    (lambda r: r["pairs"][0].update(ap_exclusive="x"),
+     "report pair 0: ap_exclusive must be float | None, not str"),
+    (lambda r: r["pairs"][0].update(bias=True), "report pair 0: bias must be float | None"),
+    (lambda r: r.update(map_exclusive="x"), "report: map_exclusive must be float | None, not str"),
+    (lambda r: r.update(topk_recall=[]), "report: topk_recall must be dict, not list"),
+], ids=["row_without_b", "float_c", "str_ap_exclusive", "bool_bias", "str_map_exclusive",
+        "list_topk"])
+def test_report_rejects_malformed_report(ws, tmp_path, capsys, edit, named):
+    # a row without b used to exit 3 with a KeyError, a string AP to exit 2
+    # on a format code, and a string mAP to pass
+    run, ev_dir = tmp_path / "run", tmp_path / "ev"
+    assert cli.main([
+        "train", "--data", str(ws / "dtrain"), "--config", str(ws / "train.json"),
+        "--seed", "3", "--pairs", "0:1", "--out", str(run),
+    ]) == 0
+    assert cli.main([
+        "eval", "--checkpoint", str(run), "--data", str(ws / "dtest"), "--out", str(ev_dir),
+    ]) == 0
+    path = ev_dir / "report.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["report", "--inputs", str(ev_dir), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
+    assert not (tmp_path / "r").exists()
 
 
 def test_exit_codes(ws, tmp_path, capsys):

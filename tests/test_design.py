@@ -78,3 +78,23 @@ def test_training_has_one_step_loop():
             identifiers.add(getattr(node, "id", getattr(node, "attr", getattr(node, "name", None))))
     graph = {"DiffNode", "leaf", "constant", "eval_backward", "ForwardTrace"}
     assert not graph & identifiers
+
+
+def test_every_document_parse_checks_its_fields():
+    # every JSON document the CLI reads (configs, manifests, reports and
+    # checkpoint headers) is parsed by data._checked_fields, not by hand
+    parsers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and (
+                node.name == "from_dict" or (path.stem, node.name) == ("model", "load_checkpoint")
+            ):
+                parsers.append((path.stem, node))
+    assert len([p for p in parsers if p[1].name == "from_dict"]) >= 4
+    assert ("model", "load_checkpoint") in [(mod, fn.name) for mod, fn in parsers]
+    for mod, fn in parsers:
+        calls = {
+            getattr(n.func, "attr", getattr(n.func, "id", None))
+            for n in ast.walk(fn) if isinstance(n, ast.Call)
+        }
+        assert "_checked_fields" in calls, f"{mod}.{fn.name} parses its document by hand"

@@ -231,7 +231,7 @@ def test_evaluate_report(tmp_path):
     assert rep.map_exclusive is not None and 0.0 <= rep.map_exclusive <= 1.0
     assert rep.map_cooccur is not None and 0.0 <= rep.map_cooccur <= 1.0
     assert -1.0 <= rep.mean_cosine <= 1.0
-    assert rep.pair_rows[0]["valid"]
+    assert rep.pairs[0]["valid"]
 
     again = ev.evaluate(params, manifest, [(0, 1)], method="standard", seed=1)
     assert rep.to_dict() == again.to_dict()

@@ -100,6 +100,12 @@ def test_weighted_bce_matches_per_sample():
     assert batch == pytest.approx(np.mean(per), abs=1e-14)
 
 
+def test_bce_rejects_0d_weights():
+    # no broadcasting, not even of a 0-d weight
+    with pytest.raises(ValueError):
+        losses.bce(np.zeros((2, 2)), np.zeros((2, 2)), np.array(2.0))
+
+
 def test_weighted_bce_rejects_mismatched_weights():
     with pytest.raises(ValueError):
         losses.bce(np.zeros((2, 3)), np.zeros((2, 3)), np.ones(2))

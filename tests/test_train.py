@@ -43,9 +43,7 @@ def tiny_cfg(method="standard", **over):
 
 
 def pin_pair(artifacts, b=0, c=1):
-    artifacts.pairs = bias_mod.BiasPairSet(
-        [bias_mod.BiasPair(b, c, 5.0)], freq_threshold=0.1
-    )
+    artifacts.pairs = bias_mod.BiasPairSet([bias_mod.BiasPair(b, c, 5.0)])
     return artifacts
 
 
@@ -165,7 +163,7 @@ def test_negative_penalty_weight_applied(tmp_path):
 def test_stage2_requires_pairs_and_snapshot(tmp_path):
     manifest = tiny_benchmark(tmp_path)
     arts = train.train_stage1(manifest, tiny_cfg())
-    arts.pairs = bias_mod.BiasPairSet([], freq_threshold=0.1, shortfall=True)
+    arts.pairs = bias_mod.BiasPairSet([], shortfall=True)
     with pytest.raises(ValueError, match="biased pairs"):
         train.train_stage2(arts, manifest, tiny_cfg("weighted_loss"))
 
@@ -180,7 +178,6 @@ def test_pin_pairs_scores_and_keeps_empty_split_as_nan(tmp_path):
     arts = train.train_stage1(manifest, tiny_cfg(), pinned=[(0, 1), (0, 2)])
     pinned = arts.pairs
     assert pinned.as_tuples() == [(0, 1), (0, 2)]
-    assert pinned.freq_threshold == 0.1
     feats, labels = data.load_arrays(manifest)
     want = bias_mod.bias_score(mdl.predict(arts.params, feats), labels, 0, 1)
     assert pinned.pairs[0].score == want

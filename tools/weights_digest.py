@@ -58,7 +58,7 @@ def training_digest(arts) -> str:
     h.update(np.asarray(arts.loss_curve, dtype=np.float64).tobytes())
     stage2 = [e for e in arts.step_log if e.get("stage") == 2]
     h.update(json.dumps(stage2, sort_keys=True).encode())
-    for entry in arts.buffer.snapshot() if arts.buffer is not None else []:
+    for entry in arts.buffer.entries if arts.buffer is not None else []:
         h.update(entry.tobytes())
     return h.hexdigest()
 
