@@ -289,14 +289,9 @@ def cmd_train(args):
     pair_rows = (
         [[p.biased, p.context, p.score] for p in arts.pairs.pairs] if arts.pairs else []
     )
-    meta = {
-        "method": cfg.method,
-        "seed": cfg.seed,
-        "config_hash": config_hash(cfg.to_dict()),
-        "pairs": pair_rows,
-        "category_map": arts.category_map,
-    }
-    mdl.save_checkpoint(os.path.join(args.out, "checkpoint.json"), arts.params, meta)
+    run = mdl.RunRecord(method=cfg.method, seed=cfg.seed, config_hash=config_hash(cfg.to_dict()),
+                        pairs=pair_rows, category_map=arts.category_map)
+    mdl.save_checkpoint(os.path.join(args.out, "checkpoint.json"), arts.params, run)
     data.dump_json(
         {
             "loss_curve": arts.loss_curve,
@@ -322,32 +317,23 @@ def cmd_eval(args):
         ckpt_path = os.path.join(ckpt_path, "checkpoint.json")
     if not os.path.exists(ckpt_path):
         raise ValueError(f"no checkpoint at {ckpt_path}")
-    params, meta = mdl.load_checkpoint(ckpt_path)
+    params, run = mdl.load_checkpoint(ckpt_path)
     manifest = data.load_manifest(_find_manifest(args.data))
     m = len(manifest.categories)
 
     if args.pairs:
         pairs = parse_pairs(args.pairs)
     else:
-        pairs = [(int(p[0]), int(p[1])) for p in meta.get("pairs", [])]
+        pairs = [(b, c) for b, c, _ in run.pairs]
         if not pairs:
             raise ValueError("checkpoint records no pairs; pass --pairs")
     for b, c in pairs:
         if not (0 <= b < m and 0 <= c < m):
             raise ValueError(f"pair ({b}, {c}) outside {m} categories")
 
-    category_map = meta.get("category_map")
-    if category_map:
-        category_map = [tuple(e) for e in category_map]
     report = ev.evaluate(
-        params,
-        manifest,
-        pairs,
-        method=meta.get("method", ""),
-        seed=meta.get("seed"),
-        config_hash=meta.get("config_hash", ""),
-        k=args.k,
-        category_map=category_map,
+        params, manifest, pairs, method=run.method, seed=run.seed,
+        config_hash=run.config_hash, k=args.k, category_map=run.category_map,
     )
     os.makedirs(args.out, exist_ok=True)
     ev.save_report(report, os.path.join(args.out, "report.json"))
@@ -355,7 +341,7 @@ def cmd_eval(args):
         args.out,
         "eval",
         {"pairs": [list(p) for p in pairs], "k": args.k},
-        meta.get("seed"),
+        run.seed,
         {"checkpoint": args.checkpoint, "data": args.data},
     )
     ex = "none" if report.map_exclusive is None else f"{report.map_exclusive:.4f}"
@@ -429,6 +415,10 @@ def cmd_report(args):
         if rep.method in reports:
             raise ValueError(f"two inputs report method {rep.method!r}")
         reports[rep.method] = rep
+    pair_lists = {n: [(row["b"], row["c"]) for row in reports[n].pairs] for n in sorted(reports)}
+    if len(set(map(tuple, pair_lists.values()))) > 1:
+        listed = "; ".join(f"{name} {pairs}" for name, pairs in pair_lists.items())
+        raise ValueError(f"reports list different pairs: {listed}")
     os.makedirs(args.out, exist_ok=True)
     ev.write_comparison_csv(reports, os.path.join(args.out, "comparison.csv"))
     write_provenance(

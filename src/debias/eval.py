@@ -20,31 +20,6 @@ from . import diffcore as dc
 from . import model as mdl
 
 
-@dataclass
-class PairSplit:
-    biased: int
-    context: int
-    exclusive_idx: np.ndarray
-    cooccur_idx: np.ndarray
-    negative_idx: np.ndarray
-    valid: bool
-
-
-def build_test_splits(labels: np.ndarray, pairs) -> list:
-    """Row-index splits of the (N, M) labels per pair; invalid (empty-side) pairs are flagged."""
-    out = []
-    for b, c in pairs:
-        co, excl = (np.flatnonzero(mask) for mask in bias_mod.pair_masks(labels, b, c))
-        neg = np.flatnonzero(labels[:, b] != 1)
-        valid = excl.size > 0 and co.size > 0
-        if not valid:
-            warnings.warn(
-                f"pair ({b},{c}) has an empty split; excluded from aggregates"
-            )
-        out.append(PairSplit(b, c, excl, co, neg, valid))
-    return out
-
-
 def average_precision(scores, labels) -> float:
     """AP with stable tie handling: equal scores keep original sample order."""
     scores = dc.as_f64(scores).ravel()
@@ -154,14 +129,14 @@ class EvalReport:
         return rep
 
 
-def adapted_scores(preds: np.ndarray, m: int, category_map=None) -> np.ndarray:
+def adapted_scores(preds: np.ndarray, m: int, category_map) -> np.ndarray:
     """Scores over the original m categories.
 
     For a split-biased model the biased category is scored as the max of its
     two columns (with-context and solo), so both halves count as b.
     """
     scores = dc.as_f64(preds)[:, :m].copy()
-    for b, solo in category_map or []:
+    for b, solo in category_map:
         scores[:, b] = np.maximum(scores[:, b], dc.as_f64(preds)[:, solo])
     return scores
 
@@ -180,45 +155,55 @@ def evaluate(
 
     `pairs` are (b, c) tuples over the ORIGINAL categories; for split-biased
     checkpoints pass the training category_map so b is scored as the max of
-    its two split columns. Pure: identical inputs give identical reports.
+    its two split columns; the head must hold the manifest's categories plus
+    one solo column per map entry. Pure: identical inputs give identical
+    reports.
     """
-    feats, labels = data.load_arrays(manifest)
     m = len(manifest.categories)
-    preds = mdl.predict(params, feats)
-    scores = adapted_scores(preds, m, category_map)
-    splits = build_test_splits(labels, pairs)
+    category_map = category_map or []
+    if params.m != m + len(category_map) or not all(
+        0 <= b < m <= solo < params.m for b, solo in category_map
+    ):
+        raise ValueError(
+            f"head has {params.m} columns, but {m} categories and category map "
+            f"{[list(e) for e in category_map]} need {m + len(category_map)}, "
+            f"with every solo column in [{m}, {params.m})"
+        )
+    feats, labels = data.load_arrays(manifest)
+    scores = adapted_scores(mdl.predict(params, feats), m, category_map)
 
-    rows, ap_ex, ap_co, cosines = [], [], [], []
-    for sp in splits:
-        row = {"b": sp.biased, "c": sp.context, "valid": sp.valid}
+    rows = []
+    for b, c in pairs:
+        co, excl = bias_mod.pair_masks(labels, b, c)
         # the cosine only involves weights, so an invalid split still gets one
-        row["cosine"] = weight_cosine(params, (sp.biased, sp.context))
-        if sp.valid:
-            s = scores[:, sp.biased]
-            ex_idx = np.concatenate([sp.exclusive_idx, sp.negative_idx])
-            co_idx = np.concatenate([sp.cooccur_idx, sp.negative_idx])
-            row["ap_exclusive"] = average_precision(
-                s[ex_idx], np.concatenate([np.ones(sp.exclusive_idx.size), np.zeros(sp.negative_idx.size)])
-            )
-            row["ap_cooccur"] = average_precision(
-                s[co_idx], np.concatenate([np.ones(sp.cooccur_idx.size), np.zeros(sp.negative_idx.size)])
-            )
-            row["bias"] = bias_mod.bias_score(scores, labels[:, :m], sp.biased, sp.context)
-            ap_ex.append(row["ap_exclusive"])
-            ap_co.append(row["ap_cooccur"])
-            cosines.append(row["cosine"])
+        row = {"b": b, "c": c, "valid": bool(excl.any() and co.any()),
+               "cosine": weight_cosine(params, (b, c))}
+        if row["valid"]:
+            neg = scores[labels[:, b] != 1, b]
+            for key, pos in (("ap_exclusive", excl), ("ap_cooccur", co)):
+                row[key] = average_precision(
+                    np.concatenate([scores[pos, b], neg]),
+                    np.concatenate([np.ones(pos.sum()), np.zeros(neg.size)]),
+                )
+            row["bias"] = bias_mod.bias_score(scores, labels, b, c)
+        else:
+            warnings.warn(f"pair ({b},{c}) has an empty split; excluded from aggregates")
         rows.append(row)
 
-    topk = topk_recall(scores, labels[:, :m], k)
+    def valid_mean(key):
+        vals = [row[key] for row in rows if row["valid"]]
+        return float(np.mean(vals)) if vals else None
+
+    topk = topk_recall(scores, labels, k)
     return EvalReport(
         method=method,
         seed=seed,
         config_hash=config_hash,
         k=k,
         pairs=rows,
-        map_exclusive=float(np.mean(ap_ex)) if ap_ex else None,
-        map_cooccur=float(np.mean(ap_co)) if ap_co else None,
-        mean_cosine=float(np.mean(cosines)) if cosines else None,
+        map_exclusive=valid_mean("ap_exclusive"),
+        map_cooccur=valid_mean("ap_cooccur"),
+        mean_cosine=valid_mean("cosine"),
         topk_recall={str(j): v for j, v in topk.items()},
     )
 
@@ -230,8 +215,9 @@ def save_report(report: EvalReport, path):
 def write_comparison_csv(reports: dict, path):
     """One row per pair: bias plus each method's exclusive/co-occur AP.
 
-    `reports` maps method name to EvalReport; the bias column comes from the
-    standard method when present, else the alphabetically first.
+    `reports` maps method name to EvalReport, each on the same pairs in the
+    same order; the bias column comes from the standard method when present,
+    else the alphabetically first.
     """
     if not reports:
         raise ValueError("no reports to tabulate")
@@ -245,8 +231,6 @@ def write_comparison_csv(reports: dict, path):
         cells = [str(row["b"]), str(row["c"]), _fmt(row.get("bias"))]
         for name in methods:
             other = reports[name].pairs[i]
-            if (other["b"], other["c"]) != (row["b"], row["c"]):
-                raise ValueError("reports disagree on pair order")
             cells += [_fmt(other.get("ap_exclusive")), _fmt(other.get("ap_cooccur"))]
         lines.append(",".join(cells))
     with open(path, "w") as f:

@@ -187,8 +187,9 @@ class CamSnapshot:
     def table(self, feats: np.ndarray, batch_size: int) -> dict:
         """{category: (N, P) maps} for every tracked category.
 
-        Built `batch_size` samples at a time, so the (N*P, D) mixed rows
-        never exist at once.
+        Built `batch_size` samples at a time, so the float64 copy that
+        cam_maps makes of the pixel rows (33 MB for a whole 2,000-sample
+        train set of 8x8x32 maps) never exists at once.
         """
         chunks = range(0, len(feats), batch_size)
         return {

@@ -120,10 +120,21 @@ class _Header:
     m: int
     own_rows: list
     context_rows: list
-    meta: dict
+    meta: dict  # a RunRecord
 
 
-def save_checkpoint(path: str, params: ModelParams, meta=None):
+@dataclass
+class RunRecord:
+    """The training run a checkpoint came from, kept in its header's `meta`."""
+
+    method: str
+    seed: int
+    config_hash: str
+    pairs: list  # [b, c, score] rows
+    category_map: list | None  # split_biased: [b, solo] rows
+
+
+def save_checkpoint(path: str, params: ModelParams, run: RunRecord):
     """JSON header (format version, store length and sha256) next to a DBL1 store."""
     store_name = os.path.basename(path) + ".store"
     store_path = os.path.join(os.path.dirname(os.path.abspath(path)), store_name)
@@ -141,13 +152,13 @@ def save_checkpoint(path: str, params: ModelParams, meta=None):
         m=params.m,
         own_rows=params.own_rows.tolist(),
         context_rows=params.context_rows.tolist(),
-        meta=meta or {},
+        meta=asdict(run),
     )
     data.dump_json(asdict(header), path)
 
 
 def load_checkpoint(path: str):
-    """(params, meta), float32-widened, from a store matching its header."""
+    """(params, RunRecord), float32-widened, from a store matching its header."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     fmt = doc.get("format") if isinstance(doc, dict) else None
@@ -157,6 +168,13 @@ def load_checkpoint(path: str):
     for name in ("offsets", "own_rows", "context_rows"):
         if not all(type(v) is int for v in getattr(h, name)):
             raise ValueError(f"{path}: {name} must be a list of integers")
+    run = RunRecord(**data._checked_fields(RunRecord, h.meta, f"{path}: checkpoint meta"))
+    for name, width in (("pairs", 3), ("category_map", 2)):
+        for row in getattr(run, name) or []:
+            if not (isinstance(row, list) and len(row) == width
+                    and all(type(v) is int for v in row[:2])):
+                raise ValueError(
+                    f"{path}: meta {name} row {row!r} is not {width} entries led by 2 ints")
     # the hash covers the store, not how the header slices it, so the slices
     # must be the ones write_store gives a (d_in, d) mixer and a (d, m) head
     n_magic = len(data.STORE_MAGIC)
@@ -187,4 +205,4 @@ def load_checkpoint(path: str):
         own_rows=h.own_rows,
         context_rows=h.context_rows,
     )
-    return params, h.meta
+    return params, run

@@ -92,7 +92,6 @@ class TrainConfig:
 class TrainArtifacts:
     params: mdl.ModelParams
     pairs: bias_mod.BiasPairSet | None = None
-    buffer: losses.RunningMeanBuffer | None = None
     loss_curve: list = field(default_factory=list)
     step_log: list = field(default_factory=list)
     seeds: dict = field(default_factory=dict)
@@ -294,7 +293,7 @@ def train_stage2(
     # the method's objective, chosen once; each weighted method fills one
     # (n, M) loss-weight matrix
     excl_all = losses.exclusive_mask(labels, pair_tuples)
-    buffer = after_step = None
+    after_step = None
 
     def log_weights(idx, entry):
         entry["n_exclusive"] = int(excl_all[idx].sum())
@@ -356,7 +355,6 @@ def train_stage2(
     return TrainArtifacts(
         params=params,
         pairs=artifacts.pairs,
-        buffer=buffer,
         loss_curve=artifacts.loss_curve + curve,
         step_log=artifacts.step_log + step_log,
         seeds=artifacts.seeds,

@@ -153,8 +153,8 @@ def test_method_alias_and_buffer_checkpoint(ws, tmp_path):
     prov = json.loads((run / "provenance.json").read_text())
     assert prov["config"]["method"] == "ours_feature_split"
     assert prov["config"]["alpha_min"] == 1.5
-    params, meta = mdl.load_checkpoint(str(run / "checkpoint.json"))
-    assert meta["method"] == "ours_feature_split"
+    params, record = mdl.load_checkpoint(str(run / "checkpoint.json"))
+    assert record.method == "ours_feature_split"
     # nothing reads the running-mean window back, so the checkpoint holds the
     # mixer and the head only
     header = json.loads((run / "checkpoint.json").read_text())
@@ -442,28 +442,55 @@ def _bad_magic(run):
     ckpt.write_text(json.dumps(header))
 
 
-@pytest.mark.parametrize("corrupt, named", [
-    (_flip_store_byte, "sha256 does not match"),
-    (_bump_format, "checkpoint format 3, expected 2"),
-    (_cut_store, "header says"),
-    (_bad_magic, "bad store magic b'XXXX'"),
-    (_edit_header(_format_1), "checkpoint format 1, expected 2"),
-    (_edit_header(lambda h: h["offsets"].__setitem__(1, 4.5)),
+def _edit_meta(edit):
+    return _edit_header(lambda h: edit(h["meta"]))
+
+
+@pytest.mark.parametrize("method, corrupt, named", [
+    ("standard", _flip_store_byte, "sha256 does not match"),
+    ("standard", _bump_format, "checkpoint format 3, expected 2"),
+    ("standard", _cut_store, "header says"),
+    ("standard", _bad_magic, "bad store magic b'XXXX'"),
+    ("standard", _edit_header(_format_1), "checkpoint format 1, expected 2"),
+    ("standard", _edit_header(lambda h: h["offsets"].__setitem__(1, 4.5)),
      "offsets must be a list of integers"),
-    (_edit_header(lambda h: h.pop("own_rows")), "missing keys ['own_rows']"),
-    (_edit_header(lambda h: h.update(d_in=str(h["d_in"]))), "d_in must be int, not str"),
-    (_edit_header(lambda h: h.update(meta=[])), "meta must be dict, not list"),
+    ("standard", _edit_header(lambda h: h.pop("own_rows")), "missing keys ['own_rows']"),
+    ("standard", _edit_header(lambda h: h.update(d_in=str(h["d_in"]))),
+     "d_in must be int, not str"),
+    ("standard", _edit_header(lambda h: h.update(meta=[])), "meta must be dict, not list"),
     # the store hash does not cover the offsets: a head read from byte 8
     # used to evaluate with exit 0
-    (_edit_header(lambda h: h["offsets"].__setitem__(1, 8)),
+    ("standard", _edit_header(lambda h: h["offsets"].__setitem__(1, 8)),
      "offsets [4, 8] and store_bytes"),
+    # meta used to be read by hand: the first two exited 3 with a TypeError,
+    # and a string seed evaluated with exit 0
+    ("standard", _edit_meta(lambda m: m.update(category_map=5)),
+     "checkpoint meta: category_map must be list | None, not int"),
+    ("standard", _edit_meta(lambda m: m.update(pairs=3)),
+     "checkpoint meta: pairs must be list, not int"),
+    ("standard", _edit_meta(lambda m: m.update(pairs=[["a", "b", 1]])),
+     "meta pairs row ['a', 'b', 1] is not 3 entries led by 2 ints"),
+    ("standard", _edit_meta(lambda m: m.update(seed="x")),
+     "checkpoint meta: seed must be int, not str"),
+    ("standard", _edit_meta(lambda m: m.update(method=5)),
+     "checkpoint meta: method must be str, not int"),
+    ("standard", _edit_meta(lambda m: m.pop("category_map")),
+     "checkpoint meta: missing keys ['category_map']"),
+    # a split head without its map used to evaluate with exit 0, ignoring the
+    # solo column, and a solo column past the head to exit 3 with IndexError
+    ("split", _edit_meta(lambda m: m.update(category_map=None)),
+     "head has 5 columns, but 4 categories and category map [] need 4"),
+    ("split", _edit_meta(lambda m: m.update(category_map=[[0, 9]])),
+     "category map [[0, 9]] need 5, with every solo column in [4, 5)"),
 ], ids=["flipped_byte", "wrong_version", "short_store", "bad_magic", "format_1",
-        "float_offset", "missing_own_rows", "str_d_in", "list_meta", "head_offset_8"])
-def test_eval_rejects_corrupt_checkpoint(ws, tmp_path, capsys, corrupt, named):
+        "float_offset", "missing_own_rows", "str_d_in", "list_meta", "head_offset_8",
+        "int_category_map", "int_pairs", "str_pair_row", "str_seed", "int_method",
+        "missing_category_map", "split_null_category_map", "split_solo_past_head"])
+def test_eval_rejects_corrupt_checkpoint(ws, tmp_path, capsys, method, corrupt, named):
     run = tmp_path / "run"
     assert cli.main([
         "train", "--data", str(ws / "dtrain"), "--config", str(ws / "train.json"),
-        "--seed", "3", "--pairs", "0:1", "--out", str(run),
+        "--method", method, "--seed", "3", "--pairs", "0:1", "--out", str(run),
     ]) == 0
     corrupt(run)
     capsys.readouterr()
@@ -473,7 +500,7 @@ def test_eval_rejects_corrupt_checkpoint(ws, tmp_path, capsys, corrupt, named):
     ])
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
     assert not (tmp_path / "ev").exists()
 
 
@@ -494,6 +521,20 @@ def test_report_refuses_missing_provenance(ws, tmp_path):
     assert cli.main(["report", "--inputs", str(bare), "--out", str(tmp_path / "r")]) == 2
 
 
+def _two_pairs(report):
+    return dict(report, pairs=report["pairs"] + [dict(report["pairs"][0], b=2, c=3)])
+
+
+def _cam_report_on_two_pairs(report):
+    return dict(_two_pairs(report), method="ours_cam")
+
+
+def _standard_report_on_two_pairs(report):
+    other = dict(report, method="ours_cam", pairs=list(report["pairs"]))
+    report.update(_two_pairs(report))
+    return other
+
+
 @pytest.mark.parametrize("edit, named", [
     (lambda r: r["pairs"][0].pop("b"), "report pair 0: missing keys ['b']"),
     (lambda r: r["pairs"][0].update(c=1.0), "report pair 0: c must be int, not float"),
@@ -502,11 +543,18 @@ def test_report_refuses_missing_provenance(ws, tmp_path):
     (lambda r: r["pairs"][0].update(bias=True), "report pair 0: bias must be float | None"),
     (lambda r: r.update(map_exclusive="x"), "report: map_exclusive must be float | None, not str"),
     (lambda r: r.update(topk_recall=[]), "report: topk_recall must be dict, not list"),
+    # a shorter standard report used to drop pair (2, 3) with exit 0, and a
+    # shorter other report to exit 3 with IndexError
+    (_cam_report_on_two_pairs,
+     "reports list different pairs: ours_cam [(0, 1), (2, 3)]; standard [(0, 1)]"),
+    (_standard_report_on_two_pairs,
+     "reports list different pairs: ours_cam [(0, 1)]; standard [(0, 1), (2, 3)]"),
 ], ids=["row_without_b", "float_c", "str_ap_exclusive", "bool_bias", "str_map_exclusive",
-        "list_topk"])
+        "list_topk", "short_standard_pairs", "short_other_pairs"])
 def test_report_rejects_malformed_report(ws, tmp_path, capsys, edit, named):
     # a row without b used to exit 3 with a KeyError, a string AP to exit 2
-    # on a format code, and a string mAP to pass
+    # on a format code, and a string mAP to pass. An edit that returns a
+    # report adds it as a second input.
     run, ev_dir = tmp_path / "run", tmp_path / "ev"
     assert cli.main([
         "train", "--data", str(ws / "dtrain"), "--config", str(ws / "train.json"),
@@ -517,10 +565,15 @@ def test_report_rejects_malformed_report(ws, tmp_path, capsys, edit, named):
     ]) == 0
     path = ev_dir / "report.json"
     doc = json.loads(path.read_text())
-    edit(doc)
+    other = edit(doc)
     path.write_text(json.dumps(doc))
+    inputs = [str(ev_dir)]
+    if isinstance(other, dict):
+        shutil.copytree(ev_dir, tmp_path / "ev2")
+        (tmp_path / "ev2" / "report.json").write_text(json.dumps(other))
+        inputs.append(str(tmp_path / "ev2"))
     capsys.readouterr()
-    assert cli.main(["report", "--inputs", str(ev_dir), "--out", str(tmp_path / "r")]) == 2
+    assert cli.main(["report", "--inputs", *inputs, "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
     assert not (tmp_path / "r").exists()

@@ -183,25 +183,50 @@ def test_export_heatmap_bytes(tmp_path):
 # splits and full report
 
 
-def test_build_test_splits_membership():
+def hand_manifest(tmp_path, rows, xs):
+    """Manifest of 1x1 maps: sample i's one pixel is (xs[i], 1), its labels rows[i]."""
+    offsets = data.write_store(tmp_path / "hand.store", [[[x, 1.0]] for x in xs])
+    return data.DatasetManifest(
+        categories=[f"cat{k}" for k in range(len(rows[0]))], h=1, w=1, d_in=2,
+        samples=[data.SampleRef(f"s{i}", o, r) for i, (r, o) in enumerate(zip(rows, offsets))],
+        store="hand.store", root=str(tmp_path),
+    )
+
+
+# category 0 scores sigmoid(x), so a sample's rank follows its pixel value
+HAND_HEAD = np.array([[1.0, 0.0, 0.5, 0.5], [0.0, 1.0, 0.5, 0.5]])
+
+
+def test_evaluate_splits_pair_by_masks(tmp_path):
     rows = [
         [1, 0, 0, 0],  # exclusive
         [1, 1, 0, 0],  # cooccur
         [0, 1, 0, 0],  # negative (no b)
         [0, 0, 1, 0],  # negative
+        [1, 0, 0, 1],  # exclusive
+        [1, 1, 1, 0],  # cooccur
     ]
-    (sp,) = ev.build_test_splits(np.array(rows), [(0, 1)])
-    assert sp.valid
-    assert sp.exclusive_idx.tolist() == [0]
-    assert sp.cooccur_idx.tolist() == [1]
-    assert sp.negative_idx.tolist() == [2, 3]
+    manifest = hand_manifest(tmp_path, rows, [3.0, 1.0, 0.0, 2.0, -1.0, 4.0])
+    rep = ev.evaluate(make_params(HAND_HEAD), manifest, [(0, 1)])
+    (row,) = rep.pairs
+    assert row["valid"]
+    # exclusive ranking 0+ 3- 2- 4+; co-occur ranking 5+ 3- 1+ 2-. Moving any
+    # one sample to another split, or out of all three, changes an AP.
+    assert row["ap_exclusive"] == (1.0 + 2.0 / 4.0) / 2.0
+    assert row["ap_cooccur"] == (1.0 + 2.0 / 3.0) / 2.0
+    assert rep.map_exclusive == row["ap_exclusive"]
+    assert rep.map_cooccur == row["ap_cooccur"]
 
 
-def test_build_test_splits_flags_empty():
+def test_evaluate_flags_empty_split(tmp_path):
     rows = [[1, 1, 0, 0], [0, 0, 1, 0]]
+    manifest = hand_manifest(tmp_path, rows, [1.0, 0.0])
     with pytest.warns(UserWarning, match="empty split"):
-        (sp,) = ev.build_test_splits(np.array(rows), [(0, 1)])
-    assert not sp.valid
+        rep = ev.evaluate(make_params(HAND_HEAD), manifest, [(0, 1)])
+    (row,) = rep.pairs
+    assert not row["valid"]
+    assert not {"ap_exclusive", "ap_cooccur", "bias"} & set(row)
+    assert rep.map_exclusive is None and rep.map_cooccur is None
 
 
 def test_adapted_scores_takes_max_of_split_columns():

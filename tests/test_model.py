@@ -182,14 +182,18 @@ def test_params_validation():
 def test_checkpoint_roundtrip(tmp_path):
     params = small_params(seed=13)
     path = tmp_path / "ckpt.json"
-    model.save_checkpoint(path, params, meta={"method": "standard"})
-    loaded, meta = model.load_checkpoint(path)
+    run = model.RunRecord(
+        method="split_biased", seed=13, config_hash="0123456789ab",
+        pairs=[[0, 1, 1.5], [2, 1, 0.75]], category_map=[[0, 3]],
+    )
+    model.save_checkpoint(path, params, run)
+    loaded, back = model.load_checkpoint(path)
     f32 = lambda a: a.astype(np.float32).astype(np.float64)
     assert np.array_equal(loaded.mixer, f32(params.mixer))
     assert np.array_equal(loaded.head, f32(params.head))
     assert np.array_equal(loaded.own_rows, params.own_rows)
     assert np.array_equal(loaded.context_rows, params.context_rows)
-    assert meta == {"method": "standard"}
+    assert back == run
 
 
 def test_predict_matches_logit_sigmoid():

@@ -6,8 +6,8 @@ Runs `cli.run_benchmark_cell` on a fixed grid: fraction 0.05 with seeds 0-4
 (standard, feature split, CAM) and fraction 0.25 with seeds 0-2 (standard and
 the five baselines), 33 runs in all. Each line reads
 `fraction seed method training report`. The training digest covers the
-trained mixer and head, the loss curve, the stage-2 step log and the
-feature-split buffer window; the report digest covers the evaluation report.
+trained mixer and head, the loss curve and the stage-2 step log; the report
+digest covers the evaluation report.
 Two checkouts that train byte-identical weights print identical training
 columns, so `diff` of the two outputs is the check. A change that only moves
 the report's `config_hash` (a renamed or removed config field) shows in the
@@ -58,8 +58,6 @@ def training_digest(arts) -> str:
     h.update(np.asarray(arts.loss_curve, dtype=np.float64).tobytes())
     stage2 = [e for e in arts.step_log if e.get("stage") == 2]
     h.update(json.dumps(stage2, sort_keys=True).encode())
-    for entry in arts.buffer.entries if arts.buffer is not None else []:
-        h.update(entry.tobytes())
     return h.hexdigest()
 
 
