@@ -24,9 +24,9 @@ def as_f64(x) -> np.ndarray:
 
 
 def sigmoid_values(v: np.ndarray) -> np.ndarray:
-    # clip keeps exp() in range; inactive for |v| <= 40 so gradient checks
-    # on ordinary magnitudes are exact
-    return 1.0 / (1.0 + np.exp(-np.clip(v, -40.0, 40.0)))
+    # the clip (min/max, as np.clip but cheaper) keeps exp() in range;
+    # inactive for |v| <= 40 so gradient checks on ordinary magnitudes are exact
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(v, -40.0), 40.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +95,8 @@ class SgdConfig:
     decay_every: int
 
     def __post_init__(self):
-        if self.initial_lr <= 0:
-            raise ValueError("initial_lr must be positive")
+        if not 0.0 < self.initial_lr < math.inf:  # NaN fails this too
+            raise ValueError("initial_lr must be positive and finite")
         if not 0.0 < self.decay_factor < 1.0:
             raise ValueError("decay_factor must be in (0, 1)")
         if self.decay_every <= 0:

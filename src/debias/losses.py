@@ -9,13 +9,17 @@ and `peak_normalize`, whose backward reuses its relu and row peaks. Then
 gH = (P W)^T gz and gW = P^T (gz H^T). A CAM term with map cotangent g_map
 adds (X^T g_map) h_k^T to gW and W^T (X^T g_map) to column k of gH.
 Selective suppression masks gz on its way back into the context features.
+The CAM terms stack all pairs' maps into one (2, n, P) array whose
+reductions run over the last, contiguous axis; X (W h_k) and X^T g_map stay
+one product per pair and map.
 
 Conventions: targets and per-sample weights are fixed inputs; only the mixer
 and head get gradients. Sums over contributing samples, pairs, and pixels are
 realized as means, so loss scale does not drift with batch size and the
 published weighting defaults stay meaningful. Where several terms reach one
-weight, their gradients are summed in one fixed order, so a fixed config
-reproduces trained weights bit for bit.
+weight, their gradients are summed in one fixed order (CAM: last pair first,
+context map before biased map, BCE last), so a fixed config reproduces
+trained weights bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 
@@ -54,21 +59,22 @@ def bce(logits, targets, weights=None) -> tuple:
     z, t = dc.as_f64(logits), dc.as_f64(targets)
     if t.shape != z.shape:
         raise ValueError(f"bce: targets {t.shape} vs logits {z.shape}")
-    if not ((t == 0.0) | (t == 1.0)).all():
+    pos = t == 1.0
+    if not (pos | (t == 0.0)).all():
         raise ValueError("targets must be binary")
     s = dc.sigmoid_values(z)
     q = 1.0 - s
-    pos = t == 1.0
     p = np.maximum(np.where(pos, s, q), LOG_GUARD)
     terms = -np.log(p)
-    g = np.full(terms.shape, 1.0 / terms.size)  # the mean's cotangent
+    g = 1.0 / terms.size  # the mean's cotangent; a scalar rounds as a full array of it
     if weights is not None:
         w = dc.as_f64(weights)
         if w.shape != terms.shape:
             raise ValueError("weight matrix must match logits shape")
         terms, g = w * terms, g * w
     g_p = g * (p > LOG_GUARD) / p
-    return float(np.mean(terms)), np.where(pos, 0.0 - g_p, g_p) * s * q
+    mean = np.add.reduce(terms, axis=None) / terms.size
+    return float(mean), np.where(pos, 0.0 - g_p, g_p) * s * q
 
 
 def _linear_grads(params, pooled_rows, feats, g_logits, keep=None) -> tuple:
@@ -114,10 +120,8 @@ def exclusive_mask(labels, pairs) -> np.ndarray:
     co-occurs for another pair: the context half must never train on context
     evidence for any biased category.
     """
-    mask = np.zeros(len(labels), dtype=bool)
-    for b, c in pairs:
-        mask |= bias_mod.pair_masks(labels, b, c)[1]
-    return mask
+    excl = [bias_mod.pair_masks(labels, b, c)[1] for b, c in pairs]
+    return np.logical_or.reduce([np.zeros(len(labels), bool), *excl])
 
 
 # ---------------------------------------------------------------------------
@@ -141,26 +145,28 @@ def cam_maps(params: mdl.ModelParams, pixel_rows, category: int) -> np.ndarray:
 
 
 def peak_normalize(raw) -> tuple:
-    """(maps, backward) of (n, P) raw maps, each row relu'd and divided by its max + 1e-8.
+    """(maps, backward) of raw maps: each map, the last axis, relu'd and divided by max + 1e-8.
 
-    Every map lands in [0, 1] on its own. `backward` maps the cotangent of
-    the maps to that of `raw`, reusing the forward's relu and row peaks. It
-    differentiates in reverse-sweep order: the quotient's two cotangents, the
-    row sum of the denominator's, the max's share split evenly over ties,
-    then the relu mask (subgradient 0 at the kink). Changing that order
-    changes the gradients' rounding, and with it trained weights.
+    `raw` is (n, P) or a stack such as cam_terms' (2, n, P); every reduction
+    runs over the last, contiguous axis, so a stack gives each slice's values
+    and cotangents to the bit. `backward` maps the maps' cotangent to raw's
+    in reverse-sweep order: the quotient's two cotangents, the pixel sum of
+    the denominator's, the max's share split evenly over ties, then the relu
+    mask (subgradient 0 at the kink); another order changes trained weights.
     """
     raw = dc.as_f64(raw)
+    if raw.ndim < 2:
+        raise ValueError(f"peak_normalize: maps come as (..., n, P), got shape {raw.shape}")
     r = np.maximum(raw, 0.0)
-    peaks = r.max(axis=1, keepdims=True)
+    peaks = r.max(axis=-1, keepdims=True)
     denom = peaks + 1e-8
 
     def backward(g: np.ndarray) -> np.ndarray:
         if g.shape != raw.shape:
             raise ValueError(f"peak_normalize: cotangent {g.shape} vs maps {raw.shape}")
-        g_denom = (-g * r / (denom * denom)).sum(axis=1, keepdims=True)
+        g_denom = (-g * r / (denom * denom)).sum(axis=-1, keepdims=True)
         ties = r == peaks
-        g_r = g / denom + ties * (g_denom / ties.sum(axis=1, keepdims=True))
+        g_r = g / denom + ties * (g_denom / np.count_nonzero(ties, axis=-1, keepdims=True))
         return g_r * (raw > 0.0)
 
     return r / denom, backward
@@ -175,8 +181,7 @@ class CamSnapshot:
 
     def __init__(self, params: mdl.ModelParams, pairs):
         self.params = replace(params, mixer=params.mixer.copy(), head=params.head.copy())
-        self.pairs = [tuple(p) for p in pairs]
-        self.categories = sorted({k for p in self.pairs for k in p})
+        self.categories = sorted({k for p in pairs for k in p})
 
     def rows(self, feats: np.ndarray, category: int) -> np.ndarray:
         """(n, P) normalized maps of `category` for (n, P, D_in) pixel rows."""
@@ -201,51 +206,58 @@ class CamSnapshot:
 def cam_terms(params, pixel_rows, targets, pairs, frozen, lambda1, lambda2) -> tuple:
     """(mean overlap, mean grounding, g_mixer, g_head) of a batch's CAM terms.
 
-    Per pair, the terms cover the samples labeled with both categories, and
-    each pair's two normalized maps feed both terms. Overlap is the pixelwise
-    product of the maps; grounding is |frozen map - live map| summed over the
-    two categories, against the snapshot's (n, P) maps of the batch in
-    `frozen` (see CamSnapshot.table; None when lambda2 is 0). A term with
-    weight 0, or without samples, reads 0. The gradients are those of
-    lambda1 * overlap + lambda2 * grounding.
+    Per pair, the terms cover the samples labeled with both categories:
+    overlap is the pixelwise product of its two normalized maps, grounding
+    |frozen map - live map| summed over both. `targets` is the (n, M) batch;
+    `pixel_rows` (n_any, P, D_in) and `frozen`'s {category: (n_any, P)} maps
+    (CamSnapshot.table; None when lambda2 is 0) hold only its rows in which
+    some pair co-occurs, in batch order. A term with weight 0, or without
+    samples, reads 0; the gradients are those of lambda1 * overlap + lambda2 *
+    grounding. The maps form one (2, n_co, P) stack, biased then context map,
+    pairs in order along axis 1: one peak_normalize serves all of them, and
+    overlap's cotangent is live[::-1].
     """
     if lambda2 > 0 and frozen is None:
         raise ValueError("grounding needs the frozen stage-1 maps")
-    maps, overlap, ground = [], [], []
-    for b, c in pairs:
-        local = np.flatnonzero(bias_mod.pair_masks(targets, b, c)[0])
-        if local.size == 0 or lambda1 == lambda2 == 0:
-            continue
-        x = dc.as_f64(pixel_rows[local])
-        live, backward = {}, {}
-        for k in (b, c):
-            live[k], backward[k] = peak_normalize(cam_maps(params, x, k))
-        diff = {k: frozen[k][local] - live[k] for k in (b, c)} if lambda2 > 0 else {}
-        if lambda1 > 0:
-            overlap.append(live[b] * live[c])
-        if diff:
-            ground.append(np.abs(diff[b]) + np.abs(diff[c]))
-        maps.append((x, (b, c), live, backward, diff))
-
-    # each term is a mean, so every pixel's cotangent is its weight over the count
-    g_overlap = float(lambda1) / sum(o.size for o in overlap) if overlap else 0.0
-    g_ground = float(lambda2) / sum(o.size for o in ground) if ground else 0.0
+    co = [bias_mod.pair_masks(targets, b, c)[0] for b, c in pairs]
+    any_co = np.logical_or.reduce([np.zeros(len(targets), bool), *co])
+    if len(pixel_rows) != np.count_nonzero(any_co):
+        raise ValueError("cam_terms: pixel rows must be the batch's rows where some pair co-occurs")
     g_mixer, g_head = np.zeros(params.mixer.shape), np.zeros(params.head.shape)
-    # Float sums depend on their order, and trained CAM weights depend on
-    # rounding, so the order is fixed: last pair first, each pair's context
-    # map before its biased map, at each map the grounding cotangent before
-    # the overlap one, and cam_objective adds the BCE gradient last.
-    for x, (b, c), live, backward, diff in reversed(maps):
-        rows = x.reshape(-1, x.shape[2])
-        for k, other in ((c, b), (b, c)):
-            g_map = g_ground * np.sign(diff[k]) * -1.0 if diff else 0.0
-            if overlap:
-                g_map = g_map + g_overlap * live[other]
-            g_column = rows.T @ backward[k](g_map).reshape(-1, 1)
-            g_mixer += g_column @ params.head[:, [k]].T
-            g_head[:, [k]] += params.mixer.T @ g_column
-    means = [float(np.mean(np.concatenate(p))) if p else 0.0 for p in (overlap, ground)]
-    return (*means, g_mixer, g_head)
+    if lambda1 == lambda2 == 0 or not len(pixel_rows):
+        return 0.0, 0.0, g_mixer, g_head
+    # each pair's rows among pixel_rows, and its slice of the stack (empty adds nothing)
+    local = [np.flatnonzero(m[any_co]) for m in co]
+    ends = np.cumsum([i.size for i in local])
+    segments = [(b, c, i, slice(e - i.size, e)) for (b, c), i, e in zip(pairs, local, ends)]
+    x = dc.as_f64(pixel_rows[np.concatenate(local)])
+    raw = np.empty((2, len(x), x.shape[1]))
+    for b, c, _, seg in segments:
+        raw[0, seg], raw[1, seg] = cam_maps(params, x[seg], b), cam_maps(params, x[seg], c)
+    live, backward = peak_normalize(raw)
+    overlap = ground = g_map = 0.0  # a mean's pixel cotangent is its weight over the count
+    if lambda2 > 0:
+        diff = np.empty_like(raw)
+        for b, c, i, seg in segments:
+            diff[0, seg], diff[1, seg] = frozen[b][i], frozen[c][i]
+        diff -= live
+        terms = np.abs(diff[0]) + np.abs(diff[1])
+        ground = float(np.add.reduce(terms, axis=None) / terms.size)
+        g_map = float(lambda2) / terms.size * np.sign(diff) * -1.0
+    if lambda1 > 0:
+        terms = live[0] * live[1]
+        overlap = float(np.add.reduce(terms, axis=None) / terms.size)
+        g_map = g_map + float(lambda1) / terms.size * live[::-1]
+    g = backward(g_map)
+    # float sums depend on their order and trained weights on rounding, so the
+    # order is fixed: last pair first, context map before biased map, BCE last
+    for b, c, _, seg in reversed(segments):
+        rows = x[seg].reshape(-1, x.shape[2])
+        for role, k in ((1, c), (0, b)):
+            g_column = rows.T @ g[role, seg].reshape(-1, 1)
+            g_mixer += g_column * params.head[:, k]
+            g_head[:, k] += (params.mixer.T @ g_column)[:, 0]
+    return overlap, ground, g_mixer, g_head
 
 
 def cam_objective(
@@ -253,14 +265,13 @@ def cam_objective(
 ) -> tuple:
     """(loss, g_mixer, g_head) of BCE + lambda1 * mean overlap + lambda2 * mean grounding.
 
-    `pooled_rows` and `pixel_rows` are the batch's (n, D_in) pooled rows and
-    (n, P, D_in) maps; see cam_terms for the CAM terms. Plain BCE when no
-    sample co-occurs or both weights are 0.
+    `pooled_rows` are the batch's (n, D_in) pooled rows; see cam_terms for
+    `pixel_rows`, `frozen` and the CAM terms. Plain BCE when no sample
+    co-occurs or both weights are 0.
     """
     loss, g_mixer, g_head = bce_objective(params, pooled_rows, targets)
-    overlap, ground, cam_mixer, cam_head = cam_terms(
-        params, pixel_rows, targets, pairs, frozen, lambda1, lambda2
-    )
+    overlap, ground, cam_mixer, cam_head = cam_terms(params, pixel_rows, targets, pairs, frozen,
+                                                     lambda1, lambda2)
     return (loss + overlap * lambda1) + ground * lambda2, cam_mixer + g_mixer, cam_head + g_head
 
 
@@ -287,7 +298,8 @@ class RunningMeanBuffer:
     def mean(self) -> np.ndarray:
         if not self.entries:
             return np.zeros(self.width)
-        return np.mean(np.stack(self.entries), axis=0)
+        # oldest first, as np.mean over axis 0 of the stacked entries adds
+        return reduce(np.add, self.entries) / len(self.entries)
 
 
 def suppressed_logits(
@@ -319,7 +331,7 @@ def feature_split_objective(params, pooled_rows, targets, weights, excl_mask, bu
     have read the running mean, the batch's non-exclusive samples push their
     mean context features into `buffer`.
     """
-    mixed, _ = mdl.forward_batch(params, pooled_rows)
+    mixed = mdl.mix(params, pooled_rows)
     logits, keep = suppressed_logits(params, mixed, excl_mask, buffer)
     loss, g = bce(logits, targets, weights)
     mask = np.asarray(excl_mask, dtype=bool)

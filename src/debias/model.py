@@ -82,16 +82,17 @@ def pool_pixels(feats: np.ndarray) -> np.ndarray:
     return np.mean(feats, axis=1, dtype=np.float64)
 
 
-def forward_batch(params: ModelParams, pooled_rows: np.ndarray) -> tuple:
-    """(mixed, logits) of a batch of (n, D_in) pooled rows (see pool_pixels).
-
-    GAP(X W) = GAP(X) W, so the pooled rows meet the mixer directly:
-    mixed = rows W is (n, D) and logits = mixed H is (n, M).
-    """
+def mix(params: ModelParams, pooled_rows: np.ndarray) -> np.ndarray:
+    """(n, D) features rows W of (n, D_in) pooled rows: GAP(X W) = GAP(X) W (see pool_pixels)."""
     pooled_rows = dc.as_f64(pooled_rows)
     if pooled_rows.ndim != 2 or pooled_rows.shape[1] != params.d_in:
         raise ValueError(f"bad pooled shape {pooled_rows.shape} for {params.d_in} channels")
-    mixed = pooled_rows @ params.mixer
+    return pooled_rows @ params.mixer
+
+
+def forward_batch(params: ModelParams, pooled_rows: np.ndarray) -> tuple:
+    """(mixed, logits) of a batch of pooled rows: mix's (n, D) features and (n, M) mixed H."""
+    mixed = mix(params, pooled_rows)
     return mixed, mixed @ params.head
 
 

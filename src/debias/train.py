@@ -61,10 +61,13 @@ class TrainConfig:
             raise ValueError("epoch counts must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.mixer_width % 2:
-            raise ValueError("mixer_width must be even (the head rows get halved)")
-        # range checks for what only stage 2 or pair selection reads, so a
-        # bad value stops the run before stage 1 trains
+        if self.mixer_width < 2 or self.mixer_width % 2:
+            raise ValueError("mixer_width must be even and at least 2 (the head rows get halved)")
+        # range checks (finite first: a NaN fails every comparison below), so a
+        # value only stage 2 or pair selection reads stops the run before stage 1
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if not 0.0 < self.freq_threshold < 1.0:
@@ -73,6 +76,8 @@ class TrainConfig:
             raise ValueError("loss weights lambda1 and lambda2 must be nonnegative")
         if self.alpha_min <= 1.0:
             raise ValueError("alpha_min must exceed 1")
+        if self.weighted_factor <= 0 or self.negative_penalty_weight <= 0:
+            raise ValueError("weighted_factor and negative_penalty_weight must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -140,11 +145,8 @@ def _sgd_loop(
                         f"stage {tags['stage']} diverged: loss {loss} at step {len(step_log)} "
                         f"(epoch {epoch}, lr {lr:g})"
                     )
-                stepped = dc.sgd_step(
-                    {"mixer": params.mixer, "head": params.head},
-                    {"mixer": g_mixer, "head": g_head},
-                    lr,
-                )
+                stepped = dc.sgd_step({"mixer": params.mixer, "head": params.head},
+                                      {"mixer": g_mixer, "head": g_head}, lr)
                 head_before = params.head
                 params.mixer, params.head = stepped["mixer"], stepped["head"]
                 entry["loss"] = loss
@@ -187,7 +189,7 @@ def train_stage1(
     params, curve, step_log = _sgd_loop(
         mdl.init_params(manifest.d_in, cfg.mixer_width, m, seeds["init"]),
         rows80, cfg.stage1_epochs, cfg.sgd_stage1, cfg.batch_size, seeds["shuffle1"],
-        {"stage": 1}, _bce_objective(mdl.pool_pixels(feats), labels),
+        {"stage": 1}, _bce_objective(mdl.pool_pixels(feats), dc.as_f64(labels)),
     )
 
     if pinned is None:
@@ -205,13 +207,8 @@ def train_stage1(
                 score = float("nan")
             scored.append(bias_mod.BiasPair(b, c, score))
         pair_set = bias_mod.BiasPairSet(scored)
-    return TrainArtifacts(
-        params=params,
-        pairs=pair_set,
-        loss_curve=curve,
-        step_log=step_log,
-        seeds=seeds,
-    )
+    return TrainArtifacts(params=params, pairs=pair_set, loss_curve=curve, step_log=step_log,
+                          seeds=seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +278,11 @@ def train_stage2(
     if cfg.method == "split_biased":
         category_map = split_biased_map(pair_tuples, len(manifest.categories))
         extra_rng = np.random.default_rng(artifacts.seeds["extra"])
-        extra = extra_rng.uniform(
-            -1.0, 1.0, size=(params.d, len(pair_tuples))
-        ) / np.sqrt(params.d)
+        extra = extra_rng.uniform(-1.0, 1.0, size=(params.d, len(pair_tuples))) / np.sqrt(params.d)
         params = replace(params, head=np.concatenate([params.head, extra], axis=1))
 
     feats, labels = data.load_arrays(work)
+    labels = dc.as_f64(labels)  # the objectives' targets, converted once
     pooled = mdl.pool_pixels(feats)
     n, m = labels.shape
 
@@ -310,13 +306,14 @@ def train_stage2(
             # grounding compares against the maps of the weights stage 2 starts from
             snapshot = losses.CamSnapshot(artifacts.params, pair_tuples)
             frozen_all = snapshot.table(feats, cfg.batch_size)
+        # the CAM terms read only the rows in which some pair co-occurs
+        cooccur = np.logical_or.reduce([bias_mod.pair_masks(labels, *p)[0] for p in pair_tuples])
 
         def objective(params, idx, entry):
-            frozen = None if frozen_all is None else {k: v[idx] for k, v in frozen_all.items()}
-            return losses.cam_objective(
-                params, pooled[idx], feats[idx], labels[idx], pair_tuples, frozen,
-                cfg.lambda1, cfg.lambda2,
-            )
+            rows = idx[cooccur[idx]]
+            frozen = None if frozen_all is None else {k: v[rows] for k, v in frozen_all.items()}
+            return losses.cam_objective(params, pooled[idx], feats[rows], labels[idx], pair_tuples,
+                                        frozen, cfg.lambda1, cfg.lambda2)
     elif cfg.method == "ours_feature_split":
         buffer = losses.RunningMeanBuffer(width=params.d // 2)
         alpha = losses.alpha_weights(labels, pair_tuples, cfg.alpha_min)
@@ -332,13 +329,9 @@ def train_stage2(
 
         def after_step(entry, head_before, head_after):
             rows = params.context_rows
-            entry["ctx_rows_delta"] = float(
-                np.linalg.norm(head_after[rows] - head_before[rows])
-            )
+            entry["ctx_rows_delta"] = float(np.linalg.norm(head_after[rows] - head_before[rows]))
     elif cfg.method == "weighted_loss":
-        weights_all = np.repeat(
-            np.where(excl_all, float(cfg.weighted_factor), 1.0)[:, None], m, axis=1
-        )
+        weights_all = np.repeat(np.where(excl_all, cfg.weighted_factor, 1.0)[:, None], m, axis=1)
         objective = weighted_bce
     elif cfg.method == "negative_penalty":
         weights_all = np.ones((n, m))
@@ -352,14 +345,8 @@ def train_stage2(
         cfg.batch_size, artifacts.seeds["shuffle2"], {"stage": 2, "method": cfg.method},
         objective, after_step,
     )
-    return TrainArtifacts(
-        params=params,
-        pairs=artifacts.pairs,
-        loss_curve=artifacts.loss_curve + curve,
-        step_log=artifacts.step_log + step_log,
-        seeds=artifacts.seeds,
-        category_map=category_map,
-    )
+    return replace(artifacts, params=params, loss_curve=artifacts.loss_curve + curve,
+                   step_log=artifacts.step_log + step_log, category_map=category_map)
 
 
 def run_training(

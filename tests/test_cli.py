@@ -244,7 +244,16 @@ def test_train_rejects_bad_config(ws, tmp_path, capsys, doc, sets, named):
     ("freq_threshold=1.0", "freq_threshold must be in (0, 1)"),
     ("lambda2=-0.5", "lambda1 and lambda2 must be nonnegative"),
     ("alpha_min=1.0", "alpha_min must exceed 1"),
-], ids=["k", "freq_threshold", "lambda", "alpha_min"])
+    ("weighted_factor=-5", "weighted_factor and negative_penalty_weight must be positive"),
+    ("weighted_factor=NaN", "weighted_factor must be finite, got nan"),
+    ("negative_penalty_weight=0", "weighted_factor and negative_penalty_weight must be positive"),
+    ("mixer_width=0", "mixer_width must be even and at least 2"),
+    ("lambda1=NaN", "lambda1 must be finite, got nan"),
+    ("alpha_min=NaN", "alpha_min must be finite, got nan"),
+    ('sgd_stage2={"initial_lr": Infinity, "decay_factor": 0.1, "decay_every": 5}',
+     "initial_lr must be positive and finite"),
+], ids=["k", "freq_threshold", "lambda", "alpha_min", "weighted_factor", "weighted_factor_nan",
+        "negative_penalty_weight", "mixer_width", "lambda1_nan", "alpha_min_nan", "initial_lr_inf"])
 def test_train_checks_config_ranges_before_training(
     ws, tmp_path, capsys, monkeypatch, setting, named
 ):

@@ -7,6 +7,7 @@ from debias import diffcore as dc
 from debias import losses, model, train
 
 LN2 = math.log(2.0)
+RNG = np.random.default_rng
 
 
 def make_params(seed=0, d_in=4, d=6, m=4):
@@ -195,6 +196,121 @@ def test_exclusive_mask_or_semantics():
 
 
 # ---------------------------------------------------------------------------
+# peak normalization of activation maps
+
+
+def test_peak_normalize_relu_passes_nothing_at_or_below_zero():
+    # the relu inside map normalization passes nothing at or below zero
+    x = np.array([[-1.0, 0.0, 2.0]])
+    g = losses.peak_normalize(x)[1](np.full((1, 3), 1.0 / 3.0))
+    assert g[0, 0] == 0.0 and g[0, 1] == 0.0
+    assert g[0, 2] > 0.0
+
+
+@pytest.mark.parametrize(
+    "raw,expect",
+    [
+        ([[-1.0], [3.0]], [[0.0], [3.0 / (3.0 + 1e-8)]]),
+        ([[0.0], [0.0]], [[0.0], [0.0]]),
+        ([[-2.0], [-0.5]], [[0.0], [0.0]]),
+    ],
+)
+def test_peak_normalize_clears_nonpositive_pixels(raw, expect):
+    # one two-pixel map per case
+    got, _ = losses.peak_normalize(np.array(raw).T)
+    assert np.allclose(got, np.array(expect).T, rtol=0, atol=1e-12)
+
+
+def test_peak_normalize_divides_each_map_by_its_own_max():
+    # four maps of two pixels: each map by its own max
+    got, _ = losses.peak_normalize(np.array([[1.0, 2.0], [8.0, 4.0], [4.0, 8.0], [1.0, 2.0]]))
+    assert np.max(np.abs(got - [[0.5, 1.0], [1.0, 0.5], [0.5, 1.0], [0.5, 1.0]])) < 1e-7
+
+
+def test_peak_normalize_rows_equal_single_maps():
+    # stacked maps normalize exactly as each map does on its own
+    rng = RNG(18)
+    stacked = rng.normal(size=(3, 6))
+    out, _ = losses.peak_normalize(stacked)
+    for i in range(3):
+        r = np.maximum(stacked[i], 0.0)
+        assert np.array_equal(out[i], r / (r.max() + 1e-8))
+        assert np.array_equal(out[i : i + 1], losses.peak_normalize(stacked[i : i + 1])[0])
+
+
+def test_peak_normalize_splits_peak_cotangent_over_ties():
+    # a map max shared by two pixels passes half of its cotangent to each
+    a = np.array([[1.0, 3.0, 3.0], [2.0, 5.0, 0.0]])
+    g = np.arange(1.0, 7.0).reshape(2, 3)
+    got = losses.peak_normalize(a)[1](g)
+    d = np.array([[3.0 + 1e-8], [5.0 + 1e-8]])
+    quotient = g / d
+    share = (-g * a / (d * d)).sum(axis=1, keepdims=True)
+    want = quotient + np.array([[0.0, 0.5, 0.5], [0.0, 1.0, 0.0]]) * share
+    want[1, 2] = 0.0  # relu kink at zero
+    assert np.array_equal(got, want)
+
+
+def test_peak_normalize_rejects_bad_shapes():
+    with pytest.raises(ValueError):  # maps come as (n, P) rows
+        losses.peak_normalize(np.ones(4))
+    _, backward = losses.peak_normalize(np.ones((2, 2)))
+    with pytest.raises(ValueError):  # a cotangent of another shape
+        backward(np.ones((2, 3)))
+    with pytest.raises(ValueError):  # not even a broadcastable one
+        backward(np.ones((2, 1)))
+
+
+def test_peak_normalize_gradient_checks_out_with_distinct_maxima():
+    # peak normalization of six four-pixel maps; distinct positive entries
+    # keep map maxima unique under perturbation (a map whose only positive
+    # entry is its max has a gradient near 1e-9, below the central-difference
+    # noise)
+    rng = RNG(11)
+    base = rng.permutation(np.linspace(0.2, 2.0, 24)).reshape(6, 4)
+    weights = rng.uniform(0.5, 1.5, size=(6, 4))
+
+    def value(p):
+        return np.mean(losses.peak_normalize(p["f"])[0] * weights)
+
+    grads = {"f": losses.peak_normalize(base)[1](weights / weights.size)}
+    assert dc.finite_diff_check(value, {"f": base}, grads, eps=1e-5) < 1e-6
+
+
+def test_peak_normalize_gradient_checks_out_with_negative_pixels():
+    # relu(x) / (max(relu(x)) + 1e-8) per map, the map normalization
+    rng = RNG(13)
+    x = rng.uniform(-2.0, 2.0, size=(2, 6))
+    x[np.abs(x) < 0.1] = 0.5  # keep clear of the relu kink
+    x[0, 3] = 3.0  # unique map maxima, stable under eps-perturbation
+    x[1, 1] = 4.0
+
+    def value(p):
+        return np.mean(losses.peak_normalize(p["x"])[0])
+
+    grads = {"x": losses.peak_normalize(x)[1](np.full((2, 6), 1.0 / 12))}
+    assert dc.finite_diff_check(value, {"x": x}, grads, eps=1e-5) < 1e-6
+
+
+def test_peak_normalize_stack_equals_each_slice_bit_for_bit():
+    # cam_terms normalizes a (2, n, P) stack of biased and context maps at
+    # once; every reduction runs over the pixel axis, so each (n, P) slice
+    # reads exactly as it would alone, forward and backward
+    rng = RNG(41)
+    raw = rng.normal(size=(2, 37, 64))
+    raw[0, 3, [5, 9]] = raw[0, 3].max() + 1.0  # a tied peak
+    raw[1, 4] = -np.abs(raw[1, 4])  # a map with no positive pixel
+    raw[1, 5, 7] = 0.0  # a pixel on the relu kink
+    g = rng.normal(size=raw.shape)
+    maps, backward = losses.peak_normalize(raw)
+    g_raw = backward(g)
+    for role in (0, 1):
+        want_maps, want_backward = losses.peak_normalize(raw[role])
+        assert maps[role].tobytes() == want_maps.tobytes()
+        assert g_raw[role].tobytes() == want_backward(g[role]).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # CAM losses
 
 
@@ -317,10 +433,11 @@ def test_total_loss_degenerates_to_bce():
     pooled = model.pool_pixels(rows)
     t = np.array([[1.0, 0.0, 1.0, 0.0]])
     snap = losses.CamSnapshot(params, [(0, 1)])
-    frozen = snap.table(rows, 64)
+    # (0, 1) does not co-occur, so the CAM terms get no pixel rows or maps
+    frozen = {k: v[:0] for k, v in snap.table(rows, 64).items()}
     plain = losses.bce_objective(params, pooled, t)
-    for lam1, lam2 in ((0.0, 0.0), (0.1, 0.01)):  # (0, 1) does not co-occur
-        total = losses.cam_objective(params, pooled, rows, t, [(0, 1)], frozen, lam1, lam2)
+    for lam1, lam2 in ((0.0, 0.0), (0.1, 0.01)):
+        total = losses.cam_objective(params, pooled, rows[:0], t, [(0, 1)], frozen, lam1, lam2)
         assert total[0] == plain[0]
         assert total[1].tobytes() == plain[1].tobytes()
         assert total[2].tobytes() == plain[2].tobytes()
@@ -370,10 +487,11 @@ def test_cam_objective_matches_numpy_recomputation():
     )
     pairs = [(0, 1), (2, 3)]
     snap = losses.CamSnapshot(model.init_params(5, 6, 4, 32), pairs)
-    frozen = snap.table(feats, 4)
+    cooccur = np.array([True, True, True, False, True, True])  # sample 3: no pair
+    frozen = {k: v[cooccur] for k, v in snap.table(feats, 4).items()}
     lam1, lam2 = 0.7, 0.3
     got, _, _ = losses.cam_objective(
-        params, model.pool_pixels(feats), feats, t, pairs, frozen, lam1, lam2
+        params, model.pool_pixels(feats), feats[cooccur], t, pairs, frozen, lam1, lam2
     )
 
     def normalized(raw):
@@ -451,11 +569,106 @@ def test_grounding_is_exactly_zero_against_own_snapshot():
         for k in (b, c):
             live, _ = losses.peak_normalize(losses.cam_maps(params, feats[idx][local], k))
             assert not (frozen[k][local] - live).any()
-    ground, _, g_mixer, g_head = losses.cam_terms(params, feats[idx], t[idx], pairs, frozen, 0.0, 1.0)
+    rows = idx[np.logical_or.reduce([(t[idx, b] == 1) & (t[idx, c] == 1) for b, c in pairs])]
+    frozen = {k: v[rows] for k, v in table.items()}
+    ground, _, g_mixer, g_head = losses.cam_terms(params, feats[rows], t[idx], pairs, frozen, 0.0, 1.0)
     assert ground == 0.0 and not g_mixer.any() and not g_head.any()
     pooled = model.pool_pixels(feats)[idx]
-    total = losses.cam_objective(params, pooled, feats[idx], t[idx], pairs, frozen, 0.0, 1.0)
+    total = losses.cam_objective(params, pooled, feats[rows], t[idx], pairs, frozen, 0.0, 1.0)
     assert total[0] == losses.bce_objective(params, pooled, t[idx])[0]
+
+
+def cam_terms_per_pair(params, pixel_rows, targets, pairs, frozen, lambda1, lambda2):
+    """(overlap, grounding, g_mixer, g_head) of the CAM terms, pair by pair and map by map.
+
+    The loop cam_terms replaced: `pixel_rows` and `frozen` hold the whole
+    batch, each pair gathers its co-occurring rows and normalizes its two
+    maps on their own, and the gradients add last pair first, the context
+    map before the biased map, each outer product a matrix product.
+    """
+    maps, overlap, ground = [], [], []
+    for b, c in pairs:
+        local = np.flatnonzero((targets[:, b] == 1) & (targets[:, c] == 1))
+        if local.size == 0 or lambda1 == lambda2 == 0:
+            continue
+        x = np.asarray(pixel_rows[local], dtype=np.float64)
+        live, backward = {}, {}
+        for k in (b, c):
+            live[k], backward[k] = losses.peak_normalize(losses.cam_maps(params, x, k))
+        diff = {k: frozen[k][local] - live[k] for k in (b, c)} if lambda2 > 0 else {}
+        if lambda1 > 0:
+            overlap.append(live[b] * live[c])
+        if diff:
+            ground.append(np.abs(diff[b]) + np.abs(diff[c]))
+        maps.append((x, (b, c), live, backward, diff))
+    g_overlap = float(lambda1) / sum(o.size for o in overlap) if overlap else 0.0
+    g_ground = float(lambda2) / sum(o.size for o in ground) if ground else 0.0
+    g_mixer, g_head = np.zeros(params.mixer.shape), np.zeros(params.head.shape)
+    for x, (b, c), live, backward, diff in reversed(maps):
+        rows = x.reshape(-1, x.shape[2])
+        for k, other in ((c, b), (b, c)):
+            g_map = g_ground * np.sign(diff[k]) * -1.0 if diff else 0.0
+            if overlap:
+                g_map = g_map + g_overlap * live[other]
+            g_column = rows.T @ backward[k](g_map).reshape(-1, 1)
+            g_mixer += g_column @ params.head[:, [k]].T
+            g_head[:, [k]] += params.mixer.T @ g_column
+    means = [float(np.mean(np.concatenate(p))) if p else 0.0 for p in (overlap, ground)]
+    return (*means, g_mixer, g_head)
+
+
+def stage2_like_batch(seed, pairs, n=64):
+    """Stage-1-sized weights, float32 maps, labels, and a snapshot of other weights."""
+    rng = RNG(seed)
+    params = make_params(seed=seed, d_in=32, d=64, m=6)
+    feats = rng.normal(size=(n, 64, 32)).astype(np.float32)
+    t = (rng.random((n, 6)) < 0.5).astype(float)
+    t[:, 5] = 0.0  # category 5 never co-occurs with anything
+    snap = losses.CamSnapshot(make_params(seed=seed + 100, d_in=32, d=64, m=6), pairs)
+    return params, feats, t, snap
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0, 1), (2, 3)],
+    [(0, 1), (2, 1)],  # two pairs share their context category
+    [(0, 1), (1, 2), (3, 4)],  # a category is biased in one pair, context in another
+    [(0, 5), (2, 3)],  # the first pair has no co-occurring row
+], ids=["disjoint", "shared_context", "chained", "empty_pair"])
+@pytest.mark.parametrize("lambdas", [(5.0, 0.01), (0.0, 1.0), (1.0, 0.0)],
+                         ids=["both", "lambda1_zero", "lambda2_zero"])
+def test_cam_terms_equal_per_pair_loop_bit_for_bit(pairs, lambdas):
+    params, feats, t, snap = stage2_like_batch(50, pairs)
+    table = snap.table(feats, 64)
+    want = cam_terms_per_pair(params, feats, t, pairs, table, *lambdas)
+    rows = np.logical_or.reduce([(t[:, b] == 1) & (t[:, c] == 1) for b, c in pairs])
+    got = losses.cam_terms(params, feats[rows], t, pairs, {k: v[rows] for k, v in table.items()},
+                           *lambdas)
+    assert got[0] == want[0] and got[1] == want[1]
+    assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+    assert (got[0] > 0) == (lambdas[0] > 0) and (got[1] > 0) == (lambdas[1] > 0)
+
+
+def test_cam_terms_ignore_rows_that_cooccur_for_no_pair():
+    # the terms are means over each pair's co-occurring rows, so dropping the
+    # batch's other rows (from the targets; the pixel rows never had them)
+    # changes no bit
+    pairs = [(0, 1), (2, 3)]
+    params, feats, t, snap = stage2_like_batch(60, pairs)
+    rows = np.logical_or.reduce([(t[:, b] == 1) & (t[:, c] == 1) for b, c in pairs])
+    assert 0 < rows.sum() < len(t)
+    frozen = {k: v[rows] for k, v in snap.table(feats, 64).items()}
+    whole = losses.cam_terms(params, feats[rows], t, pairs, frozen, 5.0, 0.01)
+    kept = losses.cam_terms(params, feats[rows], t[rows], pairs, frozen, 5.0, 0.01)
+    assert whole[:2] == kept[:2]
+    assert whole[2].tobytes() == kept[2].tobytes() and whole[3].tobytes() == kept[3].tobytes()
+
+
+def test_cam_terms_refuse_pixel_rows_of_the_whole_batch():
+    # pixel rows are the co-occurring rows only; a whole batch that holds
+    # other rows does not line up with the pairs' rows
+    params, feats, t, snap = stage2_like_batch(61, [(0, 1), (2, 3)], n=8)
+    with pytest.raises(ValueError, match="pixel rows"):
+        losses.cam_terms(params, feats, t, [(0, 1), (2, 3)], snap.table(feats, 8), 5.0, 0.01)
 
 
 # ---------------------------------------------------------------------------

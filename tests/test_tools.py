@@ -1,0 +1,46 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result(attempted, failed, **values):  # one bench/run.py result object
+    return {"correct": failed == 0, "attempted": attempted, "failed": failed,
+            "metrics": {k: {"value": v} for k, v in values.items()}}
+
+
+def test_bench_pairs_parses_seed_ranges_and_lists():
+    bench_pairs = load_tool("bench_pairs")
+    assert bench_pairs.parse_seeds("501-504") == [501, 502, 503, 504]
+    assert bench_pairs.parse_seeds("7,3,9") == [7, 3, 9]
+
+
+def test_bench_pairs_table_counts_wins_by_direction():
+    # wins are counted pair by pair in each metric's better direction, ties
+    # for neither side; each side's quartiles are its own
+    bench_pairs = load_tool("bench_pairs")
+    metrics = [{"name": "run_s", "better": "lower"}, {"name": "rate", "better": "higher"}]
+    base = [result(20, 0, run_s=s, rate=r) for s, r in ((3.0, 10.0), (2.0, 20.0), (4.0, 30.0))]
+    change = [result(22, 1, run_s=s, rate=r) for s, r in ((2.0, 10.0), (2.0, 25.0), (3.0, 40.0))]
+    lines = bench_pairs.table(metrics, base, change)
+    assert lines[1].split() == ["run_s", "3", "2", "-33.3%", "2.5", "3.5", "2", "2.5", "2/3"]
+    assert lines[2].split() == ["rate", "20", "25", "+25.0%", "15", "25", "17.5", "32.5", "2/3"]
+    assert lines[3] == "base: attempted 60, failed 0, correct 3/3 runs"
+    assert lines[4] == "change: attempted 66, failed 3, correct 0/3 runs"
+
+
+def test_bench_pairs_needs_two_seeds(capsys):
+    bench_pairs = load_tool("bench_pairs")
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--base", ".", "--change", ".", "--workload", "paper-cell",
+                          "--seeds", "5"])
+    assert "at least two seeds" in capsys.readouterr().err
