@@ -120,8 +120,10 @@ def exclusive_mask(labels, pairs) -> np.ndarray:
     co-occurs for another pair: the context half must never train on context
     evidence for any biased category.
     """
-    excl = [bias_mod.pair_masks(labels, b, c)[1] for b, c in pairs]
-    return np.logical_or.reduce([np.zeros(len(labels), bool), *excl])
+    mask = np.zeros(len(labels), dtype=bool)
+    for b, c in pairs:
+        mask |= bias_mod.pair_masks(labels, b, c)[1]
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -208,27 +210,25 @@ def cam_terms(params, pixel_rows, targets, pairs, frozen, lambda1, lambda2) -> t
 
     Per pair, the terms cover the samples labeled with both categories:
     overlap is the pixelwise product of its two normalized maps, grounding
-    |frozen map - live map| summed over both. `targets` is the (n, M) batch;
-    `pixel_rows` (n_any, P, D_in) and `frozen`'s {category: (n_any, P)} maps
-    (CamSnapshot.table; None when lambda2 is 0) hold only its rows in which
-    some pair co-occurs, in batch order. A term with weight 0, or without
-    samples, reads 0; the gradients are those of lambda1 * overlap + lambda2 *
-    grounding. The maps form one (2, n_co, P) stack, biased then context map,
-    pairs in order along axis 1: one peak_normalize serves all of them, and
-    overlap's cotangent is live[::-1].
+    |frozen map - live map| summed over both. `pixel_rows` (n, P, D_in),
+    `targets` (n, M) and `frozen`'s {category: (n, P)} maps (CamSnapshot.table;
+    None when lambda2 is 0) hold the same samples; one in which no pair
+    co-occurs adds nothing. A term with weight 0, or without samples, reads 0;
+    the gradients are those of lambda1 * overlap + lambda2 * grounding. The
+    maps form one (2, n_co, P) stack, biased then context map, pairs in order
+    along axis 1: one peak_normalize serves all of them, and overlap's
+    cotangent is live[::-1].
     """
     if lambda2 > 0 and frozen is None:
         raise ValueError("grounding needs the frozen stage-1 maps")
-    co = [bias_mod.pair_masks(targets, b, c)[0] for b, c in pairs]
-    any_co = np.logical_or.reduce([np.zeros(len(targets), bool), *co])
-    if len(pixel_rows) != np.count_nonzero(any_co):
-        raise ValueError("cam_terms: pixel rows must be the batch's rows where some pair co-occurs")
+    if len(pixel_rows) != len(targets):
+        raise ValueError(f"cam_terms: {len(pixel_rows)} pixel rows vs {len(targets)} targets")
     g_mixer, g_head = np.zeros(params.mixer.shape), np.zeros(params.head.shape)
-    if lambda1 == lambda2 == 0 or not len(pixel_rows):
+    # each pair's co-occurring rows, and its slice of the stack (empty adds nothing)
+    local = [np.flatnonzero(bias_mod.pair_masks(targets, b, c)[0]) for b, c in pairs]
+    ends = np.cumsum([i.size for i in local], dtype=int)
+    if lambda1 == lambda2 == 0 or not ends.any():
         return 0.0, 0.0, g_mixer, g_head
-    # each pair's rows among pixel_rows, and its slice of the stack (empty adds nothing)
-    local = [np.flatnonzero(m[any_co]) for m in co]
-    ends = np.cumsum([i.size for i in local])
     segments = [(b, c, i, slice(e - i.size, e)) for (b, c), i, e in zip(pairs, local, ends)]
     x = dc.as_f64(pixel_rows[np.concatenate(local)])
     raw = np.empty((2, len(x), x.shape[1]))
@@ -261,17 +261,21 @@ def cam_terms(params, pixel_rows, targets, pairs, frozen, lambda1, lambda2) -> t
 
 
 def cam_objective(
-    params, pooled_rows, pixel_rows, targets, pairs, frozen, lambda1, lambda2
+    params, pooled_rows, pixel_rows, targets, pairs, frozen, lambda1, lambda2, rows=None
 ) -> tuple:
     """(loss, g_mixer, g_head) of BCE + lambda1 * mean overlap + lambda2 * mean grounding.
 
-    `pooled_rows` are the batch's (n, D_in) pooled rows; see cam_terms for
-    `pixel_rows`, `frozen` and the CAM terms. Plain BCE when no sample
-    co-occurs or both weights are 0.
+    `pooled_rows` and `targets` are the batch's (n, D_in) pooled rows and
+    (n, M) targets. `pixel_rows` and `frozen` hold the batch's samples at the
+    indices `rows`, or all of them when `rows` is None; leaving out samples in
+    which no pair co-occurs changes no bit (see cam_terms). Plain BCE when no
+    sample co-occurs or both weights are 0.
     """
     loss, g_mixer, g_head = bce_objective(params, pooled_rows, targets)
-    overlap, ground, cam_mixer, cam_head = cam_terms(params, pixel_rows, targets, pairs, frozen,
-                                                     lambda1, lambda2)
+    overlap, ground, cam_mixer, cam_head = cam_terms(
+        params, pixel_rows, targets if rows is None else targets[rows], pairs, frozen,
+        lambda1, lambda2,
+    )
     return (loss + overlap * lambda1) + ground * lambda2, cam_mixer + g_mixer, cam_head + g_head
 
 

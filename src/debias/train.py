@@ -145,8 +145,11 @@ def _sgd_loop(
                         f"stage {tags['stage']} diverged: loss {loss} at step {len(step_log)} "
                         f"(epoch {epoch}, lr {lr:g})"
                     )
-                stepped = dc.sgd_step({"mixer": params.mixer, "head": params.head},
-                                      {"mixer": g_mixer, "head": g_head}, lr)
+                stepped = dc.sgd_step(
+                    {"mixer": params.mixer, "head": params.head},
+                    {"mixer": g_mixer, "head": g_head},
+                    lr,
+                )
                 head_before = params.head
                 params.mixer, params.head = stepped["mixer"], stepped["head"]
                 entry["loss"] = loss
@@ -207,8 +210,13 @@ def train_stage1(
                 score = float("nan")
             scored.append(bias_mod.BiasPair(b, c, score))
         pair_set = bias_mod.BiasPairSet(scored)
-    return TrainArtifacts(params=params, pairs=pair_set, loss_curve=curve, step_log=step_log,
-                          seeds=seeds)
+    return TrainArtifacts(
+        params=params,
+        pairs=pair_set,
+        loss_curve=curve,
+        step_log=step_log,
+        seeds=seeds,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +286,9 @@ def train_stage2(
     if cfg.method == "split_biased":
         category_map = split_biased_map(pair_tuples, len(manifest.categories))
         extra_rng = np.random.default_rng(artifacts.seeds["extra"])
-        extra = extra_rng.uniform(-1.0, 1.0, size=(params.d, len(pair_tuples))) / np.sqrt(params.d)
+        extra = extra_rng.uniform(
+            -1.0, 1.0, size=(params.d, len(pair_tuples))
+        ) / np.sqrt(params.d)
         params = replace(params, head=np.concatenate([params.head, extra], axis=1))
 
     feats, labels = data.load_arrays(work)
@@ -310,10 +320,13 @@ def train_stage2(
         cooccur = np.logical_or.reduce([bias_mod.pair_masks(labels, *p)[0] for p in pair_tuples])
 
         def objective(params, idx, entry):
-            rows = idx[cooccur[idx]]
+            local = np.flatnonzero(cooccur[idx])
+            rows = idx[local]
             frozen = None if frozen_all is None else {k: v[rows] for k, v in frozen_all.items()}
-            return losses.cam_objective(params, pooled[idx], feats[rows], labels[idx], pair_tuples,
-                                        frozen, cfg.lambda1, cfg.lambda2)
+            return losses.cam_objective(
+                params, pooled[idx], feats[rows], labels[idx], pair_tuples, frozen,
+                cfg.lambda1, cfg.lambda2, local,
+            )
     elif cfg.method == "ours_feature_split":
         buffer = losses.RunningMeanBuffer(width=params.d // 2)
         alpha = losses.alpha_weights(labels, pair_tuples, cfg.alpha_min)
@@ -329,9 +342,13 @@ def train_stage2(
 
         def after_step(entry, head_before, head_after):
             rows = params.context_rows
-            entry["ctx_rows_delta"] = float(np.linalg.norm(head_after[rows] - head_before[rows]))
+            entry["ctx_rows_delta"] = float(
+                np.linalg.norm(head_after[rows] - head_before[rows])
+            )
     elif cfg.method == "weighted_loss":
-        weights_all = np.repeat(np.where(excl_all, cfg.weighted_factor, 1.0)[:, None], m, axis=1)
+        weights_all = np.repeat(
+            np.where(excl_all, float(cfg.weighted_factor), 1.0)[:, None], m, axis=1
+        )
         objective = weighted_bce
     elif cfg.method == "negative_penalty":
         weights_all = np.ones((n, m))
@@ -345,8 +362,14 @@ def train_stage2(
         cfg.batch_size, artifacts.seeds["shuffle2"], {"stage": 2, "method": cfg.method},
         objective, after_step,
     )
-    return replace(artifacts, params=params, loss_curve=artifacts.loss_curve + curve,
-                   step_log=artifacts.step_log + step_log, category_map=category_map)
+    return TrainArtifacts(
+        params=params,
+        pairs=artifacts.pairs,
+        loss_curve=artifacts.loss_curve + curve,
+        step_log=artifacts.step_log + step_log,
+        seeds=artifacts.seeds,
+        category_map=category_map,
+    )
 
 
 def run_training(

@@ -124,8 +124,7 @@ def test_cam_terms_of_two_pairs_is_count_weighted_mean():
     t[:1, 3] = 0.0  # pair (2, 3) covers 3 samples, pair (0, 1) all 4
     both = losses.cam_terms(params, feats, t, [(0, 1), (2, 3)], None, 1.0, 0.0)
     first = losses.cam_terms(params, feats, t, [(0, 1)], None, 1.0, 0.0)
-    # pixel rows are the rows in which some pair co-occurs: samples 1-3 here
-    second = losses.cam_terms(params, feats[1:], t, [(2, 3)], None, 1.0, 0.0)
+    second = losses.cam_terms(params, feats, t, [(2, 3)], None, 1.0, 0.0)
     assert both[0] == pytest.approx((4 * first[0] + 3 * second[0]) / 7, abs=1e-15)
     for i in (2, 3):
         want = (4 * first[i] + 3 * second[i]) / 7

@@ -433,11 +433,10 @@ def test_total_loss_degenerates_to_bce():
     pooled = model.pool_pixels(rows)
     t = np.array([[1.0, 0.0, 1.0, 0.0]])
     snap = losses.CamSnapshot(params, [(0, 1)])
-    # (0, 1) does not co-occur, so the CAM terms get no pixel rows or maps
-    frozen = {k: v[:0] for k, v in snap.table(rows, 64).items()}
+    frozen = snap.table(rows, 64)
     plain = losses.bce_objective(params, pooled, t)
-    for lam1, lam2 in ((0.0, 0.0), (0.1, 0.01)):
-        total = losses.cam_objective(params, pooled, rows[:0], t, [(0, 1)], frozen, lam1, lam2)
+    for lam1, lam2 in ((0.0, 0.0), (0.1, 0.01)):  # (0, 1) does not co-occur
+        total = losses.cam_objective(params, pooled, rows, t, [(0, 1)], frozen, lam1, lam2)
         assert total[0] == plain[0]
         assert total[1].tobytes() == plain[1].tobytes()
         assert total[2].tobytes() == plain[2].tobytes()
@@ -487,11 +486,10 @@ def test_cam_objective_matches_numpy_recomputation():
     )
     pairs = [(0, 1), (2, 3)]
     snap = losses.CamSnapshot(model.init_params(5, 6, 4, 32), pairs)
-    cooccur = np.array([True, True, True, False, True, True])  # sample 3: no pair
-    frozen = {k: v[cooccur] for k, v in snap.table(feats, 4).items()}
+    frozen = snap.table(feats, 4)
     lam1, lam2 = 0.7, 0.3
     got, _, _ = losses.cam_objective(
-        params, model.pool_pixels(feats), feats[cooccur], t, pairs, frozen, lam1, lam2
+        params, model.pool_pixels(feats), feats, t, pairs, frozen, lam1, lam2
     )
 
     def normalized(raw):
@@ -569,12 +567,10 @@ def test_grounding_is_exactly_zero_against_own_snapshot():
         for k in (b, c):
             live, _ = losses.peak_normalize(losses.cam_maps(params, feats[idx][local], k))
             assert not (frozen[k][local] - live).any()
-    rows = idx[np.logical_or.reduce([(t[idx, b] == 1) & (t[idx, c] == 1) for b, c in pairs])]
-    frozen = {k: v[rows] for k, v in table.items()}
-    ground, _, g_mixer, g_head = losses.cam_terms(params, feats[rows], t[idx], pairs, frozen, 0.0, 1.0)
+    ground, _, g_mixer, g_head = losses.cam_terms(params, feats[idx], t[idx], pairs, frozen, 0.0, 1.0)
     assert ground == 0.0 and not g_mixer.any() and not g_head.any()
     pooled = model.pool_pixels(feats)[idx]
-    total = losses.cam_objective(params, pooled, feats[rows], t[idx], pairs, frozen, 0.0, 1.0)
+    total = losses.cam_objective(params, pooled, feats[idx], t[idx], pairs, frozen, 0.0, 1.0)
     assert total[0] == losses.bce_objective(params, pooled, t[idx])[0]
 
 
@@ -640,9 +636,7 @@ def test_cam_terms_equal_per_pair_loop_bit_for_bit(pairs, lambdas):
     params, feats, t, snap = stage2_like_batch(50, pairs)
     table = snap.table(feats, 64)
     want = cam_terms_per_pair(params, feats, t, pairs, table, *lambdas)
-    rows = np.logical_or.reduce([(t[:, b] == 1) & (t[:, c] == 1) for b, c in pairs])
-    got = losses.cam_terms(params, feats[rows], t, pairs, {k: v[rows] for k, v in table.items()},
-                           *lambdas)
+    got = losses.cam_terms(params, feats, t, pairs, table, *lambdas)
     assert got[0] == want[0] and got[1] == want[1]
     assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
     assert (got[0] > 0) == (lambdas[0] > 0) and (got[1] > 0) == (lambdas[1] > 0)
@@ -650,25 +644,40 @@ def test_cam_terms_equal_per_pair_loop_bit_for_bit(pairs, lambdas):
 
 def test_cam_terms_ignore_rows_that_cooccur_for_no_pair():
     # the terms are means over each pair's co-occurring rows, so dropping the
-    # batch's other rows (from the targets; the pixel rows never had them)
-    # changes no bit
+    # batch's other rows from the pixel rows, targets and maps changes no bit
     pairs = [(0, 1), (2, 3)]
     params, feats, t, snap = stage2_like_batch(60, pairs)
     rows = np.logical_or.reduce([(t[:, b] == 1) & (t[:, c] == 1) for b, c in pairs])
     assert 0 < rows.sum() < len(t)
-    frozen = {k: v[rows] for k, v in snap.table(feats, 64).items()}
-    whole = losses.cam_terms(params, feats[rows], t, pairs, frozen, 5.0, 0.01)
-    kept = losses.cam_terms(params, feats[rows], t[rows], pairs, frozen, 5.0, 0.01)
+    table = snap.table(feats, 64)
+    whole = losses.cam_terms(params, feats, t, pairs, table, 5.0, 0.01)
+    kept = losses.cam_terms(params, feats[rows], t[rows], pairs,
+                            {k: v[rows] for k, v in table.items()}, 5.0, 0.01)
     assert whole[:2] == kept[:2]
     assert whole[2].tobytes() == kept[2].tobytes() and whole[3].tobytes() == kept[3].tobytes()
 
 
-def test_cam_terms_refuse_pixel_rows_of_the_whole_batch():
-    # pixel rows are the co-occurring rows only; a whole batch that holds
-    # other rows does not line up with the pairs' rows
+def test_cam_objective_reads_pixel_rows_of_the_given_samples():
+    # training passes the pixel rows and maps of the co-occurring samples
+    # only, with their indices in the batch; BCE still sees the whole batch
+    pairs = [(0, 1), (2, 3)]
+    params, feats, t, snap = stage2_like_batch(62, pairs)
+    local = np.flatnonzero(np.logical_or.reduce([(t[:, b] == 1) & (t[:, c] == 1) for b, c in pairs]))
+    assert 0 < local.size < len(t)
+    table = snap.table(feats, 64)
+    pooled = model.pool_pixels(feats)
+    whole = losses.cam_objective(params, pooled, feats, t, pairs, table, 5.0, 0.01)
+    kept = losses.cam_objective(params, pooled, feats[local], t, pairs,
+                                {k: v[local] for k, v in table.items()}, 5.0, 0.01, local)
+    assert whole[0] == kept[0]
+    assert whole[1].tobytes() == kept[1].tobytes() and whole[2].tobytes() == kept[2].tobytes()
+
+
+def test_cam_terms_refuse_pixel_rows_and_targets_of_other_samples():
+    # pixel rows and targets must cover the same samples
     params, feats, t, snap = stage2_like_batch(61, [(0, 1), (2, 3)], n=8)
     with pytest.raises(ValueError, match="pixel rows"):
-        losses.cam_terms(params, feats, t, [(0, 1), (2, 3)], snap.table(feats, 8), 5.0, 0.01)
+        losses.cam_terms(params, feats[:5], t, [(0, 1), (2, 3)], snap.table(feats, 8), 5.0, 0.01)
 
 
 # ---------------------------------------------------------------------------

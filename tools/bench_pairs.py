@@ -2,10 +2,11 @@
 
 Usage:
     python3 tools/bench_pairs.py --base ../parent --change . \
-        --workload paper-cell --seeds 501-510 [--seconds 10]
+        --workload paper-cell --seeds 501-510
 
 For each seed it runs `bench/run.py --workload W --seed S --seconds T
---trace 0` once in each checkout, alternating which side runs first (the
+--trace 0` once in each checkout, with T the `run_seconds` of the change's
+BENCHMARK.json, alternating which side runs first (the
 base on pairs 1, 3, 5, ..., the change on the others), so drift on the box falls on
 both sides alike. It then prints, per end-to-end metric of the change's
 BENCHMARK.json: the median of each side, the relative move of the
@@ -74,19 +75,19 @@ def main(argv=None):
     p.add_argument("--change", required=True, type=Path, help="checkout with the change")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", required=True, type=parse_seeds, help="'501-510' or '1,4,9'")
-    p.add_argument("--seconds", type=float, default=10.0)
     args = p.parse_args(argv)
     if len(args.seeds) < 2:
         p.error("quartiles need at least two seeds")
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     base, change = [], []
     for i, seed in enumerate(args.seeds):
         sides = [(args.base, base), (args.change, change)]
         for checkout, out in sides if i % 2 == 0 else sides[::-1]:
-            out.append(run_once(checkout, args.workload, seed, args.seconds))
+            out.append(run_once(checkout, args.workload, seed, seconds))
         print(f"pair {i + 1}/{len(args.seeds)} (seed {seed}) done", file=sys.stderr, flush=True)
     print(f"{args.workload}: {len(args.seeds)} pairs, seeds {args.seeds[0]}-{args.seeds[-1]}, "
-          f"--seconds {args.seconds:g}, base first on pairs 1, 3, 5, ...")
+          f"--seconds {seconds:g}, base first on pairs 1, 3, 5, ...")
     print("\n".join(table(metrics, base, change)))
 
 
