@@ -210,14 +210,15 @@ def run_benchmark_cell(fraction, seed, methods, work_dir, overrides=None) -> Ben
 
 
 def overlap_on_cooccur(params, manifest, pairs) -> float:
-    """Mean normalized-map overlap over the co-occurring samples of `pairs`."""
-    feats, labels = data.load_arrays(manifest)
+    """Mean normalized-map overlap over the co-occurring samples of `pairs`, read alone."""
+    labels = manifest.label_matrix()
     parts = []
     for b, c in pairs:
         rows = np.flatnonzero(bias_mod.pair_masks(labels, b, c)[0])
         if rows.size == 0:
             continue
-        maps = [losses.peak_normalize(losses.cam_maps(params, feats[rows], k))[0] for k in (b, c)]
+        feats = data.load_maps(manifest, rows)
+        maps = [losses.peak_normalize(losses.cam_maps(params, feats, k))[0] for k in (b, c)]
         parts.append((maps[0] * maps[1]).ravel())
     if not parts:
         raise ValueError("no co-occurring samples for any pair")

@@ -9,8 +9,10 @@ binary label vector. Co-occurrence skew is planted explicitly: each
 countable after the fact.
 
 Store format: 4-byte magic ``DBL1`` then raw little-endian float32 values,
-row-major. Feature maps are held in float32 as stored; compute pools or
-widens them to float64.
+row-major. Stores are written and pooled BLOCK samples at a time: training
+and evaluation read pooled rows (load_pooled), and only the CAM terms read
+pixel maps (load_maps), of the samples they need, so no code path holds a
+whole store.
 """
 
 from __future__ import annotations
@@ -21,8 +23,11 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
+from . import model as mdl
+
 STORE_MAGIC = b"DBL1"
 F32 = np.dtype("<f4")
+BLOCK = 256  # samples per store read or write
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +174,44 @@ def _check_manifest(m: DatasetManifest):
         raise ValueError(f"sample {s.id}: labels must be the integers 0 or 1, got {s.labels}")
 
 
-def load_arrays(manifest: DatasetManifest):
-    """All feature maps as (N, H*W, D_in) float32 plus the (N, M) label matrix.
+def _read_samples(fh, path, samples, buf: np.ndarray) -> np.ndarray:
+    """The maps of `samples` in buf's leading rows: one read when they sit
+    back to back in the store, else one read per sample."""
+    out = buf[: len(samples)]
+    offsets = [s.offset for s in samples]
+    if offsets and offsets == list(range(offsets[0], offsets[0] + out.nbytes, buf[0].nbytes)):
+        _read_into(fh, path, offsets[0], out)
+    else:
+        for row, offset in zip(out, offsets):
+            _read_into(fh, path, offset, row)
+    return out
 
-    The maps stay in the store's precision; training pools them once per
-    stage (model.pool_pixels).
+
+def load_pooled(manifest: DatasetManifest) -> np.ndarray:
+    """(N, D_in) float64 pooled rows (model.pool_pixels) of every sample.
+
+    The maps pass BLOCK samples at a time through one reused float32 buffer,
+    so memory grows with N * D_in, not with the store. Pooling a block gives
+    each sample the bytes that pooling all maps at once gives.
     """
-    path = manifest.store_path()
-    p = manifest.h * manifest.w
-    feats = np.empty((len(manifest.samples), p, manifest.d_in), dtype=F32)
+    path, n = manifest.store_path(), len(manifest.samples)
+    buf = np.empty((min(BLOCK, n), manifest.h * manifest.w, manifest.d_in), dtype=F32)
+    pooled = np.empty((n, manifest.d_in))
     with _open_store(path) as fh:
-        for i, s in enumerate(manifest.samples):
-            _read_into(fh, path, s.offset, feats[i])
-    return feats, manifest.label_matrix()
+        for s in range(0, n, BLOCK):
+            pooled[s : s + BLOCK] = mdl.pool_pixels(
+                _read_samples(fh, path, manifest.samples[s : s + BLOCK], buf)
+            )
+    return pooled
+
+
+def load_maps(manifest: DatasetManifest, rows) -> np.ndarray:
+    """(len(rows), H*W, D_in) float32 pixel maps of the samples at indices `rows`, as stored."""
+    path = manifest.store_path()
+    samples = [manifest.samples[i] for i in rows]
+    maps = np.empty((len(samples), manifest.h * manifest.w, manifest.d_in), dtype=F32)
+    with _open_store(path) as fh:
+        return _read_samples(fh, path, samples, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -374,20 +404,27 @@ def generate_dataset(cfg: GenConfig, out_dir, split_tag="train") -> DatasetManif
         label_sets.append(set(rng.choice(allowed, size=count, replace=False).tolist()))
 
     sigs = np.array(cfg.signatures, dtype=np.float64)
+    present = np.zeros((len(label_sets), cfg.m), dtype=bool)
+    for i, cats in enumerate(label_sets):
+        present[i, sorted(cats)] = True
     store_name = f"{split_tag}.store"
-    samples = []
+    slot = cfg.h * cfg.w * cfg.d_in * F32.itemsize
     with open(os.path.join(out_dir, store_name), "wb") as store:
         store.write(STORE_MAGIC)
-        for i, present in enumerate(label_sets):
-            fmap = np.zeros((cfg.h, cfg.w, cfg.d_in), dtype=np.float64)
-            for k in sorted(present):
-                r0, c0, r1, c1 = cfg.regions[k]
-                fmap[r0:r1, c0:c1, :] += sigs[k]
+        for s in range(0, len(present), BLOCK):
+            has = present[s : s + BLOCK]
+            fmaps = np.zeros((len(has), cfg.h, cfg.w, cfg.d_in))
+            # each pixel adds its signatures in ascending category order, then
+            # its noise, drawn in sample order: the per-sample sums and stream
+            for k, (r0, c0, r1, c1) in enumerate(cfg.regions):
+                fmaps[has[:, k], r0:r1, c0:c1, :] += sigs[k]
             if cfg.noise_std > 0:
-                fmap += rng.normal(0.0, cfg.noise_std, size=fmap.shape)
-            labels = [1 if k in present else 0 for k in range(cfg.m)]
-            samples.append(SampleRef(f"s{i:06d}", store.tell(), labels))
-            store.write(fmap.astype(F32).tobytes())
+                fmaps += rng.normal(0.0, cfg.noise_std, size=fmaps.shape)
+            store.write(fmaps.astype(F32))
+    samples = [
+        SampleRef(f"s{i:06d}", len(STORE_MAGIC) + i * slot, row)
+        for i, row in enumerate(present.astype(int).tolist())
+    ]
 
     manifest = DatasetManifest(
         categories=[f"cat{k}" for k in range(cfg.m)],

@@ -169,8 +169,8 @@ def evaluate(
             f"{[list(e) for e in category_map]} need {m + len(category_map)}, "
             f"with every solo column in [{m}, {params.m})"
         )
-    feats, labels = data.load_arrays(manifest)
-    scores = adapted_scores(mdl.predict(params, feats), m, category_map)
+    labels = manifest.label_matrix()
+    scores = adapted_scores(mdl.predict(params, data.load_pooled(manifest)), m, category_map)
 
     rows = []
     for b, c in pairs:

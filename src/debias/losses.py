@@ -192,17 +192,17 @@ class CamSnapshot:
         return peak_normalize(cam_maps(self.params, feats, category))[0]
 
     def table(self, feats: np.ndarray, batch_size: int) -> dict:
-        """{category: (N, P) maps} for every tracked category.
+        """{category: (n, P) maps} of (n, P, D_in) pixel rows for every tracked category.
 
-        Built `batch_size` samples at a time, so the float64 copy that
-        cam_maps makes of the pixel rows (33 MB for a whole 2,000-sample
-        train set of 8x8x32 maps) never exists at once.
+        Training passes the rows in which some pair co-occurs. Built
+        `batch_size` samples at a time, so the float64 copy that cam_maps
+        makes of the pixel rows never exists at once.
         """
-        chunks = range(0, len(feats), batch_size)
-        return {
-            k: np.concatenate([self.rows(feats[s : s + batch_size], k) for s in chunks])
-            for k in self.categories
-        }
+        out = {k: np.empty(feats.shape[:2]) for k in self.categories}
+        for s in range(0, len(feats), batch_size):
+            for k in self.categories:
+                out[k][s : s + batch_size] = self.rows(feats[s : s + batch_size], k)
+        return out
 
 
 def cam_terms(params, pixel_rows, targets, pairs, frozen, lambda1, lambda2) -> tuple:

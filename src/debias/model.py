@@ -7,10 +7,10 @@ every spatial position), global average pooling, and a bias-free linear head
 during stage-2 training.
 
 A feature map is a (P, D_in) block of pixel rows, P = H*W. Pooling is linear,
-so training pools each set once and forwards (n, D_in) pooled rows; pixel
-rows meet the weights only where an activation map is needed. Everything
-here is plain numpy: the objectives in losses take the gradients of this
-forward pass in closed form.
+so data.load_pooled pools each store as it reads it, and training and
+evaluation forward (n, D_in) pooled rows; pixel rows meet the weights only
+where an activation map is needed. Everything here is plain numpy: the
+objectives in losses take the gradients of this forward pass in closed form.
 """
 
 from __future__ import annotations
@@ -96,9 +96,9 @@ def forward_batch(params: ModelParams, pooled_rows: np.ndarray) -> tuple:
     return mixed, mixed @ params.head
 
 
-def predict(params: ModelParams, feats: np.ndarray) -> np.ndarray:
-    """Sigmoid scores of (n, P, D_in) features, pooled first."""
-    return dc.sigmoid_values(forward_batch(params, pool_pixels(feats))[1])
+def predict(params: ModelParams, pooled_rows: np.ndarray) -> np.ndarray:
+    """Sigmoid scores of (n, D_in) pooled rows."""
+    return dc.sigmoid_values(forward_batch(params, pooled_rows)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -186,22 +186,22 @@ def train_stage1(
     if cfg.method == "split_biased" and len(set(biased)) < len(biased):
         # each pair gets its own solo column, named after its biased category
         raise ValueError(f"split_biased needs one pinned pair per biased category, got {pinned}")
-    feats, labels = data.load_arrays(manifest)
+    pooled, labels = data.load_pooled(manifest), manifest.label_matrix()
     seeds = _derive_seeds(cfg.seed)
     rows80, rows20 = data.split_80_20(len(manifest.samples), seeds["split"])
     params, curve, step_log = _sgd_loop(
         mdl.init_params(manifest.d_in, cfg.mixer_width, m, seeds["init"]),
         rows80, cfg.stage1_epochs, cfg.sgd_stage1, cfg.batch_size, seeds["shuffle1"],
-        {"stage": 1}, _bce_objective(mdl.pool_pixels(feats), dc.as_f64(labels)),
+        {"stage": 1}, _bce_objective(pooled, dc.as_f64(labels)),
     )
 
     if pinned is None:
         pair_set = bias_mod.select_biased_pairs(
-            mdl.predict(params, feats[rows20]), labels[rows20],
+            mdl.predict(params, pooled[rows20]), labels[rows20],
             k=cfg.k, freq_threshold=cfg.freq_threshold,
         )
     else:
-        preds = mdl.predict(params, feats)
+        preds = mdl.predict(params, pooled)
         scored = []
         for b, c in pinned:
             try:
@@ -291,9 +291,8 @@ def train_stage2(
         ) / np.sqrt(params.d)
         params = replace(params, head=np.concatenate([params.head, extra], axis=1))
 
-    feats, labels = data.load_arrays(work)
-    labels = dc.as_f64(labels)  # the objectives' targets, converted once
-    pooled = mdl.pool_pixels(feats)
+    pooled = data.load_pooled(work)
+    labels = dc.as_f64(work.label_matrix())  # the objectives' targets, converted once
     n, m = labels.shape
 
     # the method's objective, chosen once; each weighted method fills one
@@ -311,20 +310,25 @@ def train_stage2(
 
     objective = _bce_objective(pooled, labels)  # standard, possibly on a transformed set
     if cfg.method == "ours_cam":
+        # the CAM terms read pixel maps of the rows in which some pair
+        # co-occurs, and only those are loaded; slot[i] is row i's place in
+        # maps, -1 for the rest
+        cooccur = np.logical_or.reduce([bias_mod.pair_masks(labels, *p)[0] for p in pair_tuples])
+        maps = data.load_maps(work, np.flatnonzero(cooccur))
+        slot = np.full(n, -1)
+        slot[cooccur] = np.arange(len(maps))
         frozen_all = None
         if cfg.lambda2 > 0:
             # grounding compares against the maps of the weights stage 2 starts from
             snapshot = losses.CamSnapshot(artifacts.params, pair_tuples)
-            frozen_all = snapshot.table(feats, cfg.batch_size)
-        # the CAM terms read only the rows in which some pair co-occurs
-        cooccur = np.logical_or.reduce([bias_mod.pair_masks(labels, *p)[0] for p in pair_tuples])
+            frozen_all = snapshot.table(maps, cfg.batch_size)
 
         def objective(params, idx, entry):
             local = np.flatnonzero(cooccur[idx])
-            rows = idx[local]
-            frozen = None if frozen_all is None else {k: v[rows] for k, v in frozen_all.items()}
+            at = slot[idx[local]]
+            frozen = None if frozen_all is None else {k: v[at] for k, v in frozen_all.items()}
             return losses.cam_objective(
-                params, pooled[idx], feats[rows], labels[idx], pair_tuples, frozen,
+                params, pooled[idx], maps[at], labels[idx], pair_tuples, frozen,
                 cfg.lambda1, cfg.lambda2, local,
             )
     elif cfg.method == "ours_feature_split":

@@ -649,7 +649,7 @@ def test_rerun_byte_identical(ws, tmp_path):
 
 def test_audit_roundtrip(ws, tmp_path):
     man = data.load_manifest(str(ws / "dtrain" / "train.manifest.json"))
-    feats, labels = data.load_arrays(man)
+    labels = man.label_matrix()
     rng = np.random.default_rng(0)
     # synthetic preds leaning on category 1 to predict 0: audit should rank (0, 1)
     preds = rng.uniform(0.05, 0.15, size=labels.shape)

@@ -198,9 +198,9 @@ def test_checkpoint_roundtrip(tmp_path):
 
 def test_predict_matches_logit_sigmoid():
     params = small_params(seed=14)
-    feats = np.random.default_rng(10).normal(size=(5, 9, params.d_in))
-    probs = model.predict(params, feats)
-    _, logits = model.forward_batch(params, model.pool_pixels(feats))
+    pooled = model.pool_pixels(np.random.default_rng(10).normal(size=(5, 9, params.d_in)))
+    probs = model.predict(params, pooled)
+    _, logits = model.forward_batch(params, pooled)
     assert np.allclose(probs, dc.sigmoid_values(logits), atol=1e-15)
     assert probs.shape == (5, params.m)
 
@@ -211,8 +211,9 @@ def test_float32_features_match_their_widening():
     params = small_params(seed=16, d_in=32, d=64, m=8)
     f32 = np.random.default_rng(12).normal(size=(300, 64, 32)).astype(np.float32)
     f64 = f32.astype(np.float64)
-    assert model.predict(params, f32).tobytes() == model.predict(params, f64).tobytes()
-    t32, t64 = (model.forward_batch(params, model.pool_pixels(f)) for f in (f32, f64))
+    p32, p64 = model.pool_pixels(f32), model.pool_pixels(f64)
+    assert model.predict(params, p32).tobytes() == model.predict(params, p64).tobytes()
+    t32, t64 = (model.forward_batch(params, p) for p in (p32, p64))
     assert t32[1].tobytes() == t64[1].tobytes()
     snap = losses.CamSnapshot(params, [(0, 1)])
     assert snap.rows(f32[:5], 1).tobytes() == snap.rows(f64[:5], 1).tobytes()
@@ -225,10 +226,11 @@ def test_pool_first_matches_per_pixel_reference():
     feats = np.random.default_rng(11).normal(size=(300, 64, 32))
     per_pixel = (feats.reshape(-1, 32) @ params.mixer).reshape(300, 64, 64).mean(axis=1)
     ref_logits = per_pixel @ params.head
-    mixed, logits = model.forward_batch(params, model.pool_pixels(feats))
+    pooled = model.pool_pixels(feats)
+    mixed, logits = model.forward_batch(params, pooled)
     assert np.abs(mixed - per_pixel).max() < 1e-12
     assert np.abs(logits - ref_logits).max() < 1e-12
-    probs = model.predict(params, feats)
+    probs = model.predict(params, pooled)
     assert np.abs(probs - dc.sigmoid_values(ref_logits)).max() < 1e-12
     with pytest.raises(ValueError):  # only the pooled (n, D_in) form is accepted
         model.forward_batch(params, feats)

@@ -261,8 +261,8 @@ def test_first_steps_match_oracle(setup, monkeypatch, method):
     out, steps = captured_steps(
         monkeypatch, lambda: train.train_stage2(arts1, manifest, cfg)
     )
-    feats, labels = data.load_arrays(manifest)
-    feats, labels = feats.astype(np.float64), labels.astype(float)
+    feats = data.load_maps(manifest, range(len(manifest.samples))).astype(np.float64)
+    labels = manifest.label_matrix().astype(float)
     assert len(steps) == cfg.stage2_epochs  # one full-set batch per epoch
     stage1 = (arts1.params.mixer, arts1.params.head)
 

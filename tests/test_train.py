@@ -178,8 +178,8 @@ def test_pin_pairs_scores_and_keeps_empty_split_as_nan(tmp_path):
     arts = train.train_stage1(manifest, tiny_cfg(), pinned=[(0, 1), (0, 2)])
     pinned = arts.pairs
     assert pinned.as_tuples() == [(0, 1), (0, 2)]
-    feats, labels = data.load_arrays(manifest)
-    want = bias_mod.bias_score(mdl.predict(arts.params, feats), labels, 0, 1)
+    labels = manifest.label_matrix()
+    want = bias_mod.bias_score(mdl.predict(arts.params, data.load_pooled(manifest)), labels, 0, 1)
     assert pinned.pairs[0].score == want
     assert math.isnan(pinned.pairs[1].score)
 
