@@ -406,7 +406,7 @@ def generate_dataset(cfg: GenConfig, out_dir, split_tag="train") -> DatasetManif
     sigs = np.array(cfg.signatures, dtype=np.float64)
     present = np.zeros((len(label_sets), cfg.m), dtype=bool)
     for i, cats in enumerate(label_sets):
-        present[i, sorted(cats)] = True
+        present[i, list(cats)] = True
     store_name = f"{split_tag}.store"
     slot = cfg.h * cfg.w * cfg.d_in * F32.itemsize
     with open(os.path.join(out_dir, store_name), "wb") as store:

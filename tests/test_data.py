@@ -178,11 +178,10 @@ def test_filler_pool_rejects_biased_category(tmp_path):
 
 def stored_maps(m):
     """Every sample's (P, D_in) float32 maps, read from the store's bytes directly."""
-    raw = open(m.store_path(), "rb").read()
     slot = m.h * m.w * m.d_in
-    return np.frombuffer(raw, dtype="<f4", offset=4).reshape(-1, m.h * m.w, m.d_in)[
-        [(s.offset - 4) // (4 * slot) for s in m.samples]
-    ]
+    return np.frombuffer(read_bytes(m.store_path()), dtype="<f4", offset=4).reshape(
+        -1, m.h * m.w, m.d_in
+    )[[(s.offset - 4) // (4 * slot) for s in m.samples]]
 
 
 @pytest.mark.parametrize("block", [data.BLOCK, 7])
