@@ -192,6 +192,7 @@ def run_benchmark_cell(fraction, seed, methods, work_dir, overrides=None) -> Ben
     arts1 = train.train_stage1(train_man, base_cfg, PLANTED_PAIRS)
 
     reports, artifacts = {}, {}
+    test_pooled = data.load_pooled(test_man)
     for name in methods:
         method = canon_method(name)
         cfg = benchmark_recipe(method=method, seed=seed, **(overrides or {}))
@@ -199,6 +200,7 @@ def run_benchmark_cell(fraction, seed, methods, work_dir, overrides=None) -> Ben
         reports[method] = ev.evaluate(
             arts.params,
             test_man,
+            test_pooled,
             PLANTED_PAIRS,
             method=method,
             seed=seed,
@@ -333,7 +335,7 @@ def cmd_eval(args):
             raise ValueError(f"pair ({b}, {c}) outside {m} categories")
 
     report = ev.evaluate(
-        params, manifest, pairs, method=run.method, seed=run.seed,
+        params, manifest, data.load_pooled(manifest), pairs, method=run.method, seed=run.seed,
         config_hash=run.config_hash, k=args.k, category_map=run.category_map,
     )
     os.makedirs(args.out, exist_ok=True)

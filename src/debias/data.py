@@ -121,9 +121,9 @@ class DatasetManifest:
 
 
 def dump_json(obj, path):
+    # compact on purpose: with `indent` set, json falls back to its pure-Python encoder
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def save_manifest(manifest: DatasetManifest, path):
@@ -195,8 +195,10 @@ def load_pooled(manifest: DatasetManifest) -> np.ndarray:
     each sample the bytes that pooling all maps at once gives.
     """
     path, n = manifest.store_path(), len(manifest.samples)
-    buf = np.empty((min(BLOCK, n), manifest.h * manifest.w, manifest.d_in), dtype=F32)
+    # the kept rows first, so the scratch buffer sits above them on the heap
+    # and its memory can be given back once it is freed
     pooled = np.empty((n, manifest.d_in))
+    buf = np.empty((min(BLOCK, n), manifest.h * manifest.w, manifest.d_in), dtype=F32)
     with _open_store(path) as fh:
         for s in range(0, n, BLOCK):
             pooled[s : s + BLOCK] = mdl.pool_pixels(
@@ -421,6 +423,7 @@ def generate_dataset(cfg: GenConfig, out_dir, split_tag="train") -> DatasetManif
             if cfg.noise_std > 0:
                 fmaps += rng.normal(0.0, cfg.noise_std, size=fmaps.shape)
             store.write(fmaps.astype(F32))
+    del label_sets  # one set per filler sample: not held while the manifest is encoded
     samples = [
         SampleRef(f"s{i:06d}", len(STORE_MAGIC) + i * slot, row)
         for i, row in enumerate(present.astype(int).tolist())

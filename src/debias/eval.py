@@ -144,6 +144,7 @@ def adapted_scores(preds: np.ndarray, m: int, category_map) -> np.ndarray:
 def evaluate(
     params: mdl.ModelParams,
     manifest: data.DatasetManifest,
+    pooled,
     pairs,
     method: str = "",
     seed=None,
@@ -153,6 +154,8 @@ def evaluate(
 ) -> EvalReport:
     """Score a checkpoint on the exclusive/co-occur protocol.
 
+    `pooled` holds the manifest's pooled rows (data.load_pooled), which a
+    caller that evaluates several checkpoints on one set reads once.
     `pairs` are (b, c) tuples over the ORIGINAL categories; for split-biased
     checkpoints pass the training category_map so b is scored as the max of
     its two split columns; the head must hold the manifest's categories plus
@@ -170,7 +173,9 @@ def evaluate(
             f"with every solo column in [{m}, {params.m})"
         )
     labels = manifest.label_matrix()
-    scores = adapted_scores(mdl.predict(params, data.load_pooled(manifest)), m, category_map)
+    if len(pooled) != len(manifest.samples):
+        raise ValueError(f"{len(pooled)} pooled rows for {len(manifest.samples)} samples")
+    scores = adapted_scores(mdl.predict(params, pooled), m, category_map)
 
     rows = []
     for b, c in pairs:

@@ -183,64 +183,61 @@ class CamSnapshot:
 
     def __init__(self, params: mdl.ModelParams, pairs):
         self.params = replace(params, mixer=params.mixer.copy(), head=params.head.copy())
-        self.categories = sorted({k for p in pairs for k in p})
+        self.pairs = [tuple(p) for p in pairs]
 
     def rows(self, feats: np.ndarray, category: int) -> np.ndarray:
         """(n, P) normalized maps of `category` for (n, P, D_in) pixel rows."""
-        if category not in self.categories:
+        if not any(category in p for p in self.pairs):
             raise ValueError(f"category {category} not covered by the snapshot")
         return peak_normalize(cam_maps(self.params, feats, category))[0]
 
-    def table(self, feats: np.ndarray, batch_size: int) -> dict:
-        """{category: (n, P) maps} of (n, P, D_in) pixel rows for every tracked category.
+    def table(self, feats: np.ndarray, batch_size: int) -> np.ndarray:
+        """(2, pairs, n, P) maps of (n, P, D_in) pixel rows, cam_terms' roles first.
 
+        Entry [0, j] holds pair j's biased maps and [1, j] its context maps.
         Training passes the rows in which some pair co-occurs. Built
         `batch_size` samples at a time, so the float64 copy that cam_maps
         makes of the pixel rows never exists at once.
         """
-        out = {k: np.empty(feats.shape[:2]) for k in self.categories}
+        out = np.empty((2, len(self.pairs), *feats.shape[:2]))
         for s in range(0, len(feats), batch_size):
-            for k in self.categories:
-                out[k][s : s + batch_size] = self.rows(feats[s : s + batch_size], k)
+            for j, pair in enumerate(self.pairs):
+                for role, k in enumerate(pair):
+                    out[role, j, s : s + batch_size] = self.rows(feats[s : s + batch_size], k)
         return out
 
 
-def cam_terms(params, pixel_rows, targets, pairs, frozen, lambda1, lambda2) -> tuple:
+def cam_terms(params, pairs, pixel_rows, sizes, frozen, lambda1, lambda2) -> tuple:
     """(mean overlap, mean grounding, g_mixer, g_head) of a batch's CAM terms.
 
     Per pair, the terms cover the samples labeled with both categories:
     overlap is the pixelwise product of its two normalized maps, grounding
-    |frozen map - live map| summed over both. `pixel_rows` (n, P, D_in),
-    `targets` (n, M) and `frozen`'s {category: (n, P)} maps (CamSnapshot.table;
-    None when lambda2 is 0) hold the same samples; one in which no pair
-    co-occurs adds nothing. A term with weight 0, or without samples, reads 0;
-    the gradients are those of lambda1 * overlap + lambda2 * grounding. The
-    maps form one (2, n_co, P) stack, biased then context map, pairs in order
-    along axis 1: one peak_normalize serves all of them, and overlap's
-    cotangent is live[::-1].
+    |frozen map - live map| summed over both. The inputs come in stack
+    order: `pixel_rows` (n, P, D_in) holds pair j's co-occurring samples in
+    its segment of `sizes[j]` rows, pairs in order (a sample that co-occurs
+    for two pairs comes twice), and `frozen` (2, n, P) the stage-1 maps of
+    the same rows, biased then context map (from CamSnapshot.table; None when
+    lambda2 is 0). A term with weight 0, or without samples, reads 0; the
+    gradients are those of lambda1 * overlap + lambda2 * grounding. The live
+    maps form the same (2, n, P) stack: one peak_normalize serves all of
+    them, and overlap's cotangent is live[::-1].
     """
-    if lambda2 > 0 and frozen is None:
-        raise ValueError("grounding needs the frozen stage-1 maps")
-    if len(pixel_rows) != len(targets):
-        raise ValueError(f"cam_terms: {len(pixel_rows)} pixel rows vs {len(targets)} targets")
+    if len(sizes) != len(pairs) or len(pixel_rows) != sum(sizes):
+        raise ValueError(f"cam_terms: {len(pixel_rows)} pixel rows vs segments {list(sizes)}")
+    if lambda2 > 0 and np.shape(frozen) != (2, *np.shape(pixel_rows)[:2]):
+        raise ValueError("grounding needs the frozen stage-1 maps of the pixel rows")
     g_mixer, g_head = np.zeros(params.mixer.shape), np.zeros(params.head.shape)
-    # each pair's co-occurring rows, and its slice of the stack (empty adds nothing)
-    local = [np.flatnonzero(bias_mod.pair_masks(targets, b, c)[0]) for b, c in pairs]
-    ends = np.cumsum([i.size for i in local], dtype=int)
-    if lambda1 == lambda2 == 0 or not ends.any():
+    if lambda1 == lambda2 == 0 or len(pixel_rows) == 0:
         return 0.0, 0.0, g_mixer, g_head
-    segments = [(b, c, i, slice(e - i.size, e)) for (b, c), i, e in zip(pairs, local, ends)]
-    x = dc.as_f64(pixel_rows[np.concatenate(local)])
+    segments = [(b, c, slice(e - n, e)) for (b, c), n, e in zip(pairs, sizes, np.cumsum(sizes))]
+    x = dc.as_f64(pixel_rows)
     raw = np.empty((2, len(x), x.shape[1]))
-    for b, c, _, seg in segments:
+    for b, c, seg in segments:
         raw[0, seg], raw[1, seg] = cam_maps(params, x[seg], b), cam_maps(params, x[seg], c)
     live, backward = peak_normalize(raw)
     overlap = ground = g_map = 0.0  # a mean's pixel cotangent is its weight over the count
     if lambda2 > 0:
-        diff = np.empty_like(raw)
-        for b, c, i, seg in segments:
-            diff[0, seg], diff[1, seg] = frozen[b][i], frozen[c][i]
-        diff -= live
+        diff = frozen - live
         terms = np.abs(diff[0]) + np.abs(diff[1])
         ground = float(np.add.reduce(terms, axis=None) / terms.size)
         g_map = float(lambda2) / terms.size * np.sign(diff) * -1.0
@@ -251,7 +248,7 @@ def cam_terms(params, pixel_rows, targets, pairs, frozen, lambda1, lambda2) -> t
     g = backward(g_map)
     # float sums depend on their order and trained weights on rounding, so the
     # order is fixed: last pair first, context map before biased map, BCE last
-    for b, c, _, seg in reversed(segments):
+    for b, c, seg in reversed(segments):
         rows = x[seg].reshape(-1, x.shape[2])
         for role, k in ((1, c), (0, b)):
             g_column = rows.T @ g[role, seg].reshape(-1, 1)
@@ -261,20 +258,17 @@ def cam_terms(params, pixel_rows, targets, pairs, frozen, lambda1, lambda2) -> t
 
 
 def cam_objective(
-    params, pooled_rows, pixel_rows, targets, pairs, frozen, lambda1, lambda2, rows=None
+    params, pooled_rows, targets, pairs, pixel_rows, sizes, frozen, lambda1, lambda2
 ) -> tuple:
     """(loss, g_mixer, g_head) of BCE + lambda1 * mean overlap + lambda2 * mean grounding.
 
     `pooled_rows` and `targets` are the batch's (n, D_in) pooled rows and
-    (n, M) targets. `pixel_rows` and `frozen` hold the batch's samples at the
-    indices `rows`, or all of them when `rows` is None; leaving out samples in
-    which no pair co-occurs changes no bit (see cam_terms). Plain BCE when no
-    sample co-occurs or both weights are 0.
+    (n, M) targets; the rest are cam_terms' stack-ordered inputs for the
+    same batch. Plain BCE when no sample co-occurs or both weights are 0.
     """
     loss, g_mixer, g_head = bce_objective(params, pooled_rows, targets)
     overlap, ground, cam_mixer, cam_head = cam_terms(
-        params, pixel_rows, targets if rows is None else targets[rows], pairs, frozen,
-        lambda1, lambda2,
+        params, pairs, pixel_rows, sizes, frozen, lambda1, lambda2
     )
     return (loss + overlap * lambda1) + ground * lambda2, cam_mixer + g_mixer, cam_head + g_head
 

@@ -101,6 +101,7 @@ class TrainArtifacts:
     step_log: list = field(default_factory=list)
     seeds: dict = field(default_factory=dict)
     category_map: list | None = None  # split_biased: (biased col, solo col) pairs
+    pooled: np.ndarray | None = None  # the pooled rows stage 1 read, which stage 2 reuses
 
 
 def _derive_seeds(seed) -> dict:
@@ -216,6 +217,7 @@ def train_stage1(
         loss_curve=curve,
         step_log=step_log,
         seeds=seeds,
+        pooled=pooled,
     )
 
 
@@ -273,16 +275,20 @@ def transform_dataset(
 def train_stage2(
     artifacts: TrainArtifacts, manifest: data.DatasetManifest, cfg: TrainConfig
 ) -> TrainArtifacts:
-    """Continue from stage-1 weights with the method-specific objective."""
+    """Continue from stage-1 weights and pooled rows with the method-specific objective."""
     pair_tuples = artifacts.pairs.as_tuples() if artifacts.pairs else []
     if cfg.method != "standard" and not pair_tuples:
         raise ValueError(f"{cfg.method} needs the stage-1 biased pairs")
+    if artifacts.pooled is None or len(artifacts.pooled) != len(manifest.samples):
+        raise ValueError("stage 2 needs the pooled rows stage 1 read from the same manifest")
 
     params = artifacts.params
-    work = manifest
+    work, pooled = manifest, artifacts.pooled
     category_map = None
     if cfg.method in TRANSFORM_METHODS:
         work = transform_dataset(manifest, cfg.method, pair_tuples)
+        row_of = {s.id: i for i, s in enumerate(manifest.samples)}
+        pooled = pooled[[row_of[s.id] for s in work.samples]]
     if cfg.method == "split_biased":
         category_map = split_biased_map(pair_tuples, len(manifest.categories))
         extra_rng = np.random.default_rng(artifacts.seeds["extra"])
@@ -291,7 +297,6 @@ def train_stage2(
         ) / np.sqrt(params.d)
         params = replace(params, head=np.concatenate([params.head, extra], axis=1))
 
-    pooled = data.load_pooled(work)
     labels = dc.as_f64(work.label_matrix())  # the objectives' targets, converted once
     n, m = labels.shape
 
@@ -310,13 +315,14 @@ def train_stage2(
 
     objective = _bce_objective(pooled, labels)  # standard, possibly on a transformed set
     if cfg.method == "ours_cam":
-        # the CAM terms read pixel maps of the rows in which some pair
-        # co-occurs, and only those are loaded; slot[i] is row i's place in
-        # maps, -1 for the rest
-        cooccur = np.logical_or.reduce([bias_mod.pair_masks(labels, *p)[0] for p in pair_tuples])
-        maps = data.load_maps(work, np.flatnonzero(cooccur))
+        # the CAM plan, fixed for the stage: co[i, j] says row i co-occurs for
+        # pair j; only the rows in which some pair co-occurs have their maps
+        # loaded, and slot[i] is row i's place in maps (-1 for the rest)
+        co = np.stack([bias_mod.pair_masks(labels, *p)[0] for p in pair_tuples], axis=1)
+        rows = np.flatnonzero(co.any(axis=1))
+        maps = data.load_maps(work, rows)
         slot = np.full(n, -1)
-        slot[cooccur] = np.arange(len(maps))
+        slot[rows] = np.arange(len(rows))
         frozen_all = None
         if cfg.lambda2 > 0:
             # grounding compares against the maps of the weights stage 2 starts from
@@ -324,12 +330,13 @@ def train_stage2(
             frozen_all = snapshot.table(maps, cfg.batch_size)
 
         def objective(params, idx, entry):
-            local = np.flatnonzero(cooccur[idx])
-            at = slot[idx[local]]
-            frozen = None if frozen_all is None else {k: v[at] for k, v in frozen_all.items()}
+            # the batch's pair segments in stack order: pair by pair, batch order within
+            pair, at = np.nonzero(co[idx].T)
+            at = slot[idx[at]]
+            frozen = None if frozen_all is None else frozen_all[:, pair, at]
             return losses.cam_objective(
-                params, pooled[idx], maps[at], labels[idx], pair_tuples, frozen,
-                cfg.lambda1, cfg.lambda2, local,
+                params, pooled[idx], labels[idx], pair_tuples, maps[at],
+                np.bincount(pair, minlength=len(pair_tuples)), frozen, cfg.lambda1, cfg.lambda2,
             )
     elif cfg.method == "ours_feature_split":
         buffer = losses.RunningMeanBuffer(width=params.d // 2)

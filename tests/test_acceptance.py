@@ -94,11 +94,11 @@ def test_gradients_match_finite_differences():
         "mixer": rng.uniform(0.05, 0.15, size=(d_in, d)),
         "head": rng.uniform(0.1, 0.3, size=(d, m)),
     }
-    every = np.ones((n, m))  # every sample counts for the pair
 
     def cam_part(which, frozen, lam1, lam2):
         def objective(p):
-            out = losses.cam_terms(params_at(p), fm_pos, every, [(0, 1)], frozen, lam1, lam2)
+            # every sample counts for the pair: one segment of all n rows
+            out = losses.cam_terms(params_at(p), [(0, 1)], fm_pos, [n], frozen, lam1, lam2)
             return out[which], {"mixer": out[2], "head": out[3]}
         return objective
 
@@ -108,7 +108,7 @@ def test_gradients_match_finite_differences():
     # so opposite-side references make the term linear with gradient equal
     # to the *difference* of two near-identical map gradients, and that
     # cancellation would drown the check in finite-difference noise.
-    pre = {0: np.full((n, h * w), 2.0), 1: np.full((n, h * w), 2.0)}
+    pre = np.full((2, n, h * w), 2.0)
     worst["ground"] = _check(cam_part(1, pre, 0.0, 1.0), pos)
 
     # combined objective, the one training calls, on one sample grounded
@@ -141,10 +141,10 @@ def test_gradients_match_finite_differences():
             break
     assert snap is not None, "no kink-free snapshot found"
 
-    frozen = snap.table(fm_one, 64)
+    frozen = snap.table(fm_one, 64)[:, 0]  # the one pair's maps; sample 0 co-occurs for it
     worst["combined"] = _check(
         lambda p: named(losses.cam_objective(
-            params_at(p), mdl.pool_pixels(fm_one), fm_one, t[:1], [(0, 1)], frozen, 0.7, 0.3
+            params_at(p), mdl.pool_pixels(fm_one), t[:1], [(0, 1)], fm_one, [1], frozen, 0.7, 0.3
         )),
         pos,
     )
@@ -513,7 +513,7 @@ def test_baselines_run_end_to_end(grid):
         cfg = cli.benchmark_recipe(method, seed=0, stage1_epochs=2, stage2_epochs=2)
         arts = train.run_training(man, cfg, pinned=PLANTED)
         rep = ev.evaluate(
-            arts.params, cell.test_manifest, PLANTED,
+            arts.params, cell.test_manifest, data.load_pooled(cell.test_manifest), PLANTED,
             method=method, category_map=arts.category_map,
         )
         assert 0.0 <= rep.map_exclusive <= 1.0

@@ -737,6 +737,20 @@ def test_sweep_trend_and_run_provenance(tmp_path):
     assert len(man.samples) == 2 * data.BENCH_PER_PAIR + data.BENCH_FILLER
 
 
+def test_benchmark_cell_pools_each_store_once(tmp_path, monkeypatch):
+    # stage 2 trains on the rows stage 1 pooled and every evaluation scores
+    # the rows the cell read once: one pooled read per store, whatever the methods
+    reads = []
+    real = data.load_pooled
+    monkeypatch.setattr(data, "load_pooled", lambda man: reads.append(man.split_tag) or real(man))
+    methods = ["standard", "weighted_loss", "negative_penalty", "remove_cooccur_labels",
+               "remove_cooccur_images", "split_biased"]
+    cell = cli.run_benchmark_cell(0.25, 0, methods, str(tmp_path),
+                                  {"stage1_epochs": 1, "stage2_epochs": 1})
+    assert sorted(cell.reports) == sorted(methods)
+    assert sorted(reads) == ["test", "train"]
+
+
 def test_console_script_help():
     """The `debias` console script resolves to cli.entry, and --help exits 0.
 

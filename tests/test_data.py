@@ -232,15 +232,15 @@ def test_truncated_store_is_refused(tmp_path, capsys):
 
 
 def test_evaluate_holds_pooled_rows_not_the_store(tmp_path):
-    # evaluation memory grows with N * D_in: on a 2,000-sample set it peaks
-    # well below the store's size
+    # evaluation memory, the pooled read included, grows with N * D_in: on a
+    # 2,000-sample set it peaks well below the store's size
     train_cfg, _ = data.benchmark_configs(0.05, 1000, 2000, 3000)
     data.generate_dataset(train_cfg, tmp_path)
     m = data.load_manifest(tmp_path / "train.manifest.json")
     params = model.init_params(data.BENCH_D_IN, 64, data.BENCH_M, 0)
     tracemalloc.start()
     try:
-        eval_mod.evaluate(params, m, list(data.BENCH_PAIRS))
+        eval_mod.evaluate(params, m, data.load_pooled(m), list(data.BENCH_PAIRS))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -54,28 +54,6 @@ def test_guarded_log_value_and_gradient():
     assert abs(g[0, 1] + 0.25) < 1e-15
 
 
-def cam_setup(seed, n=4, p=9, d_in=5, d=6, m=4):
-    rng = RNG(seed)
-    params = mdl.init_params(d_in, d, m, seed + 1)
-    feats = rng.uniform(0.2, 1.0, size=(n, p, d_in))
-    t = np.ones((n, m))  # every pair co-occurs in every sample
-    return params, feats, t
-
-
-def test_cam_terms_of_two_pairs_is_count_weighted_mean():
-    # both pairs' terms share one mean, so the two-pair gradient is the
-    # count-weighted mean of each pair's own gradient
-    params, feats, t = cam_setup(20)
-    t[:1, 3] = 0.0  # pair (2, 3) covers 3 samples, pair (0, 1) all 4
-    both = losses.cam_terms(params, feats, t, [(0, 1), (2, 3)], None, 1.0, 0.0)
-    first = losses.cam_terms(params, feats, t, [(0, 1)], None, 1.0, 0.0)
-    second = losses.cam_terms(params, feats, t, [(2, 3)], None, 1.0, 0.0)
-    assert both[0] == pytest.approx((4 * first[0] + 3 * second[0]) / 7, abs=1e-15)
-    for i in (2, 3):
-        want = (4 * first[i] + 3 * second[i]) / 7
-        assert np.allclose(both[i], want, rtol=0, atol=1e-15)
-
-
 def test_finite_diff_rejects_nonscalar_value():
     with pytest.raises(ValueError):
         dc.finite_diff_check(lambda p: p["x"] * 2.0, {"x": np.ones(3)}, {"x": np.full(3, 2.0)})
@@ -91,19 +69,6 @@ def test_matmul_inner_dim_mismatch_rejected():
     params = mdl.init_params(2, 4, 3, 0)
     with pytest.raises(ValueError):
         mdl.forward_batch(params, np.ones((5, 3)))
-
-
-def test_backward_is_deterministic():
-    params, feats, t = cam_setup(7)
-    pooled = mdl.pool_pixels(feats)
-    frozen = losses.CamSnapshot(mdl.init_params(5, 6, 4, 8), [(0, 1)]).table(feats, 2)
-    runs = [
-        losses.cam_objective(params, pooled, feats, t, [(0, 1)], frozen, 0.5, 0.5)
-        for _ in range(2)
-    ]
-    assert runs[0][0] == runs[1][0]
-    for a, b in zip(runs[0][1:], runs[1][1:]):
-        assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------

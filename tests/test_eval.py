@@ -207,7 +207,7 @@ def test_evaluate_splits_pair_by_masks(tmp_path):
         [1, 1, 1, 0],  # cooccur
     ]
     manifest = hand_manifest(tmp_path, rows, [3.0, 1.0, 0.0, 2.0, -1.0, 4.0])
-    rep = ev.evaluate(make_params(HAND_HEAD), manifest, [(0, 1)])
+    rep = ev.evaluate(make_params(HAND_HEAD), manifest, data.load_pooled(manifest), [(0, 1)])
     (row,) = rep.pairs
     assert row["valid"]
     # exclusive ranking 0+ 3- 2- 4+; co-occur ranking 5+ 3- 1+ 2-. Moving any
@@ -222,7 +222,7 @@ def test_evaluate_flags_empty_split(tmp_path):
     rows = [[1, 1, 0, 0], [0, 0, 1, 0]]
     manifest = hand_manifest(tmp_path, rows, [1.0, 0.0])
     with pytest.warns(UserWarning, match="empty split"):
-        rep = ev.evaluate(make_params(HAND_HEAD), manifest, [(0, 1)])
+        rep = ev.evaluate(make_params(HAND_HEAD), manifest, data.load_pooled(manifest), [(0, 1)])
     (row,) = rep.pairs
     assert not row["valid"]
     assert not {"ap_exclusive", "ap_cooccur", "bias"} & set(row)
@@ -252,13 +252,14 @@ def test_evaluate_report(tmp_path):
     )
     manifest = data.generate_dataset(gen, str(tmp_path), "test")
     params = mdl.init_params(8, 8, 4, seed=1)
-    rep = ev.evaluate(params, manifest, [(0, 1)], method="standard", seed=1)
+    pooled = data.load_pooled(manifest)
+    rep = ev.evaluate(params, manifest, pooled, [(0, 1)], method="standard", seed=1)
     assert rep.map_exclusive is not None and 0.0 <= rep.map_exclusive <= 1.0
     assert rep.map_cooccur is not None and 0.0 <= rep.map_cooccur <= 1.0
     assert -1.0 <= rep.mean_cosine <= 1.0
     assert rep.pairs[0]["valid"]
 
-    again = ev.evaluate(params, manifest, [(0, 1)], method="standard", seed=1)
+    again = ev.evaluate(params, manifest, pooled, [(0, 1)], method="standard", seed=1)
     assert rep.to_dict() == again.to_dict()
 
     out = tmp_path / "report.json"

@@ -405,24 +405,31 @@ def constant_map_setup(v=1.0):
     return params, fm
 
 
-def both_labeled(n, m):  # every sample carries every category
-    return np.ones((n, m))
+def stacked(feats, targets, pairs, table):
+    """cam_terms' stack-ordered inputs of a batch, stated from the labels.
+
+    Pair by pair, the samples labeled with both of its categories, in batch
+    order: their pixel rows, each pair's count, and their maps from
+    `table` (a CamSnapshot.table of the batch's rows, or None), biased map
+    first.
+    """
+    segments = [np.flatnonzero((targets[:, b] == 1) & (targets[:, c] == 1)) for b, c in pairs]
+    sizes = [s.size for s in segments]
+    rows = np.concatenate(segments).astype(int)
+    frozen = None if table is None else table[:, np.repeat(np.arange(len(pairs)), sizes), rows]
+    return feats[rows], sizes, frozen
 
 
 def overlap_terms(params, fm, b=0, c=1):
     """(mean overlap, g_mixer, g_head) of one map, the overlap weighted 1."""
-    out = losses.cam_terms(
-        params, pixel_rows(fm), both_labeled(1, params.m), [(b, c)], None, 1.0, 0.0
-    )
+    out = losses.cam_terms(params, [(b, c)], pixel_rows(fm), [1], None, 1.0, 0.0)
     return out[0], out[2], out[3]
 
 
 def ground_terms(params, fm, frozen_b, frozen_c):
     """(mean grounding, g_mixer, g_head) of one map, the grounding weighted 1."""
-    frozen = {0: np.reshape(frozen_b, (1, -1)), 1: np.reshape(frozen_c, (1, -1))}
-    out = losses.cam_terms(
-        params, pixel_rows(fm), both_labeled(1, params.m), [(0, 1)], frozen, 0.0, 1.0
-    )
+    frozen = np.stack([np.reshape(frozen_b, (1, -1)), np.reshape(frozen_c, (1, -1))])
+    out = losses.cam_terms(params, [(0, 1)], pixel_rows(fm), [1], frozen, 0.0, 1.0)
     return out[1], out[2], out[3]
 
 
@@ -511,10 +518,11 @@ def test_total_loss_degenerates_to_bce():
     pooled = model.pool_pixels(rows)
     t = np.array([[1.0, 0.0, 1.0, 0.0]])
     snap = losses.CamSnapshot(params, [(0, 1)])
-    frozen = snap.table(rows, 64)
+    cam = stacked(rows, t, [(0, 1)], snap.table(rows, 64))
+    assert cam[1] == [0]  # (0, 1) does not co-occur
     plain = losses.bce_objective(params, pooled, t)
-    for lam1, lam2 in ((0.0, 0.0), (0.1, 0.01)):  # (0, 1) does not co-occur
-        total = losses.cam_objective(params, pooled, rows, t, [(0, 1)], frozen, lam1, lam2)
+    for lam1, lam2 in ((0.0, 0.0), (0.1, 0.01)):
+        total = losses.cam_objective(params, pooled, t, [(0, 1)], *cam, lam1, lam2)
         assert total[0] == plain[0]
         assert total[1].tobytes() == plain[1].tobytes()
         assert total[2].tobytes() == plain[2].tobytes()
@@ -529,14 +537,14 @@ def test_total_loss_composes_components():
     snap = losses.CamSnapshot(
         model.init_params(params.d_in, params.d, params.m, 99), [(0, 1)]
     )
-    frozen = snap.table(rows, 64)
+    frozen = snap.table(rows, 64)[:, 0]
     lo = overlap_terms(params, fm)[0]
     lr = ground_terms(params, fm, frozen[0], frozen[1])[0]
     lb, gb_mixer, gb_head = losses.bce_objective(params, pooled, t)
-    total = losses.cam_objective(params, pooled, rows, t, [(0, 1)], frozen, 0.1, 0.01)
+    total = losses.cam_objective(params, pooled, t, [(0, 1)], rows, [1], frozen, 0.1, 0.01)
     assert total[0] == pytest.approx(lb + 0.1 * lo + 0.01 * lr, abs=1e-14)
     # and the gradients are the sum of the parts'
-    cam = losses.cam_terms(params, rows, t, [(0, 1)], frozen, 0.1, 0.01)
+    cam = losses.cam_terms(params, [(0, 1)], rows, [1], frozen, 0.1, 0.01)
     assert np.array_equal(total[1], cam[2] + gb_mixer)
     assert np.array_equal(total[2], cam[3] + gb_head)
 
@@ -550,8 +558,8 @@ def test_total_loss_rejects_negative_weights():
     params = make_params()
     _, fm = one_sample_trace(params)
     rows = pixel_rows(fm)
-    with pytest.raises(ValueError):  # grounding without frozen maps
-        losses.cam_terms(params, rows, np.zeros((1, 4)), [], None, 0.0, 0.1)
+    with pytest.raises(ValueError, match="frozen"):  # grounding without frozen maps
+        losses.cam_terms(params, [(0, 1)], rows, [1], None, 0.0, 0.1)
 
 
 def test_cam_objective_matches_numpy_recomputation():
@@ -564,10 +572,10 @@ def test_cam_objective_matches_numpy_recomputation():
     )
     pairs = [(0, 1), (2, 3)]
     snap = losses.CamSnapshot(model.init_params(5, 6, 4, 32), pairs)
-    frozen = snap.table(feats, 4)
     lam1, lam2 = 0.7, 0.3
     got, _, _ = losses.cam_objective(
-        params, model.pool_pixels(feats), feats, t, pairs, frozen, lam1, lam2
+        params, model.pool_pixels(feats), t, pairs, *stacked(feats, t, pairs, snap.table(feats, 4)),
+        lam1, lam2,
     )
 
     def normalized(raw):
@@ -603,8 +611,8 @@ def test_snapshot_is_frozen_and_cached():
     table = snap.table(feats, 2)
     params.head[:] = 0.0  # later training must not leak into the snapshot
     assert np.array_equal(before, snap.rows(feats, 0))
-    assert np.array_equal(table[0], snap.table(feats, 2)[0])
-    assert sorted(table) == [0, 1]
+    assert np.array_equal(table, snap.table(feats, 2))
+    assert table.shape == (2, 1, 5, 4) and np.array_equal(table[0, 0], before)
     with pytest.raises(ValueError):
         snap.rows(feats, 3)
 
@@ -614,19 +622,21 @@ def test_snapshot_table_equals_rows_bit_for_bit():
     # must equal its own single-sample rows exactly, or the grounding term
     # is not exactly zero at the first stage-2 step
     params = make_params(seed=18, d_in=32, d=64, m=8)
-    snap = losses.CamSnapshot(params, [(0, 1), (2, 3)])
+    pairs = [(0, 1), (2, 3)]
+    snap = losses.CamSnapshot(params, pairs)
     feats = np.random.default_rng(19).normal(size=(150, 64, 32))
     table = snap.table(feats, 64)
-    for k in (0, 1, 2, 3):
-        raw = np.concatenate(
-            [losses.cam_maps(snap.params, feats[s : s + 64], k) for s in (0, 64, 128)]
-        )
-        assert table[k].shape == raw.shape == (150, 64)
-        for i in range(150):
-            single = snap.rows(feats[i : i + 1], k)[0]
-            assert table[k][i].tobytes() == single.tobytes()
-            single_raw = losses.cam_maps(snap.params, feats[i : i + 1], k)[0]
-            assert raw[i].tobytes() == single_raw.tobytes()
+    assert table.shape == (2, 2, 150, 64)
+    for j, pair in enumerate(pairs):
+        for role, k in enumerate(pair):
+            raw = np.concatenate(
+                [losses.cam_maps(snap.params, feats[s : s + 64], k) for s in (0, 64, 128)]
+            )
+            for i in range(150):
+                single = snap.rows(feats[i : i + 1], k)[0]
+                assert table[role, j, i].tobytes() == single.tobytes()
+                single_raw = losses.cam_maps(snap.params, feats[i : i + 1], k)[0]
+                assert raw[i].tobytes() == single_raw.tobytes()
 
 
 def test_grounding_is_exactly_zero_against_own_snapshot():
@@ -638,30 +648,31 @@ def test_grounding_is_exactly_zero_against_own_snapshot():
     t = (rng.random((200, 8)) < 0.6).astype(float)
     table = snap.table(feats, 64)
     idx = rng.permutation(200)[:64]
-    frozen = {k: v[idx] for k, v in table.items()}
-    for b, c in pairs:
+    for j, (b, c) in enumerate(pairs):
         local = np.flatnonzero((t[idx, b] == 1) & (t[idx, c] == 1))
         assert local.size > 0
-        for k in (b, c):
+        for role, k in enumerate((b, c)):
             live, _ = losses.peak_normalize(losses.cam_maps(params, feats[idx][local], k))
-            assert not (frozen[k][local] - live).any()
-    ground, _, g_mixer, g_head = losses.cam_terms(params, feats[idx], t[idx], pairs, frozen, 0.0, 1.0)
+            assert not (table[role, j, idx[local]] - live).any()
+    cam = stacked(feats[idx], t[idx], pairs, table[:, :, idx])
+    ground, _, g_mixer, g_head = losses.cam_terms(params, pairs, *cam, 0.0, 1.0)
     assert ground == 0.0 and not g_mixer.any() and not g_head.any()
     pooled = model.pool_pixels(feats)[idx]
-    total = losses.cam_objective(params, pooled, feats[idx], t[idx], pairs, frozen, 0.0, 1.0)
+    total = losses.cam_objective(params, pooled, t[idx], pairs, *cam, 0.0, 1.0)
     assert total[0] == losses.bce_objective(params, pooled, t[idx])[0]
 
 
 def cam_terms_per_pair(params, pixel_rows, targets, pairs, frozen, lambda1, lambda2):
     """(overlap, grounding, g_mixer, g_head) of the CAM terms, pair by pair and map by map.
 
-    The loop cam_terms replaced: `pixel_rows` and `frozen` hold the whole
-    batch, each pair gathers its co-occurring rows and normalizes its two
-    maps on their own, and the gradients add last pair first, the context
-    map before the biased map, each outer product a matrix product.
+    The loop cam_terms replaced: `pixel_rows` and `frozen` (a CamSnapshot.table)
+    hold the whole batch, each pair gathers its co-occurring rows from the
+    targets and normalizes its two maps on their own, and the gradients add
+    last pair first, the context map before the biased map, each outer
+    product a matrix product.
     """
     maps, overlap, ground = [], [], []
-    for b, c in pairs:
+    for j, (b, c) in enumerate(pairs):
         local = np.flatnonzero((targets[:, b] == 1) & (targets[:, c] == 1))
         if local.size == 0 or lambda1 == lambda2 == 0:
             continue
@@ -669,7 +680,9 @@ def cam_terms_per_pair(params, pixel_rows, targets, pairs, frozen, lambda1, lamb
         live, backward = {}, {}
         for k in (b, c):
             live[k], backward[k] = losses.peak_normalize(losses.cam_maps(params, x, k))
-        diff = {k: frozen[k][local] - live[k] for k in (b, c)} if lambda2 > 0 else {}
+        diff = {}
+        if lambda2 > 0:
+            diff = {k: frozen[role, j, local] - live[k] for role, k in enumerate((b, c))}
         if lambda1 > 0:
             overlap.append(live[b] * live[c])
         if diff:
@@ -714,48 +727,89 @@ def test_cam_terms_equal_per_pair_loop_bit_for_bit(pairs, lambdas):
     params, feats, t, snap = stage2_like_batch(50, pairs)
     table = snap.table(feats, 64)
     want = cam_terms_per_pair(params, feats, t, pairs, table, *lambdas)
-    got = losses.cam_terms(params, feats, t, pairs, table, *lambdas)
+    got = losses.cam_terms(params, pairs, *stacked(feats, t, pairs, table), *lambdas)
     assert got[0] == want[0] and got[1] == want[1]
     assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
     assert (got[0] > 0) == (lambdas[0] > 0) and (got[1] > 0) == (lambdas[1] > 0)
 
 
 def test_cam_terms_ignore_rows_that_cooccur_for_no_pair():
-    # the terms are means over each pair's co-occurring rows, so dropping the
-    # batch's other rows from the pixel rows, targets and maps changes no bit
+    # a pair in which no row of the batch co-occurs has an empty segment of
+    # the stack; adding it changes no bit of the other pairs' terms
     pairs = [(0, 1), (2, 3)]
-    params, feats, t, snap = stage2_like_batch(60, pairs)
-    rows = np.logical_or.reduce([(t[:, b] == 1) & (t[:, c] == 1) for b, c in pairs])
-    assert 0 < rows.sum() < len(t)
+    params, feats, t, snap = stage2_like_batch(60, pairs + [(4, 5)])
     table = snap.table(feats, 64)
-    whole = losses.cam_terms(params, feats, t, pairs, table, 5.0, 0.01)
-    kept = losses.cam_terms(params, feats[rows], t[rows], pairs,
-                            {k: v[rows] for k, v in table.items()}, 5.0, 0.01)
+    kept = losses.cam_terms(params, pairs, *stacked(feats, t, pairs, table[:, :2]), 5.0, 0.01)
+    cam = stacked(feats, t, pairs + [(4, 5)], table)
+    assert cam[1][2] == 0
+    whole = losses.cam_terms(params, pairs + [(4, 5)], *cam, 5.0, 0.01)
     assert whole[:2] == kept[:2]
     assert whole[2].tobytes() == kept[2].tobytes() and whole[3].tobytes() == kept[3].tobytes()
 
 
 def test_cam_objective_reads_pixel_rows_of_the_given_samples():
     # training passes the pixel rows and maps of the co-occurring samples
-    # only, with their indices in the batch; BCE still sees the whole batch
+    # only; BCE still sees the whole batch, and its gradient adds last
     pairs = [(0, 1), (2, 3)]
     params, feats, t, snap = stage2_like_batch(62, pairs)
-    local = np.flatnonzero(np.logical_or.reduce([(t[:, b] == 1) & (t[:, c] == 1) for b, c in pairs]))
-    assert 0 < local.size < len(t)
-    table = snap.table(feats, 64)
+    rows = np.logical_or.reduce([(t[:, b] == 1) & (t[:, c] == 1) for b, c in pairs])
+    assert 0 < rows.sum() < len(t)
+    cam = stacked(feats, t, pairs, snap.table(feats, 64))
     pooled = model.pool_pixels(feats)
-    whole = losses.cam_objective(params, pooled, feats, t, pairs, table, 5.0, 0.01)
-    kept = losses.cam_objective(params, pooled, feats[local], t, pairs,
-                                {k: v[local] for k, v in table.items()}, 5.0, 0.01, local)
-    assert whole[0] == kept[0]
-    assert whole[1].tobytes() == kept[1].tobytes() and whole[2].tobytes() == kept[2].tobytes()
+    got = losses.cam_objective(params, pooled, t, pairs, *cam, 5.0, 0.01)
+    loss, g_mixer, g_head = losses.bce_objective(params, pooled, t)
+    overlap, ground, cam_mixer, cam_head = losses.cam_terms(params, pairs, *cam, 5.0, 0.01)
+    assert got[0] == (loss + overlap * 5.0) + ground * 0.01
+    assert got[1].tobytes() == (cam_mixer + g_mixer).tobytes()
+    assert got[2].tobytes() == (cam_head + g_head).tobytes()
 
 
 def test_cam_terms_refuse_pixel_rows_and_targets_of_other_samples():
-    # pixel rows and targets must cover the same samples
-    params, feats, t, snap = stage2_like_batch(61, [(0, 1), (2, 3)], n=8)
+    # the pixel rows must fill the pair segments, and the frozen maps hold the same rows
+    pairs = [(0, 1), (2, 3)]
+    params, feats, t, snap = stage2_like_batch(61, pairs, n=8)
+    x, sizes, frozen = stacked(feats, t, pairs, snap.table(feats, 8))
     with pytest.raises(ValueError, match="pixel rows"):
-        losses.cam_terms(params, feats[:5], t, [(0, 1), (2, 3)], snap.table(feats, 8), 5.0, 0.01)
+        losses.cam_terms(params, pairs, x[1:], sizes, frozen[:, 1:], 5.0, 0.01)
+    with pytest.raises(ValueError, match="frozen"):
+        losses.cam_terms(params, pairs, x, sizes, frozen[:, 1:], 5.0, 0.01)
+
+
+def cam_setup(seed, n=4, p=9, d_in=5, d=6, m=4):
+    rng = RNG(seed)
+    params = model.init_params(d_in, d, m, seed + 1)
+    feats = rng.uniform(0.2, 1.0, size=(n, p, d_in))
+    t = np.ones((n, m))  # every pair co-occurs in every sample
+    return params, feats, t
+
+
+def test_two_pair_cam_terms_are_count_weighted_mean_of_each_pair():
+    # both pairs' terms share one mean, so the two-pair gradient is the
+    # count-weighted mean of each pair's own gradient
+    params, feats, t = cam_setup(20)
+    t[:1, 3] = 0.0  # pair (2, 3) covers 3 samples, pair (0, 1) all 4
+
+    def terms(pairs):
+        return losses.cam_terms(params, pairs, *stacked(feats, t, pairs, None), 1.0, 0.0)
+
+    both, first, second = terms([(0, 1), (2, 3)]), terms([(0, 1)]), terms([(2, 3)])
+    assert both[0] == pytest.approx((4 * first[0] + 3 * second[0]) / 7, abs=1e-15)
+    for i in (2, 3):
+        want = (4 * first[i] + 3 * second[i]) / 7
+        assert np.allclose(both[i], want, rtol=0, atol=1e-15)
+
+
+def test_cam_objective_repeats_bit_for_bit():
+    params, feats, t = cam_setup(7)
+    pooled = model.pool_pixels(feats)
+    frozen = losses.CamSnapshot(model.init_params(5, 6, 4, 8), [(0, 1)]).table(feats, 2)[:, 0]
+    runs = [
+        losses.cam_objective(params, pooled, t, [(0, 1)], feats, [len(feats)], frozen, 0.5, 0.5)
+        for _ in range(2)
+    ]
+    assert runs[0][0] == runs[1][0]
+    for a, b in zip(runs[0][1:], runs[1][1:]):
+        assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------

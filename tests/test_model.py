@@ -114,11 +114,11 @@ def test_cam_gradients_check_out():
     own = np.array([0, 1])
     ctx = np.array([2, 3])
     t = np.array([[1.0, 1.0, 0.0]])
-    frozen = {0: np.full((1, 4), 2.0), 1: np.full((1, 4), 2.0)}
+    frozen = np.full((2, 1, 4), 2.0)
 
     def objective(point):
         params = model.ModelParams(point["mixer"], point["head"], own, ctx)
-        return losses.cam_objective(params, pooled, fm, t, [(0, 1)], frozen, 0.5, 0.3)
+        return losses.cam_objective(params, pooled, t, [(0, 1)], fm, [1], frozen, 0.5, 0.3)
 
     point = {
         "mixer": rng.uniform(0.05, 0.15, size=(3, 4)),

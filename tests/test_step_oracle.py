@@ -52,6 +52,19 @@ def setup(tmp_path_factory):
     return manifest, arts
 
 
+@pytest.fixture(scope="module")
+def both_pairs_setup(setup):
+    """setup's dataset with its first four samples relabeled to co-occur for
+    both pairs, and stage-1 weights trained on it. Each such sample fills a
+    row of both pairs' segments of the CAM stack."""
+    manifest, _ = setup
+    both = [1, 1, 1, 1] + [0] * (M - 4)
+    samples = [data.SampleRef(s.id, s.offset, both) for s in manifest.samples[:4]]
+    manifest = dataclasses.replace(manifest, samples=samples + manifest.samples[4:])
+    arts = train.train_stage1(manifest, config("standard", stage2_epochs=0), PAIRS)
+    return manifest, arts
+
+
 def config(method, **over):
     base = dict(
         method=method, stage1_epochs=2, stage2_epochs=2, batch_size=FULL_BATCH,
@@ -287,6 +300,29 @@ def test_first_steps_match_oracle(setup, monkeypatch, method):
             means = [pixel_features(feats[i], mixer).mean(axis=0) for i in plain]
             fill = np.mean(means, axis=0)[arts1.params.context_rows]
     assert np.array_equal(out.params.mixer, steps[-1][3]["mixer"])
+    assert np.array_equal(out.params.head, steps[-1][3]["head"])
+
+
+def test_cam_step_on_samples_cooccurring_for_both_pairs_matches_oracle(
+    both_pairs_setup, monkeypatch
+):
+    manifest, arts1 = both_pairs_setup
+    cfg = config("ours_cam")
+    labels = manifest.label_matrix().astype(float)
+    assert sum(all(cooccurs(row, b, c) for b, c in PAIRS) for row in labels) == 4
+    out, steps = captured_steps(
+        monkeypatch, lambda: train.train_stage2(arts1, manifest, cfg)
+    )
+    feats = data.load_maps(manifest, range(len(manifest.samples))).astype(np.float64)
+    stage1 = (arts1.params.mixer, arts1.params.head)
+    assert len(steps) == cfg.stage2_epochs
+    for epoch, (before, grads, lr, after) in enumerate(steps):
+        mixer, head = before["mixer"], before["head"]
+        g_mixer, g_head = oracle_gradients("ours_cam", cfg, feats, labels, mixer, head, stage1, None)
+        assert rel_err(grads["mixer"], g_mixer) < GRAD_REL, epoch
+        assert rel_err(grads["head"], g_head) < GRAD_REL, epoch
+        assert rel_err(after["mixer"], mixer - lr * g_mixer) < REL, epoch
+        assert rel_err(after["head"], head - lr * g_head) < REL, epoch
     assert np.array_equal(out.params.head, steps[-1][3]["head"])
 
 

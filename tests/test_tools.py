@@ -38,6 +38,31 @@ def test_bench_pairs_table_counts_wins_by_direction():
     assert lines[4] == "change: attempted 66, failed 3, correct 0/3 runs"
 
 
+def test_bench_pairs_states_the_claim_rule_per_metric():
+    # a claim needs wins on at least nine tenths of the pairs, ties for
+    # neither side, and a median gain wider than the base's quartile spread
+    bench_pairs = load_tool("bench_pairs")
+    metrics = [{"name": "run_s", "better": "lower"}, {"name": "rate", "better": "higher"}]
+    base = [result(20, 0, run_s=s, rate=r) for s, r in ((3.0, 10.0), (2.0, 20.0), (4.0, 30.0))]
+    change = [result(22, 1, run_s=s, rate=r) for s, r in ((2.0, 10.0), (2.0, 25.0), (3.0, 40.0))]
+    assert bench_pairs.table(metrics, base, change)[5:] == [
+        "claim run_s: not met (wins 2/3, need 3; median gain 1 vs base quartile spread 1)",
+        "claim rate: not met (wins 2/3, need 3; median gain 5 vs base quartile spread 10)",
+    ]
+    faster = [result(20, 0, run_s=s - 1.5, rate=r + 20.0)
+              for s, r in ((3.0, 10.0), (2.0, 20.0), (4.0, 30.0))]
+    assert bench_pairs.table(metrics, base, faster)[5:] == [
+        "claim run_s: met (wins 3/3, need 3; median gain 1.5 vs base quartile spread 1)",
+        "claim rate: met (wins 3/3, need 3; median gain 20 vs base quartile spread 10)",
+    ]
+    # 9 wins of 10 are enough; 8 are not, however wide the gain
+    base10 = [result(1, 0, run_s=10.0, rate=1.0) for _ in range(10)]
+    nine = [result(1, 0, run_s=5.0 if i else 10.0, rate=1.0) for i in range(10)]
+    eight = [result(1, 0, run_s=5.0 if i > 1 else 10.0, rate=1.0) for i in range(10)]
+    assert bench_pairs.table(metrics, base10, nine)[5].startswith("claim run_s: met (wins 9/10")
+    assert bench_pairs.table(metrics, base10, eight)[5].startswith("claim run_s: not met")
+
+
 def test_bench_pairs_needs_two_seeds(capsys):
     bench_pairs = load_tool("bench_pairs")
     with pytest.raises(SystemExit):

@@ -10,9 +10,12 @@ BENCHMARK.json, alternating which side runs first (the
 base on pairs 1, 3, 5, ..., the change on the others), so drift on the box falls on
 both sides alike. It then prints, per end-to-end metric of the change's
 BENCHMARK.json: the median of each side, the relative move of the
-medians, each side's quartiles, and on how many pairs the change was better. Last come
+medians, each side's quartiles, and on how many pairs the change was better. Then come
 the attempted and failed operation counts of each side, summed over its
-runs. A run that exits non-zero stops the tool with its error output.
+runs, and last, per metric, whether the change meets the claim rule: it wins
+at least nine tenths of the pairs (ties count for neither side) and its median
+beats the base's by more than the base's quartile spread (Q3 - Q1). A run
+that exits non-zero stops the tool with its error output.
 """
 
 import argparse
@@ -50,6 +53,7 @@ def table(metrics, base, change):
     """The paired-run report as lines of text."""
     lines = [f"{'metric':<20} {'base':>12} {'change':>12} {'move':>8} {'base Q1':>12} "
              f"{'base Q3':>12} {'change Q1':>12} {'change Q3':>12} {'change wins':>12}"]
+    claims = []
     for m in metrics:
         a = [r["metrics"][m["name"]]["value"] for r in base]
         b = [r["metrics"][m["name"]]["value"] for r in change]
@@ -62,11 +66,15 @@ def table(metrics, base, change):
         lines.append(f"{m['name']:<20} {fmt(mid_a):>12} {fmt(mid_b):>12} {move:>+8.1%} "
                      f"{fmt(q1):>12} {fmt(q3):>12} {fmt(c1):>12} {fmt(c3):>12} "
                      f"{f'{wins}/{len(a)}':>12}")
+        need, gap = -(-9 * len(a) // 10), sign * (mid_b - mid_a)
+        verdict = "met" if wins >= need and gap > q3 - q1 else "not met"
+        claims.append(f"claim {m['name']}: {verdict} (wins {wins}/{len(a)}, need {need}; "
+                      f"median gain {fmt(gap)} vs base quartile spread {fmt(q3 - q1)})")
     for side, runs in (("base", base), ("change", change)):
         lines.append(f"{side}: attempted {sum(r['attempted'] for r in runs)}, "
                      f"failed {sum(r['failed'] for r in runs)}, "
                      f"correct {sum(bool(r['correct']) for r in runs)}/{len(runs)} runs")
-    return lines
+    return lines + claims
 
 
 def main(argv=None):
