@@ -97,16 +97,10 @@ def write_provenance(out_dir, command, config, seed, inputs=None):
         "config_hash": config_hash(config) if config else None,
     }
     data.dump_json(doc, os.path.join(out_dir, "provenance.json"))
-    return doc
-
-
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _load_object(path, what) -> dict:
-    doc = _load_json(path)
+    doc = data.load_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: {what} must be a JSON object")
     return doc
@@ -166,8 +160,6 @@ def benchmark_recipe(method="standard", seed=0, **overrides) -> train.TrainConfi
 class BenchmarkCell:
     """One (fraction, seed) grid point: shared data, per-method results."""
 
-    fraction: float
-    seed: int
     train_manifest: data.DatasetManifest
     test_manifest: data.DatasetManifest
     reports: dict  # method -> EvalReport
@@ -208,7 +200,7 @@ def run_benchmark_cell(fraction, seed, methods, work_dir, overrides=None) -> Ben
             category_map=arts.category_map,
         )
         artifacts[method] = arts
-    return BenchmarkCell(fraction, seed, train_man, test_man, reports, artifacts)
+    return BenchmarkCell(train_man, test_man, reports, artifacts)
 
 
 def overlap_on_cooccur(params, manifest, pairs) -> float:
@@ -414,7 +406,7 @@ def cmd_report(args):
         rep_path = os.path.join(in_dir, "report.json")
         if not os.path.exists(rep_path):
             raise ValueError(f"{in_dir} has no report.json")
-        rep = ev.EvalReport.from_dict(_load_json(rep_path))
+        rep = ev.EvalReport.from_dict(data.load_json(rep_path))
         if rep.method in reports:
             raise ValueError(f"two inputs report method {rep.method!r}")
         reports[rep.method] = rep

@@ -126,16 +126,14 @@ def dump_json(obj, path):
         fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def save_manifest(manifest: DatasetManifest, path):
-    _check_manifest(manifest)
-    dump_json(manifest.to_dict(), path)
+def load_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def load_manifest(path) -> DatasetManifest:
     """A checked manifest whose store holds sample i's maps in slot i, as written."""
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    m = DatasetManifest.from_dict(d, root=os.path.dirname(os.path.abspath(path)))
+    m = DatasetManifest.from_dict(load_json(path), root=os.path.dirname(os.path.abspath(path)))
     _check_manifest(m)
     if m.store is not None:
         slot = m.h * m.w * m.d_in * F32.itemsize
@@ -175,15 +173,14 @@ def _check_manifest(m: DatasetManifest):
 
 
 def _read_samples(fh, path, samples, buf: np.ndarray) -> np.ndarray:
-    """The maps of `samples` in buf's leading rows: one read when they sit
-    back to back in the store, else one read per sample."""
-    out = buf[: len(samples)]
-    offsets = [s.offset for s in samples]
-    if offsets and offsets == list(range(offsets[0], offsets[0] + out.nbytes, buf[0].nbytes)):
-        _read_into(fh, path, offsets[0], out)
-    else:
-        for row, offset in zip(out, offsets):
-            _read_into(fh, path, offset, row)
+    """The maps of `samples` in buf's leading rows, one read per run of
+    samples that sit back to back in the store."""
+    out, size = buf[: len(samples)], buf.itemsize * int(np.prod(buf.shape[1:]))
+    offsets = np.array([s.offset for s in samples], dtype=np.int64)
+    # a run starts at every sample that does not follow the one before it
+    starts = np.flatnonzero(np.diff(offsets, prepend=-size) != size)
+    for lo, hi in zip(starts, [*starts[1:], len(out)]):
+        _read_into(fh, path, int(offsets[lo]), out[lo:hi])
     return out
 
 
@@ -440,7 +437,7 @@ def generate_dataset(cfg: GenConfig, out_dir, split_tag="train") -> DatasetManif
         store=store_name,
         root=os.path.abspath(out_dir),
     )
-    save_manifest(manifest, os.path.join(out_dir, f"{split_tag}.manifest.json"))
+    dump_json(manifest.to_dict(), os.path.join(out_dir, f"{split_tag}.manifest.json"))
     return manifest
 
 

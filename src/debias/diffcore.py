@@ -75,17 +75,15 @@ def finite_diff_check(value, params: dict, grads: dict, eps: float = 1e-5) -> fl
     return worst
 
 
-def sgd_step(params: dict, grads: dict, lr: float) -> dict:
-    """p <- p - lr * g for every entry; keys and shapes must line up."""
+def sgd_step(params: tuple, grads: tuple, lr: float) -> tuple:
+    """(mixer, head) <- (mixer, head) - lr * (g_mixer, g_head); shapes must line up."""
     if lr <= 0:
         raise ValueError("lr must be positive")
-    out = {}
-    for k, p in params.items():
-        g = grads[k]
-        if np.shape(g) != np.shape(p):
-            raise ValueError(f"sgd_step: grad shape {np.shape(g)} vs param {np.shape(p)} for {k!r}")
-        out[k] = p - lr * as_f64(g)
-    return out
+    (mixer, head), (g_mixer, g_head) = params, grads
+    if np.shape(g_mixer) != np.shape(mixer) or np.shape(g_head) != np.shape(head):
+        raise ValueError(f"sgd_step: grad shapes {np.shape(g_mixer)}, {np.shape(g_head)} "
+                         f"vs param shapes {np.shape(mixer)}, {np.shape(head)}")
+    return mixer - lr * as_f64(g_mixer), head - lr * as_f64(g_head)
 
 
 @dataclass(frozen=True)

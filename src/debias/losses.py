@@ -278,13 +278,13 @@ def cam_objective(
 
 
 class RunningMeanBuffer:
-    """Mean of the pooled context features over the last few minibatches."""
+    """Mean of the pooled context features over the last 10 minibatches."""
 
-    def __init__(self, width: int, window: int = 10):
-        if width <= 0 or window <= 0:
-            raise ValueError("width and window must be positive")
+    def __init__(self, width: int):
+        if width <= 0:
+            raise ValueError("width must be positive")
         self.width = width
-        self.entries = deque(maxlen=window)
+        self.entries = deque(maxlen=10)
 
     def push(self, batch_mean):
         """Append one batch's (width,) mean; the oldest entry drops out."""

@@ -16,7 +16,6 @@ objectives in losses take the gradients of this forward pass in closed form.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -160,8 +159,7 @@ def save_checkpoint(path: str, params: ModelParams, run: RunRecord):
 
 def load_checkpoint(path: str):
     """(params, RunRecord), float32-widened, from a store matching its header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = data.load_json(path)
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: checkpoint format {fmt!r}, expected {CHECKPOINT_FORMAT}")

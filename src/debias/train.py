@@ -146,13 +146,10 @@ def _sgd_loop(
                         f"stage {tags['stage']} diverged: loss {loss} at step {len(step_log)} "
                         f"(epoch {epoch}, lr {lr:g})"
                     )
-                stepped = dc.sgd_step(
-                    {"mixer": params.mixer, "head": params.head},
-                    {"mixer": g_mixer, "head": g_head},
-                    lr,
-                )
                 head_before = params.head
-                params.mixer, params.head = stepped["mixer"], stepped["head"]
+                params.mixer, params.head = dc.sgd_step(
+                    (params.mixer, params.head), (g_mixer, g_head), lr
+                )
                 entry["loss"] = loss
                 if after_step is not None:
                     after_step(entry, head_before, params.head)

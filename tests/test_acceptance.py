@@ -241,12 +241,10 @@ def test_suppression_contract():
     )
 
     before = params.head[params.context_rows].tobytes()
-    stepped = dc.sgd_step(
-        {"mixer": params.mixer, "head": params.head}, {"mixer": g_mixer, "head": g_head}, lr=0.7
-    )
-    bits_kept = stepped["head"][params.context_rows].tobytes() == before
+    _, stepped_head = dc.sgd_step((params.mixer, params.head), (g_mixer, g_head), lr=0.7)
+    bits_kept = stepped_head[params.context_rows].tobytes() == before
     own_moved = not np.array_equal(
-        stepped["head"][params.own_rows], params.head[params.own_rows]
+        stepped_head[params.own_rows], params.head[params.own_rows]
     )
 
     # non-exclusive batch: suppressed and plain paths agree on value and grads

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from debias import cli, data, model, train
+from debias import bias, cli, data, model, train
 from debias import eval as eval_mod
 
 
@@ -211,6 +211,23 @@ def test_load_maps_returns_the_given_rows(tmp_path):
     assert maps.tobytes() == stored_maps(m)[rows].tobytes()
     assert data.load_maps(m, range(12, 20)).tobytes() == stored_maps(m)[12:20].tobytes()
     assert data.load_maps(m, []).shape == (0, 16, 8)
+
+
+def test_load_maps_reads_each_run_of_rows_once(tmp_path, monkeypatch):
+    # the CAM stage's rows at the paper's fraction: the co-occurring samples
+    # of the two planted pairs, two runs of back-to-back slots in the store
+    train_cfg, _ = data.benchmark_configs(0.05, 1000, 2000, 3000)
+    m = data.generate_dataset(train_cfg, tmp_path)
+    labels = m.label_matrix()
+    rows = np.flatnonzero(np.logical_or.reduce(
+        [bias.pair_masks(labels, b, c)[0] for b, c in data.BENCH_PAIRS]))
+    assert len(rows) == 950
+    reads = []
+    read_into = data._read_into
+    monkeypatch.setattr(data, "_read_into", lambda *a: reads.append(a) or read_into(*a))
+    maps = data.load_maps(m, rows)
+    assert len(reads) == 2
+    assert maps.tobytes() == stored_maps(m)[rows].tobytes()
 
 
 def test_truncated_store_is_refused(tmp_path, capsys):

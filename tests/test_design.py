@@ -98,3 +98,39 @@ def test_every_document_parse_checks_its_fields():
             for n in ast.walk(fn) if isinstance(n, ast.Call)
         }
         assert "_checked_fields" in calls, f"{mod}.{fn.name} parses its document by hand"
+
+
+# defaulted parameters that no call in src/ passes, each kept for a stated reason
+DEFAULT_ONLY_OK = {
+    ("cli", "main", "argv"): "the entry point: the console script passes no argv",
+    ("diffcore", "finite_diff_check", "eps"): "the probe step the gradient gate runs at",
+}
+
+
+def test_every_defaulted_parameter_is_passed_in_src():
+    # a parameter whose default every caller keeps is a knob with one value
+    # in use; a class constructor's parameters are matched by the class name
+    defaulted, passed = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body if isinstance(f, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                name = owner[id(node)] if node.name == "__init__" else node.name
+                shift = 1 if id(node) in owner else 0  # self or cls
+                for i in range(len(positional) - len(args.defaults), len(positional)):
+                    defaulted.append((path.stem, name, positional[i].arg, i - shift))
+                defaulted += [(path.stem, name, p.arg, None)
+                              for p, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                passed |= {(name, i) for i in range(len(node.args))}
+                passed |= {(name, k.arg or "**") for k in node.keywords}
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    passed.add((name, "*"))
+    unpassed = [(mod, fn, p) for mod, fn, p, i in defaulted
+                if not {(fn, p), (fn, i), (fn, "*"), (fn, "**")} & passed]
+    assert sorted(unpassed) == sorted(DEFAULT_ONLY_OK)

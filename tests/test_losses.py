@@ -817,7 +817,7 @@ def test_cam_objective_repeats_bit_for_bit():
 
 
 def test_running_mean_window_arithmetic():
-    buf = losses.RunningMeanBuffer(width=1, window=10)
+    buf = losses.RunningMeanBuffer(width=1)
     for v in range(1, 11):
         buf.push(np.array([float(v)]))
     buf.push(np.array([11.0]))

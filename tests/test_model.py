@@ -31,6 +31,14 @@ def test_zero_head_gives_zero_logits():
     assert np.array_equal(logits, np.zeros((1, 3)))
 
 
+@pytest.mark.parametrize("rows", [np.ones(2), np.ones((5, 3))], ids=["1d", "inner_dim"])
+def test_forward_rejects_pooled_rows_of_other_shape(rows):
+    # the forward pass takes (n, D_in) pooled rows only
+    params = model.init_params(2, 4, 3, 0)
+    with pytest.raises(ValueError):
+        model.forward_batch(params, rows)
+
+
 def test_constant_map_pools_to_mixed_vector():
     params = small_params()
     v = np.random.default_rng(1).normal(size=params.d_in)

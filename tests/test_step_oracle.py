@@ -81,14 +81,12 @@ def captured_steps(monkeypatch, run):
     steps = []
     real = dc.sgd_step
 
+    def named(pair):  # the (mixer, head) pair as the dict the cases read
+        return {k: np.array(v, dtype=float) for k, v in zip(("mixer", "head"), pair)}
+
     def record(params, grads, lr):
         out = real(params, grads, lr)
-        steps.append((
-            {k: np.array(v, dtype=float) for k, v in params.items()},
-            {k: np.array(v, dtype=float) for k, v in grads.items()},
-            lr,
-            {k: np.array(v, dtype=float) for k, v in out.items()},
-        ))
+        steps.append((named(params), named(grads), lr, named(out)))
         return out
 
     monkeypatch.setattr(dc, "sgd_step", record)
