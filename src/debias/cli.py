@@ -22,7 +22,6 @@ import numpy as np
 from . import bias as bias_mod
 from . import data
 from . import eval as ev
-from . import losses
 from . import model as mdl
 from . import train
 
@@ -117,8 +116,6 @@ def _find_manifest(path):
                 f"{path} holds {len(found)} manifests; pass the file itself"
             )
         path = os.path.join(path, found[0])
-    if not os.path.exists(path):
-        raise ValueError(f"no manifest at {path}")
     return path
 
 
@@ -201,22 +198,6 @@ def run_benchmark_cell(fraction, seed, methods, work_dir, overrides=None) -> Ben
         )
         artifacts[method] = arts
     return BenchmarkCell(train_man, test_man, reports, artifacts)
-
-
-def overlap_on_cooccur(params, manifest, pairs) -> float:
-    """Mean normalized-map overlap over the co-occurring samples of `pairs`, read alone."""
-    labels = manifest.label_matrix()
-    parts = []
-    for b, c in pairs:
-        rows = np.flatnonzero(bias_mod.pair_masks(labels, b, c)[0])
-        if rows.size == 0:
-            continue
-        feats = data.load_maps(manifest, rows)
-        maps = [losses.peak_normalize(losses.cam_maps(params, feats, k))[0] for k in (b, c)]
-        parts.append((maps[0] * maps[1]).ravel())
-    if not parts:
-        raise ValueError("no co-occurring samples for any pair")
-    return float(np.mean(np.concatenate(parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +291,6 @@ def cmd_eval(args):
     ckpt_path = args.checkpoint
     if os.path.isdir(ckpt_path):
         ckpt_path = os.path.join(ckpt_path, "checkpoint.json")
-    if not os.path.exists(ckpt_path):
-        raise ValueError(f"no checkpoint at {ckpt_path}")
     params, run = mdl.load_checkpoint(ckpt_path)
     manifest = data.load_manifest(_find_manifest(args.data))
     m = len(manifest.categories)
@@ -403,10 +382,7 @@ def cmd_report(args):
         prov_path = os.path.join(in_dir, "provenance.json")
         if not os.path.exists(prov_path):
             raise ValueError(f"{in_dir} has no provenance.json; refusing it")
-        rep_path = os.path.join(in_dir, "report.json")
-        if not os.path.exists(rep_path):
-            raise ValueError(f"{in_dir} has no report.json")
-        rep = ev.EvalReport.from_dict(data.load_json(rep_path))
+        rep = ev.EvalReport.from_dict(data.load_json(os.path.join(in_dir, "report.json")))
         if rep.method in reports:
             raise ValueError(f"two inputs report method {rep.method!r}")
         reports[rep.method] = rep

@@ -34,9 +34,17 @@ BLOCK = 256  # samples per store read or write
 # tensor store
 
 
+def _open_input(path):
+    """Open an input file for binary reading; a missing one is a ValueError naming it."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise ValueError(f"no file at {path}") from None
+
+
 def _open_store(path):
     """Open a store for reading, after checking its magic."""
-    fh = open(path, "rb")
+    fh = _open_input(path)
     magic = fh.read(len(STORE_MAGIC))
     if magic != STORE_MAGIC:
         fh.close()
@@ -127,7 +135,7 @@ def dump_json(obj, path):
 
 
 def load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         return json.load(fh)
 
 
@@ -138,7 +146,8 @@ def load_manifest(path) -> DatasetManifest:
     if m.store is not None:
         slot = m.h * m.w * m.d_in * F32.itemsize
         want = len(STORE_MAGIC) + len(m.samples) * slot
-        got = os.path.getsize(m.store_path())
+        with _open_input(m.store_path()) as fh:
+            got = fh.seek(0, os.SEEK_END)
         if got != want:
             raise ValueError(
                 f"{m.store_path()}: {got} bytes, expected {want} for "

@@ -74,20 +74,6 @@ def weight_cosine(params: mdl.ModelParams, pair) -> float:
     return float(u @ v / (nu * nv))
 
 
-def export_heatmap(heat, path):
-    """Binary PGM (P5, maxval 255); v maps to round-half-up(255 v)."""
-    heat = dc.as_f64(heat)
-    if heat.ndim != 2:
-        raise ValueError("heatmap must be 2-D")
-    if heat.min() < 0.0 or heat.max() > 1.0:
-        raise ValueError("heatmap values must lie in [0, 1]")
-    quant = np.floor(255.0 * heat + 0.5).astype(np.uint8)
-    h, w = heat.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(quant.tobytes())
-
-
 # ---------------------------------------------------------------------------
 # full-report evaluation
 

@@ -134,10 +134,9 @@ def cam_maps(params: mdl.ModelParams, pixel_rows, category: int) -> np.ndarray:
     """(n, P) raw activation maps of `category` for (n, P, D_in) pixel rows.
 
     Each map is X (W h_k): the mixer meets the head column first, so no
-    product is wider than that column. Training, the frozen snapshot and the
-    overlap metric all form their maps here and normalize them with
-    peak_normalize, so a grounding term against unchanged weights is zero to
-    the bit.
+    product is wider than that column. Training and the frozen snapshot both
+    form their maps here and normalize them with peak_normalize, so a
+    grounding term against unchanged weights is zero to the bit.
     """
     if not 0 <= category < params.m:
         raise ValueError(f"category {category} out of range for {params.m} categories")

@@ -185,7 +185,7 @@ def load_checkpoint(path: str):
             f"of a {h.d_in}x{h.d} mixer and a {h.d}x{h.m} head"
         )
     store = os.path.join(os.path.dirname(os.path.abspath(path)), h.store)
-    with open(store, "rb") as fh:
+    with data._open_input(store) as fh:
         raw = fh.read()
     if len(raw) != h.store_bytes:
         raise ValueError(f"{store}: {len(raw)} bytes, header says {h.store_bytes}")

@@ -605,6 +605,38 @@ def test_exit_codes(ws, tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("case", [
+    "gen-config", "train-config", "sweep-config", "eval-manifest-store", "eval-checkpoint-store",
+])
+def test_missing_input_file_exits_2_naming_it(ws, tmp_path, capsys, case):
+    # every input file is opened through data._open_input, so a missing
+    # config, manifest store or checkpoint store is one line naming it
+    out = str(tmp_path / "out")
+    missing = tmp_path / "missing.json"
+    argv = {
+        "gen-config": ["gen", "--config", str(missing), "--out", out],
+        "train-config": ["train", "--config", str(missing), "--data", str(ws / "dtrain"),
+                         "--out", out],
+        "sweep-config": ["sweep", "--config", str(missing), "--fractions", "0.05",
+                         "--methods", "standard", "--out", out],
+    }.get(case)
+    if argv is None:
+        run, test_dir = tmp_path / "run", tmp_path / "dtest"
+        assert cli.main([
+            "train", "--data", str(ws / "dtrain"), "--config", str(ws / "train.json"),
+            "--pairs", "0:1", "--out", str(run),
+        ]) == 0
+        shutil.copytree(ws / "dtest", test_dir)
+        missing = {"eval-manifest-store": test_dir / "test.store",
+                   "eval-checkpoint-store": run / "checkpoint.json.store"}[case]
+        missing.unlink()
+        argv = ["eval", "--checkpoint", str(run), "--data", str(test_dir), "--out", out]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(missing) in err[0], err
+
+
 def test_seed_env_default_and_flag_precedence(ws, tmp_path, monkeypatch):
     monkeypatch.setenv("DEBIAS_SEED", "9")
     run = tmp_path / "env"

@@ -8,8 +8,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "debias"
 # public names that nothing in src/ calls, each kept for a stated reason
 UNREFERENCED_OK = {
     ("diffcore", "finite_diff_check"): "gradient checking of the training objectives",
-    ("cli", "overlap_on_cooccur"): "the acceptance suite's CAM overlap metric",
-    ("eval", "export_heatmap"): "the heatmap export that `eval --heatmaps` is to wire",
 }
 
 

@@ -164,21 +164,6 @@ def test_weight_cosine():
         ev.weight_cosine(zero, (0, 1))
 
 
-def test_export_heatmap_bytes(tmp_path):
-    path = tmp_path / "map.pgm"
-    ev.export_heatmap(np.array([[0.0, 0.5], [0.25, 1.0]]), path)
-    raw = path.read_bytes()
-    assert raw == b"P5\n2 2\n255\n" + bytes([0, 128, 64, 255])
-
-    ev.export_heatmap(np.zeros((2, 3)), path)
-    assert path.read_bytes().endswith(bytes(6))
-
-    with pytest.raises(ValueError):
-        ev.export_heatmap(np.array([[1.2]]), path)
-    with pytest.raises(ValueError):
-        ev.export_heatmap(np.array([[-0.1]]), path)
-
-
 # ---------------------------------------------------------------------------
 # splits and full report
 

@@ -69,3 +69,23 @@ def test_bench_pairs_needs_two_seeds(capsys):
         bench_pairs.main(["--base", ".", "--change", ".", "--workload", "paper-cell",
                           "--seeds", "5"])
     assert "at least two seeds" in capsys.readouterr().err
+
+
+def test_compare_outputs_names_each_differing_file(tmp_path, capsys):
+    # the same tree twice gives equal outputs; one changed byte in one
+    # output file is named, with exit 1
+    compare_outputs = load_tool("compare_outputs")
+    base, change = tmp_path / "base", tmp_path / "change"
+    for out in (base, change):
+        out.mkdir()
+        compare_outputs.run_pipeline(TOOLS.parent, out, ["stage1_epochs=1", "stage2_epochs=1"])
+    assert compare_outputs.compare(base, change) == 0
+    assert capsys.readouterr().out.splitlines() == ["35 files, 0 differ"]
+
+    store = change / "train" / "cam" / "checkpoint.json.store"
+    raw = bytearray(store.read_bytes())
+    raw[-1] ^= 1
+    store.write_bytes(bytes(raw))
+    assert compare_outputs.compare(base, change) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: train/cam/checkpoint.json.store", "35 files, 1 differ"]
