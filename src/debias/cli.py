@@ -327,13 +327,16 @@ def cmd_eval(args):
 def cmd_sweep(args):
     fractions = [float(x) for x in args.fractions.split(",")]
     methods = [canon_method(x) for x in args.methods.split(",")]
-    if len(set(methods)) != len(methods):
-        raise ValueError("duplicate method in --methods")
     if args.seeds:
         seeds = [int(x) for x in args.seeds.split(",")]
     else:
         env = resolve_seed(None)
         seeds = [env] if env is not None else [0, 1, 2, 3, 4]
+    # a repeat would train one cell directory twice and write its rows twice
+    for flag, values in (("fraction", [f"{f:g}" for f in fractions]),
+                         ("method", methods), ("seed", seeds)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"duplicate {flag} in --{flag}s")
     overrides = _load_object(args.config, "train config") if args.config else {}
     overrides.update(parse_overrides(args.set))
     overrides.pop("method", None)

@@ -16,13 +16,12 @@ import numpy as np
 
 from . import bias as bias_mod
 from . import data
-from . import diffcore as dc
 from . import model as mdl
 
 
 def average_precision(scores, labels) -> float:
     """AP with stable tie handling: equal scores keep original sample order."""
-    scores = dc.as_f64(scores).ravel()
+    scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must have equal length")
@@ -48,7 +47,7 @@ def topk_recall(scores, labels, k: int) -> dict:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    scores = dc.as_f64(scores)
+    scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must have equal shape")
@@ -121,9 +120,10 @@ def adapted_scores(preds: np.ndarray, m: int, category_map) -> np.ndarray:
     For a split-biased model the biased category is scored as the max of its
     two columns (with-context and solo), so both halves count as b.
     """
-    scores = dc.as_f64(preds)[:, :m].copy()
+    preds = np.asarray(preds, dtype=np.float64)
+    scores = preds[:, :m].copy()
     for b, solo in category_map:
-        scores[:, b] = np.maximum(scores[:, b], dc.as_f64(preds)[:, solo])
+        scores[:, b] = np.maximum(scores[:, b], preds[:, solo])
     return scores
 
 

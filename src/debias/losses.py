@@ -32,7 +32,6 @@ from functools import reduce
 import numpy as np
 
 from . import bias as bias_mod
-from . import diffcore as dc
 from . import model as mdl
 
 LOG_GUARD = 1e-12
@@ -56,19 +55,19 @@ def bce(logits, targets, weights=None) -> tuple:
     (`0.0 - g_p` keeps its +0.0 where the guard clips); changing the order
     changes the gradients' rounding, and with it trained weights.
     """
-    z, t = dc.as_f64(logits), dc.as_f64(targets)
+    z, t = np.asarray(logits, dtype=np.float64), np.asarray(targets, dtype=np.float64)
     if t.shape != z.shape:
         raise ValueError(f"bce: targets {t.shape} vs logits {z.shape}")
     pos = t == 1.0
     if not (pos | (t == 0.0)).all():
         raise ValueError("targets must be binary")
-    s = dc.sigmoid_values(z)
+    s = mdl.sigmoid_values(z)
     q = 1.0 - s
     p = np.maximum(np.where(pos, s, q), LOG_GUARD)
     terms = -np.log(p)
     g = 1.0 / terms.size  # the mean's cotangent; a scalar rounds as a full array of it
     if weights is not None:
-        w = dc.as_f64(weights)
+        w = np.asarray(weights, dtype=np.float64)
         if w.shape != terms.shape:
             raise ValueError("weight matrix must match logits shape")
         terms, g = w * terms, g * w
@@ -82,7 +81,7 @@ def _linear_grads(params, pooled_rows, feats, g_logits, keep=None) -> tuple:
     g_feats = g_logits @ params.head.T
     if keep is not None:
         g_feats = g_feats * keep
-    return dc.as_f64(pooled_rows).T @ g_feats, feats.T @ g_logits
+    return np.asarray(pooled_rows, dtype=np.float64).T @ g_feats, feats.T @ g_logits
 
 
 def bce_objective(params: mdl.ModelParams, pooled_rows, targets, weights=None) -> tuple:
@@ -140,7 +139,7 @@ def cam_maps(params: mdl.ModelParams, pixel_rows, category: int) -> np.ndarray:
     """
     if not 0 <= category < params.m:
         raise ValueError(f"category {category} out of range for {params.m} categories")
-    feats = dc.as_f64(pixel_rows)
+    feats = np.asarray(pixel_rows, dtype=np.float64)
     n, p, d_in = feats.shape
     return (feats.reshape(n * p, d_in) @ (params.mixer @ params.head[:, [category]])).reshape(n, p)
 
@@ -155,7 +154,7 @@ def peak_normalize(raw) -> tuple:
     the denominator's, the max's share split evenly over ties, then the relu
     mask (subgradient 0 at the kink); another order changes trained weights.
     """
-    raw = dc.as_f64(raw)
+    raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim < 2:
         raise ValueError(f"peak_normalize: maps come as (..., n, P), got shape {raw.shape}")
     r = np.maximum(raw, 0.0)
@@ -229,7 +228,7 @@ def cam_terms(params, pairs, pixel_rows, sizes, frozen, lambda1, lambda2) -> tup
     if lambda1 == lambda2 == 0 or len(pixel_rows) == 0:
         return 0.0, 0.0, g_mixer, g_head
     segments = [(b, c, slice(e - n, e)) for (b, c), n, e in zip(pairs, sizes, np.cumsum(sizes))]
-    x = dc.as_f64(pixel_rows)
+    x = np.asarray(pixel_rows, dtype=np.float64)
     raw = np.empty((2, len(x), x.shape[1]))
     for b, c, seg in segments:
         raw[0, seg], raw[1, seg] = cam_maps(params, x[seg], b), cam_maps(params, x[seg], c)
@@ -287,7 +286,7 @@ class RunningMeanBuffer:
 
     def push(self, batch_mean):
         """Append one batch's (width,) mean; the oldest entry drops out."""
-        v = dc.as_f64(batch_mean)
+        v = np.asarray(batch_mean, dtype=np.float64)
         if v.shape != (self.width,):
             raise ValueError(f"expected vector of length {self.width}, got {v.shape}")
         self.entries.append(v.copy())

@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import data
-from . import diffcore as dc
 
 
 @dataclass
@@ -34,8 +33,8 @@ class ModelParams:
     context_rows: np.ndarray  # the suppressible half
 
     def __post_init__(self):
-        self.mixer = dc.as_f64(self.mixer)
-        self.head = dc.as_f64(self.head)
+        self.mixer = np.asarray(self.mixer, dtype=np.float64)
+        self.head = np.asarray(self.head, dtype=np.float64)
         self.own_rows = np.asarray(self.own_rows, dtype=np.intp)
         self.context_rows = np.asarray(self.context_rows, dtype=np.intp)
         d = self.head.shape[0]
@@ -83,7 +82,7 @@ def pool_pixels(feats: np.ndarray) -> np.ndarray:
 
 def mix(params: ModelParams, pooled_rows: np.ndarray) -> np.ndarray:
     """(n, D) features rows W of (n, D_in) pooled rows: GAP(X W) = GAP(X) W (see pool_pixels)."""
-    pooled_rows = dc.as_f64(pooled_rows)
+    pooled_rows = np.asarray(pooled_rows, dtype=np.float64)
     if pooled_rows.ndim != 2 or pooled_rows.shape[1] != params.d_in:
         raise ValueError(f"bad pooled shape {pooled_rows.shape} for {params.d_in} channels")
     return pooled_rows @ params.mixer
@@ -95,9 +94,15 @@ def forward_batch(params: ModelParams, pooled_rows: np.ndarray) -> tuple:
     return mixed, mixed @ params.head
 
 
+def sigmoid_values(v: np.ndarray) -> np.ndarray:
+    # the clip (min/max, as np.clip but cheaper) keeps exp() in range;
+    # inactive for |v| <= 40 so gradient checks on ordinary magnitudes are exact
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(v, -40.0), 40.0)))
+
+
 def predict(params: ModelParams, pooled_rows: np.ndarray) -> np.ndarray:
     """Sigmoid scores of (n, D_in) pooled rows."""
-    return dc.sigmoid_values(forward_batch(params, pooled_rows)[1])
+    return sigmoid_values(forward_batch(params, pooled_rows)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ def train_stage1(
     params, curve, step_log = _sgd_loop(
         mdl.init_params(manifest.d_in, cfg.mixer_width, m, seeds["init"]),
         rows80, cfg.stage1_epochs, cfg.sgd_stage1, cfg.batch_size, seeds["shuffle1"],
-        {"stage": 1}, _bce_objective(pooled, dc.as_f64(labels)),
+        {"stage": 1}, _bce_objective(pooled, np.asarray(labels, dtype=np.float64)),
     )
 
     if pinned is None:
@@ -294,7 +294,8 @@ def train_stage2(
         ) / np.sqrt(params.d)
         params = replace(params, head=np.concatenate([params.head, extra], axis=1))
 
-    labels = dc.as_f64(work.label_matrix())  # the objectives' targets, converted once
+    # the objectives' targets, converted once
+    labels = np.asarray(work.label_matrix(), dtype=np.float64)
     n, m = labels.shape
 
     # the method's objective, chosen once; each weighted method fills one

@@ -20,6 +20,7 @@ from debias import eval as ev
 from debias import losses
 from debias import model as mdl
 from debias import train
+from gradcheck import finite_diff_check
 
 # Frozen from the 5-seed pilot: half the median exclusive-split margin of
 # the feature-split method over standard training at fraction 0.05.
@@ -47,7 +48,7 @@ def _check(objective, point, keep=None):
     """
     _, grads = objective(point)
     grads = {k: v for k, v in grads.items() if keep is None or k in keep}
-    return dc.finite_diff_check(lambda p: objective(p)[0], point, grads, eps=1e-5)
+    return finite_diff_check(lambda p: objective(p)[0], point, grads, eps=1e-5)
 
 
 def test_gradients_match_finite_differences():

@@ -303,6 +303,26 @@ def test_sweep_rejects_list_config(tmp_path, capsys):
     assert not (tmp_path / "sw").exists()
 
 
+@pytest.mark.parametrize("flag, values", [
+    ("methods", "standard,cam,standard"),
+    ("fractions", "0.05,0.050"),
+    ("seeds", "1,1"),
+])
+def test_sweep_rejects_a_repeated_value(tmp_path, capsys, monkeypatch, flag, values):
+    # a repeat would train one cell twice into the same directory
+    steps = []
+    sgd_step = dc.sgd_step
+    monkeypatch.setattr(dc, "sgd_step", lambda *a: steps.append(1) or sgd_step(*a))
+    argv = ["sweep", "--fractions", "0.05", "--methods", "standard", "--seeds", "1",
+            "--out", str(tmp_path / "sw")]
+    argv[argv.index(f"--{flag}") + 1] = values
+    assert cli.main(argv) == 2
+    assert steps == []
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: duplicate {flag[:-1]} in --{flag}"]
+    assert not (tmp_path / "sw").exists()
+
+
 def test_n_steps_counts_every_sgd_step(ws, tmp_path, monkeypatch):
     # one entry per step of both stages, so n_steps is the number of updates
     steps, runs = [], []

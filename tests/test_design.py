@@ -5,11 +5,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "debias"
 
-# public names that nothing in src/ calls, each kept for a stated reason
-UNREFERENCED_OK = {
-    ("diffcore", "finite_diff_check"): "gradient checking of the training objectives",
-}
-
 
 def references(mod, stmt, alias):
     """(module, name) pairs that one top-level statement of `mod` refers to."""
@@ -43,7 +38,7 @@ def test_every_public_name_is_used_in_src():
                     defined.append((mod, stmt.name))
             used |= refs
     unused = [d for d in defined if d not in used]
-    assert sorted(unused) == sorted(UNREFERENCED_OK)
+    assert unused == []
 
 
 def test_training_has_one_step_loop():
@@ -101,7 +96,6 @@ def test_every_document_parse_checks_its_fields():
 # defaulted parameters that no call in src/ passes, each kept for a stated reason
 DEFAULT_ONLY_OK = {
     ("cli", "main", "argv"): "the entry point: the console script passes no argv",
-    ("diffcore", "finite_diff_check", "eps"): "the probe step the gradient gate runs at",
 }
 
 

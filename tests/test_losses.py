@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from debias import diffcore as dc
 from debias import losses, model, train
+from gradcheck import finite_diff_check
 
 LN2 = math.log(2.0)
 RNG = np.random.default_rng
@@ -60,7 +60,7 @@ def test_bce_gradient_checks_out():
     def value(p):
         return losses.bce(p["z"], t)[0]
 
-    assert dc.finite_diff_check(value, {"z": z}, {"z": g}, eps=1e-5) < 1e-6
+    assert finite_diff_check(value, {"z": z}, {"z": g}, eps=1e-5) < 1e-6
 
 
 def test_bce_at_zero_is_ln2_with_gradient_sigmoid_minus_target_over_n():
@@ -133,12 +133,51 @@ def test_bce_gradient_matches_finite_differences_and_closed_form():
         for z in grid[np.abs(grid) <= 10.0]:
             point = {"z": np.full((1, 1), z)}
             grads = {"z": losses.bce(point["z"], target)[1]}
-            assert dc.finite_diff_check(value, point, grads, eps=1e-5) < 1e-6
+            assert finite_diff_check(value, point, grads, eps=1e-5) < 1e-6
     z = np.tile(grid, (2, 1))
     targets = np.repeat([[1.0], [0.0]], grid.size, axis=1)
     g = losses.bce(z, targets)[1] * z.size
     closed = 1.0 / (1.0 + np.exp(-z)) - targets
     assert np.max(np.abs(g - closed) / np.abs(closed)) < 1e-12
+
+
+def linear_setup(seed, n=3, d_in=2, d=4, m=3):
+    params = model.init_params(d_in, d, m, seed)
+    rng = RNG(seed + 1)
+    pooled = rng.normal(size=(n, d_in))
+    t = (rng.random((n, m)) < 0.5).astype(float)
+    return params, pooled, t
+
+
+def test_linear_map_row_gradients():
+    # one sample: gW = p^T (gz H^T) is an outer product, so row i of the mixer
+    # gradient is p_i times one shared vector, and gH = (p W)^T gz
+    params, pooled, t = linear_setup(0, n=1)
+    _, g_mixer, g_head = losses.bce_objective(params, pooled, t)
+    z = (pooled @ params.mixer) @ params.head
+    gz = (model.sigmoid_values(z) - t) / t.size
+    shared = (gz @ params.head.T)[0]
+    for i, row in enumerate(g_mixer):
+        assert np.allclose(row, pooled[0, i] * shared, rtol=0, atol=1e-15)
+    assert np.allclose(g_head, (pooled @ params.mixer).T @ gz, rtol=0, atol=1e-15)
+
+
+def test_mean_gradient():
+    # the mean spreads its cotangent evenly: at z = 0 each logit gets (1/2 - t) / n
+    t = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    _, g = losses.bce(np.zeros((2, 3)), t)
+    assert np.array_equal(g, (0.5 - t) / 6.0)
+
+
+def test_guarded_log_value_and_gradient():
+    # sigmoid(-40) < LOG_GUARD: a positive target reads -log(LOG_GUARD) and
+    # gets no gradient; at z = 0 the gradient is (1/2 - 1) / 2 = -1/4
+    v = np.array([[-40.0, 0.0]])
+    assert model.sigmoid_values(v)[0, 0] < losses.LOG_GUARD
+    assert losses.bce(v[:, :1], np.ones((1, 1)))[0] == -np.log(1e-12)
+    _, g = losses.bce(v, np.ones((1, 2)))
+    assert g[0, 0] == 0.0  # flat below the guard
+    assert abs(g[0, 1] + 0.25) < 1e-15
 
 
 def tiled(sample_weights, m):  # one weight per sample, repeated across categories
@@ -352,7 +391,7 @@ def test_peak_normalize_gradient_checks_out_with_distinct_maxima():
         return np.mean(losses.peak_normalize(p["f"])[0] * weights)
 
     grads = {"f": losses.peak_normalize(base)[1](weights / weights.size)}
-    assert dc.finite_diff_check(value, {"f": base}, grads, eps=1e-5) < 1e-6
+    assert finite_diff_check(value, {"f": base}, grads, eps=1e-5) < 1e-6
 
 
 def test_peak_normalize_gradient_checks_out_with_negative_pixels():
@@ -367,7 +406,7 @@ def test_peak_normalize_gradient_checks_out_with_negative_pixels():
         return np.mean(losses.peak_normalize(p["x"])[0])
 
     grads = {"x": losses.peak_normalize(x)[1](np.full((2, 6), 1.0 / 12))}
-    assert dc.finite_diff_check(value, {"x": x}, grads, eps=1e-5) < 1e-6
+    assert finite_diff_check(value, {"x": x}, grads, eps=1e-5) < 1e-6
 
 
 def test_peak_normalize_stack_equals_each_slice_bit_for_bit():
@@ -473,7 +512,7 @@ def test_overlap_gradient_checks_out():
     def value(q):
         return overlap_terms(at(q, own, ctx), fm)[0]
 
-    assert dc.finite_diff_check(value, p, {"mixer": g_mixer, "head": g_head}, eps=1e-5) < 1e-6
+    assert finite_diff_check(value, p, {"mixer": g_mixer, "head": g_head}, eps=1e-5) < 1e-6
 
 
 def test_ground_loss_zero_when_unchanged():
@@ -508,7 +547,7 @@ def test_ground_gradient_checks_out_off_kinks():
     def value(q):
         return ground_terms(at(q, own, ctx), fm, pre_b, pre_c)[0]
 
-    assert dc.finite_diff_check(value, p, {"mixer": g_mixer, "head": g_head}, eps=1e-5) < 1e-6
+    assert finite_diff_check(value, p, {"mixer": g_mixer, "head": g_head}, eps=1e-5) < 1e-6
 
 
 def test_total_loss_degenerates_to_bce():
@@ -588,7 +627,7 @@ def test_cam_objective_matches_numpy_recomputation():
     def frozen_np(i, k):
         return normalized((feats[i] @ snap.params.mixer) @ snap.params.head[:, k])
 
-    s = dc.sigmoid_values((feats.mean(axis=1) @ params.mixer) @ params.head)
+    s = model.sigmoid_values((feats.mean(axis=1) @ params.mixer) @ params.head)
     want = -np.mean(t * np.log(s) + (1 - t) * np.log(1 - s))
     overlap, ground = [], []
     for b, c in pairs:
@@ -935,4 +974,4 @@ def test_suppressed_path_gradient_checks_out():
     def value(q):
         return objective(q)[0]
 
-    assert dc.finite_diff_check(value, p, {"mixer": g_mixer}, eps=1e-5) < 1e-6
+    assert finite_diff_check(value, p, {"mixer": g_mixer}, eps=1e-5) < 1e-6

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from debias import diffcore as dc
 from debias import losses, model
+from gradcheck import finite_diff_check
 
 
 def small_params(seed=0, d_in=6, d=8, m=4):
@@ -138,7 +138,7 @@ def test_cam_gradients_check_out():
         return objective(p)[0]
 
     grads = {"mixer": g_mixer, "head": g_head}
-    assert dc.finite_diff_check(value, point, grads, eps=1e-5) < 1e-6
+    assert finite_diff_check(value, point, grads, eps=1e-5) < 1e-6
 
 
 def test_normalize_cam_rows_gradient():
@@ -152,7 +152,7 @@ def test_normalize_cam_rows_gradient():
         return np.mean(losses.peak_normalize(p["x"])[0])
 
     grads = {"x": losses.peak_normalize(base)[1](np.full((2, 4), 1.0 / 8))}
-    assert dc.finite_diff_check(value, {"x": base}, grads, eps=1e-5) < 1e-6
+    assert finite_diff_check(value, {"x": base}, grads, eps=1e-5) < 1e-6
 
 
 def test_split_weights_partition_properties():
@@ -209,7 +209,7 @@ def test_predict_matches_logit_sigmoid():
     pooled = model.pool_pixels(np.random.default_rng(10).normal(size=(5, 9, params.d_in)))
     probs = model.predict(params, pooled)
     _, logits = model.forward_batch(params, pooled)
-    assert np.allclose(probs, dc.sigmoid_values(logits), atol=1e-15)
+    assert np.allclose(probs, model.sigmoid_values(logits), atol=1e-15)
     assert probs.shape == (5, params.m)
 
 
@@ -239,7 +239,7 @@ def test_pool_first_matches_per_pixel_reference():
     assert np.abs(mixed - per_pixel).max() < 1e-12
     assert np.abs(logits - ref_logits).max() < 1e-12
     probs = model.predict(params, pooled)
-    assert np.abs(probs - dc.sigmoid_values(ref_logits)).max() < 1e-12
+    assert np.abs(probs - model.sigmoid_values(ref_logits)).max() < 1e-12
     with pytest.raises(ValueError):  # only the pooled (n, D_in) form is accepted
         model.forward_batch(params, feats)
 

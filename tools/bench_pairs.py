@@ -14,8 +14,13 @@ medians, each side's quartiles, and on how many pairs the change was better. The
 the attempted and failed operation counts of each side, summed over its
 runs, and last, per metric, whether the change meets the claim rule: it wins
 at least nine tenths of the pairs (ties count for neither side) and its median
-beats the base's by more than the base's quartile spread (Q3 - Q1). A run
-that exits non-zero stops the tool with its error output.
+beats the base's by more than the base's quartile spread (Q3 - Q1). After
+those, per metric, comes its no-regression verdict against the metric's
+`bound` in BENCHMARK.json: `worse` when the change's median is worse than the
+base's by more than the bound (relative to the base's median), else
+`unresolved` when the base's quartile spread, relative to its median, is
+wider than the bound and not every change run beats every base run, else
+`ok`. A run that exits non-zero stops the tool with its error output.
 """
 
 import argparse
@@ -53,7 +58,7 @@ def table(metrics, base, change):
     """The paired-run report as lines of text."""
     lines = [f"{'metric':<20} {'base':>12} {'change':>12} {'move':>8} {'base Q1':>12} "
              f"{'base Q3':>12} {'change Q1':>12} {'change Q3':>12} {'change wins':>12}"]
-    claims = []
+    claims, bounds = [], []
     for m in metrics:
         a = [r["metrics"][m["name"]]["value"] for r in base]
         b = [r["metrics"][m["name"]]["value"] for r in change]
@@ -70,11 +75,21 @@ def table(metrics, base, change):
         verdict = "met" if wins >= need and gap > q3 - q1 else "not met"
         claims.append(f"claim {m['name']}: {verdict} (wins {wins}/{len(a)}, need {need}; "
                       f"median gain {fmt(gap)} vs base quartile spread {fmt(q3 - q1)})")
+        spread = (q3 - q1) / abs(mid_a) if mid_a else float("nan")
+        beats_all = min(b) > max(a) if sign > 0 else max(b) < min(a)
+        if -sign * move > m["bound"]:
+            verdict = "worse"
+        elif not spread <= m["bound"] and not beats_all:  # a NaN spread is unresolved too
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
+        bounds.append(f"bound {m['name']}: {verdict} (median move {move:+.1%}, base quartile "
+                      f"spread {spread:.1%} of its median, bound {m['bound']:.0%})")
     for side, runs in (("base", base), ("change", change)):
         lines.append(f"{side}: attempted {sum(r['attempted'] for r in runs)}, "
                      f"failed {sum(r['failed'] for r in runs)}, "
                      f"correct {sum(bool(r['correct']) for r in runs)}/{len(runs)} runs")
-    return lines + claims
+    return lines + claims + bounds
 
 
 def main(argv=None):

@@ -8,13 +8,16 @@ In each checkout it writes the fraction-0.05 benchmark configs of seed 0
 (`data.benchmark_configs` and `cli.benchmark_recipe`), runs `debias gen` for
 the train and the test set, `debias train` with the planted pairs pinned for
 cam, feature-split, standard and split, `debias eval` of each checkpoint on
-the test set and one `debias report` over the four evaluations: 35 files.
-Every command runs in a subprocess with one BLAS thread, the checkout's `src/`
-on PYTHONPATH, no DEBIAS_SEED and the same relative paths on both sides, so
-the provenance records match. `--set` overrides pass through to each
-`debias train`. It prints one line per file that differs or exists on one side
-only, then a count, and exits 1 if any file differs, 0 if none does. A command
-that fails stops the tool with its error output (exit 2).
+the test set and one `debias report` over the four evaluations (35 files),
+then `debias sweep` on one cell (fraction 0.05, seed 0, cam and standard):
+its `trend.csv` and `provenance.json`, the cell's two datasets, and each
+run's `report.json` and `provenance.json` (10 files, 45 in all). Every
+command runs in a subprocess with one BLAS thread, the checkout's `src/` on
+PYTHONPATH, no DEBIAS_SEED and the same relative paths on both sides, so the
+provenance records match. `--set` overrides pass through to each `debias
+train` and to the sweep. It prints one line per file that differs or exists
+on one side only, then a count, and exits 1 if any file differs, 0 if none
+does. A command that fails stops the tool with its error output (exit 2).
 """
 
 import argparse
@@ -58,6 +61,8 @@ def run_pipeline(checkout, out, sets):
                       "data/test", "--out", f"eval/{m}"])
     steps.append(["-m", "debias.cli", "report", "--inputs", *(f"eval/{m}" for m in METHODS),
                   "--out", "report"])
+    steps.append(["-m", "debias.cli", "sweep", "--fractions", "0.05", "--seeds", "0",
+                  "--methods", "cam,standard", "--out", "sweep", *overrides])
     for argv in steps:
         proc = subprocess.run([sys.executable, *argv], cwd=out, env=env,
                               capture_output=True, text=True)
