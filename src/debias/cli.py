@@ -41,19 +41,6 @@ def canon_method(name: str) -> str:
     return METHOD_ALIASES.get(name, name)
 
 
-def resolve_seed(flag_value, fallback=None):
-    """Seed precedence: flag, then DEBIAS_SEED, then the fallback."""
-    if flag_value is not None:
-        return int(flag_value)
-    env = os.environ.get("DEBIAS_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"DEBIAS_SEED must be an integer, got {env!r}")
-    return fallback
-
-
 def parse_overrides(items) -> dict:
     """key=value pairs; values parse as JSON and fall back to plain strings."""
     out = {}
@@ -206,14 +193,12 @@ def run_benchmark_cell(fraction, seed, methods, work_dir, overrides=None) -> Ben
 
 def cmd_gen(args):
     cfg_dict = _load_object(args.config, "gen config")
-    seed = resolve_seed(args.seed, cfg_dict.get("seed"))
-    if seed is None:
-        raise ValueError("no seed: set one in the config, --seed, or DEBIAS_SEED")
-    cfg_dict["seed"] = seed
+    if args.seed is not None:
+        cfg_dict["seed"] = args.seed
     cfg = data.GenConfig.from_dict(cfg_dict)
     os.makedirs(args.out, exist_ok=True)
     data.generate_dataset(cfg, args.out, args.split)
-    write_provenance(args.out, "gen", cfg.to_dict(), seed, {"config": args.config})
+    write_provenance(args.out, "gen", cfg.to_dict(), cfg.seed, {"config": args.config})
     print(f"wrote {args.out}/{args.split}.manifest.json")
     return 0
 
@@ -251,7 +236,8 @@ def _resolved_train_config(args):
     cfg_dict.update(parse_overrides(args.set))
     if args.method:
         cfg_dict["method"] = canon_method(args.method)
-    cfg_dict["seed"] = resolve_seed(args.seed, cfg_dict.get("seed", 0))
+    if args.seed is not None:
+        cfg_dict["seed"] = args.seed
     return train.TrainConfig.from_dict(cfg_dict)
 
 
@@ -327,16 +313,15 @@ def cmd_eval(args):
 def cmd_sweep(args):
     fractions = [float(x) for x in args.fractions.split(",")]
     methods = [canon_method(x) for x in args.methods.split(",")]
-    if args.seeds:
-        seeds = [int(x) for x in args.seeds.split(",")]
-    else:
-        env = resolve_seed(None)
-        seeds = [env] if env is not None else [0, 1, 2, 3, 4]
+    seeds = [int(x) for x in args.seeds.split(",")] if args.seeds else [0, 1, 2, 3, 4]
     # a repeat would train one cell directory twice and write its rows twice
     for flag, values in (("fraction", [f"{f:g}" for f in fractions]),
                          ("method", methods), ("seed", seeds)):
         if len(set(values)) != len(values):
             raise ValueError(f"duplicate {flag} in --{flag}s")
+    # a bad fraction stops the sweep before its first cell (the seeds do not affect the check)
+    for fraction in fractions:
+        data.benchmark_configs(fraction, 1000, 2000, 3000)
     overrides = _load_object(args.config, "train config") if args.config else {}
     overrides.update(parse_overrides(args.set))
     overrides.pop("method", None)
@@ -418,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--config", required=True, help="GenConfig as JSON")
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--split", default="train", help="split tag for sample ids")
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--seed", type=int, default=None, help="override the config seed")
     g.set_defaults(func=cmd_gen)
 
     a = sub.add_parser("audit", help="rank biased pairs from labels and predictions")
@@ -436,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--method", default=None, help="override the config method")
     t.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config field (value parsed as JSON)")
-    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--seed", type=int, default=None,
+                   help="override the config seed (default 0)")
     t.add_argument("--pairs", default=None, metavar="B:C,B:C",
                    help="pin the stage-2 pair set instead of selecting")
     t.set_defaults(func=cmd_train)

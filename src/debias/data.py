@@ -198,7 +198,8 @@ def load_pooled(manifest: DatasetManifest) -> np.ndarray:
 
     The maps pass BLOCK samples at a time through one reused float32 buffer,
     so memory grows with N * D_in, not with the store. Pooling a block gives
-    each sample the bytes that pooling all maps at once gives.
+    each sample the bytes that pooling all maps at once gives. A sample with a
+    non-finite value raises a ValueError that names the store and the sample.
     """
     path, n = manifest.store_path(), len(manifest.samples)
     # the kept rows first, so the scratch buffer sits above them on the heap
@@ -210,6 +211,9 @@ def load_pooled(manifest: DatasetManifest) -> np.ndarray:
             pooled[s : s + BLOCK] = mdl.pool_pixels(
                 _read_samples(fh, path, manifest.samples[s : s + BLOCK], buf)
             )
+    bad = np.flatnonzero(~np.isfinite(pooled).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{path}: sample {manifest.samples[bad[0]].id} has non-finite values")
     return pooled
 
 

@@ -159,8 +159,16 @@ def _sgd_loop(
     return params, curve, step_log
 
 
-def _bce_objective(pooled, labels):
-    return lambda params, idx, entry: losses.bce_objective(params, pooled[idx], labels[idx])
+def _bce_objective(pooled, labels, weights=None, excl=None):
+    """Batch BCE; with (n, M) `weights`, each step logs its `excl` row count and largest weight."""
+    def objective(params, idx, entry):
+        w = None
+        if weights is not None:
+            w = weights[idx]
+            entry["n_exclusive"] = int(excl[idx].sum())
+            entry["max_weight"] = float(w.max())
+        return losses.bce_objective(params, pooled[idx], labels[idx], w)
+    return objective
 
 
 def train_stage1(
@@ -289,29 +297,29 @@ def train_stage2(
     if cfg.method == "split_biased":
         category_map = split_biased_map(pair_tuples, len(manifest.categories))
         extra_rng = np.random.default_rng(artifacts.seeds["extra"])
-        extra = extra_rng.uniform(
-            -1.0, 1.0, size=(params.d, len(pair_tuples))
-        ) / np.sqrt(params.d)
+        extra = extra_rng.uniform(-1.0, 1.0, size=(params.d, len(pair_tuples))) / np.sqrt(params.d)
         params = replace(params, head=np.concatenate([params.head, extra], axis=1))
 
     # the objectives' targets, converted once
     labels = np.asarray(work.label_matrix(), dtype=np.float64)
     n, m = labels.shape
 
-    # the method's objective, chosen once; each weighted method fills one
-    # (n, M) loss-weight matrix
+    # each weighted method's (n, M) loss-weight matrix, built before any objective reads it
     excl_all = losses.exclusive_mask(labels, pair_tuples)
-    after_step = None
+    weights_all = None
+    if cfg.method == "ours_feature_split":
+        alpha = losses.alpha_weights(labels, pair_tuples, cfg.alpha_min)
+        weights_all = np.repeat(alpha[:, None], m, axis=1)
+    elif cfg.method == "weighted_loss":
+        factor = np.where(excl_all, float(cfg.weighted_factor), 1.0)
+        weights_all = np.repeat(factor[:, None], m, axis=1)
+    elif cfg.method == "negative_penalty":
+        weights_all = np.ones((n, m))
+        for b, c in pair_tuples:
+            weights_all[bias_mod.pair_masks(labels, b, c)[1], c] = cfg.negative_penalty_weight
 
-    def log_weights(idx, entry):
-        entry["n_exclusive"] = int(excl_all[idx].sum())
-        entry["max_weight"] = float(weights_all[idx].max())
-
-    def weighted_bce(params, idx, entry):
-        log_weights(idx, entry)
-        return losses.bce_objective(params, pooled[idx], labels[idx], weights_all[idx])
-
-    objective = _bce_objective(pooled, labels)  # standard, possibly on a transformed set
+    # the method's objective, chosen once: BCE (weighted if weights_all is set) or CAM or split
+    objective, after_step = _bce_objective(pooled, labels, weights_all, excl_all), None
     if cfg.method == "ours_cam":
         # the CAM plan, fixed for the stage: co[i, j] says row i co-occurs for
         # pair j; only the rows in which some pair co-occurs have their maps
@@ -338,33 +346,19 @@ def train_stage2(
             )
     elif cfg.method == "ours_feature_split":
         buffer = losses.RunningMeanBuffer(width=params.d // 2)
-        alpha = losses.alpha_weights(labels, pair_tuples, cfg.alpha_min)
-        weights_all = np.repeat(alpha[:, None], m, axis=1)
 
         def objective(params, idx, entry):
             mask = excl_all[idx]
             entry["all_exclusive"] = bool(mask.all())
-            log_weights(idx, entry)
+            entry["n_exclusive"] = int(mask.sum())
+            entry["max_weight"] = float(weights_all[idx].max())
             return losses.feature_split_objective(
                 params, pooled[idx], labels[idx], weights_all[idx], mask, buffer
             )
 
         def after_step(entry, head_before, head_after):
             rows = params.context_rows
-            entry["ctx_rows_delta"] = float(
-                np.linalg.norm(head_after[rows] - head_before[rows])
-            )
-    elif cfg.method == "weighted_loss":
-        weights_all = np.repeat(
-            np.where(excl_all, float(cfg.weighted_factor), 1.0)[:, None], m, axis=1
-        )
-        objective = weighted_bce
-    elif cfg.method == "negative_penalty":
-        weights_all = np.ones((n, m))
-        for b, c in pair_tuples:
-            excl = bias_mod.pair_masks(labels, b, c)[1]
-            weights_all[excl, c] = float(cfg.negative_penalty_weight)
-        objective = weighted_bce
+            entry["ctx_rows_delta"] = float(np.linalg.norm(head_after[rows] - head_before[rows]))
 
     params, curve, step_log = _sgd_loop(
         params, np.arange(n), cfg.stage2_epochs, cfg.sgd_stage2,

@@ -78,7 +78,8 @@ def _rename_pair_key(d):
     (lambda d: d.pop("noise_std"), "noise_std"),
     (_rename_pair_key, "cooccur"),
     (lambda d: d.update(m="4"), "m must be int"),
-], ids=["unknown", "missing", "pair_unknown", "mistyped"])
+    (lambda d: d.pop("seed"), "missing keys ['seed']"),  # and no --seed
+], ids=["unknown", "missing", "pair_unknown", "mistyped", "no_seed"])
 def test_gen_rejects_bad_config_keys(tmp_path, capsys, edit, named):
     doc = small_gen_dict()
     edit(doc)
@@ -321,6 +322,59 @@ def test_sweep_rejects_a_repeated_value(tmp_path, capsys, monkeypatch, flag, val
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: duplicate {flag[:-1]} in --{flag}"]
     assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_checks_every_fraction_before_the_first_cell(tmp_path, capsys, monkeypatch):
+    # a bad fraction after a good one used to stop the sweep after the good
+    # cell had trained, with no trend.csv written
+    steps = []
+    sgd_step = dc.sgd_step
+    monkeypatch.setattr(dc, "sgd_step", lambda *a: steps.append(1) or sgd_step(*a))
+    assert cli.main([
+        "sweep", "--fractions", "0.05,0.9999", "--methods", "standard", "--seeds", "0",
+        "--set", "stage1_epochs=1", "--set", "stage2_epochs=1", "--out", str(tmp_path / "sw"),
+    ]) == 2
+    assert steps == []
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: exclusive_fraction leaves an empty split"]
+    assert not (tmp_path / "sw").exists()
+
+
+def _poison_sample_11(src, dst):
+    """A copy of the dataset at `src` whose sample s000011 holds one NaN."""
+    shutil.copytree(src, dst)
+    manifest = data.load_manifest(next(dst.glob("*.manifest.json")))
+    with open(manifest.store_path(), "r+b") as fh:
+        fh.seek(manifest.samples[11].offset)
+        fh.write(np.float32("nan").tobytes())
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_nonfinite_sample_exits_2_naming_it(ws, tmp_path, capsys, monkeypatch, command):
+    # train used to diverge in stage 2 (exit 3) and eval to fail on its
+    # scores, neither naming the sample
+    run = tmp_path / "run"
+    if command == "eval":
+        assert cli.main([
+            "train", "--data", str(ws / "dtrain"), "--config", str(ws / "train.json"),
+            "--pairs", "0:1", "--out", str(run),
+        ]) == 0
+        _poison_sample_11(ws / "dtest", tmp_path / "d")
+        argv = ["eval", "--checkpoint", str(run), "--data", str(tmp_path / "d"),
+                "--out", str(tmp_path / "ev")]
+    else:
+        _poison_sample_11(ws / "dtrain", tmp_path / "d")
+        argv = ["train", "--data", str(tmp_path / "d"), "--config", str(ws / "train.json"),
+                "--pairs", "0:1", "--out", str(run)]
+    steps = []
+    sgd_step = dc.sgd_step
+    monkeypatch.setattr(dc, "sgd_step", lambda *a: steps.append(1) or sgd_step(*a))
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert steps == []
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "sample s000011 has non-finite values" in err[0], err
+    assert not os.path.exists(argv[-1])
 
 
 def test_n_steps_counts_every_sgd_step(ws, tmp_path, monkeypatch):
@@ -657,25 +711,18 @@ def test_missing_input_file_exits_2_naming_it(ws, tmp_path, capsys, case):
     assert len(err) == 1 and str(missing) in err[0], err
 
 
-def test_seed_env_default_and_flag_precedence(ws, tmp_path, monkeypatch):
-    monkeypatch.setenv("DEBIAS_SEED", "9")
-    run = tmp_path / "env"
-    cli.main([
-        "train", "--data", str(ws / "dtrain"), "--config", str(ws / "train.json"),
-        "--pairs", "0:1", "--out", str(run),
-    ])
-    assert json.loads((run / "provenance.json").read_text())["seed"] == 9
-    run2 = tmp_path / "flag"
-    cli.main([
-        "train", "--data", str(ws / "dtrain"), "--config", str(ws / "train.json"),
-        "--seed", "4", "--pairs", "0:1", "--out", str(run2),
-    ])
-    assert json.loads((run2 / "provenance.json").read_text())["seed"] == 4
-    monkeypatch.setenv("DEBIAS_SEED", "4.5")
+@pytest.mark.parametrize("flags, seed", [
+    ([], 0),  # the config sets no seed
+    (["--set", "seed=9"], 9),
+    (["--set", "seed=9", "--seed", "4"], 4),
+], ids=["default", "config", "flag"])
+def test_train_seed_flag_over_config(ws, tmp_path, flags, seed):
+    run = tmp_path / "run"
     assert cli.main([
         "train", "--data", str(ws / "dtrain"), "--config", str(ws / "train.json"),
-        "--pairs", "0:1", "--out", str(tmp_path / "bad"),
-    ]) == 2
+        "--pairs", "0:1", "--out", str(run), *flags,
+    ]) == 0
+    assert json.loads((run / "provenance.json").read_text())["seed"] == seed
 
 
 def test_rerun_byte_identical(ws, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from debias import bias as bias_mod
-from debias import data, losses, train
+from debias import cli, data, losses, train
 from debias import model as mdl
 
 
@@ -175,6 +175,32 @@ def test_negative_penalty_weight_applied(tmp_path):
         arts, manifest, tiny_cfg("negative_penalty", negative_penalty_weight=10.0)
     )
     assert max(e["max_weight"] for e in out.step_log if e["stage"] == 2) == 10.0
+
+
+@pytest.fixture(scope="module")
+def quarter_cell(tmp_path_factory):
+    """Every method for 1+1 epochs on the fraction-0.25 benchmark cell of seed 0."""
+    work = tmp_path_factory.mktemp("quarter_cell")
+    over = {"stage1_epochs": 1, "stage2_epochs": 1}
+    return cli.run_benchmark_cell(0.25, 0, train.METHODS, str(work), over)
+
+
+WEIGHT_FIELDS = {"n_exclusive", "max_weight"}
+EXTRA_STEP_FIELDS = {
+    "weighted_loss": WEIGHT_FIELDS,
+    "negative_penalty": WEIGHT_FIELDS,
+    "ours_feature_split": WEIGHT_FIELDS | {"all_exclusive", "ctx_rows_delta"},
+}
+
+
+@pytest.mark.parametrize("method", train.METHODS)
+def test_stage2_step_log_fields(quarter_cell, method):
+    # the fields each method adds to a step's entry, beyond the ones every step logs
+    steps = [e for e in quarter_cell.artifacts[method].step_log if e["stage"] == 2]
+    assert steps
+    extra = EXTRA_STEP_FIELDS.get(method, set())
+    for entry in steps:
+        assert set(entry) == {"stage", "method", "epoch", "lr", "loss"} | extra, entry
 
 
 def test_stage2_requires_pairs_and_snapshot(tmp_path):

@@ -13,11 +13,11 @@ then `debias sweep` on one cell (fraction 0.05, seed 0, cam and standard):
 its `trend.csv` and `provenance.json`, the cell's two datasets, and each
 run's `report.json` and `provenance.json` (10 files, 45 in all). Every
 command runs in a subprocess with one BLAS thread, the checkout's `src/` on
-PYTHONPATH, no DEBIAS_SEED and the same relative paths on both sides, so the
-provenance records match. `--set` overrides pass through to each `debias
-train` and to the sweep. It prints one line per file that differs or exists
-on one side only, then a count, and exits 1 if any file differs, 0 if none
-does. A command that fails stops the tool with its error output (exit 2).
+PYTHONPATH and the same relative paths on both sides, so the provenance
+records match. `--set` overrides pass through to each `debias train` and to
+the sweep. It prints one line per file that differs or exists on one side
+only, then a count, and exits 1 if any file differs, 0 if none does. A
+command that fails stops the tool with its error output (exit 2).
 """
 
 import argparse
@@ -42,7 +42,7 @@ data.dump_json(cli.benchmark_recipe().to_dict(), "train.json")
 
 def run_pipeline(checkout, out, sets):
     """Write every pipeline output of `checkout` under `out`."""
-    env = {k: v for k, v in os.environ.items() if k != "DEBIAS_SEED"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(checkout).resolve() / "src")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
