@@ -30,11 +30,19 @@ class BiasPairSet:
         return [(p.biased, p.context) for p in self.pairs]
 
 
-def pair_masks(labels, b: int, c: int) -> tuple:
-    """(co-occurring, exclusive) row masks of pair (b, c): b with c, and b without c."""
+def pair_splits(labels, pairs) -> tuple:
+    """(cooccur, exclusive) (N, len(pairs)) row masks: column j marks pair j = (b, c)'s
+    samples labeled b with c, and b without c. Any label but 1 reads as absent."""
     labels = np.asarray(labels)
-    has_b, has_c = labels[:, b] == 1, labels[:, c] == 1
+    bc = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    has_b, has_c = labels[:, bc[:, 0]] == 1, labels[:, bc[:, 1]] == 1
     return has_b & has_c, has_b & ~has_c
+
+
+def pair_masks(labels, b: int, c: int) -> tuple:
+    """(co-occurring, exclusive) row masks of pair (b, c): pair_splits' one column each."""
+    both, excl = pair_splits(labels, [(b, c)])
+    return both[:, 0], excl[:, 0]
 
 
 def bias_score(preds: np.ndarray, labels: np.ndarray, b: int, z: int) -> float:
@@ -108,16 +116,9 @@ def select_biased_pairs(
 
 def audit_report(pair_set: BiasPairSet, labels: np.ndarray) -> list:
     """Rows for the audit JSON: score plus the raw counts behind it."""
-    rows = []
-    for p in pair_set.pairs:
-        both, excl = pair_masks(labels, p.biased, p.context)
-        rows.append(
-            {
-                "b": p.biased,
-                "c": p.context,
-                "score": p.score,
-                "cooccur_count": int(both.sum()),
-                "exclusive_count": int(excl.sum()),
-            }
-        )
-    return rows
+    both, excl = pair_splits(labels, pair_set.as_tuples())
+    return [
+        {"b": p.biased, "c": p.context, "score": p.score,
+         "cooccur_count": int(n_both), "exclusive_count": int(n_excl)}
+        for p, n_both, n_excl in zip(pair_set.pairs, both.sum(axis=0), excl.sum(axis=0))
+    ]

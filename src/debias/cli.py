@@ -56,7 +56,7 @@ def parse_overrides(items) -> dict:
 
 
 def parse_pairs(text):
-    """\"0:1,2:3\" -> [(0, 1), (2, 3)]"""
+    """\"0:1,2:3\" -> [(0, 1), (2, 3)]; each pair at most once."""
     pairs = []
     for chunk in text.split(","):
         parts = chunk.split(":")
@@ -65,6 +65,8 @@ def parse_pairs(text):
         b, c = int(parts[0]), int(parts[1])
         if b == c:
             raise ValueError(f"pair {chunk!r} repeats a category")
+        if (b, c) in pairs:  # (c, b) is another pair: the bias score is directional
+            raise ValueError(f"pair ({b}, {c}) listed twice")
         pairs.append((b, c))
     return pairs
 

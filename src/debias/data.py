@@ -400,10 +400,13 @@ def generate_dataset(cfg: GenConfig, out_dir, split_tag="train") -> DatasetManif
     rng = np.random.default_rng(cfg.seed)
 
     # label plan first, then per-sample noise, so rng consumption is fixed
-    label_sets = []
+    n_planted = sum(p.cooccur_count + p.exclusive_count for p in cfg.planted_pairs)
+    present = np.zeros((n_planted + cfg.n_filler, cfg.m), dtype=bool)
+    at = 0
     for p in cfg.planted_pairs:
-        label_sets += [{p.biased, p.context}] * p.cooccur_count
-        label_sets += [{p.biased}] * p.exclusive_count
+        present[at : at + p.cooccur_count + p.exclusive_count, p.biased] = True
+        present[at : at + p.cooccur_count, p.context] = True
+        at += p.cooccur_count + p.exclusive_count
     if cfg.filler_pool is not None:
         allowed = sorted(set(cfg.filler_pool))
     else:
@@ -411,14 +414,11 @@ def generate_dataset(cfg: GenConfig, out_dir, split_tag="train") -> DatasetManif
         allowed = [k for k in range(cfg.m) if k not in blocked]
     if cfg.n_filler > 0 and not allowed:
         raise ValueError("filler samples need at least one non-biased category")
-    for _ in range(cfg.n_filler):
+    for i in range(n_planted, len(present)):
         count = int(rng.integers(1, min(cfg.filler_max_labels, len(allowed)) + 1))
-        label_sets.append(set(rng.choice(allowed, size=count, replace=False).tolist()))
+        present[i, rng.choice(allowed, size=count, replace=False)] = True
 
     sigs = np.array(cfg.signatures, dtype=np.float64)
-    present = np.zeros((len(label_sets), cfg.m), dtype=bool)
-    for i, cats in enumerate(label_sets):
-        present[i, list(cats)] = True
     store_name = f"{split_tag}.store"
     slot = cfg.h * cfg.w * cfg.d_in * F32.itemsize
     with open(os.path.join(out_dir, store_name), "wb") as store:
@@ -433,7 +433,6 @@ def generate_dataset(cfg: GenConfig, out_dir, split_tag="train") -> DatasetManif
             if cfg.noise_std > 0:
                 fmaps += rng.normal(0.0, cfg.noise_std, size=fmaps.shape)
             store.write(fmaps.astype(F32))
-    del label_sets  # one set per filler sample: not held while the manifest is encoded
     samples = [
         SampleRef(f"s{i:06d}", len(STORE_MAGIC) + i * slot, row)
         for i, row in enumerate(present.astype(int).tolist())
@@ -479,6 +478,8 @@ def benchmark_configs(exclusive_fraction, layout_seed, train_seed, test_seed):
     keeps context categories in the pool, which puts context-without-subject
     negatives in the ranking pool exactly where the shortcut misfires.
     """
+    if not 0.0 < exclusive_fraction < 1.0:  # NaN fails it too, and inf would not round
+        raise ValueError(f"exclusive_fraction must be in (0, 1), got {exclusive_fraction:g}")
     regions, sigs = build_layout(BENCH_M, BENCH_H, BENCH_W, BENCH_D_IN, layout_seed)
     excl = round(exclusive_fraction * BENCH_PER_PAIR)
     if not 0 < excl < BENCH_PER_PAIR:

@@ -24,14 +24,12 @@ trained weights bit for bit.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import replace
 from functools import reduce
 
 import numpy as np
 
-from . import bias as bias_mod
 from . import model as mdl
 
 LOG_GUARD = 1e-12
@@ -95,34 +93,21 @@ def bce_objective(params: mdl.ModelParams, pooled_rows, targets, weights=None) -
 # loss weighting for skewed pairs
 
 
-def alpha_weights(labels, pairs, alpha_min: float = 3.0) -> np.ndarray:
-    """Per-sample skew weights (N,) from training-set counts.
+def alpha_weights(pairs, cooccur, exclusive, alpha_min) -> np.ndarray:
+    """Per-sample skew weights (N,) from bias.pair_splits' (N, len(pairs)) tables.
 
-    Each pair's alpha = max(sqrt(cooccur / exclusive), alpha_min) applies to
-    the samples where its biased category shows up without its context; a
-    sample exclusive for several pairs takes the largest alpha, every other
-    sample weighs 1. TrainConfig checks that alpha_min exceeds 1.
+    Each pair's alpha = max(sqrt(cooccur / exclusive), alpha_min) over its
+    column counts applies to its exclusive samples; a sample exclusive for
+    several pairs takes the largest alpha, every other sample weighs 1.
+    TrainConfig checks that alpha_min exceeds 1.
     """
-    out = np.ones(len(labels))
-    for b, c in pairs:
-        both, excl = bias_mod.pair_masks(labels, b, c)
-        if not (both.any() and excl.any()):
-            raise ValueError(f"pair ({b},{c}) has empty co-occur or exclusive set")
-        out[excl] = np.maximum(out[excl], max(math.sqrt(both.sum() / excl.sum()), float(alpha_min)))
-    return out
-
-
-def exclusive_mask(labels, pairs) -> np.ndarray:
-    """True where a sample contains some biased category without its context.
-
-    A sample exclusive for one pair counts as exclusive outright, even if it
-    co-occurs for another pair: the context half must never train on context
-    evidence for any biased category.
-    """
-    mask = np.zeros(len(labels), dtype=bool)
-    for b, c in pairs:
-        mask |= bias_mod.pair_masks(labels, b, c)[1]
-    return mask
+    n_both, n_excl = cooccur.sum(axis=0), exclusive.sum(axis=0)
+    empty = np.flatnonzero((n_both == 0) | (n_excl == 0))
+    if len(empty):
+        b, c = pairs[empty[0]]
+        raise ValueError(f"pair ({b},{c}) has empty co-occur or exclusive set")
+    alpha = np.maximum(np.sqrt(n_both / n_excl), float(alpha_min))
+    return np.where(exclusive, alpha, 1.0).max(axis=1, initial=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -304,28 +304,31 @@ def train_stage2(
     labels = np.asarray(work.label_matrix(), dtype=np.float64)
     n, m = labels.shape
 
+    # one split of the rows serves every method for the stage. A row exclusive
+    # for one pair is exclusive even if it co-occurs for another: the context
+    # half must never train on any biased category's context
+    cooccur, exclusive = bias_mod.pair_splits(labels, pair_tuples)
+    excl_all = exclusive.any(axis=1)
+
     # each weighted method's (n, M) loss-weight matrix, built before any objective reads it
-    excl_all = losses.exclusive_mask(labels, pair_tuples)
     weights_all = None
     if cfg.method == "ours_feature_split":
-        alpha = losses.alpha_weights(labels, pair_tuples, cfg.alpha_min)
+        alpha = losses.alpha_weights(pair_tuples, cooccur, exclusive, cfg.alpha_min)
         weights_all = np.repeat(alpha[:, None], m, axis=1)
     elif cfg.method == "weighted_loss":
         factor = np.where(excl_all, float(cfg.weighted_factor), 1.0)
         weights_all = np.repeat(factor[:, None], m, axis=1)
     elif cfg.method == "negative_penalty":
         weights_all = np.ones((n, m))
-        for b, c in pair_tuples:
-            weights_all[bias_mod.pair_masks(labels, b, c)[1], c] = cfg.negative_penalty_weight
+        for j, (_, c) in enumerate(pair_tuples):
+            weights_all[exclusive[:, j], c] = cfg.negative_penalty_weight
 
     # the method's objective, chosen once: BCE (weighted if weights_all is set) or CAM or split
     objective, after_step = _bce_objective(pooled, labels, weights_all, excl_all), None
     if cfg.method == "ours_cam":
-        # the CAM plan, fixed for the stage: co[i, j] says row i co-occurs for
-        # pair j; only the rows in which some pair co-occurs have their maps
-        # loaded, and slot[i] is row i's place in maps (-1 for the rest)
-        co = np.stack([bias_mod.pair_masks(labels, *p)[0] for p in pair_tuples], axis=1)
-        rows = np.flatnonzero(co.any(axis=1))
+        # the CAM plan: only the rows in which some pair co-occurs have their
+        # maps loaded, and slot[i] is row i's place in maps (-1 for the rest)
+        rows = np.flatnonzero(cooccur.any(axis=1))
         maps = data.load_maps(work, rows)
         slot = np.full(n, -1)
         slot[rows] = np.arange(len(rows))
@@ -337,7 +340,7 @@ def train_stage2(
 
         def objective(params, idx, entry):
             # the batch's pair segments in stack order: pair by pair, batch order within
-            pair, at = np.nonzero(co[idx].T)
+            pair, at = np.nonzero(cooccur[idx].T)
             at = slot[idx[at]]
             frozen = None if frozen_all is None else frozen_all[:, pair, at]
             return losses.cam_objective(

@@ -230,7 +230,7 @@ def test_suppression_contract():
     labels = np.zeros((n, 6))
     labels[:, 0] = 1.0  # every sample exclusive for (0, 1)
     labels[2, 4] = 1.0
-    mask = losses.exclusive_mask(labels, pairs)
+    mask = bias_mod.pair_splits(labels, pairs)[1].any(axis=1)
     assert mask.all()
 
     buf = losses.RunningMeanBuffer(width=4)
@@ -251,7 +251,7 @@ def test_suppression_contract():
     # non-exclusive batch: suppressed and plain paths agree on value and grads
     labels2 = np.zeros((n, 6))
     labels2[:, 1] = 1.0  # context alone is never exclusive
-    mask2 = losses.exclusive_mask(labels2, pairs)
+    mask2 = bias_mod.pair_splits(labels2, pairs)[1].any(axis=1)
     assert not mask2.any()
     ga = losses.feature_split_objective(params, pooled, labels2, ones, mask2, buf)
     gb = losses.bce_objective(params, pooled, labels2)

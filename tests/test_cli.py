@@ -326,18 +326,23 @@ def test_sweep_rejects_a_repeated_value(tmp_path, capsys, monkeypatch, flag, val
 
 def test_sweep_checks_every_fraction_before_the_first_cell(tmp_path, capsys, monkeypatch):
     # a bad fraction after a good one used to stop the sweep after the good
-    # cell had trained, with no trend.csv written
+    # cell had trained, with no trend.csv written; inf used to exit 3 with an
+    # OverflowError and nan to exit 2 on an integer conversion
     steps = []
     sgd_step = dc.sgd_step
     monkeypatch.setattr(dc, "sgd_step", lambda *a: steps.append(1) or sgd_step(*a))
-    assert cli.main([
-        "sweep", "--fractions", "0.05,0.9999", "--methods", "standard", "--seeds", "0",
-        "--set", "stage1_epochs=1", "--set", "stage2_epochs=1", "--out", str(tmp_path / "sw"),
-    ]) == 2
-    assert steps == []
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: exclusive_fraction leaves an empty split"]
-    assert not (tmp_path / "sw").exists()
+    for bad, named in (("0.9999", "exclusive_fraction leaves an empty split"),
+                       ("inf", "exclusive_fraction must be in (0, 1), got inf"),
+                       ("nan", "exclusive_fraction must be in (0, 1), got nan")):
+        assert cli.main([
+            "sweep", "--fractions", f"0.05,{bad}", "--methods", "standard", "--seeds", "0",
+            "--set", "stage1_epochs=1", "--set", "stage2_epochs=1",
+            "--out", str(tmp_path / "sw"),
+        ]) == 2, bad
+        assert steps == []
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {named}"]
+        assert not (tmp_path / "sw").exists()
 
 
 def _poison_sample_11(src, dst):
@@ -660,6 +665,112 @@ def test_report_rejects_malformed_report(ws, tmp_path, capsys, edit, named):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
     assert not (tmp_path / "r").exists()
+
+
+def _train_standard(ws, tmp_path):
+    run = tmp_path / "run"
+    assert cli.main([
+        "train", "--data", str(ws / "dtrain"), "--config", str(ws / "train.json"),
+        "--seed", "3", "--pairs", "0:1", "--out", str(run),
+    ]) == 0
+    return run
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_repeated_pair_exits_2_naming_it(ws, tmp_path, capsys, monkeypatch, command):
+    # a pair listed twice used to train and evaluate with exit 0, and eval
+    # counted it twice in both mAPs; (1, 0) is another pair, since the bias
+    # score is directional
+    argv = ["train", "--data", str(ws / "dtrain"), "--config", str(ws / "train.json")]
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(_train_standard(ws, tmp_path)),
+                "--data", str(ws / "dtest")]
+    steps = []
+    sgd_step = dc.sgd_step
+    monkeypatch.setattr(dc, "sgd_step", lambda *a: steps.append(1) or sgd_step(*a))
+    capsys.readouterr()
+    assert cli.main([*argv, "--pairs", "0:1,1:0,0:1", "--out", str(tmp_path / "out")]) == 2
+    assert steps == []
+    assert capsys.readouterr().err.strip().splitlines() == ["error: pair (0, 1) listed twice"]
+    assert not (tmp_path / "out").exists()
+
+
+def _train_argv(*flags):
+    return lambda ws, tmp_path: [
+        "train", "--data", str(ws / "dtrain"), "--config", str(ws / "train.json"), *flags]
+
+
+def _gen_argv(edit):
+    def make(ws, tmp_path):
+        doc = small_gen_dict()
+        edit(doc)
+        (tmp_path / "gen.json").write_text(json.dumps(doc))
+        return ["gen", "--config", str(tmp_path / "gen.json")]
+    return make
+
+
+def _audit_argv(*flags, edit=lambda doc: None):
+    def make(ws, tmp_path):
+        shutil.copytree(ws / "dtrain", tmp_path / "d")
+        path = tmp_path / "d" / "train.manifest.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        np.savetxt(tmp_path / "preds.csv", np.full((len(doc["samples"]), 4), 0.5), delimiter=",")
+        return ["audit", "--labels", str(tmp_path / "d"), "--preds", str(tmp_path / "preds.csv"),
+                *flags]
+    return make
+
+
+def _report_twice(ws, tmp_path):
+    ev_dir = tmp_path / "ev"
+    assert cli.main(["eval", "--checkpoint", str(_train_standard(ws, tmp_path)),
+                     "--data", str(ws / "dtest"), "--out", str(ev_dir)]) == 0
+    shutil.copytree(ev_dir, tmp_path / "ev2")
+    return ["report", "--inputs", str(ev_dir), str(tmp_path / "ev2")]
+
+
+def _eval_without_pairs(ws, tmp_path):
+    run = _train_standard(ws, tmp_path)
+    _edit_meta(lambda m: m.update(pairs=[]))(run)
+    return ["eval", "--checkpoint", str(run), "--data", str(ws / "dtest")]
+
+
+def _repeat_first_id(doc):
+    doc["samples"][1]["id"] = doc["samples"][0]["id"]
+
+
+@pytest.mark.parametrize("make_argv, named", [
+    (_train_argv("--set", "foo"), "override 'foo' is not key=value"),
+    (_train_argv("--pairs", "0-1"), "pair '0-1' is not B:C"),
+    (_train_argv("--pairs", "1:1"), "pair '1:1' repeats a category"),
+    (_train_argv("--set", "batch_size=0"), "batch_size must be positive"),
+    (_train_argv("--set", "stage1_epochs=-1"), "epoch counts must be nonnegative"),
+    (_gen_argv(lambda d: d.update(noise_std=-1.0)), "noise_std must be nonnegative"),
+    (_gen_argv(lambda d: d["planted_pairs"][0].update(context=9)),
+     "planted pair category out of range"),
+    (_gen_argv(lambda d: d.update(filler_pool=[])),
+     "filler samples need at least one non-biased category"),
+    (_gen_argv(lambda d: d["signatures"][2].pop()), "signature length must equal d_in"),
+    (_report_twice, "two inputs report method 'standard'"),
+    (_audit_argv("--k", "0"), "k must be at least 1"),
+    (_audit_argv("--freq-threshold", "1.5"), "freq_threshold must be in (0, 1)"),
+    (_audit_argv(edit=_repeat_first_id), "duplicate sample ids in manifest"),
+    (_eval_without_pairs, "checkpoint records no pairs; pass --pairs"),
+], ids=["train_set_without_value", "train_pair_without_colon", "train_pair_one_category",
+        "train_batch_size_0", "train_negative_epochs", "gen_negative_noise",
+        "gen_pair_category_9", "gen_empty_filler_pool", "gen_short_signature",
+        "report_one_method_twice", "audit_k_0", "audit_freq_threshold_1.5",
+        "audit_repeated_sample_id", "eval_checkpoint_without_pairs"])
+def test_refusal_exits_2_with_one_line(ws, tmp_path, capsys, make_argv, named):
+    # refusals no other test reaches, each one line
+    argv = make_argv(ws, tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {named}"]
+    if argv[0] != "gen":  # gen makes its output directory before it checks the config
+        assert not out.exists()
 
 
 def test_exit_codes(ws, tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from debias import losses, model, train
+from debias import bias, losses, model, train
 from gradcheck import finite_diff_check
 
 LN2 = math.log(2.0)
@@ -233,12 +233,17 @@ def test_weighted_bce_rejects_mismatched_weights():
 # alpha weighting
 
 
+def alpha_weights(labels, pairs, alpha_min):
+    """losses.alpha_weights on the pair tables stage 2 builds."""
+    return losses.alpha_weights(pairs, *bias.pair_splits(labels, pairs), alpha_min)
+
+
 def test_alpha_arithmetic_cases():
     labels = np.zeros((104, 2), dtype=int)
     labels[:100, 0] = 1
     labels[:100, 1] = 1
     labels[100:, 0] = 1  # 100 co-occur, 4 exclusive
-    weights = losses.alpha_weights(labels, [(0, 1)], alpha_min=3.0)
+    weights = alpha_weights(labels, [(0, 1)], alpha_min=3.0)
     assert weights[100] == pytest.approx(5.0)
     assert np.array_equal(weights[:100], np.ones(100))
 
@@ -246,7 +251,7 @@ def test_alpha_arithmetic_cases():
     flipped[:4, 0] = 1
     flipped[:4, 1] = 1
     flipped[4:, 0] = 1  # 4 co-occur, 100 exclusive: raw 0.2, clamped
-    weights = losses.alpha_weights(flipped, [(0, 1)], alpha_min=3.0)
+    weights = alpha_weights(flipped, [(0, 1)], alpha_min=3.0)
     assert weights[4] == pytest.approx(3.0)
 
 
@@ -262,7 +267,7 @@ def test_alpha_weights_sample_routing():
     labels = np.vstack([labels, [1, 0, 1, 0]])
     a01 = math.sqrt(16 / 5)  # both above the floor, and different
     a23 = math.sqrt(9 / 2)
-    weights = losses.alpha_weights(labels, [(0, 1), (2, 3)], alpha_min=1.5)
+    weights = alpha_weights(labels, [(0, 1), (2, 3)], alpha_min=1.5)
     assert weights[0] == 1.0  # co-occurs for both
     assert weights[16] == a01
     assert weights[9] == a23
@@ -283,13 +288,13 @@ def test_alpha_weights_match_per_row_loop():
         max([1.0] + [a for (b, c), a in zip(pairs, alphas) if row[b] == 1 and row[c] == 0])
         for row in labels
     ]
-    assert losses.alpha_weights(labels, pairs, alpha_min=1.2).tolist() == want
+    assert alpha_weights(labels, pairs, alpha_min=1.2).tolist() == want
 
 
 def test_alpha_table_requires_populated_sets():
     labels = np.array([[1, 1], [1, 1]])
-    with pytest.raises(ValueError):
-        losses.alpha_weights(labels, [(0, 1)])
+    with pytest.raises(ValueError, match=r"pair \(0,1\) has empty co-occur or exclusive set"):
+        alpha_weights(labels, [(0, 1)], alpha_min=3.0)
 
 
 def test_alpha_min_must_exceed_one():
@@ -300,6 +305,7 @@ def test_alpha_min_must_exceed_one():
 
 
 def test_exclusive_mask_or_semantics():
+    # stage 2's exclusive rows: exclusive for any pair, even if co-occurring for another
     labels = np.array(
         [
             [1, 1, 0, 0],  # co-occur for (0,1)
@@ -308,7 +314,7 @@ def test_exclusive_mask_or_semantics():
             [0, 0, 0, 1],  # neither pair applies
         ]
     )
-    mask = losses.exclusive_mask(labels, [(0, 1), (2, 3)])
+    mask = bias.pair_splits(labels, [(0, 1), (2, 3)])[1].any(axis=1)
     assert mask.tolist() == [False, True, True, False]
 
 

@@ -125,19 +125,19 @@ def test_cam_grounding_is_zero_at_first_stage2_step(tmp_path):
 
 def test_cam_plan_is_built_once_per_stage(tmp_path, monkeypatch):
     # each pair's co-occurring rows are fixed for the stage, so stage 2
-    # derives them once however many epochs it runs, never per step
+    # splits the rows once however many epochs it runs, never per step
     manifest = tiny_benchmark(tmp_path)
     arts = pin_pair(train.train_stage1(manifest, tiny_cfg()))
     calls = []
-    real = bias_mod.pair_masks
-    monkeypatch.setattr(bias_mod, "pair_masks", lambda *a: calls.append(a) or real(*a))
+    real = bias_mod.pair_splits
+    monkeypatch.setattr(bias_mod, "pair_splits", lambda *a: calls.append(a) or real(*a))
     counts = []
     for epochs in (1, 3):
         calls.clear()
         out = train.train_stage2(arts, manifest, tiny_cfg("ours_cam", stage2_epochs=epochs))
         assert sum(e["stage"] == 2 for e in out.step_log) == 3 * epochs  # 48 rows, batch 16
         counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    assert counts == [1, 1]
 
 
 def test_exclusive_batches_never_touch_context_rows(tmp_path):

@@ -11,7 +11,9 @@ cam, feature-split, standard and split, `debias eval` of each checkpoint on
 the test set and one `debias report` over the four evaluations (35 files),
 then `debias sweep` on one cell (fraction 0.05, seed 0, cam and standard):
 its `trend.csv` and `provenance.json`, the cell's two datasets, and each
-run's `report.json` and `provenance.json` (10 files, 45 in all). Every
+run's `report.json` and `provenance.json` (10 files), and last `debias audit`
+of the standard checkpoint's test-set scores, written to `preds.csv` (3
+files, 48 in all). Every
 command runs in a subprocess with one BLAS thread, the checkout's `src/` on
 PYTHONPATH and the same relative paths on both sides, so the provenance
 records match. `--set` overrides pass through to each `debias train` and to
@@ -39,6 +41,14 @@ data.dump_json(gen_test.to_dict(), "gen_test.json")
 data.dump_json(cli.benchmark_recipe().to_dict(), "train.json")
 """
 
+PREDS = """
+import numpy as np
+from debias import data, model
+params, _ = model.load_checkpoint("train/standard/checkpoint.json")
+pooled = data.load_pooled(data.load_manifest("data/test/test.manifest.json"))
+np.savetxt("preds.csv", model.predict(params, pooled), fmt="%.17g", delimiter=",")
+"""
+
 
 def run_pipeline(checkout, out, sets):
     """Write every pipeline output of `checkout` under `out`."""
@@ -63,6 +73,9 @@ def run_pipeline(checkout, out, sets):
                   "--out", "report"])
     steps.append(["-m", "debias.cli", "sweep", "--fractions", "0.05", "--seeds", "0",
                   "--methods", "cam,standard", "--out", "sweep", *overrides])
+    steps.append(["-c", PREDS])
+    steps.append(["-m", "debias.cli", "audit", "--labels", "data/test", "--preds", "preds.csv",
+                  "--out", "audit"])
     for argv in steps:
         proc = subprocess.run([sys.executable, *argv], cwd=out, env=env,
                               capture_output=True, text=True)
