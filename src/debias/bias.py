@@ -30,6 +30,19 @@ class BiasPairSet:
         return [(p.biased, p.context) for p in self.pairs]
 
 
+def check_pairs(pairs, m: int) -> None:
+    """Refuse a pair outside m categories, of one category or listed twice; (c, b) is not (b, c)."""
+    seen = set()
+    for b, c in pairs:
+        if not (0 <= b < m and 0 <= c < m):
+            raise ValueError(f"pinned pair ({b}, {c}) outside {m} categories")
+        if b == c:
+            raise ValueError(f"pair ({b}, {c}) repeats a category")
+        if (b, c) in seen:
+            raise ValueError(f"pair ({b}, {c}) listed twice")
+        seen.add((b, c))
+
+
 def pair_splits(labels, pairs) -> tuple:
     """(cooccur, exclusive) (N, len(pairs)) row masks: column j marks pair j = (b, c)'s
     samples labeled b with c, and b without c. Any label but 1 reads as absent."""

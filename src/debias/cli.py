@@ -56,18 +56,13 @@ def parse_overrides(items) -> dict:
 
 
 def parse_pairs(text):
-    """\"0:1,2:3\" -> [(0, 1), (2, 3)]; each pair at most once."""
+    """\"0:1,2:3\" -> [(0, 1), (2, 3)]; bias.check_pairs checks the values."""
     pairs = []
     for chunk in text.split(","):
         parts = chunk.split(":")
         if len(parts) != 2:
             raise ValueError(f"pair {chunk!r} is not B:C")
-        b, c = int(parts[0]), int(parts[1])
-        if b == c:
-            raise ValueError(f"pair {chunk!r} repeats a category")
-        if (b, c) in pairs:  # (c, b) is another pair: the bias score is directional
-            raise ValueError(f"pair ({b}, {c}) listed twice")
-        pairs.append((b, c))
+        pairs.append((int(parts[0]), int(parts[1])))
     return pairs
 
 
@@ -198,7 +193,6 @@ def cmd_gen(args):
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
     cfg = data.GenConfig.from_dict(cfg_dict)
-    os.makedirs(args.out, exist_ok=True)
     data.generate_dataset(cfg, args.out, args.split)
     write_provenance(args.out, "gen", cfg.to_dict(), cfg.seed, {"config": args.config})
     print(f"wrote {args.out}/{args.split}.manifest.json")
@@ -208,9 +202,8 @@ def cmd_gen(args):
 def cmd_audit(args):
     manifest = data.load_manifest(_find_manifest(args.labels))
     labels = manifest.label_matrix()
-    if not os.path.isfile(args.preds):
-        raise ValueError(f"no predictions file at {args.preds}")
-    preds = np.loadtxt(args.preds, delimiter=",", ndmin=2)
+    with data._open_input(args.preds) as fh:
+        preds = np.loadtxt(fh, delimiter=",", ndmin=2)
     pair_set = bias_mod.select_biased_pairs(
         preds, labels, k=args.k, freq_threshold=args.freq_threshold
     )
@@ -281,17 +274,13 @@ def cmd_eval(args):
         ckpt_path = os.path.join(ckpt_path, "checkpoint.json")
     params, run = mdl.load_checkpoint(ckpt_path)
     manifest = data.load_manifest(_find_manifest(args.data))
-    m = len(manifest.categories)
-
     if args.pairs:
         pairs = parse_pairs(args.pairs)
     else:
         pairs = [(b, c) for b, c, _ in run.pairs]
         if not pairs:
             raise ValueError("checkpoint records no pairs; pass --pairs")
-    for b, c in pairs:
-        if not (0 <= b < m and 0 <= c < m):
-            raise ValueError(f"pair ({b}, {c}) outside {m} categories")
+    bias_mod.check_pairs(pairs, len(manifest.categories))
 
     report = ev.evaluate(
         params, manifest, data.load_pooled(manifest), pairs, method=run.method, seed=run.seed,
@@ -321,13 +310,15 @@ def cmd_sweep(args):
                          ("method", methods), ("seed", seeds)):
         if len(set(values)) != len(values):
             raise ValueError(f"duplicate {flag} in --{flag}s")
-    # a bad fraction stops the sweep before its first cell (the seeds do not affect the check)
+    # a bad fraction or recipe stops the sweep before its first cell (the seeds affect neither)
     for fraction in fractions:
         data.benchmark_configs(fraction, 1000, 2000, 3000)
     overrides = _load_object(args.config, "train config") if args.config else {}
     overrides.update(parse_overrides(args.set))
     overrides.pop("method", None)
     overrides.pop("seed", None)
+    for method in methods:
+        benchmark_recipe(method=method, **overrides)
 
     os.makedirs(args.out, exist_ok=True)
     lines = ["fraction,method,seed,map_exclusive,map_cooccur,mean_cosine"]

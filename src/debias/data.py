@@ -396,7 +396,6 @@ def generate_dataset(cfg: GenConfig, out_dir, split_tag="train") -> DatasetManif
     Deterministic: identical cfg (seed included) gives byte-identical files.
     """
     _check_config(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
 
     # label plan first, then per-sample noise, so rng consumption is fixed
@@ -414,6 +413,7 @@ def generate_dataset(cfg: GenConfig, out_dir, split_tag="train") -> DatasetManif
         allowed = [k for k in range(cfg.m) if k not in blocked]
     if cfg.n_filler > 0 and not allowed:
         raise ValueError("filler samples need at least one non-biased category")
+    os.makedirs(out_dir, exist_ok=True)
     for i in range(n_planted, len(present)):
         count = int(rng.integers(1, min(cfg.filler_max_labels, len(allowed)) + 1))
         present[i, rng.choice(allowed, size=count, replace=False)] = True

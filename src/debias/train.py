@@ -177,17 +177,15 @@ def train_stage1(
     """BCE training on the 80% slice, then the stage-2 pairs.
 
     Without `pinned` the pairs are selected on the 20% slice. Fixed
-    (biased, context) pairs are checked before any training (in range, and
-    for split_biased one per biased category), then scored under the trained
-    weights on all of `manifest`; a pair whose co-occur or exclusive split is
-    empty keeps a NaN score.
+    (biased, context) pairs are checked before any training (bias.check_pairs,
+    and for split_biased one per biased category), then scored under the
+    trained weights on all of `manifest`; a pair whose co-occur or exclusive
+    split is empty keeps a NaN score.
     """
     if not manifest.samples:
         raise ValueError("empty dataset")
     m = len(manifest.categories)
-    for b, c in pinned or ():
-        if not (0 <= b < m and 0 <= c < m):
-            raise ValueError(f"pinned pair ({b}, {c}) outside {m} categories")
+    bias_mod.check_pairs(pinned or (), m)
     biased = [b for b, _ in pinned or ()]
     if cfg.method == "split_biased" and len(set(biased)) < len(biased):
         # each pair gets its own solo column, named after its biased category

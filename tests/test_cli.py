@@ -327,16 +327,22 @@ def test_sweep_rejects_a_repeated_value(tmp_path, capsys, monkeypatch, flag, val
 def test_sweep_checks_every_fraction_before_the_first_cell(tmp_path, capsys, monkeypatch):
     # a bad fraction after a good one used to stop the sweep after the good
     # cell had trained, with no trend.csv written; inf used to exit 3 with an
-    # OverflowError and nan to exit 2 on an integer conversion
+    # OverflowError and nan to exit 2 on an integer conversion. A bad method
+    # or recipe override used to stop it only after the first cell's datasets
+    # were written, and a bad second method after stage 1 and the first method
     steps = []
     sgd_step = dc.sgd_step
     monkeypatch.setattr(dc, "sgd_step", lambda *a: steps.append(1) or sgd_step(*a))
-    for bad, named in (("0.9999", "exclusive_fraction leaves an empty split"),
-                       ("inf", "exclusive_fraction must be in (0, 1), got inf"),
-                       ("nan", "exclusive_fraction must be in (0, 1), got nan")):
-        assert cli.main([
-            "sweep", "--fractions", f"0.05,{bad}", "--methods", "standard", "--seeds", "0",
-            "--set", "stage1_epochs=1", "--set", "stage2_epochs=1",
+    for bad, named in (
+        (["--fractions", "0.05,0.9999"], "exclusive_fraction leaves an empty split"),
+        (["--fractions", "0.05,inf"], "exclusive_fraction must be in (0, 1), got inf"),
+        (["--fractions", "0.05,nan"], "exclusive_fraction must be in (0, 1), got nan"),
+        (["--methods", "standard,bogus"], "unknown method 'bogus'"),
+        (["--set", "lambda1=-1"], "loss weights lambda1 and lambda2 must be nonnegative"),
+    ):
+        assert cli.main([  # a later --fractions or --methods replaces the first
+            "sweep", "--fractions", "0.05", "--methods", "standard", "--seeds", "0",
+            "--set", "stage1_epochs=1", "--set", "stage2_epochs=1", *bad,
             "--out", str(tmp_path / "sw"),
         ]) == 2, bad
         assert steps == []
@@ -730,10 +736,12 @@ def _report_twice(ws, tmp_path):
     return ["report", "--inputs", str(ev_dir), str(tmp_path / "ev2")]
 
 
-def _eval_without_pairs(ws, tmp_path):
-    run = _train_standard(ws, tmp_path)
-    _edit_meta(lambda m: m.update(pairs=[]))(run)
-    return ["eval", "--checkpoint", str(run), "--data", str(ws / "dtest")]
+def _eval_with_meta_pairs(pairs):
+    def make(ws, tmp_path):
+        run = _train_standard(ws, tmp_path)
+        _edit_meta(lambda m: m.update(pairs=pairs))(run)
+        return ["eval", "--checkpoint", str(run), "--data", str(ws / "dtest")]
+    return make
 
 
 def _repeat_first_id(doc):
@@ -743,7 +751,7 @@ def _repeat_first_id(doc):
 @pytest.mark.parametrize("make_argv, named", [
     (_train_argv("--set", "foo"), "override 'foo' is not key=value"),
     (_train_argv("--pairs", "0-1"), "pair '0-1' is not B:C"),
-    (_train_argv("--pairs", "1:1"), "pair '1:1' repeats a category"),
+    (_train_argv("--pairs", "1:1"), "pair (1, 1) repeats a category"),
     (_train_argv("--set", "batch_size=0"), "batch_size must be positive"),
     (_train_argv("--set", "stage1_epochs=-1"), "epoch counts must be nonnegative"),
     (_gen_argv(lambda d: d.update(noise_std=-1.0)), "noise_std must be nonnegative"),
@@ -756,12 +764,17 @@ def _repeat_first_id(doc):
     (_audit_argv("--k", "0"), "k must be at least 1"),
     (_audit_argv("--freq-threshold", "1.5"), "freq_threshold must be in (0, 1)"),
     (_audit_argv(edit=_repeat_first_id), "duplicate sample ids in manifest"),
-    (_eval_without_pairs, "checkpoint records no pairs; pass --pairs"),
+    (_eval_with_meta_pairs([]), "checkpoint records no pairs; pass --pairs"),
+    # pairs read from a checkpoint used to skip the --pairs checks: a pair
+    # listed twice counted twice in both mAPs, and (0, 0) gave null mAPs
+    (_eval_with_meta_pairs([[0, 1, 1.5], [0, 1, 1.5]]), "pair (0, 1) listed twice"),
+    (_eval_with_meta_pairs([[0, 0, 1.5]]), "pair (0, 0) repeats a category"),
 ], ids=["train_set_without_value", "train_pair_without_colon", "train_pair_one_category",
         "train_batch_size_0", "train_negative_epochs", "gen_negative_noise",
         "gen_pair_category_9", "gen_empty_filler_pool", "gen_short_signature",
         "report_one_method_twice", "audit_k_0", "audit_freq_threshold_1.5",
-        "audit_repeated_sample_id", "eval_checkpoint_without_pairs"])
+        "audit_repeated_sample_id", "eval_checkpoint_without_pairs", "eval_meta_pair_twice",
+        "eval_meta_pair_one_category"])
 def test_refusal_exits_2_with_one_line(ws, tmp_path, capsys, make_argv, named):
     # refusals no other test reaches, each one line
     argv = make_argv(ws, tmp_path)
@@ -769,8 +782,7 @@ def test_refusal_exits_2_with_one_line(ws, tmp_path, capsys, make_argv, named):
     capsys.readouterr()
     assert cli.main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.strip().splitlines() == [f"error: {named}"]
-    if argv[0] != "gen":  # gen makes its output directory before it checks the config
-        assert not out.exists()
+    assert not out.exists()
 
 
 def test_exit_codes(ws, tmp_path, capsys):
@@ -791,11 +803,13 @@ def test_exit_codes(ws, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", [
-    "gen-config", "train-config", "sweep-config", "eval-manifest-store", "eval-checkpoint-store",
+    "gen-config", "train-config", "sweep-config", "audit-preds", "eval-manifest-store",
+    "eval-checkpoint-store",
 ])
 def test_missing_input_file_exits_2_naming_it(ws, tmp_path, capsys, case):
     # every input file is opened through data._open_input, so a missing
-    # config, manifest store or checkpoint store is one line naming it
+    # config, predictions file, manifest store or checkpoint store is one
+    # line naming it
     out = str(tmp_path / "out")
     missing = tmp_path / "missing.json"
     argv = {
@@ -804,6 +818,8 @@ def test_missing_input_file_exits_2_naming_it(ws, tmp_path, capsys, case):
                          "--out", out],
         "sweep-config": ["sweep", "--config", str(missing), "--fractions", "0.05",
                          "--methods", "standard", "--out", out],
+        "audit-preds": ["audit", "--labels", str(ws / "dtest"), "--preds", str(missing),
+                        "--out", out],
     }.get(case)
     if argv is None:
         run, test_dir = tmp_path / "run", tmp_path / "dtest"

@@ -101,21 +101,23 @@ def test_bench_pairs_needs_two_seeds(capsys):
 
 def test_compare_outputs_names_each_differing_file(tmp_path, capsys):
     # the same tree twice gives equal outputs; one changed byte in an
-    # output file, the audit's and the sweep's among them, is named, with exit 1
+    # output file, the audit's, the sweep's and a grid run's digest among
+    # them, is named, with exit 1
     compare_outputs = load_tool("compare_outputs")
     base, change = tmp_path / "base", tmp_path / "change"
     for out in (base, change):
         out.mkdir()
         compare_outputs.run_pipeline(TOOLS.parent, out, ["stage1_epochs=1", "stage2_epochs=1"])
     assert compare_outputs.compare(base, change) == 0
-    assert capsys.readouterr().out.splitlines() == ["48 files, 0 differ"]
+    assert capsys.readouterr().out.splitlines() == ["81 files, 0 differ"]
 
-    changed = ["audit/audit.json", "sweep/runs/f0.05_s0/ours_cam/report.json",
-               "sweep/trend.csv", "train/cam/checkpoint.json.store"]
+    changed = ["audit/audit.json", "digests/0.05_s3_ours_cam.txt",
+               "sweep/runs/f0.05_s0/ours_cam/report.json", "sweep/trend.csv",
+               "train/cam/checkpoint.json.store"]
     for name in changed:
         raw = bytearray((change / name).read_bytes())
         raw[-1] ^= 1
         (change / name).write_bytes(bytes(raw))
     assert compare_outputs.compare(base, change) == 1
     assert capsys.readouterr().out.splitlines() == [
-        *(f"differs: {name}" for name in changed), "48 files, 4 differ"]
+        *(f"differs: {name}" for name in changed), "81 files, 5 differ"]

@@ -1,29 +1,24 @@
-"""Run the `debias` CLI pipeline in two checkouts and compare every output file.
+"""Byte-identity check of two checkouts: run the `debias` CLI pipeline and a
+benchmark-cell grid in each and compare every output file.
 
-Usage:
-    python3 tools/compare_outputs.py --base ../parent --change . \
-        [--set stage1_epochs=2 --set stage2_epochs=2]
+Usage: python3 tools/compare_outputs.py --base ../parent --change . [--set k=v ...]
 
-In each checkout it writes the fraction-0.05 benchmark configs of seed 0
-(`data.benchmark_configs` and `cli.benchmark_recipe`), runs `debias gen` for
-the train and the test set, `debias train` with the planted pairs pinned for
-cam, feature-split, standard and split, `debias eval` of each checkpoint on
-the test set and one `debias report` over the four evaluations (35 files),
-then `debias sweep` on one cell (fraction 0.05, seed 0, cam and standard):
-its `trend.csv` and `provenance.json`, the cell's two datasets, and each
-run's `report.json` and `provenance.json` (10 files), and last `debias audit`
-of the standard checkpoint's test-set scores, written to `preds.csv` (3
-files, 48 in all). Every
-command runs in a subprocess with one BLAS thread, the checkout's `src/` on
-PYTHONPATH and the same relative paths on both sides, so the provenance
-records match. `--set` overrides pass through to each `debias train` and to
-the sweep. It prints one line per file that differs or exists on one side
-only, then a count, and exits 1 if any file differs, 0 if none does. A
-command that fails stops the tool with its error output (exit 2).
+On the fraction-0.05 benchmark configs of seed 0 it runs `debias gen`, then
+`train` (planted pairs pinned) and `eval` for cam, feature-split, standard and
+split, one `report`, a one-cell `sweep` and an `audit` of the standard
+checkpoint's test-set scores (48 files). Then it trains the `GRID` cells with
+`cli.run_benchmark_cell` and writes one `digests/` file per run (33 files):
+fraction, seed, method and the SHA-256s of the trained mixer, head, loss curve
+and stage-2 step log, and of the report. Each step runs in a subprocess with
+one BLAS thread, the checkout's `src/` on PYTHONPATH and the same relative
+paths on both sides; a failing step stops the tool (exit 2). `--set` overrides
+reach every `train`, the sweep and the grid. It prints each file that differs
+or is on one side only, then a count, and exits 1 if any differs, else 0.
 """
 
 import argparse
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -39,6 +34,42 @@ gen_train, gen_test = data.benchmark_configs(0.05, 1000, 2000, 3000)
 data.dump_json(gen_train.to_dict(), "gen_train.json")
 data.dump_json(gen_test.to_dict(), "gen_test.json")
 data.dump_json(cli.benchmark_recipe().to_dict(), "train.json")
+"""
+
+GRID = [  # (fraction, seeds, methods) of the benchmark cells whose training is digested
+    (0.05, [0, 1, 2, 3, 4], ["standard", "ours_feature_split", "ours_cam"]),
+    (0.25, [0, 1, 2], ["standard", "remove_cooccur_labels", "remove_cooccur_images",
+                       "weighted_loss", "negative_penalty", "split_biased"]),
+]
+
+# argv: GRID as JSON, then KEY=VALUE overrides parsed as `--set` parses them. It calls only
+# names the benchmark pins (run_benchmark_cell, TrainArtifacts, EvalReport), so any parent runs it
+DIGESTS = """
+import hashlib, json, os, sys, tempfile
+import numpy as np
+from debias import cli
+overrides = {}
+for key, raw in (kv.split("=", 1) for kv in sys.argv[2:]):
+    try:
+        overrides[key] = json.loads(raw)
+    except ValueError:
+        overrides[key] = raw
+os.mkdir("digests")
+for fraction, seeds, methods in json.loads(sys.argv[1]):
+    for seed in seeds:
+        with tempfile.TemporaryDirectory() as work:
+            cell = cli.run_benchmark_cell(fraction, seed, methods, work, overrides)
+        for method in methods:
+            arts = cell.artifacts[method]
+            stage2 = [e for e in arts.step_log if e.get("stage") == 2]
+            training = hashlib.sha256(
+                arts.params.mixer.tobytes() + arts.params.head.tobytes()
+                + np.asarray(arts.loss_curve, dtype=np.float64).tobytes()
+                + json.dumps(stage2, sort_keys=True).encode())
+            report = json.dumps(cell.reports[method].to_dict(), sort_keys=True).encode()
+            with open(f"digests/{fraction:g}_s{seed}_{method}.txt", "w") as fh:
+                fh.write(f"{fraction:g} {seed} {method} {training.hexdigest()} "
+                         f"{hashlib.sha256(report).hexdigest()}\\n")
 """
 
 PREDS = """
@@ -76,6 +107,7 @@ def run_pipeline(checkout, out, sets):
     steps.append(["-c", PREDS])
     steps.append(["-m", "debias.cli", "audit", "--labels", "data/test", "--preds", "preds.csv",
                   "--out", "audit"])
+    steps.append(["-c", DIGESTS, json.dumps(GRID), *sets])
     for argv in steps:
         proc = subprocess.run([sys.executable, *argv], cwd=out, env=env,
                               capture_output=True, text=True)
