@@ -35,7 +35,7 @@ def check_pairs(pairs, m: int) -> None:
     seen = set()
     for b, c in pairs:
         if not (0 <= b < m and 0 <= c < m):
-            raise ValueError(f"pinned pair ({b}, {c}) outside {m} categories")
+            raise ValueError(f"pair ({b}, {c}) outside {m} categories")
         if b == c:
             raise ValueError(f"pair ({b}, {c}) repeats a category")
         if (b, c) in seen:
@@ -52,16 +52,10 @@ def pair_splits(labels, pairs) -> tuple:
     return has_b & has_c, has_b & ~has_c
 
 
-def pair_masks(labels, b: int, c: int) -> tuple:
-    """(co-occurring, exclusive) row masks of pair (b, c): pair_splits' one column each."""
-    both, excl = pair_splits(labels, [(b, c)])
-    return both[:, 0], excl[:, 0]
-
-
 def bias_score(preds: np.ndarray, labels: np.ndarray, b: int, z: int) -> float:
     """Ratio of mean predicted probability for b with z present vs absent."""
     preds = np.asarray(preds, dtype=np.float64)
-    both, excl = pair_masks(labels, b, z)
+    both, excl = (split[:, 0] for split in pair_splits(labels, [(b, z)]))
     if not both.any() or not excl.any():
         raise ValueError(
             f"bias({b},{z}) undefined: needs samples with and without {z}"
@@ -101,28 +95,18 @@ def select_biased_pairs(
         raise ValueError(
             f"preds must lie in [0, 1], got values from {preds.min():g} to {preds.max():g}"
         )
-    m = labels.shape[1]
     counts = labels.T @ labels
+    n_b = np.diag(counts)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 for a category with no samples
+        # z seen with b and without it (which rules out z = b), often enough
+        candidates = (counts >= 1) & (n_b - counts >= 1) & (counts / n_b >= freq_threshold)
     winners = []
-    for b in range(m):
-        n_b = counts[b, b]
-        if n_b == 0:
-            continue
-        best = None
-        for z in range(m):
-            if z == b:
-                continue
-            both = counts[b, z]
-            excl = n_b - both
-            if both < 1 or excl < 1:
-                continue  # score undefined, pre-filtered
-            if both / n_b < freq_threshold:
-                continue
-            s = bias_score(preds, labels, b, z)
-            if best is None or s > best[0]:
-                best = (s, z)
-        if best is not None:
-            winners.append(BiasPair(biased=b, context=best[1], score=best[0]))
+    for b, row in enumerate(candidates):
+        zs = np.flatnonzero(row)
+        if zs.size:
+            scores = [bias_score(preds, labels, b, z) for z in zs]
+            best = int(np.argmax(scores))  # the first maximum: ties go to the lowest z
+            winners.append(BiasPair(biased=b, context=int(zs[best]), score=scores[best]))
     winners.sort(key=lambda p: (-p.score, p.biased))
     return BiasPairSet(pairs=winners[:k], shortfall=len(winners) < k)
 

@@ -164,8 +164,8 @@ def evaluate(
     scores = adapted_scores(mdl.predict(params, pooled), m, category_map)
 
     rows = []
-    for b, c in pairs:
-        co, excl = bias_mod.pair_masks(labels, b, c)
+    cooccur, exclusive = bias_mod.pair_splits(labels, pairs)
+    for (b, c), co, excl in zip(pairs, cooccur.T, exclusive.T):
         # the cosine only involves weights, so an invalid split still gets one
         row = {"b": b, "c": c, "valid": bool(excl.any() and co.any()),
                "cosine": weight_cosine(params, (b, c))}

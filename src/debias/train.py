@@ -239,11 +239,11 @@ def transform_dataset(
     """Label/image surgery behind the removal and split baselines.
 
     Pairs apply in order, each to the labels the earlier ones left, and each
-    splits its rows with bias.pair_masks. remove_cooccur_labels clears the
-    context label on the co-occurring rows. remove_cooccur_images drops them.
-    split_biased appends one solo category per pair and moves the exclusive
-    rows' biased label there, turning the original column into "biased with
-    its context".
+    splits its rows with its bias.pair_splits column. remove_cooccur_labels
+    clears the context label on the co-occurring rows. remove_cooccur_images
+    drops them. split_biased appends one solo category per pair and moves the
+    exclusive rows' biased label there, turning the original column into
+    "biased with its context".
     """
     if method not in TRANSFORM_METHODS:
         raise ValueError(f"no dataset transform for method {method!r}")
@@ -256,7 +256,7 @@ def transform_dataset(
         labels = np.pad(labels, ((0, 0), (0, len(pairs))))
         cats += [f"{cats[b]}_solo" for b, _ in pairs]
     for (b, c), (_, solo) in zip(pairs, solo_of):
-        co, excl = bias_mod.pair_masks(labels, b, c)
+        co, excl = (split[:, 0] for split in bias_mod.pair_splits(labels, [(b, c)]))
         if method == "remove_cooccur_labels":
             labels[co, c] = 0
         elif method == "remove_cooccur_images":

@@ -455,7 +455,7 @@ def cooccur_overlap(params, manifest):
     """The mean map overlap that CAM training minimizes (losses.cam_terms),
     over the co-occurring samples of the planted pairs in stack order."""
     labels = manifest.label_matrix()
-    segments = [np.flatnonzero(bias_mod.pair_masks(labels, b, c)[0]) for b, c in PLANTED]
+    segments = [np.flatnonzero(co) for co in bias_mod.pair_splits(labels, PLANTED)[0].T]
     rows = data.load_maps(manifest, np.concatenate(segments))
     sizes = [len(seg) for seg in segments]
     return losses.cam_terms(params, PLANTED, rows, sizes, None, 1.0, 0.0)[0]

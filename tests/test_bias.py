@@ -144,23 +144,27 @@ def test_directional_construction_only_forward_pair():
 
 
 def test_shortfall_flag():
-    labels = np.array([[1, 1], [1, 0], [0, 1]])
-    preds = np.array([[0.9, 0.8], [0.3, 0.1], [0.2, 0.6]])
+    # category 2 has no samples, so it yields no winner
+    labels = np.array([[1, 1, 0], [1, 0, 0], [0, 1, 0]])
+    preds = np.array([[0.9, 0.8, 0.1], [0.3, 0.1, 0.1], [0.2, 0.6, 0.1]])
     got = bias.select_biased_pairs(preds, labels, k=20, freq_threshold=0.2)
     assert got.shortfall
-    assert len(got.pairs) >= 1
+    assert got.as_tuples() == [(0, 1), (1, 0)]
 
 
 def test_frequency_filter_excludes_rare_context():
-    # z co-occurs with b once out of ten: below a 0.2 threshold
-    labels = np.zeros((20, 2), dtype=int)
-    labels[:10, 0] = 1
-    labels[0, 1] = 1
-    labels[10:, 1] = 1
-    preds = np.full((20, 2), 0.5)
-    preds[0, 0] = 1.0  # would give a big score if admitted
-    got = bias.select_biased_pairs(preds, labels, k=5, freq_threshold=0.2)
-    assert (0, 1) not in got.as_tuples()
+    # z co-occurs with b once out of ten: below a 0.2 threshold; twice out of
+    # ten is exactly the threshold and admitted; ten out of ten leaves b no
+    # exclusive sample, so the score is undefined and z is not a candidate
+    for n_with, admitted in ((1, False), (2, True), (10, False)):
+        labels = np.zeros((20, 2), dtype=int)
+        labels[:10, 0] = 1
+        labels[:n_with, 1] = 1
+        labels[10:, 1] = 1
+        preds = np.full((20, 2), 0.5)
+        preds[0, 0] = 1.0  # would give a big score if admitted
+        got = bias.select_biased_pairs(preds, labels, k=5, freq_threshold=0.2)
+        assert ((0, 1) in got.as_tuples()) == admitted, n_with
 
 
 def test_argmax_tie_breaks_to_lowest_index():

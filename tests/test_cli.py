@@ -216,7 +216,7 @@ def test_train_rejects_out_of_range_pairs(ws, tmp_path, capsys, monkeypatch):
     assert code == 2
     assert steps == []  # rejected before the first stage-1 step
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: pinned pair (0, 9) outside 4 categories"]
+    assert err == ["error: pair (0, 9) outside 4 categories"]
     assert not (tmp_path / "run").exists()
 
 
@@ -769,12 +769,13 @@ def _repeat_first_id(doc):
     # listed twice counted twice in both mAPs, and (0, 0) gave null mAPs
     (_eval_with_meta_pairs([[0, 1, 1.5], [0, 1, 1.5]]), "pair (0, 1) listed twice"),
     (_eval_with_meta_pairs([[0, 0, 1.5]]), "pair (0, 0) repeats a category"),
+    (_eval_with_meta_pairs([[0, 9, 1.5]]), "pair (0, 9) outside 4 categories"),
 ], ids=["train_set_without_value", "train_pair_without_colon", "train_pair_one_category",
         "train_batch_size_0", "train_negative_epochs", "gen_negative_noise",
         "gen_pair_category_9", "gen_empty_filler_pool", "gen_short_signature",
         "report_one_method_twice", "audit_k_0", "audit_freq_threshold_1.5",
         "audit_repeated_sample_id", "eval_checkpoint_without_pairs", "eval_meta_pair_twice",
-        "eval_meta_pair_one_category"])
+        "eval_meta_pair_one_category", "eval_meta_pair_category_9"])
 def test_refusal_exits_2_with_one_line(ws, tmp_path, capsys, make_argv, named):
     # refusals no other test reaches, each one line
     argv = make_argv(ws, tmp_path)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -93,10 +94,24 @@ def test_bench_pairs_states_the_bound_verdict_per_metric(better, base, change, v
 
 def test_bench_pairs_needs_two_seeds(capsys):
     bench_pairs = load_tool("bench_pairs")
-    with pytest.raises(SystemExit):
-        bench_pairs.main(["--base", ".", "--change", ".", "--workload", "paper-cell",
-                          "--seeds", "5"])
-    assert "at least two seeds" in capsys.readouterr().err
+    for seeds, named in (("5", "at least two seeds"), ("a-b", "is not '501-510' or '1,4,9'")):
+        with pytest.raises(SystemExit):
+            bench_pairs.main(["--base", ".", "--change", ".", "--workload", "paper-cell",
+                              "--seeds", seeds])
+        assert named in capsys.readouterr().err
+
+
+def test_bench_pairs_header_prints_the_seeds_as_given(monkeypatch, capsys):
+    bench_pairs = load_tool("bench_pairs")
+    repo = TOOLS.parent
+    names = [m["name"] for m in json.loads((repo / "BENCHMARK.json").read_text())["end_to_end"]]
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed, seconds:
+                        runs.append(seed) or result(1, 0, **dict.fromkeys(names, 1.0)))
+    bench_pairs.main(["--base", str(repo), "--change", str(repo), "--workload", "paper-cell",
+                      "--seeds", "7,3,9"])
+    assert runs == [7, 7, 3, 3, 9, 9]
+    assert capsys.readouterr().out.splitlines()[0].startswith("paper-cell: 3 pairs, seeds 7,3,9,")
 
 
 def test_compare_outputs_names_each_differing_file(tmp_path, capsys):

@@ -8,9 +8,10 @@ For each seed it runs `bench/run.py --workload W --seed S --seconds T
 --trace 0` once in each checkout, with T the `run_seconds` of the change's
 BENCHMARK.json, alternating which side runs first (the
 base on pairs 1, 3, 5, ..., the change on the others), so drift on the box falls on
-both sides alike. It then prints, per end-to-end metric of the change's
-BENCHMARK.json: the median of each side, the relative move of the
-medians, each side's quartiles, and on how many pairs the change was better. Then come
+both sides alike. It then prints a header with `--seeds` as given and, per
+end-to-end metric of the change's BENCHMARK.json: the median of each side, the
+relative move of the medians, each side's quartiles, and on how many pairs the
+change was better. Then come
 the attempted and failed operation counts of each side, summed over its
 runs, and last, per metric, whether the change meets the claim rule: it wins
 at least nine tenths of the pairs (ties count for neither side) and its median
@@ -97,19 +98,23 @@ def main(argv=None):
     p.add_argument("--base", required=True, type=Path, help="checkout to compare against")
     p.add_argument("--change", required=True, type=Path, help="checkout with the change")
     p.add_argument("--workload", required=True)
-    p.add_argument("--seeds", required=True, type=parse_seeds, help="'501-510' or '1,4,9'")
+    p.add_argument("--seeds", required=True, help="'501-510' or '1,4,9'")
     args = p.parse_args(argv)
-    if len(args.seeds) < 2:
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError:
+        p.error(f"--seeds {args.seeds!r} is not '501-510' or '1,4,9'")
+    if len(seeds) < 2:
         p.error("quartiles need at least two seeds")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     base, change = [], []
-    for i, seed in enumerate(args.seeds):
+    for i, seed in enumerate(seeds):
         sides = [(args.base, base), (args.change, change)]
         for checkout, out in sides if i % 2 == 0 else sides[::-1]:
             out.append(run_once(checkout, args.workload, seed, seconds))
-        print(f"pair {i + 1}/{len(args.seeds)} (seed {seed}) done", file=sys.stderr, flush=True)
-    print(f"{args.workload}: {len(args.seeds)} pairs, seeds {args.seeds[0]}-{args.seeds[-1]}, "
+        print(f"pair {i + 1}/{len(seeds)} (seed {seed}) done", file=sys.stderr, flush=True)
+    print(f"{args.workload}: {len(seeds)} pairs, seeds {args.seeds}, "
           f"--seconds {seconds:g}, base first on pairs 1, 3, 5, ...")
     print("\n".join(table(metrics, base, change)))
 
