@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +90,8 @@ def _load_object(path, what) -> dict:
     return doc
 
 
-def _find_manifest(path):
-    """Accept a manifest file or a directory holding exactly one."""
+def _load_manifest(path) -> data.DatasetManifest:
+    """The manifest at `path`, a file or a directory holding exactly one; it must hold samples."""
     if os.path.isdir(path):
         found = sorted(
             n for n in os.listdir(path) if n.endswith("manifest.json")
@@ -100,7 +101,10 @@ def _find_manifest(path):
                 f"{path} holds {len(found)} manifests; pass the file itself"
             )
         path = os.path.join(path, found[0])
-    return path
+    manifest = data.load_manifest(path)
+    if not manifest.samples:
+        raise ValueError(f"{path}: empty dataset")
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +204,12 @@ def cmd_gen(args):
 
 
 def cmd_audit(args):
-    manifest = data.load_manifest(_find_manifest(args.labels))
-    labels = manifest.label_matrix()
-    with data._open_input(args.preds) as fh:
+    labels = _load_manifest(args.labels).label_matrix()
+    with data._open_input(args.preds) as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # refused below
         preds = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if preds.size == 0:
+        raise ValueError(f"{args.preds}: no predictions")
     pair_set = bias_mod.select_biased_pairs(
         preds, labels, k=args.k, freq_threshold=args.freq_threshold
     )
@@ -238,7 +244,7 @@ def _resolved_train_config(args):
 
 def cmd_train(args):
     cfg = _resolved_train_config(args)
-    manifest = data.load_manifest(_find_manifest(args.data))
+    manifest = _load_manifest(args.data)
     pinned = parse_pairs(args.pairs) if args.pairs else None
     arts = train.run_training(manifest, cfg, pinned)
 
@@ -273,7 +279,7 @@ def cmd_eval(args):
     if os.path.isdir(ckpt_path):
         ckpt_path = os.path.join(ckpt_path, "checkpoint.json")
     params, run = mdl.load_checkpoint(ckpt_path)
-    manifest = data.load_manifest(_find_manifest(args.data))
+    manifest = _load_manifest(args.data)
     if args.pairs:
         pairs = parse_pairs(args.pairs)
     else:
@@ -310,7 +316,7 @@ def cmd_sweep(args):
                          ("method", methods), ("seed", seeds)):
         if len(set(values)) != len(values):
             raise ValueError(f"duplicate {flag} in --{flag}s")
-    # a bad fraction or recipe stops the sweep before its first cell (the seeds affect neither)
+    # a bad fraction, method, seed or recipe stops the sweep before its first cell
     for fraction in fractions:
         data.benchmark_configs(fraction, 1000, 2000, 3000)
     overrides = _load_object(args.config, "train config") if args.config else {}
@@ -318,7 +324,8 @@ def cmd_sweep(args):
     overrides.pop("method", None)
     overrides.pop("seed", None)
     for method in methods:
-        benchmark_recipe(method=method, **overrides)
+        for seed in seeds:
+            benchmark_recipe(method=method, seed=seed, **overrides)
 
     os.makedirs(args.out, exist_ok=True)
     lines = ["fraction,method,seed,map_exclusive,map_cooccur,mean_cosine"]

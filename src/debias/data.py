@@ -98,7 +98,8 @@ class DatasetManifest:
         return os.path.join(self.root or ".", self.store)
 
     def label_matrix(self) -> np.ndarray:
-        return np.array([s.labels for s in self.samples], dtype=np.int64)
+        labels = np.array([s.labels for s in self.samples], dtype=np.int64)
+        return labels.reshape(len(self.samples), len(self.categories))
 
     def to_dict(self) -> dict:
         return {
@@ -337,6 +338,8 @@ def _check_config(cfg: GenConfig):
             raise ValueError("planted pair regions must be disjoint")
     if cfg.noise_std < 0:
         raise ValueError("noise_std must be nonnegative")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.filler_pool is not None:
         pool = set(cfg.filler_pool)
         if not all(0 <= k < cfg.m for k in pool):

@@ -24,7 +24,6 @@ trained weights bit for bit.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import replace
 from functools import reduce
 
@@ -33,6 +32,8 @@ import numpy as np
 from . import model as mdl
 
 LOG_GUARD = 1e-12
+# the feature split's context estimate: the mean over the last 10 minibatches (the paper's window)
+CONTEXT_WINDOW = 10
 
 
 # ---------------------------------------------------------------------------
@@ -260,38 +261,14 @@ def cam_objective(
 # feature split with selective suppression
 
 
-class RunningMeanBuffer:
-    """Mean of the pooled context features over the last 10 minibatches."""
-
-    def __init__(self, width: int):
-        if width <= 0:
-            raise ValueError("width must be positive")
-        self.width = width
-        self.entries = deque(maxlen=10)
-
-    def push(self, batch_mean):
-        """Append one batch's (width,) mean; the oldest entry drops out."""
-        v = np.asarray(batch_mean, dtype=np.float64)
-        if v.shape != (self.width,):
-            raise ValueError(f"expected vector of length {self.width}, got {v.shape}")
-        self.entries.append(v.copy())
-
-    def mean(self) -> np.ndarray:
-        if not self.entries:
-            return np.zeros(self.width)
-        # oldest first, as np.mean over axis 0 of the stacked entries adds
-        return reduce(np.add, self.entries) / len(self.entries)
-
-
-def suppressed_logits(
-    params: mdl.ModelParams, mixed, excl_mask, buffer: RunningMeanBuffer
-) -> tuple:
+def suppressed_logits(params: mdl.ModelParams, mixed, excl_mask, window) -> tuple:
     """(logits, keep) of the split-head forward for a batch, as one masked product.
 
     `mixed` is the batch's (n, D) features. Non-exclusive samples use both
     halves. Exclusive samples have their context features masked to zero by
-    `keep`; the running-mean context vector takes their place as a constant,
-    so nothing upstream of the context path learns from them.
+    `keep`; the mean of `window`'s (D/2,) context means takes their place as
+    a constant (zeros while it is empty), so nothing upstream of the context
+    path learns from them.
     """
     mask = np.asarray(excl_mask, dtype=bool)
     if mask.shape != (len(mixed),):
@@ -300,25 +277,27 @@ def suppressed_logits(
     keep = np.ones(mixed.shape)
     keep[cut] = 0.0
     fill = np.zeros(mixed.shape)
-    fill[cut] = buffer.mean()
+    if window:
+        # oldest first, as np.mean over axis 0 of the stacked entries adds
+        fill[cut] = reduce(np.add, window) / len(window)
     return (mixed * keep) @ params.head + fill @ params.head, keep
 
 
-def feature_split_objective(params, pooled_rows, targets, weights, excl_mask, buffer) -> tuple:
+def feature_split_objective(params, pooled_rows, targets, weights, excl_mask, window) -> tuple:
     """(loss, g_mixer, g_head) of weighted BCE through selective suppression.
 
     The logit cotangent goes back through the kept features only, so the
     context half learns from non-exclusive samples alone. Once the logits
-    have read the running mean, the batch's non-exclusive samples push their
-    mean context features into `buffer`.
+    have read the window's mean, the batch's non-exclusive samples append
+    their mean context features to `window`, a deque(maxlen=CONTEXT_WINDOW).
     """
     mixed = mdl.mix(params, pooled_rows)
-    logits, keep = suppressed_logits(params, mixed, excl_mask, buffer)
+    logits, keep = suppressed_logits(params, mixed, excl_mask, window)
     loss, g = bce(logits, targets, weights)
     mask = np.asarray(excl_mask, dtype=bool)
     if not mask.all():
         # np.take, not fancy indexing: the mean's rounding follows the
         # gathered array's memory layout
         ctx = np.take(mixed, params.context_rows, axis=1)
-        buffer.push(ctx[~mask].mean(axis=0))
+        window.append(ctx[~mask].mean(axis=0))
     return (loss, *_linear_grads(params, pooled_rows, mixed * keep, g, keep))

@@ -4,14 +4,16 @@ Stage 1 trains a standard classifier with BCE on an 80% slice of the
 training data and picks the biased pairs on the held-out 20% (or scores a
 pinned pair set on all of it). Stage 2 continues from those weights with
 the method-specific objective, on the full (possibly transformed) training
-set; it builds the method's state (the CAM snapshot, the loss weights) from
-the weights and pairs it starts from. Every random draw comes from a seed tree
-derived from the config seed, so a fixed config reproduces runs bit for bit.
+set; it builds the method's state (the CAM snapshot, the loss weights, the
+feature split's context window) from the weights and pairs it starts from.
+Every random draw comes from a seed tree derived from the config seed, so a
+fixed config reproduces runs bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -61,6 +63,8 @@ class TrainConfig:
             raise ValueError("epoch counts must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.mixer_width < 2 or self.mixer_width % 2:
             raise ValueError("mixer_width must be even and at least 2 (the head rows get halved)")
         # range checks (finite first: a NaN fails every comparison below), so a
@@ -346,7 +350,7 @@ def train_stage2(
                 np.bincount(pair, minlength=len(pair_tuples)), frozen, cfg.lambda1, cfg.lambda2,
             )
     elif cfg.method == "ours_feature_split":
-        buffer = losses.RunningMeanBuffer(width=params.d // 2)
+        window = deque(maxlen=losses.CONTEXT_WINDOW)  # the batches' (D/2,) context means
 
         def objective(params, idx, entry):
             mask = excl_all[idx]
@@ -354,7 +358,7 @@ def train_stage2(
             entry["n_exclusive"] = int(mask.sum())
             entry["max_weight"] = float(weights_all[idx].max())
             return losses.feature_split_objective(
-                params, pooled[idx], labels[idx], weights_all[idx], mask, buffer
+                params, pooled[idx], labels[idx], weights_all[idx], mask, window
             )
 
         def after_step(entry, head_before, head_after):

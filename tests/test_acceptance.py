@@ -9,6 +9,7 @@ import filecmp
 import json
 import math
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -163,8 +164,7 @@ def test_gradients_match_finite_differences():
     def suppressed(mask):
         def objective(p):
             head = np.concatenate([p["head_own"], p["head_ctx"]], axis=0)
-            buf = losses.RunningMeanBuffer(width=d // 2)
-            buf.push(xbar)
+            buf = deque([xbar], maxlen=losses.CONTEXT_WINDOW)
             loss, g_mixer, g_head = losses.feature_split_objective(
                 mdl.ModelParams(p["mixer"], head, own, ctx), pooled, t, weights, mask, buf
             )
@@ -205,7 +205,7 @@ def test_split_head_identity():
     )
     diff_np = np.abs(split - logits).max()
 
-    buf = losses.RunningMeanBuffer(width=d // 2)
+    buf = deque(maxlen=losses.CONTEXT_WINDOW)
     sup, _ = losses.suppressed_logits(params, pooled, np.zeros(n, bool), buf)
     diff_masked = np.abs(sup - logits).max()
 
@@ -233,8 +233,7 @@ def test_suppression_contract():
     mask = bias_mod.pair_splits(labels, pairs)[1].any(axis=1)
     assert mask.all()
 
-    buf = losses.RunningMeanBuffer(width=4)
-    buf.push(rng.normal(size=4))
+    buf = deque([rng.normal(size=4)], maxlen=losses.CONTEXT_WINDOW)
     ones = np.ones(labels.shape)
     _, g_mixer, g_head = losses.feature_split_objective(params, pooled, labels, ones, mask, buf)
     zeros_exact = np.array_equal(

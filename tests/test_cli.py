@@ -339,6 +339,8 @@ def test_sweep_checks_every_fraction_before_the_first_cell(tmp_path, capsys, mon
         (["--fractions", "0.05,nan"], "exclusive_fraction must be in (0, 1), got nan"),
         (["--methods", "standard,bogus"], "unknown method 'bogus'"),
         (["--set", "lambda1=-1"], "loss weights lambda1 and lambda2 must be nonnegative"),
+        # a negative seed used to write both datasets of cell f0.05_s-5 first
+        (["--seeds", "-5"], "seed must be nonnegative, got -5"),
     ):
         assert cli.main([  # a later --fractions or --methods replaces the first
             "sweep", "--fractions", "0.05", "--methods", "standard", "--seeds", "0",
@@ -706,12 +708,12 @@ def _train_argv(*flags):
         "train", "--data", str(ws / "dtrain"), "--config", str(ws / "train.json"), *flags]
 
 
-def _gen_argv(edit):
+def _gen_argv(edit, *flags):
     def make(ws, tmp_path):
         doc = small_gen_dict()
         edit(doc)
         (tmp_path / "gen.json").write_text(json.dumps(doc))
-        return ["gen", "--config", str(tmp_path / "gen.json")]
+        return ["gen", "--config", str(tmp_path / "gen.json"), *flags]
     return make
 
 
@@ -726,6 +728,32 @@ def _audit_argv(*flags, edit=lambda doc: None):
         return ["audit", "--labels", str(tmp_path / "d"), "--preds", str(tmp_path / "preds.csv"),
                 *flags]
     return make
+
+
+def _empty_dataset(tmp_path):
+    """A generated test set with no samples: no planted pairs and no filler."""
+    doc = small_gen_dict()
+    doc.update(planted_pairs=[], n_filler=0)
+    (tmp_path / "gen_empty.json").write_text(json.dumps(doc))
+    assert cli.main(["gen", "--config", str(tmp_path / "gen_empty.json"),
+                     "--out", str(tmp_path / "empty"), "--split", "test"]) == 0
+    return str(tmp_path / "empty")
+
+
+def _eval_empty(ws, tmp_path):
+    return ["eval", "--checkpoint", str(_train_standard(ws, tmp_path)),
+            "--data", _empty_dataset(tmp_path)]
+
+
+def _audit_empty(ws, tmp_path):
+    (tmp_path / "preds.csv").write_text("")
+    return ["audit", "--labels", _empty_dataset(tmp_path), "--preds", str(tmp_path / "preds.csv")]
+
+
+def _audit_empty_preds(ws, tmp_path):
+    argv = _audit_argv()(ws, tmp_path)
+    (tmp_path / "preds.csv").write_text("")
+    return argv
 
 
 def _report_twice(ws, tmp_path):
@@ -770,19 +798,29 @@ def _repeat_first_id(doc):
     (_eval_with_meta_pairs([[0, 1, 1.5], [0, 1, 1.5]]), "pair (0, 1) listed twice"),
     (_eval_with_meta_pairs([[0, 0, 1.5]]), "pair (0, 0) repeats a category"),
     (_eval_with_meta_pairs([[0, 9, 1.5]]), "pair (0, 9) outside 4 categories"),
+    # an empty test set used to exit 3 on an IndexError of its (0,) label matrix
+    (_eval_empty, "{tmp}/empty/test.manifest.json: empty dataset"),
+    (_audit_empty, "{tmp}/empty/test.manifest.json: empty dataset"),
+    # negative seeds used to reach numpy's unnamed "expected non-negative integer"
+    (_train_argv("--seed", "-1"), "seed must be nonnegative, got -1"),
+    (_gen_argv(lambda d: None, "--seed", "-1"), "seed must be nonnegative, got -1"),
+    # an empty predictions file used to warn on stderr, then fail on its (0, 1) shape
+    (_audit_empty_preds, "{tmp}/preds.csv: no predictions"),
 ], ids=["train_set_without_value", "train_pair_without_colon", "train_pair_one_category",
         "train_batch_size_0", "train_negative_epochs", "gen_negative_noise",
         "gen_pair_category_9", "gen_empty_filler_pool", "gen_short_signature",
         "report_one_method_twice", "audit_k_0", "audit_freq_threshold_1.5",
         "audit_repeated_sample_id", "eval_checkpoint_without_pairs", "eval_meta_pair_twice",
-        "eval_meta_pair_one_category", "eval_meta_pair_category_9"])
+        "eval_meta_pair_one_category", "eval_meta_pair_category_9", "eval_empty_dataset",
+        "audit_empty_dataset", "train_negative_seed", "gen_negative_seed", "audit_empty_preds"])
+@pytest.mark.filterwarnings("error")  # a warning is a second line on stderr outside capsys
 def test_refusal_exits_2_with_one_line(ws, tmp_path, capsys, make_argv, named):
     # refusals no other test reaches, each one line
     argv = make_argv(ws, tmp_path)
     out = tmp_path / "out"
     capsys.readouterr()
     assert cli.main([*argv, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.strip().splitlines() == [f"error: {named}"]
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {named.format(tmp=tmp_path)}"]
     assert not out.exists()
 
 

@@ -52,6 +52,12 @@ def test_planted_counts_exact(tmp_path):
     assert all(sum(s.labels) >= 1 for s in m.samples)
 
 
+def test_label_matrix_is_n_by_m_when_empty():
+    # a manifest without samples used to give shape (0,), so a category column failed to index
+    m = data.DatasetManifest(["a", "b", "c"], 4, 4, 8, samples=[])
+    assert m.label_matrix().shape == (0, 3)
+
+
 def test_zero_noise_single_category_is_mask_times_signature(tmp_path):
     cfg = tiny_config(noise=0.0, n_filler=0)
     m = data.generate_dataset(cfg, tmp_path)

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -858,29 +859,35 @@ def test_cam_objective_repeats_bit_for_bit():
 
 
 # ---------------------------------------------------------------------------
-# running-mean buffer
+# context window
 
 
-def test_running_mean_window_arithmetic():
-    buf = losses.RunningMeanBuffer(width=1)
-    for v in range(1, 11):
-        buf.push(np.array([float(v)]))
-    buf.push(np.array([11.0]))
-    assert buf.mean()[0] == pytest.approx(6.5)  # mean of 2..11
+def context_inputs(window, d=6):
+    """The context half an exclusive row's logits read: through an identity head they are its fill."""
+    params = model.ModelParams(RNG(0).normal(size=(4, d)), np.eye(d), [0, 1, 2], [3, 4, 5])
+    logits, _ = losses.suppressed_logits(params, RNG(1).normal(size=(2, d)), [True, False], window)
+    return logits[0, params.context_rows]
 
 
-def test_running_mean_single_and_empty():
-    buf = losses.RunningMeanBuffer(width=3)
-    assert np.array_equal(buf.mean(), np.zeros(3))
+def test_window_fill_is_oldest_first_mean_of_the_last_ten():
+    rng = RNG(2)
+    means = [rng.normal(size=3) * 10.0 ** rng.integers(-3, 4) for _ in range(11)]
+    window = deque(maxlen=losses.CONTEXT_WINDOW)
+    for v in means:
+        window.append(v)
+    assert losses.CONTEXT_WINDOW == 10 and len(window) == 10
+    want = means[1]
+    for v in means[2:]:  # the first append has dropped out
+        want = want + v
+    assert context_inputs(window).tobytes() == (want / 10).tobytes()
+
+
+def test_window_fill_single_and_empty():
+    window = deque(maxlen=losses.CONTEXT_WINDOW)
+    assert np.array_equal(context_inputs(window), np.zeros(3))
     v = np.array([1.0, 2.0, 3.0])
-    buf.push(v)
-    assert np.array_equal(buf.mean(), v)
-
-
-def test_running_mean_rejects_bad_length():
-    buf = losses.RunningMeanBuffer(width=2)
-    with pytest.raises(ValueError):
-        buf.push(np.ones(3))
+    window.append(v)
+    assert np.array_equal(context_inputs(window), v)
 
 
 # ---------------------------------------------------------------------------
@@ -890,7 +897,7 @@ def test_running_mean_rejects_bad_length():
 def test_suppressed_zero_buffer_keeps_own_half_only():
     params = make_params(seed=18)
     (mixed, _), _ = one_sample_trace(params, seed=19)
-    buf = losses.RunningMeanBuffer(width=params.d // 2)
+    buf = deque(maxlen=losses.CONTEXT_WINDOW)
     logits, _ = losses.suppressed_logits(params, mixed, [True], buf)
     own_only = mixed[:, params.own_rows] @ params.head[params.own_rows]
     assert np.allclose(logits, own_only, atol=1e-15)
@@ -899,8 +906,7 @@ def test_suppressed_zero_buffer_keeps_own_half_only():
 def test_suppressed_nonexclusive_matches_plain_forward():
     params = make_params(seed=20)
     (mixed, plain), _ = one_sample_trace(params, seed=21)
-    buf = losses.RunningMeanBuffer(width=params.d // 2)
-    buf.push(np.full(params.d // 2, 9.9))  # must be ignored
+    buf = deque([np.full(params.d // 2, 9.9)], maxlen=losses.CONTEXT_WINDOW)  # must be ignored
     logits, _ = losses.suppressed_logits(params, mixed, [False], buf)
     assert np.max(np.abs(logits - plain)) < 1e-12
 
@@ -909,8 +915,7 @@ def test_suppressed_gradients_vanish_for_context_half():
     params = make_params(seed=22)
     rng = np.random.default_rng(23)
     feats = rng.normal(size=(3, 4, params.d_in))  # batch of 3, all exclusive
-    buf = losses.RunningMeanBuffer(width=params.d // 2)
-    buf.push(rng.normal(size=params.d // 2))
+    buf = deque([rng.normal(size=params.d // 2)], maxlen=losses.CONTEXT_WINDOW)
     t = (rng.random((3, params.m)) < 0.5).astype(float)
     _, g_mixer, g_head = losses.feature_split_objective(
         params, model.pool_pixels(feats), t, np.ones(t.shape), np.ones(3, bool), buf
@@ -920,7 +925,7 @@ def test_suppressed_gradients_vanish_for_context_half():
     # mixer columns feeding the context half receive nothing either
     assert np.array_equal(g_mixer[:, params.context_rows], np.zeros((params.d_in, params.d // 2)))
     assert np.abs(g_mixer[:, params.own_rows]).max() > 0.0
-    assert len(buf.entries) == 1  # an all-exclusive batch pushes nothing
+    assert len(buf) == 1  # an all-exclusive batch appends nothing
 
 
 def test_suppressed_mixed_batch_reassembles_order():
@@ -928,7 +933,7 @@ def test_suppressed_mixed_batch_reassembles_order():
     rng = np.random.default_rng(25)
     feats = rng.normal(size=(4, 4, params.d_in))
     mixed, _ = model.forward_batch(params, model.pool_pixels(feats))
-    buf = losses.RunningMeanBuffer(width=params.d // 2)
+    buf = deque(maxlen=losses.CONTEXT_WINDOW)
     mask = np.array([False, True, False, True])
     logits, _ = losses.suppressed_logits(params, mixed, mask, buf)
     for i in range(4):
@@ -943,14 +948,14 @@ def test_suppressed_nonexclusive_gradients_match_plain_path():
     t = (rng.random((2, params.m)) < 0.5).astype(float)
     pooled = model.pool_pixels(feats)
     w = np.ones(t.shape)
-    buf = losses.RunningMeanBuffer(width=params.d // 2)
+    buf = deque(maxlen=losses.CONTEXT_WINDOW)
     ga = losses.feature_split_objective(params, pooled, t, w, np.zeros(2, bool), buf)
     gb = losses.bce_objective(params, pooled, t, w)
     assert abs(ga[0] - gb[0]) < 1e-12
     assert np.max(np.abs(ga[1] - gb[1])) < 1e-12
     assert np.max(np.abs(ga[2] - gb[2])) < 1e-12
-    # the batch's context mean went into the buffer
-    assert np.array_equal(buf.mean(), np.mean(pooled @ params.mixer, axis=0)[params.context_rows])
+    # the batch's context mean went into the window
+    assert len(buf) == 1 and np.array_equal(buf[-1], np.mean(pooled @ params.mixer, axis=0)[params.context_rows])
 
 
 def test_suppressed_path_gradient_checks_out():
@@ -965,8 +970,7 @@ def test_suppressed_path_gradient_checks_out():
     pooled = model.pool_pixels(pixel_rows(fm))
 
     def objective(point):
-        buf = losses.RunningMeanBuffer(width=2)
-        buf.push(xbar)
+        buf = deque([xbar], maxlen=losses.CONTEXT_WINDOW)
         return losses.feature_split_objective(
             at(point, own, ctx), pooled, t, np.ones(t.shape), np.ones(1, bool), buf
         )
