@@ -56,15 +56,23 @@ def parse_overrides(items) -> dict:
     return out
 
 
+def parse_list(text, flag, parse, form):
+    """The comma list given to `flag`, each item through `parse`; an item that
+    `parse` refuses is a ValueError naming the flag, the item and its `form`."""
+    def one(item):
+        try:
+            return parse(item)
+        except ValueError:
+            raise ValueError(f"{flag}: {item!r} is not {form}") from None
+    return [one(item) for item in text.split(",")]
+
+
 def parse_pairs(text):
     """\"0:1,2:3\" -> [(0, 1), (2, 3)]; bias.check_pairs checks the values."""
-    pairs = []
-    for chunk in text.split(","):
-        parts = chunk.split(":")
-        if len(parts) != 2:
-            raise ValueError(f"pair {chunk!r} is not B:C")
-        pairs.append((int(parts[0]), int(parts[1])))
-    return pairs
+    def pair(item):
+        b, c = item.split(":")  # any other number of parts is a ValueError too
+        return int(b), int(c)
+    return parse_list(text, "--pairs", pair, "B:C")
 
 
 def config_hash(cfg_dict: dict) -> str:
@@ -204,10 +212,13 @@ def cmd_gen(args):
 
 
 def cmd_audit(args):
-    labels = _load_manifest(args.labels).label_matrix()
+    labels = _load_manifest(args.labels).labels
     with data._open_input(args.preds) as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # refused below
-        preds = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            preds = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as e:  # ragged rows or a non-number
+            raise ValueError(f"{args.preds}: {e}") from None
     if preds.size == 0:
         raise ValueError(f"{args.preds}: no predictions")
     pair_set = bias_mod.select_biased_pairs(
@@ -308,9 +319,9 @@ def cmd_eval(args):
 
 
 def cmd_sweep(args):
-    fractions = [float(x) for x in args.fractions.split(",")]
+    fractions = parse_list(args.fractions, "--fractions", float, "a number")
     methods = [canon_method(x) for x in args.methods.split(",")]
-    seeds = [int(x) for x in args.seeds.split(",")] if args.seeds else [0, 1, 2, 3, 4]
+    seeds = parse_list(args.seeds, "--seeds", int, "an integer") if args.seeds else [0, 1, 2, 3, 4]
     # a repeat would train one cell directory twice and write its rows twice
     for flag, values in (("fraction", [f"{f:g}" for f in fractions]),
                          ("method", methods), ("seed", seeds)):

@@ -9,17 +9,19 @@ binary label vector. Co-occurrence skew is planted explicitly: each
 countable after the fact.
 
 Store format: 4-byte magic ``DBL1`` then raw little-endian float32 values,
-row-major. Stores are written and pooled BLOCK samples at a time: training
-and evaluation read pooled rows (load_pooled), and only the CAM terms read
-pixel maps (load_maps), of the samples they need, so no code path holds a
-whole store.
+row-major, one slot per sample. A manifest file gives each sample's byte
+offset and label list; in memory a sample is its id and store row, and the
+labels are one (N, M) array. Stores are written and pooled BLOCK samples at
+a time: training and evaluation read pooled rows (load_pooled), and only the
+CAM terms read pixel maps (load_maps), of the samples they need, so no code
+path holds a whole store.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -72,12 +74,13 @@ def write_store(path, arrays) -> list:
 # ---------------------------------------------------------------------------
 # manifest types
 
+NOT_JSON = {"json": False}  # metadata of a field that no document holds
+
 
 @dataclass
 class SampleRef:
     id: str
-    offset: int  # byte offset into the store, -1 when maps are absent
-    labels: list
+    row: int  # the sample's slot in the store
 
 
 @dataclass
@@ -87,29 +90,27 @@ class DatasetManifest:
     w: int
     d_in: int
     samples: list
+    labels: np.ndarray = field(metadata=NOT_JSON)  # (N, M) int64 0/1, row i is samples[i]'s
     generator_config: dict | None = None
     split_tag: str = "train"
     store: str | None = None  # store filename, relative to the manifest dir
-    root: str | None = None  # directory of the manifest file, never serialized
+    root: str | None = field(default=None, metadata=NOT_JSON)  # directory of the manifest file
 
     def store_path(self):
         if self.store is None:
             raise ValueError("manifest has no tensor store")
         return os.path.join(self.root or ".", self.store)
 
-    def label_matrix(self) -> np.ndarray:
-        labels = np.array([s.labels for s in self.samples], dtype=np.int64)
-        return labels.reshape(len(self.samples), len(self.categories))
-
     def to_dict(self) -> dict:
+        slot = self.h * self.w * self.d_in * F32.itemsize
         return {
             "categories": list(self.categories),
             "h": self.h,
             "w": self.w,
             "d_in": self.d_in,
             "samples": [
-                {"id": s.id, "offset": s.offset, "labels": list(map(int, s.labels))}
-                for s in self.samples
+                {"id": s.id, "offset": len(STORE_MAGIC) + s.row * slot, "labels": row}
+                for s, row in zip(self.samples, self.labels.tolist())
             ],
             "generator_config": self.generator_config,
             "split_tag": self.split_tag,
@@ -118,14 +119,31 @@ class DatasetManifest:
 
     @classmethod
     def from_dict(cls, d: dict, root=None) -> "DatasetManifest":
-        """Inverse of to_dict; unknown, missing or mistyped keys raise ValueError."""
+        """Inverse of to_dict with sample i in store row i; unknown, missing or mistyped
+        keys or samples, repeated ids and labels other than M integers 0 or 1 raise ValueError."""
         kwargs = _checked_fields(cls, d, "manifest")
-        if "root" in kwargs:  # where the manifest sits, never read from it
-            raise ValueError("manifest: unknown keys ['root']")
-        try:  # positional: keyword construction costs 50% more on 8,000 samples
-            kwargs["samples"] = [SampleRef(s["id"], s["offset"], s["labels"]) for s in d["samples"]]
+        try:  # a sample lacking any of the three keys is refused; load_manifest checks offsets
+            parsed = [(s["id"], s["offset"], s["labels"]) for s in d["samples"]]
         except (KeyError, TypeError) as e:
             raise ValueError(f"manifest: malformed sample: {type(e).__name__} {e}") from None
+        if min(d["h"], d["w"], d["d_in"]) < 1:
+            raise ValueError(f"h, w, d_in must be positive integers, got {d['h']}, {d['w']}, "
+                             f"{d['d_in']}")
+        ids = [sid for sid, _, _ in parsed]
+        if len(set(ids)) != len(ids):
+            raise ValueError("duplicate sample ids in manifest")
+        n_cat = len(d["categories"])
+        for sid, _, labels in parsed:
+            if len(labels) != n_cat:
+                raise ValueError(f"sample {sid}: {len(labels)} labels, expected {n_cat}")
+        # pair splits read any label but 1 as absent (one pass: a set per sample is slower)
+        flat = [v for _, _, labels in parsed for v in labels]
+        if not set(map(type, flat)) <= {int} or not set(flat) <= {0, 1}:
+            i = next(i for i, v in enumerate(flat) if type(v) is not int or v not in (0, 1))
+            sid, _, labels = parsed[i // n_cat]
+            raise ValueError(f"sample {sid}: labels must be the integers 0 or 1, got {labels}")
+        kwargs["samples"] = [SampleRef(sid, i) for i, sid in enumerate(ids)]
+        kwargs["labels"] = np.array(flat, dtype=np.int64).reshape(len(parsed), n_cat)
         return cls(**kwargs, root=root)
 
 
@@ -142,8 +160,8 @@ def load_json(path):
 
 def load_manifest(path) -> DatasetManifest:
     """A checked manifest whose store holds sample i's maps in slot i, as written."""
-    m = DatasetManifest.from_dict(load_json(path), root=os.path.dirname(os.path.abspath(path)))
-    _check_manifest(m)
+    doc = load_json(path)
+    m = DatasetManifest.from_dict(doc, root=os.path.dirname(os.path.abspath(path)))
     if m.store is not None:
         slot = m.h * m.w * m.d_in * F32.itemsize
         want = len(STORE_MAGIC) + len(m.samples) * slot
@@ -154,7 +172,7 @@ def load_manifest(path) -> DatasetManifest:
                 f"{m.store_path()}: {got} bytes, expected {want} for "
                 f"{len(m.samples)} samples of {m.h}x{m.w}x{m.d_in}"
             )
-        offsets = [s.offset for s in m.samples]
+        offsets = [s["offset"] for s in doc["samples"]]
         slots = len(STORE_MAGIC) + slot * np.arange(len(offsets))
         if not set(map(type, offsets)) <= {int} or not np.array_equal(offsets, slots):
             i = next(i for i, o in enumerate(offsets) if type(o) is not int or o != slots[i])
@@ -164,33 +182,13 @@ def load_manifest(path) -> DatasetManifest:
     return m
 
 
-def _check_manifest(m: DatasetManifest):
-    if not all(type(v) is int and v > 0 for v in (m.h, m.w, m.d_in)):
-        raise ValueError(f"h, w, d_in must be positive integers, got {m.h!r}, {m.w!r}, {m.d_in!r}")
-    ids = [s.id for s in m.samples]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate sample ids in manifest")
-    n_cat = len(m.categories)
-    for s in m.samples:
-        if len(s.labels) != n_cat:
-            raise ValueError(f"sample {s.id}: {len(s.labels)} labels, expected {n_cat}")
-    # pair splits read any label but 1 as absent (one pass: a set per sample is slower)
-    flat = [v for s in m.samples for v in s.labels]
-    if not set(map(type, flat)) <= {int, np.int64} or not set(flat) <= {0, 1}:
-        i = next(i for i, v in enumerate(flat) if type(v) not in (int, np.int64) or v not in (0, 1))
-        s = m.samples[i // n_cat]
-        raise ValueError(f"sample {s.id}: labels must be the integers 0 or 1, got {s.labels}")
-
-
-def _read_samples(fh, path, samples, buf: np.ndarray) -> np.ndarray:
-    """The maps of `samples` in buf's leading rows, one read per run of
-    samples that sit back to back in the store."""
-    out, size = buf[: len(samples)], buf.itemsize * int(np.prod(buf.shape[1:]))
-    offsets = np.array([s.offset for s in samples], dtype=np.int64)
-    # a run starts at every sample that does not follow the one before it
-    starts = np.flatnonzero(np.diff(offsets, prepend=-size) != size)
+def _read_rows(fh, path, rows, buf: np.ndarray) -> np.ndarray:
+    """The maps of store `rows` in buf's leading rows, one read per run of consecutive rows."""
+    out, rows = buf[: len(rows)], np.asarray(rows, dtype=np.int64)
+    # a run starts at every row that does not follow the one before it
+    starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
     for lo, hi in zip(starts, [*starts[1:], len(out)]):
-        _read_into(fh, path, int(offsets[lo]), out[lo:hi])
+        _read_into(fh, path, len(STORE_MAGIC) + int(rows[lo]) * buf.strides[0], out[lo:hi])
     return out
 
 
@@ -202,29 +200,26 @@ def load_pooled(manifest: DatasetManifest) -> np.ndarray:
     each sample the bytes that pooling all maps at once gives. A sample with a
     non-finite value raises a ValueError that names the store and the sample.
     """
-    path, n = manifest.store_path(), len(manifest.samples)
+    path, rows = manifest.store_path(), [s.row for s in manifest.samples]
     # the kept rows first, so the scratch buffer sits above them on the heap
     # and its memory can be given back once it is freed
-    pooled = np.empty((n, manifest.d_in))
-    buf = np.empty((min(BLOCK, n), manifest.h * manifest.w, manifest.d_in), dtype=F32)
+    pooled = np.empty((len(rows), manifest.d_in))
+    buf = np.empty((min(BLOCK, len(rows)), manifest.h * manifest.w, manifest.d_in), dtype=F32)
     with _open_store(path) as fh:
-        for s in range(0, n, BLOCK):
-            pooled[s : s + BLOCK] = mdl.pool_pixels(
-                _read_samples(fh, path, manifest.samples[s : s + BLOCK], buf)
-            )
+        for s in range(0, len(rows), BLOCK):
+            pooled[s : s + BLOCK] = mdl.pool_pixels(_read_rows(fh, path, rows[s : s + BLOCK], buf))
     bad = np.flatnonzero(~np.isfinite(pooled).all(axis=1))
     if len(bad):
         raise ValueError(f"{path}: sample {manifest.samples[bad[0]].id} has non-finite values")
     return pooled
 
 
-def load_maps(manifest: DatasetManifest, rows) -> np.ndarray:
-    """(len(rows), H*W, D_in) float32 pixel maps of the samples at indices `rows`, as stored."""
-    path = manifest.store_path()
-    samples = [manifest.samples[i] for i in rows]
-    maps = np.empty((len(samples), manifest.h * manifest.w, manifest.d_in), dtype=F32)
+def load_maps(manifest: DatasetManifest, indices) -> np.ndarray:
+    """(len(indices), H*W, D_in) float32 pixel maps of the samples at `indices`, as stored."""
+    path, rows = manifest.store_path(), [manifest.samples[i].row for i in indices]
+    maps = np.empty((len(rows), manifest.h * manifest.w, manifest.d_in), dtype=F32)
     with _open_store(path) as fh:
-        return _read_samples(fh, path, samples, maps)
+        return _read_rows(fh, path, rows, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +294,7 @@ def _checked_fields(cls, d, what) -> dict:
     """`d` as keyword arguments of dataclass `cls`, each key known, present and typed."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object")
-    known = {f.name: f for f in fields(cls)}
+    known = {f.name: f for f in fields(cls) if f.metadata.get("json", True)}
     unknown = sorted(set(d) - set(known))
     missing = [k for k, f in known.items() if f.default is MISSING and k not in d]
     for label, keys in (("unknown", unknown), ("missing", missing)):
@@ -321,6 +316,8 @@ def _check_config(cfg: GenConfig):
     for s in cfg.signatures:
         if len(s) != cfg.d_in:
             raise ValueError("signature length must equal d_in")
+    if not cfg.planted_pairs and cfg.n_filler < 1:
+        raise ValueError("config makes no samples: no planted pairs and no filler")
     biased_seen = set()
     for p in cfg.planted_pairs:
         if p.biased == p.context:
@@ -401,13 +398,13 @@ def generate_dataset(cfg: GenConfig, out_dir, split_tag="train") -> DatasetManif
     _check_config(cfg)
     rng = np.random.default_rng(cfg.seed)
 
-    # label plan first, then per-sample noise, so rng consumption is fixed
+    # label plan first, into the array the manifest keeps, then noise, so rng use is fixed
     n_planted = sum(p.cooccur_count + p.exclusive_count for p in cfg.planted_pairs)
-    present = np.zeros((n_planted + cfg.n_filler, cfg.m), dtype=bool)
+    labels = np.zeros((n_planted + cfg.n_filler, cfg.m), dtype=np.int64)
     at = 0
     for p in cfg.planted_pairs:
-        present[at : at + p.cooccur_count + p.exclusive_count, p.biased] = True
-        present[at : at + p.cooccur_count, p.context] = True
+        labels[at : at + p.cooccur_count + p.exclusive_count, p.biased] = 1
+        labels[at : at + p.cooccur_count, p.context] = 1
         at += p.cooccur_count + p.exclusive_count
     if cfg.filler_pool is not None:
         allowed = sorted(set(cfg.filler_pool))
@@ -417,17 +414,16 @@ def generate_dataset(cfg: GenConfig, out_dir, split_tag="train") -> DatasetManif
     if cfg.n_filler > 0 and not allowed:
         raise ValueError("filler samples need at least one non-biased category")
     os.makedirs(out_dir, exist_ok=True)
-    for i in range(n_planted, len(present)):
+    for i in range(n_planted, len(labels)):
         count = int(rng.integers(1, min(cfg.filler_max_labels, len(allowed)) + 1))
-        present[i, rng.choice(allowed, size=count, replace=False)] = True
+        labels[i, rng.choice(allowed, size=count, replace=False)] = 1
 
     sigs = np.array(cfg.signatures, dtype=np.float64)
     store_name = f"{split_tag}.store"
-    slot = cfg.h * cfg.w * cfg.d_in * F32.itemsize
     with open(os.path.join(out_dir, store_name), "wb") as store:
         store.write(STORE_MAGIC)
-        for s in range(0, len(present), BLOCK):
-            has = present[s : s + BLOCK]
+        for s in range(0, len(labels), BLOCK):
+            has = labels[s : s + BLOCK] == 1
             fmaps = np.zeros((len(has), cfg.h, cfg.w, cfg.d_in))
             # each pixel adds its signatures in ascending category order, then
             # its noise, drawn in sample order: the per-sample sums and stream
@@ -436,17 +432,13 @@ def generate_dataset(cfg: GenConfig, out_dir, split_tag="train") -> DatasetManif
             if cfg.noise_std > 0:
                 fmaps += rng.normal(0.0, cfg.noise_std, size=fmaps.shape)
             store.write(fmaps.astype(F32))
-    samples = [
-        SampleRef(f"s{i:06d}", len(STORE_MAGIC) + i * slot, row)
-        for i, row in enumerate(present.astype(int).tolist())
-    ]
-
     manifest = DatasetManifest(
         categories=[f"cat{k}" for k in range(cfg.m)],
         h=cfg.h,
         w=cfg.w,
         d_in=cfg.d_in,
-        samples=samples,
+        samples=[SampleRef(f"s{i:06d}", i) for i in range(len(labels))],
+        labels=labels,
         generator_config=cfg.to_dict(),
         split_tag=split_tag,
         store=store_name,

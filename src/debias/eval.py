@@ -158,7 +158,7 @@ def evaluate(
             f"{[list(e) for e in category_map]} need {m + len(category_map)}, "
             f"with every solo column in [{m}, {params.m})"
         )
-    labels = manifest.label_matrix()
+    labels = manifest.labels
     if len(pooled) != len(manifest.samples):
         raise ValueError(f"{len(pooled)} pooled rows for {len(manifest.samples)} samples")
     scores = adapted_scores(mdl.predict(params, pooled), m, category_map)

@@ -194,7 +194,7 @@ def train_stage1(
     if cfg.method == "split_biased" and len(set(biased)) < len(biased):
         # each pair gets its own solo column, named after its biased category
         raise ValueError(f"split_biased needs one pinned pair per biased category, got {pinned}")
-    pooled, labels = data.load_pooled(manifest), manifest.label_matrix()
+    pooled, labels = data.load_pooled(manifest), manifest.labels
     seeds = _derive_seeds(cfg.seed)
     rows80, rows20 = data.split_80_20(len(manifest.samples), seeds["split"])
     params, curve, step_log = _sgd_loop(
@@ -245,14 +245,14 @@ def transform_dataset(
     Pairs apply in order, each to the labels the earlier ones left, and each
     splits its rows with its bias.pair_splits column. remove_cooccur_labels
     clears the context label on the co-occurring rows. remove_cooccur_images
-    drops them. split_biased appends one solo category per pair and moves the
-    exclusive rows' biased label there, turning the original column into
-    "biased with its context".
+    drops them; the samples it keeps keep their store rows. split_biased
+    appends one solo category per pair and moves the exclusive rows' biased
+    label there, turning the original column into "biased with its context".
     """
     if method not in TRANSFORM_METHODS:
         raise ValueError(f"no dataset transform for method {method!r}")
     pairs = [tuple(p) for p in pairs]
-    labels = manifest.label_matrix()
+    labels = manifest.labels.copy()
     keep = np.ones(len(labels), dtype=bool)
     cats = list(manifest.categories)
     solo_of = split_biased_map(pairs, len(cats))
@@ -267,12 +267,8 @@ def transform_dataset(
             keep &= ~co
         else:
             labels[excl, b], labels[excl, solo] = 0, 1
-    samples = [
-        data.SampleRef(s.id, s.offset, row)
-        for s, row, kept in zip(manifest.samples, labels.tolist(), keep)
-        if kept
-    ]
-    return replace(manifest, categories=cats, samples=samples)
+    samples = [s for s, kept in zip(manifest.samples, keep) if kept]
+    return replace(manifest, categories=cats, samples=samples, labels=labels[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +282,16 @@ def train_stage2(
     pair_tuples = artifacts.pairs.as_tuples() if artifacts.pairs else []
     if cfg.method != "standard" and not pair_tuples:
         raise ValueError(f"{cfg.method} needs the stage-1 biased pairs")
-    if artifacts.pooled is None or len(artifacts.pooled) != len(manifest.samples):
-        raise ValueError("stage 2 needs the pooled rows stage 1 read from the same manifest")
+    store_rows = [s.row for s in manifest.samples]  # stage 1 pooled row i into pooled[i]
+    if artifacts.pooled is None or store_rows != list(range(len(artifacts.pooled))):
+        raise ValueError("stage 2 needs the pooled rows stage 1 read from the same whole store")
 
     params = artifacts.params
     work, pooled = manifest, artifacts.pooled
     category_map = None
     if cfg.method in TRANSFORM_METHODS:
         work = transform_dataset(manifest, cfg.method, pair_tuples)
-        row_of = {s.id: i for i, s in enumerate(manifest.samples)}
-        pooled = pooled[[row_of[s.id] for s in work.samples]]
+        pooled = pooled[[s.row for s in work.samples]]
     if cfg.method == "split_biased":
         category_map = split_biased_map(pair_tuples, len(manifest.categories))
         extra_rng = np.random.default_rng(artifacts.seeds["extra"])
@@ -303,7 +299,7 @@ def train_stage2(
         params = replace(params, head=np.concatenate([params.head, extra], axis=1))
 
     # the objectives' targets, converted once
-    labels = np.asarray(work.label_matrix(), dtype=np.float64)
+    labels = np.asarray(work.labels, dtype=np.float64)
     n, m = labels.shape
 
     # one split of the rows serves every method for the stage. A row exclusive

@@ -453,7 +453,7 @@ def test_feature_split_beats_standard_on_exclusive(grid):
 def cooccur_overlap(params, manifest):
     """The mean map overlap that CAM training minimizes (losses.cam_terms),
     over the co-occurring samples of the planted pairs in stack order."""
-    labels = manifest.label_matrix()
+    labels = manifest.labels
     segments = [np.flatnonzero(co) for co in bias_mod.pair_splits(labels, PLANTED)[0].T]
     rows = data.load_maps(manifest, np.concatenate(segments))
     sizes = [len(seg) for seg in segments]
@@ -503,7 +503,7 @@ def test_baselines_run_end_to_end(grid):
     cells, _ = grid
     cell = cells[(0.05, 0)]
     man = cell.train_manifest
-    labels = man.label_matrix()
+    labels = man.labels
     n = len(man.samples)
 
     cooccur_rows = np.zeros(n, dtype=bool)

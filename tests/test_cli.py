@@ -104,6 +104,13 @@ def test_gen_rejects_malformed_nested_config(tmp_path, capsys, make, named):
     _assert_gen_rejects(tmp_path, capsys, make(small_gen_dict()), named)
 
 
+def test_gen_refuses_a_config_that_makes_no_samples(tmp_path, capsys):
+    # it used to write an empty store and manifest, which eval and audit then refused
+    doc = small_gen_dict()
+    doc.update(planted_pairs=[], n_filler=0)
+    _assert_gen_rejects(tmp_path, capsys, doc, "config makes no samples")
+
+
 def _assert_gen_rejects(tmp_path, capsys, doc, named):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps(doc))
@@ -357,8 +364,9 @@ def _poison_sample_11(src, dst):
     """A copy of the dataset at `src` whose sample s000011 holds one NaN."""
     shutil.copytree(src, dst)
     manifest = data.load_manifest(next(dst.glob("*.manifest.json")))
+    slot = manifest.h * manifest.w * manifest.d_in * 4
     with open(manifest.store_path(), "r+b") as fh:
-        fh.seek(manifest.samples[11].offset)
+        fh.seek(len(data.STORE_MAGIC) + manifest.samples[11].row * slot)
         fh.write(np.float32("nan").tobytes())
 
 
@@ -731,13 +739,16 @@ def _audit_argv(*flags, edit=lambda doc: None):
 
 
 def _empty_dataset(tmp_path):
-    """A generated test set with no samples: no planted pairs and no filler."""
-    doc = small_gen_dict()
-    doc.update(planted_pairs=[], n_filler=0)
-    (tmp_path / "gen_empty.json").write_text(json.dumps(doc))
-    assert cli.main(["gen", "--config", str(tmp_path / "gen_empty.json"),
-                     "--out", str(tmp_path / "empty"), "--split", "test"]) == 0
-    return str(tmp_path / "empty")
+    """A test set with no samples: a store that holds only its magic, and a manifest
+    that lists no sample (gen refuses a config that makes none)."""
+    out = tmp_path / "empty"
+    out.mkdir()
+    data.write_store(out / "test.store", [])
+    manifest = data.DatasetManifest(
+        [f"cat{k}" for k in range(4)], 4, 4, 8, samples=[], labels=np.zeros((0, 4), dtype=int),
+        split_tag="test", store="test.store")
+    data.dump_json(manifest.to_dict(), out / "test.manifest.json")
+    return str(out)
 
 
 def _eval_empty(ws, tmp_path):
@@ -778,7 +789,7 @@ def _repeat_first_id(doc):
 
 @pytest.mark.parametrize("make_argv, named", [
     (_train_argv("--set", "foo"), "override 'foo' is not key=value"),
-    (_train_argv("--pairs", "0-1"), "pair '0-1' is not B:C"),
+    (_train_argv("--pairs", "0-1"), "--pairs: '0-1' is not B:C"),
     (_train_argv("--pairs", "1:1"), "pair (1, 1) repeats a category"),
     (_train_argv("--set", "batch_size=0"), "batch_size must be positive"),
     (_train_argv("--set", "stage1_epochs=-1"), "epoch counts must be nonnegative"),
@@ -822,6 +833,41 @@ def test_refusal_exits_2_with_one_line(ws, tmp_path, capsys, make_argv, named):
     assert cli.main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.strip().splitlines() == [f"error: {named.format(tmp=tmp_path)}"]
     assert not out.exists()
+
+
+def _audit_preds(text):
+    def make(ws, tmp_path):
+        (tmp_path / "preds.csv").write_text(text)
+        return ["audit", "--labels", str(ws / "dtrain"), "--preds", str(tmp_path / "preds.csv")]
+    return make
+
+
+def _sweep_argv(*flags):
+    return lambda ws, tmp_path: [
+        "sweep", "--fractions", "0.05", "--methods", "standard", "--seeds", "0", *flags]
+
+
+@pytest.mark.parametrize("make_argv, named", [
+    (_audit_preds("0.1,0.2,0.3,0.4\n0.5,0.6\n"),
+     "{tmp}/preds.csv: the number of columns changed from 4 to 2 at row 2"),
+    (_audit_preds("0.1,0.2,abc,0.4\n"), "{tmp}/preds.csv: could not convert string 'abc'"),
+    (_train_argv("--pairs", "a:1"), "--pairs: 'a:1' is not B:C"),
+    (lambda ws, tmp_path: ["eval", "--checkpoint", str(_train_standard(ws, tmp_path)),
+                           "--data", str(ws / "dtest"), "--pairs", "0:1,2:x"],
+     "--pairs: '2:x' is not B:C"),
+    (_sweep_argv("--fractions", "0.05,abc"), "--fractions: 'abc' is not a number"),
+    (_sweep_argv("--seeds", "1,x"), "--seeds: 'x' is not an integer"),
+], ids=["audit_ragged_preds", "audit_text_pred", "train_pair_letter", "eval_pair_letter",
+        "sweep_fraction_letters", "sweep_seed_letter"])
+def test_parse_error_exits_2_naming_its_source(ws, tmp_path, capsys, make_argv, named):
+    # these used to print numpy's or int()'s message alone, such as
+    # "invalid literal for int() with base 10: 'a'", naming neither flag nor file
+    argv = make_argv(ws, tmp_path)
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {named.format(tmp=tmp_path)}"), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_codes(ws, tmp_path, capsys):
@@ -914,7 +960,7 @@ def test_rerun_byte_identical(ws, tmp_path):
 
 def test_audit_roundtrip(ws, tmp_path):
     man = data.load_manifest(str(ws / "dtrain" / "train.manifest.json"))
-    labels = man.label_matrix()
+    labels = man.labels
     rng = np.random.default_rng(0)
     # synthetic preds leaning on category 1 to predict 0: audit should rank (0, 1)
     preds = rng.uniform(0.05, 0.15, size=labels.shape)
@@ -947,7 +993,7 @@ def test_audit_roundtrip(ws, tmp_path):
 
 
 def test_audit_rejects_out_of_range_prediction(ws, tmp_path, capsys):
-    labels = data.load_manifest(str(ws / "dtrain" / "train.manifest.json")).label_matrix()
+    labels = data.load_manifest(str(ws / "dtrain" / "train.manifest.json")).labels
     for bad in (1.25, -0.5):
         preds = np.full(labels.shape, 0.5)
         preds[3, 1] = bad
@@ -964,7 +1010,7 @@ def test_audit_rejects_out_of_range_prediction(ws, tmp_path, capsys):
 
 def test_audit_rejects_zero_exclusive_mean(ws, tmp_path, capsys):
     # a zero mean prediction without the context has no finite bias score
-    labels = data.load_manifest(str(ws / "dtrain" / "train.manifest.json")).label_matrix()
+    labels = data.load_manifest(str(ws / "dtrain" / "train.manifest.json")).labels
     preds = np.full(labels.shape, 0.5)
     preds[(labels[:, 0] == 1) & (labels[:, 1] == 0), 0] = 0.0
     csv = tmp_path / "preds.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -44,24 +45,25 @@ def test_planted_counts_exact(tmp_path):
     cfg = tiny_config(n_filler=10)
     cfg.planted_pairs = [data.PlantedPair(0, 1, 0.05, 95, 5)]
     m = data.generate_dataset(cfg, tmp_path)
-    labels = m.label_matrix()
+    labels = m.labels
     both = int(np.sum((labels[:, 0] == 1) & (labels[:, 1] == 1)))
     only_b = int(np.sum((labels[:, 0] == 1) & (labels[:, 1] == 0)))
     assert both == 95
     assert only_b == 5
-    assert all(sum(s.labels) >= 1 for s in m.samples)
+    assert labels.dtype == np.int64 and (labels.sum(axis=1) >= 1).all()
 
 
-def test_label_matrix_is_n_by_m_when_empty():
+def test_empty_manifest_labels_are_n_by_m():
     # a manifest without samples used to give shape (0,), so a category column failed to index
-    m = data.DatasetManifest(["a", "b", "c"], 4, 4, 8, samples=[])
-    assert m.label_matrix().shape == (0, 3)
+    doc = {"categories": ["a", "b", "c"], "h": 4, "w": 4, "d_in": 8, "samples": []}
+    m = data.DatasetManifest.from_dict(doc)
+    assert m.labels.shape == (0, 3) and m.labels.dtype == np.int64
 
 
 def test_zero_noise_single_category_is_mask_times_signature(tmp_path):
     cfg = tiny_config(noise=0.0, n_filler=0)
     m = data.generate_dataset(cfg, tmp_path)
-    labels = m.label_matrix()
+    labels = m.labels
     feats = data.load_maps(m, range(len(m.samples)))
     assert feats.dtype == np.float32  # held as stored
     # exclusive sample: only category 0 present
@@ -92,6 +94,29 @@ def test_manifest_roundtrip(tmp_path):
     loaded = data.load_manifest(tmp_path / "train.manifest.json")
     assert loaded.to_dict() == m.to_dict()
     assert loaded.root == str(tmp_path)
+    assert [s.row for s in loaded.samples] == list(range(len(m.samples)))
+    assert loaded.labels.dtype == np.int64 and np.array_equal(loaded.labels, m.labels)
+
+
+@pytest.mark.parametrize("cfg", [tiny_config(), data.benchmark_configs(0.05, 1000, 2000, 3000)[1]],
+                         ids=["tiny", "benchmark_test"])
+def test_manifest_file_roundtrips_byte_for_byte(tmp_path, cfg):
+    # the file's offsets and label lists are rebuilt from rows and the label array
+    data.generate_dataset(cfg, tmp_path, "test")
+    path = tmp_path / "test.manifest.json"
+    data.dump_json(data.load_manifest(path).to_dict(), tmp_path / "again.json")
+    assert read_bytes(tmp_path / "again.json") == read_bytes(path)
+
+
+@pytest.mark.parametrize("key", ["labels", "root"])
+def test_manifest_refuses_in_memory_fields_as_keys(tmp_path, key):
+    data.generate_dataset(tiny_config(), tmp_path)
+    path = tmp_path / "train.manifest.json"
+    doc = json.loads(path.read_text())
+    doc[key] = [] if key == "labels" else "/elsewhere"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"manifest: unknown keys \['{key}'\]"):
+        data.load_manifest(path)
 
 
 @pytest.mark.parametrize("bad", [2, -1, 1.0, True, "1", None])
@@ -167,7 +192,7 @@ def test_filler_pool_restricts_labels(tmp_path):
     cfg = tiny_config(n_filler=30)
     cfg.filler_pool = [3]
     man = data.generate_dataset(cfg, tmp_path)
-    filler = [s.labels for s in man.samples[20:]]
+    filler = man.labels[20:].tolist()
     assert all(row == [0, 0, 0, 1] for row in filler)
 
 
@@ -184,10 +209,9 @@ def test_filler_pool_rejects_biased_category(tmp_path):
 
 def stored_maps(m):
     """Every sample's (P, D_in) float32 maps, read from the store's bytes directly."""
-    slot = m.h * m.w * m.d_in
     return np.frombuffer(read_bytes(m.store_path()), dtype="<f4", offset=4).reshape(
         -1, m.h * m.w, m.d_in
-    )[[(s.offset - 4) // (4 * slot) for s in m.samples]]
+    )[[s.row for s in m.samples]]
 
 
 @pytest.mark.parametrize("block", [data.BLOCK, 7])
@@ -203,10 +227,30 @@ def test_load_pooled_equals_pooling_all_maps(tmp_path, monkeypatch, block):
     assert pooled.tobytes() == model.pool_pixels(stored_maps(m)).tobytes()
     assert len(reads) == -(-320 // block)  # a back-to-back block is one read
 
-    # dropping the co-occurring samples leaves gaps in the offsets
+    # dropping the co-occurring samples leaves gaps in the rows
     gapped = train.transform_dataset(m, "remove_cooccur_images", [(0, 1)])
     assert len(gapped.samples) == 301
     assert data.load_pooled(gapped).tobytes() == model.pool_pixels(stored_maps(gapped)).tobytes()
+
+
+def test_remove_cooccur_images_subset_keeps_parent_rows(tmp_path):
+    m = data.generate_dataset(tiny_config(n_filler=30), tmp_path)
+    co = (m.labels[:, 0] == 1) & (m.labels[:, 1] == 1)
+    out = train.transform_dataset(m, "remove_cooccur_images", [(0, 1)])
+    assert [s.row for s in out.samples] == np.flatnonzero(~co).tolist()
+    assert [s.id for s in out.samples] == [f"s{i:06d}" for i in np.flatnonzero(~co)]
+    assert np.array_equal(out.labels, m.labels[~co])
+
+
+def test_load_maps_reads_the_slots_of_non_contiguous_rows(tmp_path):
+    m = data.generate_dataset(tiny_config(n_filler=30), tmp_path)
+    raw = read_bytes(m.store_path())
+    slot = m.h * m.w * m.d_in * 4
+    rows = [31, 2, 3, 4, 17, 49, 0]
+    sub = dataclasses.replace(m, samples=[m.samples[r] for r in rows], labels=m.labels[rows])
+    want = b"".join(raw[4 + r * slot : 4 + (r + 1) * slot] for r in rows)
+    assert data.load_maps(sub, range(len(rows))).tobytes() == want
+    assert data.load_maps(sub, [4, 0]).tobytes() == want[4 * slot : 5 * slot] + want[:slot]
 
 
 def test_load_maps_returns_the_given_rows(tmp_path):
@@ -224,7 +268,7 @@ def test_load_maps_reads_each_run_of_rows_once(tmp_path, monkeypatch):
     # of the two planted pairs, two runs of back-to-back slots in the store
     train_cfg, _ = data.benchmark_configs(0.05, 1000, 2000, 3000)
     m = data.generate_dataset(train_cfg, tmp_path)
-    labels = m.label_matrix()
+    labels = m.labels
     rows = np.flatnonzero(bias.pair_splits(labels, data.BENCH_PAIRS)[0].any(axis=1))
     assert len(rows) == 950
     reads = []
@@ -325,6 +369,9 @@ def test_generation_equals_per_sample_reference(tmp_path, cfg):
     m = data.generate_dataset(cfg, tmp_path)
     want, labels = per_sample_store(cfg)
     assert read_bytes(tmp_path / "train.store") == want
-    assert [s.labels for s in m.samples] == labels
+    assert m.labels.tolist() == labels
+    assert [s.row for s in m.samples] == list(range(len(labels)))
+    doc = json.loads((tmp_path / "train.manifest.json").read_text())
+    assert [s["labels"] for s in doc["samples"]] == labels
     slot = cfg.h * cfg.w * cfg.d_in * 4
-    assert [s.offset for s in m.samples] == [4 + i * slot for i in range(len(labels))]
+    assert [s["offset"] for s in doc["samples"]] == [4 + i * slot for i in range(len(labels))]

@@ -170,11 +170,11 @@ def test_weight_cosine():
 
 def hand_manifest(tmp_path, rows, xs):
     """Manifest of 1x1 maps: sample i's one pixel is (xs[i], 1), its labels rows[i]."""
-    offsets = data.write_store(tmp_path / "hand.store", [[[x, 1.0]] for x in xs])
+    data.write_store(tmp_path / "hand.store", [[[x, 1.0]] for x in xs])
     return data.DatasetManifest(
         categories=[f"cat{k}" for k in range(len(rows[0]))], h=1, w=1, d_in=2,
-        samples=[data.SampleRef(f"s{i}", o, r) for i, (r, o) in enumerate(zip(rows, offsets))],
-        store="hand.store", root=str(tmp_path),
+        samples=[data.SampleRef(f"s{i}", i) for i in range(len(rows))],
+        labels=np.array(rows, dtype=np.int64), store="hand.store", root=str(tmp_path),
     )
 
 

@@ -43,11 +43,9 @@ def setup(tmp_path_factory):
         regions=regions, signatures=sigs, noise_std=0.2, seed=22, n_filler=16,
     )
     manifest = data.generate_dataset(gen, str(tmp_path_factory.mktemp("oracle")))
-    both = [1, 0, 1, 0] + [0] * (M - 4)
-    samples = manifest.samples[:-3] + [
-        data.SampleRef(s.id, s.offset, both) for s in manifest.samples[-3:]
-    ]
-    manifest = dataclasses.replace(manifest, samples=samples)
+    labels = manifest.labels.copy()
+    labels[-3:] = [1, 0, 1, 0] + [0] * (M - 4)
+    manifest = dataclasses.replace(manifest, labels=labels)
     arts = train.train_stage1(manifest, config("standard", stage2_epochs=0), PAIRS)
     return manifest, arts
 
@@ -58,9 +56,9 @@ def both_pairs_setup(setup):
     both pairs, and stage-1 weights trained on it. Each such sample fills a
     row of both pairs' segments of the CAM stack."""
     manifest, _ = setup
-    both = [1, 1, 1, 1] + [0] * (M - 4)
-    samples = [data.SampleRef(s.id, s.offset, both) for s in manifest.samples[:4]]
-    manifest = dataclasses.replace(manifest, samples=samples + manifest.samples[4:])
+    labels = manifest.labels.copy()
+    labels[:4] = [1, 1, 1, 1] + [0] * (M - 4)
+    manifest = dataclasses.replace(manifest, labels=labels)
     arts = train.train_stage1(manifest, config("standard", stage2_epochs=0), PAIRS)
     return manifest, arts
 
@@ -273,7 +271,7 @@ def test_first_steps_match_oracle(setup, monkeypatch, method):
         monkeypatch, lambda: train.train_stage2(arts1, manifest, cfg)
     )
     feats = data.load_maps(manifest, range(len(manifest.samples))).astype(np.float64)
-    labels = manifest.label_matrix().astype(float)
+    labels = manifest.labels.astype(float)
     assert len(steps) == cfg.stage2_epochs  # one full-set batch per epoch
     stage1 = (arts1.params.mixer, arts1.params.head)
 
@@ -306,7 +304,7 @@ def test_cam_step_on_samples_cooccurring_for_both_pairs_matches_oracle(
 ):
     manifest, arts1 = both_pairs_setup
     cfg = config("ours_cam")
-    labels = manifest.label_matrix().astype(float)
+    labels = manifest.labels.astype(float)
     assert sum(all(cooccurs(row, b, c) for b, c in PAIRS) for row in labels) == 4
     out, steps = captured_steps(
         monkeypatch, lambda: train.train_stage2(arts1, manifest, cfg)
@@ -331,7 +329,7 @@ def test_all_exclusive_batches_leave_context_rows_unchanged(setup, monkeypatch):
     manifest, arts1 = setup
     cfg = config("ours_feature_split", batch_size=1, stage2_epochs=1)
     _, steps = captured_steps(monkeypatch, lambda: train.train_stage2(arts1, manifest, cfg))
-    labels = manifest.label_matrix()
+    labels = manifest.labels
     order = np.random.default_rng(arts1.seeds["shuffle2"]).permutation(len(labels))
     assert len(steps) == len(labels)
     ctx, own = arts1.params.context_rows, arts1.params.own_rows

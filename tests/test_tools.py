@@ -1,7 +1,9 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -136,3 +138,37 @@ def test_compare_outputs_names_each_differing_file(tmp_path, capsys):
     assert compare_outputs.compare(base, change) == 1
     assert capsys.readouterr().out.splitlines() == [
         *(f"differs: {name}" for name in changed), "81 files, 5 differ"]
+
+
+def test_ab_stage_a_a_run_makes_no_claim(capsys):
+    # the same checkout on both sides: the weights match byte for byte and
+    # neither stage's ratio supports a claim
+    ab_stage = load_tool("ab_stage")
+    repo = str(TOOLS.parent)
+    ab_stage.main(["--base", repo, "--change", repo, "--method", "standard", "--rounds", "20",
+                   "--set", "stage1_epochs=2", "--set", "stage2_epochs=2"])
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:3] == ["weights change: byte-identical", "weights again: byte-identical"]
+    assert [line.split(" (")[0] for line in out[-2:]] == [
+        "claim stage1: no claim", "claim stage2: no claim"]
+
+
+def test_ab_stage_claims_a_consistent_move_beyond_the_a_a_quartiles():
+    ab_stage = load_tool("ab_stage")
+    aa = [0.98, 1.0, 1.02] * 4  # A/A quartiles 0.98 and 1.02
+    assert ab_stage.verdict([0.9] * 12, aa).startswith("change faster (faster on 12/12")
+    assert ab_stage.verdict([1.1] * 12, aa).startswith("change slower (slower on 12/12")
+    assert ab_stage.verdict([0.99] * 12, aa).startswith("no claim")  # inside the A/A quartiles
+    assert ab_stage.verdict([0.9] * 10 + [1.1] * 2, aa) == (  # 10 of 12, 11 needed
+        "no claim (faster on 10/12, slower on 2, need 11; median 0.9000, "
+        "A/A quartiles 0.9800-1.0200)")
+
+
+def test_ab_stage_prints_the_largest_weight_difference():
+    ab_stage = load_tool("ab_stage")
+    base = SimpleNamespace(mixer=np.zeros((2, 2)), head=np.ones((2, 3)))
+    moved = SimpleNamespace(mixer=np.full((2, 2), -3e-9), head=np.ones((2, 3)) + 1e-9)
+    assert ab_stage.weights_line("change", base, moved) == (
+        "weights change: differ, largest difference 3e-09")
+    wider = SimpleNamespace(mixer=np.zeros((2, 2)), head=np.ones((2, 4)))
+    assert ab_stage.weights_line("change", base, wider) == "weights change: shapes differ"

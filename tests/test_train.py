@@ -215,13 +215,26 @@ def test_stage2_requires_pairs_and_snapshot(tmp_path):
         train.train_stage2(arts, manifest, tiny_cfg("ours_cam"))
 
 
+def test_stage2_refuses_a_manifest_that_is_not_the_whole_store(tmp_path):
+    # stage 2 gathers stage 1's pooled rows by store row; the same samples in
+    # another order used to train on rows whose labels belong to other samples
+    manifest = tiny_benchmark(tmp_path)
+    arts = pin_pair(train.train_stage1(manifest, tiny_cfg()))
+    reordered = dataclasses.replace(
+        manifest, samples=manifest.samples[::-1], labels=manifest.labels[::-1])
+    subset = train.transform_dataset(manifest, "remove_cooccur_images", [(0, 1)])
+    for other in (reordered, subset):
+        with pytest.raises(ValueError, match="stage 1 read from the same whole store"):
+            train.train_stage2(arts, other, tiny_cfg())
+
+
 def test_pin_pairs_scores_and_keeps_empty_split_as_nan(tmp_path):
     manifest = tiny_benchmark(tmp_path)
     # filler never carries the biased category 0, so (0, 2) never co-occurs
     arts = train.train_stage1(manifest, tiny_cfg(), pinned=[(0, 1), (0, 2)])
     pinned = arts.pairs
     assert pinned.as_tuples() == [(0, 1), (0, 2)]
-    labels = manifest.label_matrix()
+    labels = manifest.labels
     want = bias_mod.bias_score(mdl.predict(arts.params, data.load_pooled(manifest)), labels, 0, 1)
     assert pinned.pairs[0].score == want
     assert math.isnan(pinned.pairs[1].score)
@@ -232,15 +245,13 @@ def test_pin_pairs_scores_and_keeps_empty_split_as_nan(tmp_path):
 
 
 def labels_manifest(rows, m=8):
-    samples = [
-        data.SampleRef(f"s{i:04d}", -1, list(r)) for i, r in enumerate(rows)
-    ]
     return data.DatasetManifest(
         categories=[f"cat{k}" for k in range(m)],
         h=2,
         w=2,
         d_in=2,
-        samples=samples,
+        samples=[data.SampleRef(f"s{i:04d}", i) for i in range(len(rows))],
+        labels=np.array(rows, dtype=np.int64),
         generator_config={},
         split_tag="train",
         store=None,
@@ -267,7 +278,7 @@ def test_remove_cooccur_images_drops_exact_count():
     manifest = labels_manifest(transform_rows())
     out = train.transform_dataset(manifest, "remove_cooccur_images", [(0, 1)])
     assert len(out.samples) == 63
-    matrix = out.label_matrix()
+    matrix = out.labels
     assert not np.any((matrix[:, 0] == 1) & (matrix[:, 1] == 1))
 
 
@@ -275,8 +286,8 @@ def test_remove_cooccur_labels_clears_context_only_on_biased():
     manifest = labels_manifest(transform_rows())
     out = train.transform_dataset(manifest, "remove_cooccur_labels", [(0, 1)])
     assert len(out.samples) == 100
-    matrix = out.label_matrix()
-    before = manifest.label_matrix()
+    matrix = out.labels
+    before = manifest.labels
     assert matrix.sum() == before.sum() - 37  # one label cleared per co-occur row
     # samples with the context alone keep it
     solo_c = (before[:, 0] == 0) & (before[:, 1] == 1)
@@ -290,8 +301,8 @@ def test_split_biased_appends_solo_categories():
     out = train.transform_dataset(manifest, "split_biased", pairs)
     assert len(out.categories) == 10
     assert out.categories[8] == "cat0_solo"
-    matrix = out.label_matrix()
-    before = manifest.label_matrix()
+    matrix = out.labels
+    before = manifest.labels
     # exclusive rows moved to the solo column, co-occur rows stayed put
     excl = (before[:, 0] == 1) & (before[:, 1] == 0)
     assert np.array_equal(matrix[excl, 8], np.ones(excl.sum()))
@@ -332,16 +343,16 @@ def test_transforms_match_per_sample_definition(method, pairs):
     # interact on one row shows up
     rows = [[(i >> k) & 1 for k in range(4)] for i in range(16)]
     manifest = labels_manifest(rows, m=4)
-    for i, s in enumerate(manifest.samples):
-        s.offset = 4 + 16 * i
+    for i, s in enumerate(manifest.samples):  # samples in every third store slot
+        s.row = 3 * i
     out = train.transform_dataset(manifest, method, pairs)
     want = per_sample_transform(rows, method, pairs, 4)
-    assert [(s.id, s.labels) for s in out.samples] == want
-    assert all(type(v) is int for s in out.samples for v in s.labels)
-    assert [s.offset for s in out.samples] == [4 + 16 * int(i[1:]) for i, _ in want]
+    assert [s.id for s in out.samples] == [i for i, _ in want]
+    assert out.labels.dtype == np.int64 and out.labels.tolist() == [r for _, r in want]
+    assert [s.row for s in out.samples] == [3 * int(i[1:]) for i, _ in want]
     solo = [f"cat{b}_solo" for b, _ in pairs] if method == "split_biased" else []
     assert out.categories == [f"cat{k}" for k in range(4)] + solo
-    assert manifest.label_matrix().tolist() == rows  # the input is left as it was
+    assert manifest.labels.tolist() == rows  # the input is left as it was
 
 
 def test_split_biased_training_widens_head(tmp_path):
