@@ -21,15 +21,6 @@ class BiasPair:
     score: float
 
 
-@dataclass
-class BiasPairSet:
-    pairs: list  # BiasPair, sorted by descending score
-    shortfall: bool = False  # true when fewer valid pairs exist than requested
-
-    def as_tuples(self):
-        return [(p.biased, p.context) for p in self.pairs]
-
-
 def check_pairs(pairs, m: int) -> None:
     """Refuse a pair outside m categories, of one category or listed twice; (c, b) is not (b, c)."""
     seen = set()
@@ -53,13 +44,12 @@ def pair_splits(labels, pairs) -> tuple:
 
 
 def bias_score(preds: np.ndarray, labels: np.ndarray, b: int, z: int) -> float:
-    """Ratio of mean predicted probability for b with z present vs absent."""
+    """Ratio of mean predicted probability for b with z present vs absent;
+    NaN when either set of b's samples is empty."""
     preds = np.asarray(preds, dtype=np.float64)
     both, excl = (split[:, 0] for split in pair_splits(labels, [(b, z)]))
     if not both.any() or not excl.any():
-        raise ValueError(
-            f"bias({b},{z}) undefined: needs samples with and without {z}"
-        )
+        return float("nan")
     without = preds[excl, b].mean()
     if without == 0.0:
         raise ValueError(f"bias({b},{z}) undefined: mean prediction of {b} without {z} is 0")
@@ -71,14 +61,14 @@ def select_biased_pairs(
     labels: np.ndarray,
     k: int = 20,
     freq_threshold: float = 0.2,
-) -> BiasPairSet:
-    """Top-k (biased, context) pairs.
+) -> list[BiasPair]:
+    """Top-k (biased, context) BiasPairs, by descending score.
 
     For each category b, context candidates are the z co-occurring with b in
     at least `freq_threshold` of b's samples (and for which the score is
     defined at all); the best-scoring candidate survives, ties going to the
     lowest category index. The per-category winners are then ranked globally
-    by score. Fewer than k valid winners sets the shortfall flag.
+    by score, so fewer than k come back when fewer categories have a winner.
     Predictions must match the labels' shape and lie in [0, 1].
     """
     if k < 1:
@@ -108,14 +98,14 @@ def select_biased_pairs(
             best = int(np.argmax(scores))  # the first maximum: ties go to the lowest z
             winners.append(BiasPair(biased=b, context=int(zs[best]), score=scores[best]))
     winners.sort(key=lambda p: (-p.score, p.biased))
-    return BiasPairSet(pairs=winners[:k], shortfall=len(winners) < k)
+    return winners[:k]
 
 
-def audit_report(pair_set: BiasPairSet, labels: np.ndarray) -> list:
-    """Rows for the audit JSON: score plus the raw counts behind it."""
-    both, excl = pair_splits(labels, pair_set.as_tuples())
+def audit_report(pairs: list[BiasPair], labels: np.ndarray) -> list:
+    """Rows for the audit JSON: each BiasPair's score plus the raw counts behind it."""
+    both, excl = pair_splits(labels, [(p.biased, p.context) for p in pairs])
     return [
         {"b": p.biased, "c": p.context, "score": p.score,
          "cooccur_count": int(n_both), "exclusive_count": int(n_excl)}
-        for p, n_both, n_excl in zip(pair_set.pairs, both.sum(axis=0), excl.sum(axis=0))
+        for p, n_both, n_excl in zip(pairs, both.sum(axis=0), excl.sum(axis=0))
     ]

@@ -221,15 +221,15 @@ def cmd_audit(args):
             raise ValueError(f"{args.preds}: {e}") from None
     if preds.size == 0:
         raise ValueError(f"{args.preds}: no predictions")
-    pair_set = bias_mod.select_biased_pairs(
+    pairs = bias_mod.select_biased_pairs(
         preds, labels, k=args.k, freq_threshold=args.freq_threshold
     )
     os.makedirs(args.out, exist_ok=True)
     doc = {
         "k": args.k,
         "freq_threshold": args.freq_threshold,
-        "shortfall": pair_set.shortfall,
-        "pairs": bias_mod.audit_report(pair_set, labels),
+        "shortfall": len(pairs) < args.k,
+        "pairs": bias_mod.audit_report(pairs, labels),
     }
     data.dump_json(doc, os.path.join(args.out, "audit.json"))
     write_provenance(
@@ -260,9 +260,7 @@ def cmd_train(args):
     arts = train.run_training(manifest, cfg, pinned)
 
     os.makedirs(args.out, exist_ok=True)
-    pair_rows = (
-        [[p.biased, p.context, p.score] for p in arts.pairs.pairs] if arts.pairs else []
-    )
+    pair_rows = [[p.biased, p.context, p.score] for p in arts.pairs]
     run = mdl.RunRecord(method=cfg.method, seed=cfg.seed, config_hash=config_hash(cfg.to_dict()),
                         pairs=pair_rows, category_map=arts.category_map)
     mdl.save_checkpoint(os.path.join(args.out, "checkpoint.json"), arts.params, run)
@@ -413,7 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a dataset from a GenConfig JSON")
     g.add_argument("--config", required=True, help="GenConfig as JSON")
     g.add_argument("--out", required=True, help="output directory")
-    g.add_argument("--split", default="train", help="split tag for sample ids")
+    g.add_argument("--split", default="train",
+                   help="tag naming the SPLIT.store and SPLIT.manifest.json files; "
+                   "the manifest records it as split_tag")
     g.add_argument("--seed", type=int, default=None, help="override the config seed")
     g.set_defaults(func=cmd_gen)
 

@@ -316,6 +316,10 @@ def _check_config(cfg: GenConfig):
     for s in cfg.signatures:
         if len(s) != cfg.d_in:
             raise ValueError("signature length must equal d_in")
+    if cfg.n_filler < 0:
+        raise ValueError(f"n_filler must be nonnegative, got {cfg.n_filler}")
+    if cfg.filler_max_labels < 1:
+        raise ValueError(f"filler_max_labels must be at least 1, got {cfg.filler_max_labels}")
     if not cfg.planted_pairs and cfg.n_filler < 1:
         raise ValueError("config makes no samples: no planted pairs and no filler")
     biased_seen = set()

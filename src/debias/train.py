@@ -100,7 +100,7 @@ class TrainConfig:
 @dataclass
 class TrainArtifacts:
     params: mdl.ModelParams
-    pairs: bias_mod.BiasPairSet | None = None
+    pairs: list[bias_mod.BiasPair] = field(default_factory=list)  # ranked or pinned
     loss_curve: list = field(default_factory=list)
     step_log: list = field(default_factory=list)
     seeds: dict = field(default_factory=dict)
@@ -204,23 +204,17 @@ def train_stage1(
     )
 
     if pinned is None:
-        pair_set = bias_mod.select_biased_pairs(
+        pairs = bias_mod.select_biased_pairs(
             mdl.predict(params, pooled[rows20]), labels[rows20],
             k=cfg.k, freq_threshold=cfg.freq_threshold,
         )
     else:
-        preds = mdl.predict(params, pooled)
-        scored = []
-        for b, c in pinned:
-            try:
-                score = bias_mod.bias_score(preds, labels, b, c)
-            except ValueError:  # a split is empty; keep the pair, skip the score
-                score = float("nan")
-            scored.append(bias_mod.BiasPair(b, c, score))
-        pair_set = bias_mod.BiasPairSet(scored)
+        preds = mdl.predict(params, pooled)  # a pair with an empty split keeps a NaN score
+        pairs = [bias_mod.BiasPair(b, c, bias_mod.bias_score(preds, labels, b, c))
+                 for b, c in pinned]
     return TrainArtifacts(
         params=params,
-        pairs=pair_set,
+        pairs=pairs,
         loss_curve=curve,
         step_log=step_log,
         seeds=seeds,
@@ -279,7 +273,7 @@ def train_stage2(
     artifacts: TrainArtifacts, manifest: data.DatasetManifest, cfg: TrainConfig
 ) -> TrainArtifacts:
     """Continue from stage-1 weights and pooled rows with the method-specific objective."""
-    pair_tuples = artifacts.pairs.as_tuples() if artifacts.pairs else []
+    pair_tuples = [(p.biased, p.context) for p in artifacts.pairs]
     if cfg.method != "standard" and not pair_tuples:
         raise ValueError(f"{cfg.method} needs the stage-1 biased pairs")
     store_rows = [s.row for s in manifest.samples]  # stage 1 pooled row i into pooled[i]

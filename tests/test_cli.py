@@ -104,11 +104,18 @@ def test_gen_rejects_malformed_nested_config(tmp_path, capsys, make, named):
     _assert_gen_rejects(tmp_path, capsys, make(small_gen_dict()), named)
 
 
-def test_gen_refuses_a_config_that_makes_no_samples(tmp_path, capsys):
-    # it used to write an empty store and manifest, which eval and audit then refused
+@pytest.mark.parametrize("fields, named", [
+    # an empty store and manifest, which eval and audit then refused
+    ({"planted_pairs": [], "n_filler": 0}, "config makes no samples"),
+    # 47 samples, 7 of them exclusive, under a generator_config that said 10
+    ({"n_filler": -3}, "n_filler must be nonnegative, got -3"),
+    # numpy's unnamed "low >= high", after the output directory was made
+    ({"filler_max_labels": 0}, "filler_max_labels must be at least 1, got 0"),
+], ids=["no_samples", "negative_n_filler", "no_filler_labels"])
+def test_gen_refuses_a_config_that_makes_no_samples(tmp_path, capsys, fields, named):
     doc = small_gen_dict()
-    doc.update(planted_pairs=[], n_filler=0)
-    _assert_gen_rejects(tmp_path, capsys, doc, "config makes no samples")
+    doc.update(fields)
+    _assert_gen_rejects(tmp_path, capsys, doc, named)
 
 
 def _assert_gen_rejects(tmp_path, capsys, doc, named):

@@ -126,7 +126,7 @@ def test_compare_outputs_names_each_differing_file(tmp_path, capsys):
         out.mkdir()
         compare_outputs.run_pipeline(TOOLS.parent, out, ["stage1_epochs=1", "stage2_epochs=1"])
     assert compare_outputs.compare(base, change) == 0
-    assert capsys.readouterr().out.splitlines() == ["81 files, 0 differ"]
+    assert capsys.readouterr().out.splitlines() == ["87 files, 0 differ"]
 
     changed = ["audit/audit.json", "digests/0.05_s3_ours_cam.txt",
                "sweep/runs/f0.05_s0/ours_cam/report.json", "sweep/trend.csv",
@@ -137,7 +137,7 @@ def test_compare_outputs_names_each_differing_file(tmp_path, capsys):
         (change / name).write_bytes(bytes(raw))
     assert compare_outputs.compare(base, change) == 1
     assert capsys.readouterr().out.splitlines() == [
-        *(f"differs: {name}" for name in changed), "81 files, 5 differ"]
+        *(f"differs: {name}" for name in changed), "87 files, 5 differ"]
 
 
 def test_ab_stage_a_a_run_makes_no_claim(capsys):

@@ -43,7 +43,7 @@ def tiny_cfg(method="standard", **over):
 
 
 def pin_pair(artifacts, b=0, c=1):
-    artifacts.pairs = bias_mod.BiasPairSet([bias_mod.BiasPair(b, c, 5.0)])
+    artifacts.pairs = [bias_mod.BiasPair(b, c, 5.0)]
     return artifacts
 
 
@@ -206,7 +206,7 @@ def test_stage2_step_log_fields(quarter_cell, method):
 def test_stage2_requires_pairs_and_snapshot(tmp_path):
     manifest = tiny_benchmark(tmp_path)
     arts = train.train_stage1(manifest, tiny_cfg())
-    arts.pairs = bias_mod.BiasPairSet([], shortfall=True)
+    arts.pairs = []
     with pytest.raises(ValueError, match="biased pairs"):
         train.train_stage2(arts, manifest, tiny_cfg("weighted_loss"))
 
@@ -233,11 +233,11 @@ def test_pin_pairs_scores_and_keeps_empty_split_as_nan(tmp_path):
     # filler never carries the biased category 0, so (0, 2) never co-occurs
     arts = train.train_stage1(manifest, tiny_cfg(), pinned=[(0, 1), (0, 2)])
     pinned = arts.pairs
-    assert pinned.as_tuples() == [(0, 1), (0, 2)]
+    assert [(p.biased, p.context) for p in pinned] == [(0, 1), (0, 2)]
     labels = manifest.labels
     want = bias_mod.bias_score(mdl.predict(arts.params, data.load_pooled(manifest)), labels, 0, 1)
-    assert pinned.pairs[0].score == want
-    assert math.isnan(pinned.pairs[1].score)
+    assert pinned[0].score == want
+    assert math.isnan(pinned[1].score)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ Usage: python3 tools/compare_outputs.py --base ../parent --change . [--set k=v .
 
 On the fraction-0.05 benchmark configs of seed 0 it runs `debias gen`, then
 `train` (planted pairs pinned) and `eval` for cam, feature-split, standard and
-split, one `report`, a one-cell `sweep` and an `audit` of the standard
-checkpoint's test-set scores (48 files). Then it trains the `GRID` cells with
+split, one unpinned standard `train` (stage 1 selects its pairs) and its
+`eval`, one `report`, a one-cell `sweep` and an `audit` of the standard
+checkpoint's test-set scores (54 files). Then it trains the `GRID` cells with
 `cli.run_benchmark_cell` and writes one `digests/` file per run (33 files):
 fraction, seed, method and the SHA-256s of the trained mixer, head, loss curve
 and stage-2 step log, and of the report. Each step runs in a subprocess with
@@ -100,6 +101,11 @@ def run_pipeline(checkout, out, sets):
                       *overrides])
         steps.append(["-m", "debias.cli", "eval", "--checkpoint", f"train/{m}", "--data",
                       "data/test", "--out", f"eval/{m}"])
+    # unpinned: stage 1 selects the pairs, and eval reads them from the checkpoint
+    steps.append(["-m", "debias.cli", "train", "--config", "train.json", "--data", "data/train",
+                  "--method", "standard", "--out", "train/standard-selected", *overrides])
+    steps.append(["-m", "debias.cli", "eval", "--checkpoint", "train/standard-selected",
+                  "--data", "data/test", "--out", "eval/standard-selected"])
     steps.append(["-m", "debias.cli", "report", "--inputs", *(f"eval/{m}" for m in METHODS),
                   "--out", "report"])
     steps.append(["-m", "debias.cli", "sweep", "--fractions", "0.05", "--seeds", "0",
